@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -170,6 +171,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.trials < 1:
+            raise ProdGeoError(f"--trials must be >= 1, got {args.trials}")
+        if not 0.0 < args.tol < math.inf:
+            raise ProdGeoError(f"--tol must be finite and > 0, got {args.tol}")
         return args.func(args)
     except (ProdGeoError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,35 +153,7 @@ def kadiyala_T2(p: KadiyalaParams, u: float, v: float,
                - (b1 - 1.0) * bsum * k3 * v ** b1))
 
 
-def kadiyala_deng(p: KadiyalaParams, u: float, v: float) -> float:
-    """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
-    product of non-negative factors under the parameter constraints, so
-    the sum is strictly positive on the open first quadrant."""
-    _kad_check_domain(u, v)
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    b1, b2, d = p.beta1, p.beta2, p.delta
-    bsum = b1 + b2
-    inner = _kad_inner(p, u, v)
-    e = d * d * inner ** (2.0 * d / bsum)
-    a1 = bsum * bsum * k1 * k1 * v * v * u ** (2.0 * bsum) * (e + u * u)
-    a2 = bsum * bsum * k3 * k3 * u * u * v ** (2.0 * bsum) * (e + v * v)
-    a3 = (4.0 * bsum * k2 * k3 * u ** (b1 + 2.0) * v ** (b1 + 2.0 * b2)
-          * (b2 * (e + v * v) + b1 * v * v))
-    a4 = (4.0 * k2 * k2 * u ** (2.0 * b1) * v ** (2.0 * b2)
-          * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
-             + 2.0 * b1 * b2 * u * u * v * v))
-    a5 = (2.0 * bsum * k1 * u ** bsum * v ** (b2 + 2.0)
-          * (bsum * k3 * u * u * v ** b1
-             + 2.0 * k2 * u ** b1 * (b1 * (e + u * u) + b2 * u * u)))
-    total = a1 + a2 + a3 + a4 + a5
-    if total <= 0.0:
-        raise ProdGeoError(
-            f"Den_G = {total} <= 0 at ({u}, {v}): implementation bug")
-    return total
-
-
-def kadiyala_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
-    """The five summands of Den_G individually (each must be >= 0)."""
+def _kad_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
@@ -199,6 +171,24 @@ def kadiyala_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
         * (bsum * k3 * u * u * v ** b1
            + 2.0 * k2 * u ** b1 * (b1 * (e + u * u) + b2 * u * u)),
     ]
+
+
+def kadiyala_deng(p: KadiyalaParams, u: float, v: float) -> float:
+    """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
+    product of non-negative factors under the parameter constraints, so
+    the sum is strictly positive on the open first quadrant."""
+    _kad_check_domain(u, v)
+    # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
+    total = sum(_kad_deng_terms(p, u, v))
+    if total <= 0.0:
+        raise ProdGeoError(
+            f"Den_G = {total} <= 0 at ({u}, {v}): implementation bug")
+    return total
+
+
+def kadiyala_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
+    """The five summands of Den_G individually (each must be >= 0)."""
+    return _kad_deng_terms(p, u, v)
 
 
 def kadiyala_curvature_closed(p: KadiyalaParams, u: float, v: float) -> float:

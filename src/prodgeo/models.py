@@ -271,8 +271,3 @@ def kadiyala_specialize(p: KadiyalaParams,
         return FamilyTag(Family.LU_FLETCHER_TYPE)
     return FamilyTag(Family.GENERAL_KADIYALA)
 
-
-def perfect_substitutes_value(a: float, b: float, delta: float,
-                              u: float, v: float) -> float:
-    """(a*u + b*v)^delta, the reduced form both developable cases hit."""
-    return (a * u + b * v) ** delta

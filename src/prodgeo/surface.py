@@ -41,10 +41,9 @@ class FundamentalForms(NamedTuple):
     n1: float
     n2: float
     n3: float
-
-    @property
-    def det_first(self) -> float:
-        return self.g11 * self.g22 - self.g12 * self.g12
+    #: det I = g11*g22 - g12^2, held as W^2 = 1 + f_u^2 + f_v^2: the
+    #: difference cancels to 0.0 at steep points, the sum cannot.
+    det_first: float
 
     @property
     def det_second(self) -> float:
@@ -77,6 +76,7 @@ def fundamental_forms(jet: Jet2) -> FundamentalForms:
         n1=-fu * inv_w,
         n2=-fv * inv_w,
         n3=inv_w,
+        det_first=w2,
     )
 
 
@@ -104,7 +104,7 @@ def classify_sign(K: float, local_scale: float = 0.0,
     surface at hand (typically max |K| over the evaluated grid), so that
     "zero" is judged relative to how curved the surface actually is.
     """
-    if tol_K <= 0.0:
+    if not tol_K > 0.0:  # also rejects NaN
         raise ValueError("tol_K must be positive")
     if abs(K) <= tol_K * (1.0 + abs(local_scale)):
         return SignClass.ZERO

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,17 @@ def test_verify_t2_small(capsys):
     assert "PASS" in err
 
 
+def test_grid_steep_points_finite(capsys):
+    # at these points g11*g22 - g12^2 used to cancel to 0.0 and K divided by it
+    code, out, _ = run(capsys, "grid", "--model", "ves", "--params",
+                       '{"k":1,"beta":0.5,"rho":0.5,"delta":3}',
+                       "--grid", "1,1e6,3,1,1e6,3")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    valid = [r for r in rows if r[5] == "true"]
+    assert valid and all(math.isfinite(float(r[3])) for r in valid)
+
+
 def test_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--model", "ves",
                        "--params", '{"k": 1, "beta": 2, "rho": 0.5, "delta": 1}',
@@ -112,6 +124,19 @@ def test_bad_point_exit_2(capsys):
     code, _, _ = run(capsys, "eval", "--model", "ves", "--params", VES,
                      "--point", "1;2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-t1", "--trials", "-5"),
+    ("verify-t2", "--trials", "0"),
+    ("verify-t1", "--trials", "3", "--tol", "nan"),
+    ("verify-t2", "--trials", "1", "--tol", "inf"),
+    ("grid", "--model", "ves", "--params", VES, "--tol", "0"),
+])
+def test_vacuous_or_nan_input_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_missing_params_exit_2(capsys):

@@ -115,6 +115,15 @@ def test_constant_shift_invariance():
         assert surface.curvature_from_jet(jet) == surface.curvature_from_jet(shifted)
 
 
+def test_det_first_exact_at_steep_point():
+    # g11*g22 - g12^2 cancels to 0.0 here; det I must stay 1 + fu^2 + fv^2
+    fu, fv = 1e9, -2e9
+    jet = Jet2(1.0, fu, fv, 2.0, 0.5, 1.0)
+    assert surface.fundamental_forms(jet).det_first == 1.0 + fu * fu + fv * fv
+    K, H = surface.curvature_from_jet(jet)
+    assert math.isfinite(K) and math.isfinite(H)
+
+
 def test_nonfinite_jet_rejected():
     with pytest.raises(NonFiniteError):
         surface.fundamental_forms(Jet2(1.0, float("nan"), 0, 0, 0, 0))
@@ -133,3 +142,5 @@ def test_classify_sign(K, scale, tol, expected):
 def test_classify_sign_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         surface.classify_sign(0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        surface.classify_sign(0.0, 1.0, float("nan"))
