@@ -1,0 +1,87 @@
+"""Exact CLI output on small fixed inputs, recorded as sha256 of exit
+code, stdout and stderr. A change to how the CLI or the library computes
+or prints any of these must show up here; a refactor must leave them
+byte-identical."""
+
+import hashlib
+
+import pytest
+
+from prodgeo import cli
+
+KAD_GENERIC = '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "delta": 2}'
+KAD_DEVELOPABLE = '{"k1": 0.4, "k2": 0, "k3": 0.6, "beta1": 0.3, "beta2": 0.7, "delta": 1.7}'
+VES_RHO_BELOW_1 = '{"k": 1.3, "beta": 0.5, "rho": 0.3, "delta": 0.7}'
+VES_INCREASING = '{"k": 1, "beta": 0.4, "rho": 1.5, "delta": 1.6}'
+GRID = "0.1,10,5,0.1,10,5,log"
+
+CASES = {
+    "grid-csv-kadiyala-generic": ("grid", "--model", "kadiyala", "--params", KAD_GENERIC,
+                                  "--grid", GRID),
+    "grid-json-kadiyala-generic": ("grid", "--model", "kadiyala", "--params", KAD_GENERIC,
+                                   "--grid", GRID, "--format", "json"),
+    "grid-csv-kadiyala-developable": ("grid", "--model", "kadiyala",
+                                      "--params", KAD_DEVELOPABLE, "--grid", GRID),
+    "grid-json-kadiyala-developable": ("grid", "--model", "kadiyala",
+                                       "--params", KAD_DEVELOPABLE, "--grid", GRID,
+                                       "--format", "json"),
+    "grid-csv-ves-rho-below-1": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                 "--grid", GRID),
+    "grid-json-ves-rho-below-1": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                  "--grid", GRID, "--format", "json"),
+    "grid-csv-ves-strict": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                            "--grid", "0.5,2,4,0.5,2,4,linear", "--strict-domain"),
+    "grid-csv-ves-increasing": ("grid", "--model", "ves", "--params", VES_INCREASING,
+                                "--grid", GRID),
+    "grid-json-ves-increasing": ("grid", "--model", "ves", "--params", VES_INCREASING,
+                                 "--grid", GRID, "--format", "json"),
+    "eval-ves": ("eval", "--model", "ves", "--params", VES_INCREASING, "--point", "1.5,0.7"),
+    "eval-ves-strict-invalid": ("eval", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                "--point", "2,1.5", "--strict-domain"),
+    "eval-ves-outside-domain": ("eval", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                "--point", "2,1.2"),
+    "eval-kadiyala": ("eval", "--model", "kadiyala", "--params", KAD_GENERIC,
+                      "--point", "0.3,4"),
+    "eval-kadiyala-nonpositive": ("eval", "--model", "kadiyala", "--params", KAD_GENERIC,
+                                  "--point=-1,2"),
+    "classify-ves": ("classify", "--model", "ves", "--params", VES_RHO_BELOW_1),
+    "classify-kadiyala-generic": ("classify", "--model", "kadiyala", "--params", KAD_GENERIC),
+    "classify-kadiyala-developable": ("classify", "--model", "kadiyala",
+                                      "--params", KAD_DEVELOPABLE),
+    "specialize": ("specialize", "--model", "kadiyala", "--params", KAD_DEVELOPABLE),
+    "specialize-ves-rejected": ("specialize", "--model", "ves", "--params", VES_INCREASING),
+    "verify-t1": ("verify-t1", "--trials", "9", "--seed", "4", "--grid", GRID),
+    "verify-t2": ("verify-t2", "--trials", "3", "--seed", "4", "--grid", GRID),
+}
+
+GOLDEN = {
+    "classify-kadiyala-developable": "ff4388165d5c1a3c025d1f5e35cd75f6d5b524bb8d5aa9293a5c0c54c55766ca",
+    "classify-kadiyala-generic": "2b5c5ffb86419983df33b573bfd506d5faf6fe1ccfdd0f06602b817719fe372a",
+    "classify-ves": "ea372de2b5ec61ab952eff88917a1219d2ec4b12b90555cd33a94d1c7624184a",
+    "eval-kadiyala": "cba5089fb1c4186b4bc1518b01477461c83f03676cc636ed3f3c02a8404222c2",
+    "eval-kadiyala-nonpositive": "51b6928980dec7874456a27344f1e6b006e1e7e1f08eb30bfef8a95ecbd62ca9",
+    "eval-ves": "35f2229f8ca4484c69da7307e63ae27cdfcf66332e06c97d515abd67970dabdc",
+    "eval-ves-outside-domain": "a811b8900058a52f9adfa27b61822d73ddbb28a284e583d373f3014b9640a153",
+    "eval-ves-strict-invalid": "00e641c8575737b54815442e9f98e2d08ced264c80ac151ec914d5b55253a28a",
+    "grid-csv-kadiyala-developable": "22f8652e56e02e024a9f69bbc2020ceedd6bd1bb350eb75ce455fd44ab9b12c8",
+    "grid-csv-kadiyala-generic": "df134e71a092e2a28d4c939748d95e350c5b90ac5aeb6a02b20558b6571acc5b",
+    "grid-csv-ves-increasing": "e16044eab5084ec577b8c7dd3a47b6a4ac38b0ef4fc46183877a7cc07067b448",
+    "grid-csv-ves-rho-below-1": "f70fd21cc898720534c7d853c07eb4d9ec050791a9db8c51cf8dd853af5f1b2a",
+    "grid-csv-ves-strict": "9ab2660f9c074713b2c075be0b61f145273902a203b2bd2b0141a03575df4776",
+    "grid-json-kadiyala-developable": "4f458b2481d7a4fc66a8d59e97ed6715f7a6e9e5836b82ce009d66ba8ae76bb4",
+    "grid-json-kadiyala-generic": "b44a38fab35ca83099c6ac480c5fe4d1afa3c638c1cba71667238adb55f14aa9",
+    "grid-json-ves-increasing": "40352a465f8ed57ed10acb8ec7debb661654f0765d8c72ddc44935c4ff78f14a",
+    "grid-json-ves-rho-below-1": "9d0b369577028e3f8306bcb77e3644e8f7be534272f9bde8ae085a2d70691feb",
+    "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
+    "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
+    "verify-t1": "44af02dbf8178e72cd672af09970fb0fb282847eececddfba73d7a2f9b30d594",
+    "verify-t2": "01da3848ab99c42efb8958eaf8b6b31441bc2bb8b14fdcff79810392afd9ee18",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_unchanged(capsys, name):
+    code = cli.main(list(CASES[name]))
+    captured = capsys.readouterr()
+    blob = f"{code}\n{captured.out}\n{captured.err}".encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[name]
