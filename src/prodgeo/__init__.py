@@ -23,7 +23,7 @@ from .models import (Family, FamilyTag, KadiyalaParams, VesParams,
                      kadiyala_validate, kadiyala_value, params_to_json,
                      ves_domain_valid, ves_elasticity, ves_eval,
                      ves_params_from_json, ves_validate, ves_value)
-from .surface import (CurvatureReport, FundamentalForms, SignClass,
+from .surface import (FundamentalForms, SignClass,
                       classify_sign, curvature_from_jet, fundamental_forms,
                       gaussian_curvature, mean_curvature)
 

@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import curvature, harness, jets, models, surface
+from . import harness, surface
 from .errors import ProdGeoError
 
 
@@ -32,9 +32,7 @@ def _load_params(args):
     candidate = Path(text)
     if candidate.is_file():
         text = candidate.read_text()
-    if args.model == "ves":
-        return models.ves_params_from_json(text)
-    return models.kadiyala_params_from_json(text)
+    return harness.FAMILIES[args.model].params_from_json(text)
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -45,11 +43,12 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 
 def _cmd_eval(args) -> int:
+    family = harness.FAMILIES[args.model]
     p = _load_params(args)
     u, v = _parse_point(args.point)
-    jet = harness._model_jet(p, u, v)
+    jet = family.jet(p, u, v)
     K, H = surface.curvature_from_jet(jet)
-    valid = harness._domain_valid(p, u, v, args.strict_domain)
+    valid = family.domain_valid(p, u, v, args.strict_domain)
     print(json.dumps({
         "u": u, "v": v, "f": jet.val,
         "grad": [jet.d1, jet.d2],
@@ -70,26 +69,17 @@ def _cmd_grid(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = _load_params(args)
-    if args.model == "ves":
-        regime, sign = curvature.ves_theorem_verdict(p)
-        payload = {"model": "ves", "returns_to_scale": regime.value,
-                   "predicted_curvature_sign": sign.value,
-                   "developable": sign is surface.SignClass.ZERO}
-    else:
-        verdict = curvature.kadiyala_is_developable(p)
-        payload = {"model": "kadiyala",
-                   "returns_to_scale": curvature.returns_to_scale(p.delta).value,
-                   "developable": verdict.developable,
-                   "reason": verdict.reason.value}
+    payload = harness.FAMILIES[args.model].verdict(p).payload
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_specialize(args) -> int:
-    if args.model != "kadiyala":
-        raise ProdGeoError("specialize applies to --model kadiyala")
-    p = _load_params(args)
-    tag = models.kadiyala_specialize(p)
+    specialize = harness.FAMILIES[args.model].specialize
+    if specialize is None:
+        names = [name for name, family in harness.FAMILIES.items() if family.specialize]
+        raise ProdGeoError(f"specialize applies to --model {' or '.join(names)}")
+    tag = specialize(_load_params(args))
     payload = {"family": tag.tag.value}
     if tag.detail:
         payload["detail"] = tag.detail
@@ -97,18 +87,9 @@ def _cmd_specialize(args) -> int:
     return 0
 
 
-def _cmd_verify_t1(args) -> int:
+def _cmd_verify(args) -> int:
     spec = harness.parse_grid_spec(args.grid)
-    summary = harness.run_verify_theorem1(args.trials, args.seed, spec,
-                                          tol_K=args.tol)
-    print(summary.describe(), file=sys.stderr)
-    return 0 if summary.ok else 1
-
-
-def _cmd_verify_t2(args) -> int:
-    spec = harness.parse_grid_spec(args.grid)
-    summary = harness.run_verify_theorem2(args.trials, args.seed, spec,
-                                          tol_K=args.tol)
+    summary = args.run(args.trials, args.seed, spec, tol_K=args.tol)
     print(summary.describe(), file=sys.stderr)
     return 0 if summary.ok else 1
 
@@ -123,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, params=True):
-        sp.add_argument("--model", choices=("ves", "kadiyala"), default="ves")
+        sp.add_argument("--model", choices=tuple(harness.FAMILIES), default="ves")
         if params:
             sp.add_argument("--params",
                             help="JSON object (inline or a file path) with the "
@@ -158,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-t1", help="randomized VES theorem check")
     common(sp, params=False)
-    sp.set_defaults(func=_cmd_verify_t1, trials=300)
+    sp.set_defaults(func=_cmd_verify, run=harness.run_verify_theorem1, trials=300)
 
     sp = sub.add_parser("verify-t2", help="randomized Kadiyala theorem check")
     common(sp, params=False)
-    sp.set_defaults(func=_cmd_verify_t2)
+    sp.set_defaults(func=_cmd_verify, run=harness.run_verify_theorem2)
 
     return parser
 

@@ -1,5 +1,6 @@
-"""Grid sweeps, seeded parameter sampling, the finite-difference oracle,
-and the randomized verification runs for the two curvature theorems.
+"""The table of model families, grid sweeps, seeded parameter sampling,
+the finite-difference oracle, and the randomized verification runs for
+the two curvature theorems.
 
 Verification runs aggregate every violation into the returned summary
 instead of raising, so one bad draw cannot mask the rest.
@@ -11,7 +12,9 @@ import enum
 import json
 import math
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,6 +219,140 @@ def fd_oracle(f, u: float, v: float,
     return grad, hess
 
 
+# --- Model families ----------------------------------------------------------
+#
+# Everything that differs between VES and Kadiyala is one record below;
+# grid reports, the CLI and the verify engine dispatch through FAMILIES
+# and nowhere else.  Entries call models, curvature, jets and the
+# samplers by module attribute at call time, so rebinding one of those
+# (to trace it, or to corrupt a verdict in a test) reaches every caller.
+
+class Verdict(NamedTuple):
+    """What a theorem says about one parameter set."""
+    summary: str              # the grid report's "verdict" field
+    payload: dict             # the `classify` command's JSON object
+    expect: SignClass | None  # sign of K at every point; None: curved somewhere
+
+
+@dataclass(frozen=True)
+class ModelFamily:
+    name: str
+    params_type: type
+    theorem: str
+    params_from_json: Callable[[str], object]
+    jet: Callable[[object, float, float], jets.Jet2]
+    domain_valid: Callable[[object, float, float, bool], bool]
+    closed_K: Callable[[object, float, float], float]
+    #: problems with the closed form's side conditions at one point
+    side_checks: Callable[[object, float, float], Iterator[str]]
+    verdict: Callable[[object], Verdict]
+    #: (label, params) per trial, each drawn as the engine asks for it
+    trials: Callable[[int, int], Iterator[tuple[str, object]]]
+    specialize: Callable[[object], models.FamilyTag] | None = None
+
+
+def _rel_dev(a: float, b: float) -> float:
+    return abs(a - b) / (1.0 + abs(b))
+
+
+def _subseed(seed: int, index: int) -> int:
+    return seed * 1_000_003 + index
+
+
+def _ves_side_checks(p: VesParams, u: float, v: float) -> Iterator[str]:
+    den_a = curvature.ves_denf(p, u, v)
+    den_b = curvature.ves_denf(p, u, v, grouped=True)
+    if den_a <= 0.0:
+        yield f"Den_F={den_a} not positive at ({u:.4g}, {v:.4g})"
+    if _rel_dev(den_a, den_b) > DUAL_FORM_RTOL:
+        yield (f"Den_F groupings disagree at ({u:.4g}, {v:.4g}): "
+               f"{den_a!r} vs {den_b!r}")
+
+
+def _ves_verdict(p: VesParams) -> Verdict:
+    regime, sign = curvature.ves_theorem_verdict(p)
+    return Verdict(f"{regime.value}-returns:{sign.value}-curvature",
+                   {"model": "ves", "returns_to_scale": regime.value,
+                    "predicted_curvature_sign": sign.value,
+                    "developable": sign is SignClass.ZERO},
+                   sign)
+
+
+def _ves_trials(trials: int, seed: int):
+    """Returns-to-scale strata cycled trial by trial."""
+    for t in range(trials):
+        yield f"trial {t}", random_ves_params(
+            _subseed(seed, t), stratum=DELTA_STRATA[t % len(DELTA_STRATA)])
+
+
+def _kadiyala_side_checks(p: KadiyalaParams, u: float, v: float) -> Iterator[str]:
+    if min(curvature.kadiyala_deng_terms(p, u, v)) < 0.0:
+        yield f"negative Den_G summand at ({u:.4g}, {v:.4g})"
+    t2a = curvature.kadiyala_T2(p, u, v)
+    t2b = curvature.kadiyala_T2(p, u, v, collected=True)
+    if _rel_dev(t2a, t2b) > DUAL_FORM_RTOL:
+        yield (f"T2 groupings disagree at ({u:.4g}, {v:.4g}): "
+               f"{t2a!r} vs {t2b!r}")
+
+
+def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
+    verdict = curvature.kadiyala_is_developable(p)
+    return Verdict(verdict.reason.value,
+                   {"model": "kadiyala",
+                    "returns_to_scale": curvature.returns_to_scale(p.delta).value,
+                    "developable": verdict.developable,
+                    "reason": verdict.reason.value},
+                   SignClass.ZERO if verdict.developable else None)
+
+
+FORWARD_CONDITIONS = (
+    DevelopabilityReason.CONSTANT_RETURNS,
+    DevelopabilityReason.K2_ZERO_UNIT_SUM,
+    DevelopabilityReason.BETA_ONE_RANK_ONE,
+)
+
+
+def _kadiyala_trials(trials: int, seed: int):
+    """``trials`` draws per developability condition, then ``trials``
+    generic draws that violate all three."""
+    blocks = [(f"forward trial ({c.value})", c) for c in FORWARD_CONDITIONS]
+    blocks.append(("converse trial", None))
+    for index in range(len(blocks) * trials):
+        label, condition = blocks[index // trials]
+        yield label, random_kadiyala_params(_subseed(seed, index), condition)
+
+
+VES = ModelFamily(
+    name="ves",
+    params_type=VesParams,
+    theorem="theorem-1 (VES returns to scale vs curvature sign)",
+    params_from_json=lambda text: models.ves_params_from_json(text),
+    jet=lambda p, u, v: models.ves_eval(p, *jets.seed(u, v)),
+    domain_valid=lambda p, u, v, strict: models.ves_domain_valid(p, u, v, strict=strict),
+    closed_K=lambda p, u, v: curvature.ves_curvature_closed(p, u, v),
+    side_checks=_ves_side_checks,
+    verdict=_ves_verdict,
+    trials=_ves_trials,
+)
+
+KADIYALA = ModelFamily(
+    name="kadiyala",
+    params_type=KadiyalaParams,
+    theorem="theorem-2 (Kadiyala developability)",
+    params_from_json=lambda text: models.kadiyala_params_from_json(text),
+    jet=lambda p, u, v: models.kadiyala_eval(p, *jets.seed(u, v)),
+    domain_valid=lambda p, u, v, strict: u > 0 and v > 0,
+    closed_K=lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),
+    side_checks=_kadiyala_side_checks,
+    verdict=_kadiyala_verdict,
+    trials=_kadiyala_trials,
+    specialize=lambda p: models.kadiyala_specialize(p),
+)
+
+FAMILIES = {family.name: family for family in (VES, KADIYALA)}
+_FAMILY_OF_TYPE = {family.params_type: family for family in FAMILIES.values()}
+
+
 # --- Grid reports ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -236,18 +373,6 @@ class GridReport:
     summary: dict
 
 
-def _model_jet(params, u: float, v: float) -> jets.Jet2:
-    if isinstance(params, VesParams):
-        return models.ves_eval(params, *jets.seed(u, v))
-    return models.kadiyala_eval(params, *jets.seed(u, v))
-
-
-def _domain_valid(params, u: float, v: float, strict: bool) -> bool:
-    if isinstance(params, VesParams):
-        return models.ves_domain_valid(params, u, v, strict=strict)
-    return u > 0 and v > 0
-
-
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
                       strict_domain: bool = False,
                       tol_K: float = surface.DEFAULT_CURVATURE_TOL) -> GridReport:
@@ -257,13 +382,14 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
     sign.  Sign classification uses the grid's max |K| as its local
     scale, so the zero band adapts to how curved the surface is.
     """
+    family = _FAMILY_OF_TYPE[type(params)]
     points = sorted(sample_grid(spec))
     evaluated: list[tuple[float, float, float | None, float | None, float | None, bool]] = []
     for u, v in points:
-        if not _domain_valid(params, u, v, strict_domain):
+        if not family.domain_valid(params, u, v, strict_domain):
             evaluated.append((u, v, None, None, None, False))
             continue
-        jet = _model_jet(params, u, v)
+        jet = family.jet(params, u, v)
         K, H = surface.curvature_from_jet(jet)
         evaluated.append((u, v, jet.val, K, H, True))
 
@@ -279,19 +405,10 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
         "f_min": min(f_vals) if f_vals else None,
         "f_max": max(f_vals) if f_vals else None,
         "invalid_points": sum(1 for r in rows if not r.valid),
+        "verdict": family.verdict(params).summary,
     }
-    if isinstance(params, VesParams):
-        regime, sign = curvature.ves_theorem_verdict(params)
-        summary["verdict"] = f"{regime.value}-returns:{sign.value}-curvature"
-    else:
-        verdict = curvature.kadiyala_is_developable(params)
-        summary["verdict"] = verdict.reason.value
-    return GridReport(model=_describe(params), rows=tuple(rows), summary=summary)
-
-
-def _describe(params) -> str:
-    name = "ves" if isinstance(params, VesParams) else "kadiyala"
-    return f"{name}:{models.params_to_json(params)}"
+    return GridReport(model=f"{family.name}:{models.params_to_json(params)}",
+                      rows=tuple(rows), summary=summary)
 
 
 def _cell(x) -> str:
@@ -355,173 +472,87 @@ class VerifySummary:
         return "\n".join(lines)
 
 
-def _rel_dev(a: float, b: float) -> float:
-    return abs(a - b) / (1.0 + abs(b))
-
-
-def _subseed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
-
-
-def run_verify_theorem1(trials: int, seed: int,
-                        grid: GridSpec = DEFAULT_GRID,
-                        tol_K: float = surface.DEFAULT_CURVATURE_TOL,
-                        _sign_flip: bool = False) -> VerifySummary:
-    """Randomized check of the VES curvature-sign theorem.
-
-    Trials are stratified across the three returns-to-scale regimes.
-    Each trial sweeps the valid grid points, compares the closed-form
-    curvature with the autodiff pipeline, checks the denominator's
-    positivity and its two algebraic groupings, and then asserts the
-    curvature sign predicted from delta alone.  ``_sign_flip`` corrupts
-    the prediction; it exists so the tests can confirm that failures are
-    actually detected.
-    """
-    out = VerifySummary(theorem="theorem-1 (VES returns to scale vs curvature sign)",
-                        trials=trials)
+def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
+                tol_K: float) -> VerifySummary:
+    """Randomized check of a family's theorem.  Each trial sweeps the grid
+    points inside the domain, compares closed-form K with autodiff K, runs
+    the family's side checks and holds the sweep to the theorem's verdict
+    for the drawn parameters."""
+    out = VerifySummary(theorem=family.theorem)
     points = sample_grid(grid)
-    for t in range(trials):
-        p = random_ves_params(_subseed(seed, t),
-                              stratum=DELTA_STRATA[t % len(DELTA_STRATA)])
-        _, predicted = curvature.ves_theorem_verdict(p)
-        if _sign_flip and predicted is not SignClass.ZERO:
-            predicted = (SignClass.NEGATIVE if predicted is SignClass.POSITIVE
-                         else SignClass.POSITIVE)
+    for label, p in family.trials(trials, seed):
+        out.trials += 1
         problems = []
         ks = []
         for u, v in points:
-            if not models.ves_domain_valid(p, u, v, strict=False):
+            if not family.domain_valid(p, u, v, False):
                 continue
-            jet = models.ves_eval(p, *jets.seed(u, v))
+            jet = family.jet(p, u, v)
             k_ad = surface.gaussian_curvature(surface.fundamental_forms(jet))
             ks.append((u, v, k_ad))
-            k_closed = curvature.ves_curvature_closed(p, u, v)
+            k_closed = family.closed_K(p, u, v)
             dev = _rel_dev(k_closed, k_ad)
             out.worst_closed_vs_autodiff = max(out.worst_closed_vs_autodiff, dev)
             if dev > CLOSED_VS_AUTODIFF_RTOL:
                 problems.append(
                     f"closed-form K={k_closed:.6e} vs autodiff K={k_ad:.6e} "
                     f"at ({u:.4g}, {v:.4g})")
-            den_a = curvature.ves_denf(p, u, v)
-            den_b = curvature.ves_denf(p, u, v, grouped=True)
-            if den_a <= 0.0:
-                problems.append(f"Den_F={den_a} not positive at ({u:.4g}, {v:.4g})")
-            if _rel_dev(den_a, den_b) > DUAL_FORM_RTOL:
-                problems.append(
-                    f"Den_F groupings disagree at ({u:.4g}, {v:.4g}): "
-                    f"{den_a!r} vs {den_b!r}")
-        # |K| spans many decades across the grid, so the scale-aware zero
-        # band is meaningful only for the developable (delta=1) regime;
-        # nonzero predictions are checked by strict sign.
-        local_scale = max((abs(k) for *_, k in ks), default=0.0)
-        for u, v, k_ad in ks:
-            if predicted is SignClass.ZERO:
-                got = surface.classify_sign(k_ad, local_scale, tol_K)
-            elif k_ad > 0.0:
-                got = SignClass.POSITIVE
-            elif k_ad < 0.0:
-                got = SignClass.NEGATIVE
-            else:
-                got = SignClass.ZERO
-            if got is not predicted:
-                problems.append(
-                    f"sign {got.value} != predicted {predicted.value} "
-                    f"at ({u:.4g}, {v:.4g}) with K={k_ad:.3e}")
+            problems.extend(family.side_checks(p, u, v))
+        expect = family.verdict(p).expect
+        max_k = max((abs(k) for *_, k in ks), default=0.0)
+        threshold = tol_K * (1.0 + max_k)
+        if expect is SignClass.ZERO:  # flat within the scale-aware zero band
+            if not all(abs(k) <= threshold for *_, k in ks):
+                problems.append(f"expected flat: max|K|={max_k:.3e} "
+                                f"vs threshold {threshold:.3e}")
+        elif expect is None:
+            # no sign predicted: curved at sampling resolution is the claim
+            if not any(abs(k) > 10.0 * threshold for *_, k in ks):
+                problems.append(f"expected curvature above {10.0 * threshold:.3e}, "
+                                f"max|K|={max_k:.3e}")
+        else:
+            # |K| spans many decades across the grid, so a scale-aware zero
+            # band would hide the sign of small K: check it strictly.
+            for u, v, k in ks:
+                got = (SignClass.POSITIVE if k > 0.0 else
+                       SignClass.NEGATIVE if k < 0.0 else SignClass.ZERO)
+                if got is not expect:
+                    problems.append(
+                        f"sign {got.value} != predicted {expect.value} "
+                        f"at ({u:.4g}, {v:.4g}) with K={k:.3e}")
         if problems:
             out.failures.append(
-                f"trial {t} params={models.params_to_json(p)}: " + problems[0]
+                f"{label} params={models.params_to_json(p)}: " + problems[0]
                 + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""))
         else:
             out.passes += 1
     return out
 
 
-FORWARD_CONDITIONS = (
-    DevelopabilityReason.CONSTANT_RETURNS,
-    DevelopabilityReason.K2_ZERO_UNIT_SUM,
-    DevelopabilityReason.BETA_ONE_RANK_ONE,
-)
+def run_verify_theorem1(trials: int, seed: int,
+                        grid: GridSpec = DEFAULT_GRID,
+                        tol_K: float = surface.DEFAULT_CURVATURE_TOL) -> VerifySummary:
+    """Randomized check of the VES curvature-sign theorem.
+
+    Trials are stratified across the three returns-to-scale regimes.
+    Besides closed form against autodiff, each point checks that Den_F
+    is positive and that its two algebraic groupings agree; the sign of
+    K must be the one predicted from delta alone, strictly at every
+    point, or flat for constant returns.
+    """
+    return _run_verify(VES, trials, seed, grid, tol_K)
 
 
 def run_verify_theorem2(trials: int, seed: int,
                         grid: GridSpec = DEFAULT_GRID,
-                        tol_K: float = surface.DEFAULT_CURVATURE_TOL,
-                        _corrupt_conditions: bool = False) -> VerifySummary:
+                        tol_K: float = surface.DEFAULT_CURVATURE_TOL) -> VerifySummary:
     """Randomized check of the Kadiyala developability theorem.
 
     Forward direction: ``trials`` draws per developability condition
     must give |K| within the zero band at every grid point.  Converse
     (at sampling resolution): ``trials`` generic draws violating all
     conditions must each show at least one grid point with |K| more
-    than 10x the zero threshold.  Closed form and autodiff are compared
-    throughout, as are Den_G positivity and its five summands.
-    ``_corrupt_conditions`` swaps the forward/converse expectations for
-    harness self-tests.
+    than 10x the zero threshold.  Each point also checks that the Den_G
+    summands are non-negative and that T2's two groupings agree.
     """
-    out = VerifySummary(theorem="theorem-2 (Kadiyala developability)")
-    points = sample_grid(grid)
-
-    def sweep(p):
-        ks = []
-        problems = []
-        for u, v in points:
-            jet = models.kadiyala_eval(p, *jets.seed(u, v))
-            k_ad = surface.gaussian_curvature(surface.fundamental_forms(jet))
-            ks.append(k_ad)
-            k_closed = curvature.kadiyala_curvature_closed(p, u, v)
-            dev = _rel_dev(k_closed, k_ad)
-            out.worst_closed_vs_autodiff = max(out.worst_closed_vs_autodiff, dev)
-            if dev > CLOSED_VS_AUTODIFF_RTOL:
-                problems.append(
-                    f"closed-form K={k_closed:.6e} vs autodiff K={k_ad:.6e} "
-                    f"at ({u:.4g}, {v:.4g})")
-            if min(curvature.kadiyala_deng_terms(p, u, v)) < 0.0:
-                problems.append(f"negative Den_G summand at ({u:.4g}, {v:.4g})")
-            t2a = curvature.kadiyala_T2(p, u, v)
-            t2b = curvature.kadiyala_T2(p, u, v, collected=True)
-            if _rel_dev(t2a, t2b) > DUAL_FORM_RTOL:
-                problems.append(
-                    f"T2 groupings disagree at ({u:.4g}, {v:.4g}): "
-                    f"{t2a!r} vs {t2b!r}")
-        return ks, problems
-
-    index = 0
-    for condition in FORWARD_CONDITIONS:
-        for t in range(trials):
-            p = random_kadiyala_params(_subseed(seed, index), condition)
-            index += 1
-            out.trials += 1
-            ks, problems = sweep(p)
-            threshold = tol_K * (1.0 + max((abs(k) for k in ks), default=0.0))
-            flat = all(abs(k) <= threshold for k in ks)
-            expected_flat = not _corrupt_conditions
-            if flat is not expected_flat:
-                problems.append(
-                    f"forward condition {condition.value}: max|K|="
-                    f"{max(abs(k) for k in ks):.3e} vs threshold {threshold:.3e}")
-            if problems:
-                out.failures.append(
-                    f"forward trial ({condition.value}) "
-                    f"params={models.params_to_json(p)}: " + problems[0])
-            else:
-                out.passes += 1
-
-    for t in range(trials):
-        p = random_kadiyala_params(_subseed(seed, index), None)
-        index += 1
-        out.trials += 1
-        ks, problems = sweep(p)
-        max_k = max((abs(k) for k in ks), default=0.0)
-        threshold = tol_K * (1.0 + max_k)
-        curved = max_k > 10.0 * threshold
-        if curved is _corrupt_conditions:
-            problems.append(
-                f"converse: expected curvature above {10.0 * threshold:.3e}, "
-                f"max|K|={max_k:.3e}")
-        if problems:
-            out.failures.append(
-                f"converse trial params={models.params_to_json(p)}: "
-                + problems[0])
-        else:
-            out.passes += 1
-    return out
+    return _run_verify(KADIYALA, trials, seed, grid, tol_K)

@@ -50,13 +50,6 @@ class FundamentalForms(NamedTuple):
         return self.h11 * self.h22 - self.h12 * self.h12
 
 
-class CurvatureReport(NamedTuple):
-    K: float
-    H: float
-    valid: bool
-    sign_class: SignClass
-
-
 def fundamental_forms(jet: Jet2) -> FundamentalForms:
     """Fundamental forms and unit normal from a height-field jet."""
     for slot in jet:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from prodgeo import cli
+from prodgeo import cli, harness
 
 VES = '{"k": 1, "beta": 0.5, "rho": 0.5, "delta": 2}'
 KAD = '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "delta": 2}'
@@ -13,6 +13,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_model_choices_are_the_family_table():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    for name, sub in subparsers.choices.items():
+        model = next(a for a in sub._actions if a.dest == "model")
+        assert list(model.choices) == list(harness.FAMILIES), name
 
 
 def test_eval(capsys):

@@ -5,9 +5,10 @@ import pytest
 
 from helpers import assert_close
 from prodgeo import curvature, harness, models
-from prodgeo.curvature import DevelopabilityReason
+from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
 from prodgeo.errors import InvalidSpecError, StencilOutOfDomainError
 from prodgeo.harness import GridSpec, Spacing
+from prodgeo.surface import SignClass
 
 
 class TestGrid:
@@ -122,9 +123,20 @@ class TestVerificationRuns:
         out = harness.run_verify_theorem1(0, 1)
         assert out.trials == 0 and out.passes == 0 and out.ok
 
-    def test_theorem1_detects_corruption(self):
-        out = harness.run_verify_theorem1(6, 123, SMALL_GRID, _sign_flip=True)
+    def test_theorem1_detects_corruption(self, monkeypatch):
+        true_verdict = curvature.ves_theorem_verdict
+        flipped = {SignClass.POSITIVE: SignClass.NEGATIVE,
+                   SignClass.NEGATIVE: SignClass.POSITIVE,
+                   SignClass.ZERO: SignClass.ZERO}
+
+        def flipped_verdict(p):
+            regime, sign = true_verdict(p)
+            return regime, flipped[sign]
+
+        monkeypatch.setattr(curvature, "ves_theorem_verdict", flipped_verdict)
+        out = harness.run_verify_theorem1(6, 123, SMALL_GRID)
         assert not out.ok
+        assert out.passes == 2  # only the two constant-returns trials
         assert "FAIL" in out.describe()
 
     def test_theorem2_passes(self):
@@ -135,10 +147,17 @@ class TestVerificationRuns:
         out = harness.run_verify_theorem2(0, 1)
         assert out.trials == 0 and out.ok
 
-    def test_theorem2_detects_corruption(self):
-        out = harness.run_verify_theorem2(2, 123, SMALL_GRID,
-                                          _corrupt_conditions=True)
+    def test_theorem2_detects_corruption(self, monkeypatch):
+        true_verdict = curvature.kadiyala_is_developable
+
+        def negated_verdict(p):
+            verdict = true_verdict(p)
+            return DevelopabilityVerdict(not verdict.developable, verdict.reason)
+
+        monkeypatch.setattr(curvature, "kadiyala_is_developable", negated_verdict)
+        out = harness.run_verify_theorem2(2, 123, SMALL_GRID)
         assert not out.ok
+        assert out.trials == 8 and out.passes == 0
 
 
 class TestGridReport:
