@@ -1,16 +1,19 @@
-"""Command-line interface.
+"""Command-line interface.  Each subcommand takes only the options it reads:
 
-Subcommands:
+    eval        one point's f, gradient, Hessian, K and H:
+                --model --params --point --strict-domain
+    grid        a CSV or JSON report over a grid:
+                --model --params --grid --strict-domain --tol --format
+    classify    the theorem's verdict for a parameter set: --model --params
+    specialize  the classical family a Kadiyala set reduces to: --model --params
+    verify-t1   randomized check of the VES curvature-sign theorem:
+                --grid --seed --trials --tol
+    verify-t2   randomized check of the Kadiyala developability theorem:
+                --grid --seed --trials --tol
 
-    eval        value, gradient, Hessian and curvature at one point
-    grid        sweep a grid and emit a CSV or JSON report
-    classify    returns-to-scale / developability verdict for a parameter set
-    specialize  which classical family a Kadiyala parameter set reduces to
-    verify-t1   randomized verification of the VES curvature-sign theorem
-    verify-t2   randomized verification of the Kadiyala developability theorem
-
-Exit codes: 0 success / all checks passed, 1 verification failure,
-2 bad input.
+``--strict-domain`` (the strict VES domain) is refused for a family
+without one.  Exit codes: 0 success / all checks passed, 1 verification
+failure, 2 bad input, an unknown option included.
 """
 
 from __future__ import annotations
@@ -42,13 +45,20 @@ def _parse_point(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _checked_tol(args) -> float:
+    if not 0.0 < args.tol < math.inf:
+        raise ProdGeoError(f"--tol must be finite and > 0, got {args.tol}")
+    return args.tol
+
+
 def _cmd_eval(args) -> int:
     family = harness.FAMILIES[args.model]
+    in_domain = family.domain(args.strict_domain)
     p = _load_params(args)
     u, v = _parse_point(args.point)
     jet = family.jet(p, u, v)
     K, H = surface.curvature_from_jet(jet)
-    valid = family.domain_valid(p, u, v, args.strict_domain)
+    valid = in_domain(p, u, v)
     print(json.dumps({
         "u": u, "v": v, "f": jet.val,
         "grad": [jet.d1, jet.d2],
@@ -59,10 +69,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    tol = _checked_tol(args)
     p = _load_params(args)
     spec = harness.parse_grid_spec(args.grid)
-    report = harness.build_grid_report(p, spec, strict_domain=args.strict_domain,
-                                       tol_K=args.tol)
+    report = harness.build_grid_report(p, spec, strict_domain=args.strict_domain, tol_K=tol)
     sys.stdout.write(harness.emit_grid_report(report, args.format))
     return 0
 
@@ -88,13 +98,32 @@ def _cmd_specialize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ProdGeoError(f"--trials must be >= 1, got {args.trials}")
+    tol = _checked_tol(args)
     spec = harness.parse_grid_spec(args.grid)
-    summary = args.run(args.trials, args.seed, spec, tol_K=args.tol)
+    summary = args.run(args.trials, args.seed, spec, tol_K=tol)
     print(summary.describe(), file=sys.stderr)
     return 0 if summary.ok else 1
 
 
-DEFAULT_GRID_TEXT = "0.1,10,20,0.1,10,20,log"
+#: Every option by flag; each subcommand takes only the ones its handler reads.
+OPTIONS = {
+    "--model": dict(choices=tuple(harness.FAMILIES), default="ves"),
+    "--params": dict(help="the model's parameters: a JSON object or a file path"),
+    "--point": dict(required=True, help="u,v"),
+    "--grid": dict(default="0.1,10,20,0.1,10,20,log",
+                   help="u_min,u_max,n_u,v_min,v_max,n_v[,linear|log]"),
+    "--strict-domain": dict(action="store_true",
+                            help="use the strict (positive-elasticity) VES domain"),
+    "--tol": dict(type=float, default=surface.DEFAULT_CURVATURE_TOL,
+                  help="zero-curvature tolerance"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=100),
+}
+MODEL = ("--model", "--params")
+VERIFY = ("--grid", "--seed", "--trials", "--tol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,62 +131,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="prodgeo",
         description="Curvature analysis of two-input production surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, params=True):
-        sp.add_argument("--model", choices=tuple(harness.FAMILIES), default="ves")
-        if params:
-            sp.add_argument("--params",
-                            help="JSON object (inline or a file path) with the "
-                                 "model's parameter fields")
-        sp.add_argument("--grid", default=DEFAULT_GRID_TEXT,
-                        help="u_min,u_max,n_u,v_min,v_max,n_v[,linear|log]")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=100)
-        sp.add_argument("--strict-domain", action="store_true",
-                        help="use the strict (positive-elasticity) VES domain")
-        sp.add_argument("--tol", type=float,
-                        default=surface.DEFAULT_CURVATURE_TOL,
-                        help="zero-curvature tolerance")
-
-    sp = sub.add_parser("eval", help="evaluate one point")
-    common(sp)
-    sp.add_argument("--point", required=True, help="u,v")
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("grid", help="sweep a grid, emit CSV/JSON")
-    common(sp)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_grid)
-
-    sp = sub.add_parser("classify", help="theorem verdict for a parameter set")
-    common(sp)
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("specialize", help="classical family of a Kadiyala set")
-    common(sp)
-    sp.set_defaults(func=_cmd_specialize)
-
-    sp = sub.add_parser("verify-t1", help="randomized VES theorem check")
-    common(sp, params=False)
-    sp.set_defaults(func=_cmd_verify, run=harness.run_verify_theorem1, trials=300)
-
-    sp = sub.add_parser("verify-t2", help="randomized Kadiyala theorem check")
-    common(sp, params=False)
-    sp.set_defaults(func=_cmd_verify, run=harness.run_verify_theorem2)
-
+    for name, help_text, func, flags, defaults in (
+        ("eval", "evaluate one point", _cmd_eval,
+         MODEL + ("--point", "--strict-domain"), {}),
+        ("grid", "sweep a grid, emit CSV/JSON", _cmd_grid,
+         MODEL + ("--grid", "--strict-domain", "--tol", "--format"), {}),
+        ("classify", "theorem verdict for a parameter set", _cmd_classify, MODEL, {}),
+        ("specialize", "classical family of a Kadiyala set", _cmd_specialize, MODEL, {}),
+        ("verify-t1", "randomized VES theorem check", _cmd_verify, VERIFY,
+         {"run": harness.run_verify_theorem1, "trials": 300}),
+        ("verify-t2", "randomized Kadiyala theorem check", _cmd_verify, VERIFY,
+         {"run": harness.run_verify_theorem2}),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **OPTIONS[flag])
+        sp.set_defaults(func=func, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.trials < 1:
-            raise ProdGeoError(f"--trials must be >= 1, got {args.trials}")
-        if not 0.0 < args.tol < math.inf:
-            raise ProdGeoError(f"--tol must be finite and > 0, got {args.tol}")
         return args.func(args)
-    except (ProdGeoError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ProdGeoError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

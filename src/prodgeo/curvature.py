@@ -21,8 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import DomainError, ProdGeoError
-from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams
+from .errors import ProdGeoError
+from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
 
 
@@ -32,22 +32,13 @@ class ReturnsToScale(enum.Enum):
     DECREASING = "decreasing"
 
 
-def returns_to_scale(delta: float, tol: float = PARAM_EQ_TOL) -> ReturnsToScale:
-    if abs(delta - 1.0) <= tol:
+def returns_to_scale(delta: float) -> ReturnsToScale:
+    if abs(delta - 1.0) <= PARAM_EQ_TOL:
         return ReturnsToScale.CONSTANT
     return ReturnsToScale.INCREASING if delta > 1.0 else ReturnsToScale.DECREASING
 
 
 # --- VES -------------------------------------------------------------------
-
-def _ves_check_domain(p: VesParams, u: float, v: float) -> float:
-    if u <= 0 or v <= 0:
-        raise DomainError(f"inputs must be positive, got ({u}, {v})")
-    agg = (p.rho - 1.0) * u + v
-    if agg <= 0:
-        raise DomainError(f"(rho-1)*u + v = {agg} <= 0 at ({u}, {v})")
-    return agg
-
 
 def ves_denf(p: VesParams, u: float, v: float,
              grouped: bool = False) -> float:
@@ -57,7 +48,7 @@ def ves_denf(p: VesParams, u: float, v: float,
     (beta*rho*u)^2 + ((rho-1)*u - v*(rho*beta-1))^2 instead of the
     expanded quadratic; the two must agree to rounding.
     """
-    agg = _ves_check_domain(p, u, v)
+    agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     if grouped:
         quad = (b * r * u) ** 2 + ((r - 1.0) * u - v * (r * b - 1.0)) ** 2
@@ -76,7 +67,7 @@ def ves_curvature_closed(p: VesParams, u: float, v: float) -> float:
             * u^(2*(beta*delta*rho + delta + 1))
             * ((rho-1)*u + v)^(2*beta*delta*rho + 2)  /  Den_F^2
     """
-    agg = _ves_check_domain(p, u, v)
+    agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     num = (b * (d - 1.0) * d * d * k * k * r * (b * r - 1.0)
            * u ** (2.0 * (b * d * r + d + 1.0))
@@ -101,11 +92,6 @@ def ves_theorem_verdict(p: VesParams) -> tuple[ReturnsToScale, SignClass]:
 
 # --- Kadiyala --------------------------------------------------------------
 
-def _kad_check_domain(u: float, v: float):
-    if u <= 0 or v <= 0:
-        raise DomainError(f"inputs must be positive, got ({u}, {v})")
-
-
 def _kad_inner(p: KadiyalaParams, u: float, v: float) -> float:
     b1, b2 = p.beta1, p.beta2
     return (p.k1 * u ** (b1 + b2) + 2.0 * p.k2 * u ** b1 * v ** b2
@@ -114,7 +100,7 @@ def _kad_inner(p: KadiyalaParams, u: float, v: float) -> float:
 
 def kadiyala_T1(p: KadiyalaParams, u: float, v: float) -> float:
     """First curvature factor; vanishes identically iff delta = 1."""
-    _kad_check_domain(u, v)
+    _check_positive(u, v)
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
     inner = _kad_inner(p, u, v)
@@ -131,7 +117,7 @@ def kadiyala_T2(p: KadiyalaParams, u: float, v: float,
     v collected; the default is the original two-term product grouping.
     The two must agree to rounding.
     """
-    _kad_check_domain(u, v)
+    _check_positive(u, v)
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2 = p.beta1, p.beta2
     bsum = b1 + b2
@@ -177,7 +163,7 @@ def kadiyala_deng(p: KadiyalaParams, u: float, v: float) -> float:
     """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
     product of non-negative factors under the parameter constraints, so
     the sum is strictly positive on the open first quadrant."""
-    _kad_check_domain(u, v)
+    _check_positive(u, v)
     # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
     total = sum(_kad_deng_terms(p, u, v))
     if total <= 0.0:
@@ -211,17 +197,16 @@ class DevelopabilityVerdict:
     reason: DevelopabilityReason
 
 
-def kadiyala_is_developable(p: KadiyalaParams,
-                            tol: float = PARAM_EQ_TOL) -> DevelopabilityVerdict:
+def kadiyala_is_developable(p: KadiyalaParams) -> DevelopabilityVerdict:
     """The Kadiyala surface has identically zero Gaussian curvature
     exactly when delta = 1, or k2 = 0 with beta1+beta2 = 1, or
     beta1 = beta2 = 1 with k2^2 = k1*k3 (the last two being the
     perfect-substitutes reductions)."""
-    if abs(p.delta - 1.0) <= tol:
+    if abs(p.delta - 1.0) <= PARAM_EQ_TOL:
         return DevelopabilityVerdict(True, DevelopabilityReason.CONSTANT_RETURNS)
-    if abs(p.k2) <= tol and abs(p.beta1 + p.beta2 - 1.0) <= tol:
+    if abs(p.k2) <= PARAM_EQ_TOL and abs(p.beta1 + p.beta2 - 1.0) <= PARAM_EQ_TOL:
         return DevelopabilityVerdict(True, DevelopabilityReason.K2_ZERO_UNIT_SUM)
-    if (abs(p.beta1 - 1.0) <= tol and abs(p.beta2 - 1.0) <= tol
-            and abs(p.k2 * p.k2 - p.k1 * p.k3) <= tol):
+    if (abs(p.beta1 - 1.0) <= PARAM_EQ_TOL and abs(p.beta2 - 1.0) <= PARAM_EQ_TOL
+            and abs(p.k2 * p.k2 - p.k1 * p.k3) <= PARAM_EQ_TOL):
         return DevelopabilityVerdict(True, DevelopabilityReason.BETA_ONE_RANK_ONE)
     return DevelopabilityVerdict(False, DevelopabilityReason.NOT_DEVELOPABLE)

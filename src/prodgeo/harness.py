@@ -20,7 +20,7 @@ import numpy as np
 
 from . import curvature, jets, models, surface
 from .curvature import DevelopabilityReason
-from .errors import DomainError, InvalidSpecError, StencilOutOfDomainError
+from .errors import DomainError, InvalidSpecError, ProdGeoError, StencilOutOfDomainError
 from .models import KadiyalaParams, VesParams
 from .surface import SignClass
 
@@ -142,9 +142,9 @@ def random_kadiyala_params(
         force_condition = DevelopabilityReason(force_condition)
     rng = random.Random(seed)
 
-    def simplex_weights(with_k2: bool = True):
+    def simplex_weights():
         w1 = rng.uniform(0.05, 1.0)
-        w2 = rng.uniform(0.05, 1.0) if with_k2 else 0.0
+        w2 = rng.uniform(0.05, 1.0)
         w3 = rng.uniform(0.05, 1.0)
         s = w1 + w2 + w3
         return w1 / s, w2 / (2.0 * s), w3 / s  # k1 + 2*k2 + k3 = 1
@@ -186,17 +186,16 @@ def random_kadiyala_params(
 FD_H_SCALE = 1e-5
 
 
-def fd_oracle(f, u: float, v: float,
-              h_scale: float = FD_H_SCALE) -> tuple[np.ndarray, np.ndarray]:
+def fd_oracle(f, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradient and Hessian of a scalar field f(u, v).
 
-    Steps scale with the point magnitude: h_i = h_scale * max(1, |x_i|).
+    Steps scale with the point magnitude: h_i = FD_H_SCALE * max(1, |x_i|).
     The mixed partial uses the 4-point stencil.  Raises
     StencilOutOfDomainError if any stencil point leaves the field's
     domain.
     """
-    hu = h_scale * max(1.0, abs(u))
-    hv = h_scale * max(1.0, abs(v))
+    hu = FD_H_SCALE * max(1.0, abs(u))
+    hv = FD_H_SCALE * max(1.0, abs(v))
 
     def ev(uu, vv):
         try:
@@ -241,14 +240,24 @@ class ModelFamily:
     theorem: str
     params_from_json: Callable[[str], object]
     jet: Callable[[object, float, float], jets.Jet2]
-    domain_valid: Callable[[object, float, float, bool], bool]
+    domain_valid: Callable[[object, float, float], bool]
     closed_K: Callable[[object, float, float], float]
     #: problems with the closed form's side conditions at one point
     side_checks: Callable[[object, float, float], Iterator[str]]
     verdict: Callable[[object], Verdict]
     #: (label, params) per trial, each drawn as the engine asks for it
     trials: Callable[[int, int], Iterator[tuple[str, object]]]
+    #: the narrower domain a strict sweep uses; None: the family has none
+    strict_domain_valid: Callable[[object, float, float], bool] | None = None
     specialize: Callable[[object], models.FamilyTag] | None = None
+
+    def domain(self, strict: bool) -> Callable[[object, float, float], bool]:
+        """The domain test; a strict one the family lacks is an error."""
+        test = self.strict_domain_valid if strict else self.domain_valid
+        if test is None:
+            names = [name for name, f in FAMILIES.items() if f.strict_domain_valid]
+            raise ProdGeoError(f"--strict-domain applies to --model {' or '.join(names)}")
+        return test
 
 
 def _rel_dev(a: float, b: float) -> float:
@@ -328,7 +337,8 @@ VES = ModelFamily(
     theorem="theorem-1 (VES returns to scale vs curvature sign)",
     params_from_json=lambda text: models.ves_params_from_json(text),
     jet=lambda p, u, v: models.ves_eval(p, *jets.seed(u, v)),
-    domain_valid=lambda p, u, v, strict: models.ves_domain_valid(p, u, v, strict=strict),
+    domain_valid=lambda p, u, v: models.ves_domain_valid(p, u, v, strict=False),
+    strict_domain_valid=lambda p, u, v: models.ves_domain_valid(p, u, v, strict=True),
     closed_K=lambda p, u, v: curvature.ves_curvature_closed(p, u, v),
     side_checks=_ves_side_checks,
     verdict=_ves_verdict,
@@ -341,7 +351,7 @@ KADIYALA = ModelFamily(
     theorem="theorem-2 (Kadiyala developability)",
     params_from_json=lambda text: models.kadiyala_params_from_json(text),
     jet=lambda p, u, v: models.kadiyala_eval(p, *jets.seed(u, v)),
-    domain_valid=lambda p, u, v, strict: u > 0 and v > 0,
+    domain_valid=lambda p, u, v: u > 0 and v > 0,
     closed_K=lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),
     side_checks=_kadiyala_side_checks,
     verdict=_kadiyala_verdict,
@@ -378,15 +388,17 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
                       tol_K: float = surface.DEFAULT_CURVATURE_TOL) -> GridReport:
     """Evaluate height and curvature over a grid.
 
-    Rows at domain-invalid points carry None for f, K, H and an empty
-    sign.  Sign classification uses the grid's max |K| as its local
+    Rows at domain-invalid points carry None for f, K, H and an empty sign;
+    ``strict_domain`` raises ProdGeoError for a family without a strict
+    domain.  Sign classification uses the grid's max |K| as its local
     scale, so the zero band adapts to how curved the surface is.
     """
     family = _FAMILY_OF_TYPE[type(params)]
+    in_domain = family.domain(strict_domain)
     points = sorted(sample_grid(spec))
     evaluated: list[tuple[float, float, float | None, float | None, float | None, bool]] = []
     for u, v in points:
-        if not family.domain_valid(params, u, v, strict_domain):
+        if not in_domain(params, u, v):
             evaluated.append((u, v, None, None, None, False))
             continue
         jet = family.jet(params, u, v)
@@ -485,7 +497,7 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
         problems = []
         ks = []
         for u, v in points:
-            if not family.domain_valid(p, u, v, False):
+            if not family.domain_valid(p, u, v):
                 continue
             jet = family.jet(p, u, v)
             k_ad = surface.gaussian_curvature(surface.fundamental_forms(jet))

@@ -79,19 +79,19 @@ def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
     return Jet2(val, d1, d2, d11, d12, d22)
 
 
-def seed_u(u0: Scalar, v0: Scalar) -> Jet2:
-    """Jet of the first independent variable at the point (u0, v0)."""
+def seed_u(u0: Scalar) -> Jet2:
+    """Jet of the first independent variable at u = u0."""
     return _checked(float(u0), 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def seed_v(u0: Scalar, v0: Scalar) -> Jet2:
-    """Jet of the second independent variable at the point (u0, v0)."""
+def seed_v(v0: Scalar) -> Jet2:
+    """Jet of the second independent variable at v = v0."""
     return _checked(float(v0), 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def seed(u0: Scalar, v0: Scalar) -> tuple[Jet2, Jet2]:
     """Both variable jets at (u0, v0), in order."""
-    return seed_u(u0, v0), seed_v(u0, v0)
+    return seed_u(u0), seed_v(v0)
 
 
 def constant(c: Scalar) -> Jet2:

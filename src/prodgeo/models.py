@@ -135,6 +135,20 @@ def kadiyala_params_from_json(text: str) -> KadiyalaParams:
 
 # --- Domains ---------------------------------------------------------------
 
+def _check_positive(u: float, v: float):
+    if u <= 0 or v <= 0:
+        raise NonPositiveInputError(f"inputs must be positive, got ({u}, {v})")
+
+
+def _ves_aggregate(p: VesParams, u: float, v: float) -> float:
+    """(rho-1)*u + v; raises DomainError unless it, u and v are all positive."""
+    _check_positive(u, v)
+    agg = (p.rho - 1.0) * u + v
+    if agg <= 0:
+        raise DomainError(f"(rho-1)*u + v = {agg} <= 0 at ({u}, {v})")
+    return agg
+
+
 def ves_domain_valid(p: VesParams, u: float, v: float,
                      strict: bool = True) -> bool:
     """Whether (u, v) is in the VES domain.
@@ -144,8 +158,7 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
     region v/u > (1-rho)/(1-beta*rho), a subset of the former on which
     the elasticity of substitution is positive.
     """
-    if u <= 0 or v <= 0:
-        raise NonPositiveInputError(f"inputs must be positive, got ({u}, {v})")
+    _check_positive(u, v)
     if strict:
         return v / u > (1.0 - p.rho) / (1.0 - p.beta * p.rho)
     return (p.rho - 1.0) * u + v > 0
@@ -155,12 +168,8 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
 
 def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of Q(u, v); raises DomainError outside the well-posed region."""
-    if u.val <= 0 or v.val <= 0:
-        raise DomainError(f"inputs must be positive, got ({u.val}, {v.val})")
+    _ves_aggregate(p, u.val, v.val)
     aggregate = jets.scale(u, p.rho - 1.0) + v
-    if aggregate.val <= 0:
-        raise DomainError(
-            f"(rho-1)*u + v = {aggregate.val} <= 0 at ({u.val}, {v.val})")
     return jets.scale(
         jets.mul(jets.powr(u, p.delta * (1.0 - p.beta * p.rho)),
                  jets.powr(aggregate, p.beta * p.delta * p.rho)),
@@ -173,8 +182,7 @@ def ves_value(p: VesParams, u: float, v: float) -> float:
 
 def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of P(u, v); requires u, v > 0."""
-    if u.val <= 0 or v.val <= 0:
-        raise DomainError(f"inputs must be positive, got ({u.val}, {v.val})")
+    _check_positive(u.val, v.val)
     bsum = p.beta1 + p.beta2
     inner = (jets.scale(jets.powr(u, bsum), p.k1)
              + jets.scale(jets.mul(jets.powr(u, p.beta1),
@@ -194,8 +202,7 @@ def ves_elasticity(p: VesParams, u: float, v: float) -> float:
 
     Linear in the capital-labor ratio u/v, hence scale-invariant.
     """
-    if u <= 0 or v <= 0:
-        raise NonPositiveInputError(f"inputs must be positive, got ({u}, {v})")
+    _check_positive(u, v)
     return 1.0 + (p.rho - 1.0) / (1.0 - p.beta * p.rho) * (u / v)
 
 
@@ -233,8 +240,7 @@ class FamilyTag:
     detail: str | None = None
 
 
-def kadiyala_specialize(p: KadiyalaParams,
-                        tol: float = PARAM_EQ_TOL) -> FamilyTag:
+def kadiyala_specialize(p: KadiyalaParams) -> FamilyTag:
     """Recognize which classical family a Kadiyala parameter set reduces to.
 
     Perfect-substitutes cases come with their explicit linear reduction.
@@ -243,21 +249,21 @@ def kadiyala_specialize(p: KadiyalaParams,
     recoverable from the weights alone.
     """
     bsum = p.beta1 + p.beta2
-    k2_zero = abs(p.k2) <= tol
-    k1_zero = abs(p.k1) <= tol
-    k3_zero = abs(p.k3) <= tol
-    unit_sum = abs(bsum - 1.0) <= tol
-    betas_one = abs(p.beta1 - 1.0) <= tol and abs(p.beta2 - 1.0) <= tol
+    k2_zero = abs(p.k2) <= PARAM_EQ_TOL
+    k1_zero = abs(p.k1) <= PARAM_EQ_TOL
+    k3_zero = abs(p.k3) <= PARAM_EQ_TOL
+    unit_sum = abs(bsum - 1.0) <= PARAM_EQ_TOL
+    betas_one = abs(p.beta1 - 1.0) <= PARAM_EQ_TOL and abs(p.beta2 - 1.0) <= PARAM_EQ_TOL
 
     if k2_zero and unit_sum:
         return FamilyTag(
             Family.PERFECT_SUBSTITUTES,
             f"P(u,v) = ({p.k1}*u + {p.k3}*v)^{p.delta}")
-    if betas_one and abs(p.k2 * p.k2 - p.k1 * p.k3) <= tol:
+    if betas_one and abs(p.k2 * p.k2 - p.k1 * p.k3) <= PARAM_EQ_TOL:
         return FamilyTag(
             Family.PERFECT_SUBSTITUTES,
             f"P(u,v) = ({math.sqrt(p.k1)}*u + {math.sqrt(p.k3)}*v)^{p.delta}")
-    if k1_zero and k3_zero and abs(p.delta - 1.0) <= tol:
+    if k1_zero and k3_zero and abs(p.delta - 1.0) <= PARAM_EQ_TOL:
         return FamilyTag(Family.COBB_DOUGLAS_TYPE,
                          f"P(u,v) = u^{p.beta1 / bsum}*v^{p.beta2 / bsum}")
     if k2_zero:
@@ -266,7 +272,7 @@ def kadiyala_specialize(p: KadiyalaParams,
         return FamilyTag(Family.GENERAL_KADIYALA,
                          "k2=0 with beta1+beta2>1: outside the CES regime")
     if k3_zero:
-        if abs(p.beta2 - 1.0) <= tol:
+        if abs(p.beta2 - 1.0) <= PARAM_EQ_TOL:
             return FamilyTag(Family.VES_TYPE, "structural match: k3=0, beta2=1")
         return FamilyTag(Family.LU_FLETCHER_TYPE)
     return FamilyTag(Family.GENERAL_KADIYALA)

@@ -217,7 +217,7 @@ def test_criterion_8_cli(tmp_path):
                         capture_output=True, text=True)
     grid_args = base + ["grid", "--model", "ves", "--params",
                         '{"k": 1, "beta": 0.5, "rho": 0.5, "delta": 2}',
-                        "--format", "csv", "--seed", "11"]
+                        "--format", "csv"]
     g1 = subprocess.run(grid_args, capture_output=True)
     g2 = subprocess.run(grid_args, capture_output=True)
     ok = (r1.returncode == 0 and r2.returncode == 0

@@ -15,12 +15,50 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_model_choices_are_the_family_table():
+OPTIONS_READ = {
+    "eval": {"--model", "--params", "--point", "--strict-domain"},
+    "grid": {"--model", "--params", "--grid", "--strict-domain", "--tol", "--format"},
+    "classify": {"--model", "--params"},
+    "specialize": {"--model", "--params"},
+    "verify-t1": {"--grid", "--seed", "--trials", "--tol"},
+    "verify-t2": {"--grid", "--seed", "--trials", "--tol"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if a.dest == "command")
+    offered = {name: {opt for a in sub._actions for opt in a.option_strings}
+                     - {"-h", "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert offered == OPTIONS_READ
     for name, sub in subparsers.choices.items():
-        model = next(a for a in sub._actions if a.dest == "model")
-        assert list(model.choices) == list(harness.FAMILIES), name
+        for action in sub._actions:
+            if action.dest == "model":
+                assert list(action.choices) == list(harness.FAMILIES), name
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-t1", "--model", "kadiyala"),
+    ("verify-t2", "--trials", "1", "--strict-domain"),
+    ("eval", "--model", "ves", "--params", VES, "--point", "1,2", "--trials", "5"),
+    ("classify", "--model", "ves", "--params", VES, "--tol", "0"),
+    ("specialize", "--model", "kadiyala", "--params", KAD, "--seed", "1"),
+])
+def test_unread_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("grid",), ("eval", "--point", "1,2")])
+def test_strict_domain_refused_without_one(capsys, command):
+    code, out, err = run(capsys, *command, "--model", "kadiyala", "--params", KAD,
+                         "--strict-domain")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --strict-domain applies to --model ves\n"
 
 
 def test_eval(capsys):
@@ -44,7 +82,7 @@ def test_eval_params_from_file(tmp_path, capsys):
 
 def test_grid_csv_deterministic(capsys):
     args = ("grid", "--model", "kadiyala", "--params", KAD,
-            "--grid", "0.5,5,6,0.5,5,6,log", "--format", "csv", "--seed", "3")
+            "--grid", "0.5,5,6,0.5,5,6,log", "--format", "csv")
     code_a, out_a, _ = run(capsys, *args)
     code_b, out_b, _ = run(capsys, *args)
     assert code_a == code_b == 0
@@ -140,6 +178,8 @@ def test_bad_point_exit_2(capsys):
     ("verify-t1", "--trials", "3", "--tol", "nan"),
     ("verify-t2", "--trials", "1", "--tol", "inf"),
     ("grid", "--model", "ves", "--params", VES, "--tol", "0"),
+    # finite input whose closed-form K overflows a float
+    ("verify-t1", "--trials", "3", "--grid", "1e100,1e101,2,1e100,1e101,2"),
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
