@@ -4,10 +4,12 @@ or prints any of these must show up here; a refactor must leave them
 byte-identical."""
 
 import hashlib
+import warnings
 
 import pytest
 
-from prodgeo import cli
+from prodgeo import cli, harness
+from prodgeo.errors import ProdGeoError
 
 KAD_GENERIC = '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "delta": 2}'
 KAD_DEVELOPABLE = '{"k1": 0.4, "k2": 0, "k3": 0.6, "beta1": 0.3, "beta2": 0.7, "delta": 1.7}'
@@ -52,6 +54,28 @@ CASES = {
     "specialize-ves-rejected": ("specialize", "--model", "ves", "--params", VES_INCREASING),
     "verify-t1": ("verify-t1", "--trials", "9", "--seed", "4", "--grid", GRID),
     "verify-t2": ("verify-t2", "--trials", "3", "--seed", "4", "--grid", GRID),
+    # edges of a whole-grid evaluation: a power overflow and a jet overflow
+    # that are not in the first row, valid and invalid rows at extreme u,
+    # one-row reports, and a strict-domain JSON report
+    "grid-kadiyala-power-overflow": ("grid", "--model", "kadiyala", "--params", KAD_GENERIC,
+                                     "--grid", "1e100,1e200,3,1,2,2"),
+    # the first failing row fails at a later step than a later row does
+    "grid-kadiyala-first-row-fails-late": ("grid", "--model", "kadiyala",
+                                           "--params", KAD_GENERIC,
+                                           "--grid", "1e-300,1e200,2,1e-300,1e-300,1"),
+    "grid-kadiyala-base-underflow": ("grid", "--model", "kadiyala", "--params", KAD_GENERIC,
+                                     "--grid", "1e-300,1e200,2,1e-200,1e-200,1"),
+    "grid-ves-extreme-u": ("grid", "--model", "ves", "--params", VES_INCREASING,
+                           "--grid", "1,1e200,3,1,2,2"),
+    "grid-ves-invalid-extreme-u": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                   "--grid", "1,1e200,3,1,2,2"),
+    "grid-csv-1x1": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                     "--grid", "1,1,1,2,2,1"),
+    "grid-json-1x1": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                      "--grid", "1,1,1,2,2,1", "--format", "json"),
+    "grid-json-ves-strict": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                             "--grid", "0.5,2,4,0.5,2,4,linear", "--strict-domain",
+                             "--format", "json"),
 }
 
 GOLDEN = {
@@ -63,15 +87,23 @@ GOLDEN = {
     "eval-ves": "35f2229f8ca4484c69da7307e63ae27cdfcf66332e06c97d515abd67970dabdc",
     "eval-ves-outside-domain": "a811b8900058a52f9adfa27b61822d73ddbb28a284e583d373f3014b9640a153",
     "eval-ves-strict-invalid": "00e641c8575737b54815442e9f98e2d08ced264c80ac151ec914d5b55253a28a",
+    "grid-csv-1x1": "d3045bdb3e469dfbb8a093bc5a27ceeb1e29402cc8e4dc3743572e674a96439b",
     "grid-csv-kadiyala-developable": "22f8652e56e02e024a9f69bbc2020ceedd6bd1bb350eb75ce455fd44ab9b12c8",
     "grid-csv-kadiyala-generic": "df134e71a092e2a28d4c939748d95e350c5b90ac5aeb6a02b20558b6571acc5b",
     "grid-csv-ves-increasing": "e16044eab5084ec577b8c7dd3a47b6a4ac38b0ef4fc46183877a7cc07067b448",
     "grid-csv-ves-rho-below-1": "f70fd21cc898720534c7d853c07eb4d9ec050791a9db8c51cf8dd853af5f1b2a",
     "grid-csv-ves-strict": "9ab2660f9c074713b2c075be0b61f145273902a203b2bd2b0141a03575df4776",
+    "grid-json-1x1": "483422a85c82f42919da808655194a8e87954e5a3ccef716d4c0eb5e7755236d",
     "grid-json-kadiyala-developable": "4f458b2481d7a4fc66a8d59e97ed6715f7a6e9e5836b82ce009d66ba8ae76bb4",
     "grid-json-kadiyala-generic": "b44a38fab35ca83099c6ac480c5fe4d1afa3c638c1cba71667238adb55f14aa9",
     "grid-json-ves-increasing": "40352a465f8ed57ed10acb8ec7debb661654f0765d8c72ddc44935c4ff78f14a",
     "grid-json-ves-rho-below-1": "9d0b369577028e3f8306bcb77e3644e8f7be534272f9bde8ae085a2d70691feb",
+    "grid-json-ves-strict": "a62d0ceb5eb5b7b2c18046edcf799b532d54e317f31492a6181c74480a399144",
+    "grid-kadiyala-base-underflow": "63e05bd163d36d5f7e75fe57f7bf45ac200d2a87cfbd853b38354643c9d56a83",
+    "grid-kadiyala-first-row-fails-late": "cb8f9d74e6ff053a76d1a474f8e70da0e03e5da550733736b0c3a3c531eae47f",
+    "grid-kadiyala-power-overflow": "b97419951756350516d3af8f8bf27a36d7ab25908a12c6cf863083c956cc5565",
+    "grid-ves-extreme-u": "d6d5f0d8ab34f35d3455345ab7debc496fe9bfb3cc49a40fae37d2b3700785b5",
+    "grid-ves-invalid-extreme-u": "c2d3a39254934ccd2755b572b7ec08f90cee728c6edcac78142f17ac2ef9cc84",
     "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
     "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
     "verify-t1": "44af02dbf8178e72cd672af09970fb0fb282847eececddfba73d7a2f9b30d594",
@@ -85,3 +117,22 @@ def test_cli_output_unchanged(capsys, name):
     captured = capsys.readouterr()
     blob = f"{code}\n{captured.out}\n{captured.err}".encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[name]
+
+
+EDGE_GRIDS = ("grid-kadiyala-power-overflow", "grid-kadiyala-first-row-fails-late",
+              "grid-kadiyala-base-underflow", "grid-ves-extreme-u",
+              "grid-ves-invalid-extreme-u", "grid-csv-1x1", "grid-json-ves-strict")
+
+
+@pytest.mark.parametrize("name", EDGE_GRIDS)
+def test_edge_grids_raise_no_warning(name):
+    """A grid may fail with the program's own error, never with a warning."""
+    args = cli.build_parser().parse_args(CASES[name])
+    params = harness.FAMILIES[args.model].params_from_json(args.params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            harness.build_grid_report(params, harness.parse_grid_spec(args.grid),
+                                      strict_domain=args.strict_domain)
+        except ProdGeoError:
+            pass
