@@ -112,7 +112,7 @@ OPTIONS = {
     "--model": dict(choices=tuple(harness.FAMILIES), default="ves"),
     "--params": dict(help="the model's parameters: a JSON object or a file path"),
     "--point": dict(required=True, help="u,v"),
-    "--grid": dict(default="0.1,10,20,0.1,10,20,log",
+    "--grid": dict(default=str(harness.DEFAULT_GRID),
                    help="u_min,u_max,n_u,v_min,v_max,n_v[,linear|log]"),
     "--strict-domain": dict(action="store_true",
                             help="use the strict (positive-elasticity) VES domain"),

@@ -14,6 +14,8 @@ risk.
 
 Everything here is an independent route to the same K the autodiff
 pipeline produces; the two routes are cross-checked, never merged.
+A power that overflows a float raises NonFiniteError naming the
+function and the point.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ProdGeoError
+from .errors import NonFiniteError, ProdGeoError
 from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
 
@@ -38,6 +40,10 @@ def returns_to_scale(delta: float) -> ReturnsToScale:
     return ReturnsToScale.INCREASING if delta > 1.0 else ReturnsToScale.DECREASING
 
 
+def _overflow(name: str, u: float, v: float) -> NonFiniteError:
+    return NonFiniteError(f"{name} overflows a float at ({u}, {v})")
+
+
 # --- VES -------------------------------------------------------------------
 
 def ves_denf(p: VesParams, u: float, v: float,
@@ -50,14 +56,17 @@ def ves_denf(p: VesParams, u: float, v: float,
     """
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
-    if grouped:
-        quad = (b * r * u) ** 2 + ((r - 1.0) * u - v * (r * b - 1.0)) ** 2
-    else:
-        quad = (u * u * (r * (b * b * r + r - 2.0) + 1.0)
-                - 2.0 * (r - 1.0) * u * v * (b * r - 1.0)
-                + v * v * (b * r - 1.0) ** 2)
-    return (d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r)
-            + agg ** 2 * u ** (2.0 * b * d * r + 2.0))
+    try:
+        if grouped:
+            quad = (b * r * u) ** 2 + ((r - 1.0) * u - v * (r * b - 1.0)) ** 2
+        else:
+            quad = (u * u * (r * (b * b * r + r - 2.0) + 1.0)
+                    - 2.0 * (r - 1.0) * u * v * (b * r - 1.0)
+                    + v * v * (b * r - 1.0) ** 2)
+        return (d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r)
+                + agg ** 2 * u ** (2.0 * b * d * r + 2.0))
+    except OverflowError:
+        raise _overflow("ves_denf", u, v) from None
 
 
 def ves_curvature_closed(p: VesParams, u: float, v: float) -> float:
@@ -69,9 +78,12 @@ def ves_curvature_closed(p: VesParams, u: float, v: float) -> float:
     """
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
-    num = (b * (d - 1.0) * d * d * k * k * r * (b * r - 1.0)
-           * u ** (2.0 * (b * d * r + d + 1.0))
-           * agg ** (2.0 * b * d * r + 2.0))
+    try:
+        num = (b * (d - 1.0) * d * d * k * k * r * (b * r - 1.0)
+               * u ** (2.0 * (b * d * r + d + 1.0))
+               * agg ** (2.0 * b * d * r + 2.0))
+    except OverflowError:
+        raise _overflow("ves_curvature_closed", u, v) from None
     den = ves_denf(p, u, v)
     # Divide twice rather than squaring den, which can overflow first.
     return num / den / den
@@ -103,9 +115,12 @@ def kadiyala_T1(p: KadiyalaParams, u: float, v: float) -> float:
     _check_positive(u, v)
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    inner = _kad_inner(p, u, v)
-    return (bsum * bsum * (d - 1.0) * d * d * u ** (b1 + 2.0) * v ** (b2 + 2.0)
-            * inner ** (2.0 * d / bsum + 2.0))
+    try:
+        inner = _kad_inner(p, u, v)
+        return (bsum * bsum * (d - 1.0) * d * d * u ** (b1 + 2.0) * v ** (b2 + 2.0)
+                * inner ** (2.0 * d / bsum + 2.0))
+    except OverflowError:
+        raise _overflow("kadiyala_T1", u, v) from None
 
 
 def kadiyala_T2(p: KadiyalaParams, u: float, v: float,
@@ -121,42 +136,48 @@ def kadiyala_T2(p: KadiyalaParams, u: float, v: float,
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2 = p.beta1, p.beta2
     bsum = b1 + b2
-    if collected:
-        return ((2.0 * b2 ** 3 + 2.0 * b1 * b2 ** 2 - 2.0 * b2 ** 2
-                 - 2.0 * b1 * b2) * k1 * k2 * u ** bsum
-                - 4.0 * b1 * b2 * k2 * k2 * u ** b1 * v ** b2
-                + (b1 ** 3 + 3.0 * b2 * b1 ** 2 - b1 ** 2 + 3.0 * b2 ** 2 * b1
-                   - 2.0 * b2 * b1 + b2 ** 3 - b2 ** 2) * k1 * k3
-                * u ** b2 * v ** b1
-                + (2.0 * b1 ** 3 + 2.0 * b2 * b1 ** 2 - 2.0 * b1 ** 2
-                   - 2.0 * b2 * b1) * k2 * k3 * v ** bsum)
-    return (bsum * k1 * u ** b2
-            * (2.0 * (b2 - 1.0) * b2 * k2 * u ** b1
-               + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
-               * k3 * v ** b1)
-            - 2.0 * b1 * k2 * v ** b2
-            * (2.0 * b2 * k2 * u ** b1
-               - (b1 - 1.0) * bsum * k3 * v ** b1))
+    try:
+        if collected:
+            return ((2.0 * b2 ** 3 + 2.0 * b1 * b2 ** 2 - 2.0 * b2 ** 2
+                     - 2.0 * b1 * b2) * k1 * k2 * u ** bsum
+                    - 4.0 * b1 * b2 * k2 * k2 * u ** b1 * v ** b2
+                    + (b1 ** 3 + 3.0 * b2 * b1 ** 2 - b1 ** 2 + 3.0 * b2 ** 2 * b1
+                       - 2.0 * b2 * b1 + b2 ** 3 - b2 ** 2) * k1 * k3
+                    * u ** b2 * v ** b1
+                    + (2.0 * b1 ** 3 + 2.0 * b2 * b1 ** 2 - 2.0 * b1 ** 2
+                       - 2.0 * b2 * b1) * k2 * k3 * v ** bsum)
+        return (bsum * k1 * u ** b2
+                * (2.0 * (b2 - 1.0) * b2 * k2 * u ** b1
+                   + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
+                   * k3 * v ** b1)
+                - 2.0 * b1 * k2 * v ** b2
+                * (2.0 * b2 * k2 * u ** b1
+                   - (b1 - 1.0) * bsum * k3 * v ** b1))
+    except OverflowError:
+        raise _overflow("kadiyala_T2", u, v) from None
 
 
 def _kad_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    inner = _kad_inner(p, u, v)
-    e = d * d * inner ** (2.0 * d / bsum)
-    return [
-        bsum * bsum * k1 * k1 * v * v * u ** (2.0 * bsum) * (e + u * u),
-        bsum * bsum * k3 * k3 * u * u * v ** (2.0 * bsum) * (e + v * v),
-        4.0 * bsum * k2 * k3 * u ** (b1 + 2.0) * v ** (b1 + 2.0 * b2)
-        * (b2 * (e + v * v) + b1 * v * v),
-        4.0 * k2 * k2 * u ** (2.0 * b1) * v ** (2.0 * b2)
-        * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
-           + 2.0 * b1 * b2 * u * u * v * v),
-        2.0 * bsum * k1 * u ** bsum * v ** (b2 + 2.0)
-        * (bsum * k3 * u * u * v ** b1
-           + 2.0 * k2 * u ** b1 * (b1 * (e + u * u) + b2 * u * u)),
-    ]
+    try:
+        inner = _kad_inner(p, u, v)
+        e = d * d * inner ** (2.0 * d / bsum)
+        return [
+            bsum * bsum * k1 * k1 * v * v * u ** (2.0 * bsum) * (e + u * u),
+            bsum * bsum * k3 * k3 * u * u * v ** (2.0 * bsum) * (e + v * v),
+            4.0 * bsum * k2 * k3 * u ** (b1 + 2.0) * v ** (b1 + 2.0 * b2)
+            * (b2 * (e + v * v) + b1 * v * v),
+            4.0 * k2 * k2 * u ** (2.0 * b1) * v ** (2.0 * b2)
+            * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
+               + 2.0 * b1 * b2 * u * u * v * v),
+            2.0 * bsum * k1 * u ** bsum * v ** (b2 + 2.0)
+            * (bsum * k3 * u * u * v ** b1
+               + 2.0 * k2 * u ** b1 * (b1 * (e + u * u) + b2 * u * u)),
+        ]
+    except OverflowError:
+        raise _overflow("kadiyala_deng", u, v) from None
 
 
 def kadiyala_deng(p: KadiyalaParams, u: float, v: float) -> float:

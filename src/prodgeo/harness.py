@@ -53,24 +53,36 @@ class GridSpec:
             raise InvalidSpecError(
                 "grid bounds must satisfy 0 < min < max in both axes")
 
+    def __str__(self) -> str:
+        """The spec as ``parse_grid_spec`` reads it."""
+        return (f"{self.u_min},{self.u_max},{self.n_u},"
+                f"{self.v_min},{self.v_max},{self.n_v},{self.spacing.value}")
+
 
 #: Two decades of capital-labor ratio around 1, away from float extremes.
 DEFAULT_GRID = GridSpec(0.1, 10.0, 0.1, 10.0, 20, 20)
 
 
-def _axis(lo: float, hi: float, n: int, spacing: Spacing) -> list[float]:
+def _axis(lo: float, hi: float, n: int, spacing: Spacing) -> np.ndarray:
     if n == 1:
-        return [lo]
+        return np.array([lo], dtype=float)
     if spacing is Spacing.LOGARITHMIC:
-        return [float(x) for x in np.geomspace(lo, hi, n)]
-    return [float(x) for x in np.linspace(lo, hi, n)]
+        return np.geomspace(lo, hi, n)
+    return np.linspace(lo, hi, n)
+
+
+def _grid_points(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """u and v of all n_u*n_v sample points, ordered lexicographically by
+    (u, v): both axes increase, so u-major order is that order."""
+    us = _axis(spec.u_min, spec.u_max, spec.n_u, spec.spacing)
+    vs = _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing)
+    return np.repeat(us, len(vs)), np.tile(vs, len(us))
 
 
 def sample_grid(spec: GridSpec) -> list[tuple[float, float]]:
     """All n_u*n_v sample points, ordered lexicographically by (u, v)."""
-    us = _axis(spec.u_min, spec.u_max, spec.n_u, spec.spacing)
-    vs = _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing)
-    return [(u, v) for u in us for v in vs]
+    us, vs = _grid_points(spec)
+    return list(zip(us.tolist(), vs.tolist()))
 
 
 def parse_grid_spec(text: str) -> GridSpec:
@@ -351,7 +363,7 @@ KADIYALA = ModelFamily(
     theorem="theorem-2 (Kadiyala developability)",
     params_from_json=lambda text: models.kadiyala_params_from_json(text),
     jet=lambda p, u, v: models.kadiyala_eval(p, *jets.seed(u, v)),
-    domain_valid=lambda p, u, v: u > 0 and v > 0,
+    domain_valid=lambda p, u, v: (u > 0) & (v > 0),
     closed_K=lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),
     side_checks=_kadiyala_side_checks,
     verdict=_kadiyala_verdict,
@@ -378,84 +390,134 @@ class GridRow:
 
 @dataclass(frozen=True)
 class GridReport:
+    """A grid sweep column by column: row i is (u[i], v[i], f[i], K[i],
+    H[i], valid[i], sign[i]), with f, K, H None and sign "" where the
+    point is outside the domain."""
     model: str
-    rows: tuple[GridRow, ...]
+    u: tuple[float, ...]
+    v: tuple[float, ...]
+    f: tuple[float | None, ...]
+    K: tuple[float | None, ...]
+    H: tuple[float | None, ...]
+    valid: tuple[bool, ...]
+    sign: tuple[str, ...]
     summary: dict
+
+    @property
+    def rows(self) -> tuple[GridRow, ...]:
+        return tuple(map(GridRow, self.u, self.v, self.f, self.K, self.H,
+                         self.valid, self.sign))
+
+
+def _first_failing_prefix(sweep: Callable[[int], object], n: int) -> int:
+    """The length of the shortest prefix of n rows on which ``sweep``
+    raises, given that it raises on all n.  Rows are evaluated
+    independently, so a prefix fails exactly when it holds a failing row,
+    and the shortest one ends at the first failing row: where a sweep
+    row by row would stop, and the only row that can fail in it."""
+    passes, fails = 0, n
+    while fails - passes > 1:
+        mid = (passes + fails) // 2
+        try:
+            sweep(mid)
+        except (ProdGeoError, ArithmeticError):
+            fails = mid
+        else:
+            passes = mid
+    return fails
 
 
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
                       strict_domain: bool = False,
                       tol_K: float = surface.DEFAULT_CURVATURE_TOL) -> GridReport:
-    """Evaluate height and curvature over a grid.
+    """Evaluate height and curvature over a grid, all points in one batch.
 
     Rows at domain-invalid points carry None for f, K, H and an empty sign;
     ``strict_domain`` raises ProdGeoError for a family without a strict
     domain.  Sign classification uses the grid's max |K| as its local
-    scale, so the zero band adapts to how curved the surface is.
+    scale, so the zero band adapts to how curved the surface is.  A grid
+    that fails raises the error its first failing row raises on its own.
     """
     family = _FAMILY_OF_TYPE[type(params)]
     in_domain = family.domain(strict_domain)
-    points = sorted(sample_grid(spec))
-    evaluated: list[tuple[float, float, float | None, float | None, float | None, bool]] = []
-    for u, v in points:
-        if not in_domain(params, u, v):
-            evaluated.append((u, v, None, None, None, False))
-            continue
-        jet = family.jet(params, u, v)
-        K, H = surface.curvature_from_jet(jet)
-        evaluated.append((u, v, jet.val, K, H, True))
+    us, vs = _grid_points(spec)
 
-    max_abs_k = max((abs(K) for *_, K, _H, ok in evaluated if ok), default=0.0)
-    rows = []
-    for u, v, f, K, H, ok in evaluated:
-        sign = "" if not ok else surface.classify_sign(K, max_abs_k, tol_K).value
-        rows.append(GridRow(u, v, f, K, H, ok, sign))
+    def sweep(n: int):
+        """The domain mask of rows [0, n), and f, K, H at its valid rows."""
+        u, v = us[:n], vs[:n]
+        valid = in_domain(params, u, v)
+        jet = family.jet(params, u[valid], v[valid])
+        return (valid, jet.val, *surface.curvature_from_jet(jet))
 
-    f_vals = [r.f for r in rows if r.valid]
+    # Overflow to inf or NaN is what the jets' checks report, row by row.
+    with np.errstate(all="ignore"):
+        try:
+            valid, f, K, H = sweep(len(us))
+        except (ProdGeoError, ArithmeticError):
+            sweep(_first_failing_prefix(sweep, len(us)))
+            raise
+        max_abs_k = max(np.abs(K).tolist(), default=0.0)
+        signs = [s.value for s in surface.classify_sign(K, max_abs_k, tol_K)]
+
+    def column(values, fill) -> tuple:
+        out = np.full(len(us), fill, dtype=object)
+        out[valid] = values
+        return tuple(out.tolist())
+
+    f_valid = f.tolist()
     summary = {
         "max_abs_k": max_abs_k,
-        "f_min": min(f_vals) if f_vals else None,
-        "f_max": max(f_vals) if f_vals else None,
-        "invalid_points": sum(1 for r in rows if not r.valid),
+        "f_min": min(f_valid, default=None),
+        "f_max": max(f_valid, default=None),
+        "invalid_points": len(us) - len(f_valid),
         "verdict": family.verdict(params).summary,
     }
-    return GridReport(model=f"{family.name}:{models.params_to_json(params)}",
-                      rows=tuple(rows), summary=summary)
+    return GridReport(f"{family.name}:{models.params_to_json(params)}",
+                      tuple(us.tolist()), tuple(vs.tolist()),
+                      column(f, None), column(K, None), column(H, None),
+                      tuple(valid.tolist()), column(signs, ""), summary)
 
 
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)  # shortest round-trip decimal
-    return str(x)
+#: How json and the CSV spell a cell where that differs from repr, which
+#: both use for a finite float (json via float.__repr__).
+_JSON_SPELLING = {"None": "null", "True": "true", "False": "false",
+                  "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CSV_SPELLING = {"None": "", "True": "true", "False": "false"}
+#: One row of json.dumps(..., indent=2, sort_keys=True) inside "rows".
+_JSON_ROW = ('    {\n      "H": %s,\n      "K": %s,\n      "f": %s,\n      "sign": "%s",\n'
+             '      "u": %s,\n      "v": %s,\n      "valid": %s\n    }')
+
+
+def _cells(column: tuple, spelling: dict) -> list[str]:
+    return [spelling.get(text, text) for text in map(repr, column)]
 
 
 def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
+    """The report as CSV, or as the JSON that json.dumps(..., indent=2,
+    sort_keys=True) gives for {"model", "rows", "summary"}, written from
+    templates."""
     if fmt == "csv":
-        lines = ["u,v,f,K,H,valid,sign"]
-        for r in report.rows:
-            lines.append(",".join(_cell(x) for x in
-                                  (r.u, r.v, r.f, r.K, r.H, r.valid, r.sign)))
-        return "\n".join(lines) + "\n"
+        cells = [_cells(c, _CSV_SPELLING) for c in
+                 (report.u, report.v, report.f, report.K, report.H, report.valid)]
+        lines = map(",".join, zip(*cells, report.sign))
+        return "\n".join(["u,v,f,K,H,valid,sign", *lines]) + "\n"
     if fmt == "json":
-        payload = {
-            "model": report.model,
-            "rows": [{"u": r.u, "v": r.v, "f": r.f, "K": r.K, "H": r.H,
-                      "valid": r.valid, "sign": r.sign} for r in report.rows],
-            "summary": report.summary,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        H, K, f, u, v, valid = (_cells(c, _JSON_SPELLING) for c in
+                                (report.H, report.K, report.f, report.u, report.v,
+                                 report.valid))
+        rows = ",\n".join(map(_JSON_ROW.__mod__, zip(H, K, f, report.sign, u, v, valid)))
+        summary = json.dumps(report.summary, indent=2, sort_keys=True)
+        return ('{\n  "model": %s,\n  "rows": %s,\n  "summary": %s\n}\n'
+                % (json.dumps(report.model), f"[\n{rows}\n  ]" if rows else "[]",
+                   summary.replace("\n", "\n  ")))
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def grid_report_from_json(text: str) -> GridReport:
     data = json.loads(text)
-    rows = tuple(GridRow(r["u"], r["v"], r["f"], r["K"], r["H"],
-                         r["valid"], r["sign"]) for r in data["rows"])
-    return GridReport(model=data["model"], rows=rows, summary=data["summary"])
+    columns = (tuple(row[key] for row in data["rows"])
+               for key in ("u", "v", "f", "K", "H", "valid", "sign"))
+    return GridReport(data["model"], *columns, summary=data["summary"])
 
 
 # --- Theorem verification runs --------------------------------------------

@@ -8,6 +8,19 @@ floating-point rounding, with no truncation error.
 
 The Hessian is stored as three slots (d11, d12, d22); symmetry is
 structural and therefore exact.
+
+A slot is a float, for one point, or a 1-d ndarray of floats, for a
+batch of points (vector forward mode: Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).  The same functions serve both, so model code
+written once evaluates a point or a whole grid.  On arrays every op
+gives, element by element, the bits its float form gives: sums,
+products, quotients and square roots are correctly rounded in numpy as
+in Python, and powers, logarithms and exponentials call the same libm
+``pow``/``log``/``exp`` on each element (``np.power`` and ``np.log``
+round differently on some inputs).  An op that fails on arrays raises
+the error its float form raises at the first failing element, in array
+order.  numpy's own warnings on overflow are the caller's to silence
+(``np.errstate``); the checks here catch every non-finite slot.
 """
 
 from __future__ import annotations
@@ -15,18 +28,23 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .errors import DomainError, NonFiniteError
 
 Scalar = Union[int, float]
+Slot = Union[float, np.ndarray]
+_ndarray = np.ndarray
+_isfinite = math.isfinite  # bound once: every op of every point calls it
 
 
 class Jet2(NamedTuple):
-    val: float
-    d1: float = 0.0
-    d2: float = 0.0
-    d11: float = 0.0
-    d12: float = 0.0
-    d22: float = 0.0
+    val: Slot
+    d1: Slot = 0.0
+    d2: Slot = 0.0
+    d11: Slot = 0.0
+    d12: Slot = 0.0
+    d22: Slot = 0.0
 
     # Arithmetic dunders delegate to the module-level functions so that
     # model code can be written naturally (a * b + c).
@@ -69,34 +87,59 @@ def _coerce(x) -> Jet2:
     raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
 
 
+def _at_first(bad, *slots):
+    """None where ``bad`` holds nowhere; else the slots' values at the
+    first point where it holds, as floats.  ``bad`` and the slots are
+    one point's bools and floats or a batch's arrays (a slot may also be
+    a float shared by the whole batch)."""
+    if not isinstance(bad, _ndarray):
+        return slots if bad else None
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return tuple(s.item(i) if isinstance(s, _ndarray) else s for s in slots)
+
+
 def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
     # No-NaN policy: never let a non-finite jet escape silently.
-    if not (math.isfinite(val) and math.isfinite(d1) and math.isfinite(d2)
-            and math.isfinite(d11) and math.isfinite(d12) and math.isfinite(d22)):
+    try:
+        finite = (_isfinite(val) and _isfinite(d1) and _isfinite(d2)
+                  and _isfinite(d11) and _isfinite(d12) and _isfinite(d22))
+    except TypeError:  # ndarray slots: name the first point with a bad slot
+        bad = _at_first(~(np.isfinite(val) & np.isfinite(d1) & np.isfinite(d2)
+                          & np.isfinite(d11) & np.isfinite(d12) & np.isfinite(d22)),
+                        val, d1, d2, d11, d12, d22)
+        finite = bad is None
+        if not finite:
+            val, d1, d2, d11, d12, d22 = bad
+    if not finite:
         raise NonFiniteError(
             f"non-finite jet: val={val}, grad=({d1}, {d2}), "
             f"hess=({d11}, {d12}, {d22})")
     return Jet2(val, d1, d2, d11, d12, d22)
 
 
-def seed_u(u0: Scalar) -> Jet2:
-    """Jet of the first independent variable at u = u0."""
-    return _checked(float(u0), 1.0, 0.0, 0.0, 0.0, 0.0)
+def seed_u(u0) -> Jet2:
+    """Jet of the first independent variable at u = u0 (a float or an ndarray)."""
+    u0 = u0.astype(float) if isinstance(u0, _ndarray) else float(u0)
+    return _checked(u0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def seed_v(v0: Scalar) -> Jet2:
-    """Jet of the second independent variable at v = v0."""
-    return _checked(float(v0), 0.0, 1.0, 0.0, 0.0, 0.0)
+def seed_v(v0) -> Jet2:
+    """Jet of the second independent variable at v = v0 (a float or an ndarray)."""
+    v0 = v0.astype(float) if isinstance(v0, _ndarray) else float(v0)
+    return _checked(v0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
-def seed(u0: Scalar, v0: Scalar) -> tuple[Jet2, Jet2]:
+def seed(u0, v0) -> tuple[Jet2, Jet2]:
     """Both variable jets at (u0, v0), in order."""
     return seed_u(u0), seed_v(v0)
 
 
-def constant(c: Scalar) -> Jet2:
+def constant(c) -> Jet2:
     """Jet of a constant: all derivative slots zero."""
-    return _checked(float(c), 0.0, 0.0, 0.0, 0.0, 0.0)
+    c = c.astype(float) if isinstance(c, _ndarray) else float(c)
+    return _checked(c, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def add(a: Jet2, b: Jet2) -> Jet2:
@@ -131,7 +174,8 @@ def mul(a: Jet2, b: Jet2) -> Jet2:
 
 
 def div(a: Jet2, b: Jet2) -> Jet2:
-    if b.val == 0.0:
+    zero = b.val == 0.0
+    if zero is not False and _at_first(zero) is not None:
         raise ZeroDivisionError("Jet2 division by zero")
     # q = a/b, so a = q*b; solve the product rule for the slots of q.
     inv = 1.0 / b.val
@@ -144,7 +188,15 @@ def div(a: Jet2, b: Jet2) -> Jet2:
     return _checked(q, q1, q2, q11, q12, q22)
 
 
-def _compose(a: Jet2, g: float, dg: float, ddg: float) -> Jet2:
+def _elementwise(kernel, x: np.ndarray, *args) -> tuple:
+    """kernel(x, *args) = (g, g', g'') for one float, applied element by
+    element on Python floats: each element gets the float path's bits,
+    and the first bad element raises the float path's error."""
+    return tuple(s.astype(float) for s in
+                 np.frompyfunc(kernel, 1 + len(args), 3)(x, *args))
+
+
+def _compose(a: Jet2, g, dg, ddg) -> Jet2:
     # Chain rule through second order for g(a).
     return _checked(
         g,
@@ -156,42 +208,65 @@ def _compose(a: Jet2, g: float, dg: float, ddg: float) -> Jet2:
     )
 
 
+def _power(x: float, p: float) -> tuple[float, float, float]:
+    if x <= 0.0:
+        raise DomainError(f"powr requires a positive base, got {x}")
+    try:
+        return x ** p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0)
+    except OverflowError:
+        raise NonFiniteError(f"power overflow: {x} ** {p}") from None
+
+
 def powr(a: Jet2, p: Scalar) -> Jet2:
     """Real power a**p for a strictly positive base.
 
     Implemented with direct p*a**(p-1) chain terms rather than
     exp(p*ln a); the two must agree to rounding (asserted in tests).
     """
-    if a.val <= 0.0:
-        raise DomainError(f"powr requires a positive base, got {a.val}")
     p = float(p)
-    try:
-        g = a.val ** p
-        dg = p * a.val ** (p - 1.0)
-        ddg = p * (p - 1.0) * a.val ** (p - 2.0)
-    except OverflowError:
-        raise NonFiniteError(f"power overflow: {a.val} ** {p}") from None
+    if isinstance(a.val, _ndarray):
+        g, dg, ddg = _elementwise(_power, a.val, p)
+    else:
+        g, dg, ddg = _power(a.val, p)
     return _compose(a, g, dg, ddg)
 
 
+def _log(x: float) -> tuple[float, float, float]:
+    if x <= 0.0:
+        raise DomainError(f"ln requires a positive argument, got {x}")
+    inv = 1.0 / x
+    return math.log(x), inv, -inv * inv
+
+
 def ln(a: Jet2) -> Jet2:
-    if a.val <= 0.0:
-        raise DomainError(f"ln requires a positive argument, got {a.val}")
-    inv = 1.0 / a.val
-    return _compose(a, math.log(a.val), inv, -inv * inv)
+    if isinstance(a.val, _ndarray):
+        return _compose(a, *_elementwise(_log, a.val))
+    return _compose(a, *_log(a.val))
+
+
+def _exp(x: float) -> tuple[float, float, float]:
+    try:
+        e = math.exp(x)
+    except OverflowError:
+        raise NonFiniteError(f"exp overflow at {x}") from None
+    return e, e, e
 
 
 def exp(a: Jet2) -> Jet2:
-    try:
-        e = math.exp(a.val)
-    except OverflowError:
-        raise NonFiniteError(f"exp overflow at {a.val}") from None
-    return _compose(a, e, e, e)
+    if isinstance(a.val, _ndarray):
+        return _compose(a, *_elementwise(_exp, a.val))
+    return _compose(a, *_exp(a.val))
+
+
+def _sqrt(x: float) -> tuple[float, float, float]:
+    if x <= 0.0:
+        raise DomainError(f"sqrt requires a positive argument, got {x}")
+    r = math.sqrt(x)
+    dg = 0.5 / r
+    return r, dg, -0.5 * dg / x
 
 
 def sqrt(a: Jet2) -> Jet2:
-    if a.val <= 0.0:
-        raise DomainError(f"sqrt requires a positive argument, got {a.val}")
-    r = math.sqrt(a.val)
-    dg = 0.5 / r
-    return _compose(a, r, dg, -0.5 * dg / a.val)
+    if isinstance(a.val, _ndarray):
+        return _compose(a, *_elementwise(_sqrt, a.val))
+    return _compose(a, *_sqrt(a.val))

@@ -11,7 +11,10 @@ Kadiyala:
 Parameter records are immutable after validation, so their constraint
 sets can be checked once and relied on everywhere.  Evaluators take
 ``Jet2`` inputs and hence deliver value, gradient and Hessian in one
-pass; plain-float evaluation falls out by seeding constants.
+pass; plain-float evaluation falls out by seeding constants.  Inputs
+are one point's floats or a batch's ndarrays (see ``jets``); domain
+tests and domain errors then hold element by element, and an error
+names the first bad point.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, fields
 from . import jets
 from .errors import (ConstraintViolation, DomainError, NonPositiveInputError,
                      SingularPointError)
-from .jets import Jet2
+from .jets import Jet2, _at_first
 
 PARAM_EQ_TOL = 1e-12  # tolerance for equality checks on user-supplied parameters
 
@@ -135,17 +138,20 @@ def kadiyala_params_from_json(text: str) -> KadiyalaParams:
 
 # --- Domains ---------------------------------------------------------------
 
-def _check_positive(u: float, v: float):
-    if u <= 0 or v <= 0:
-        raise NonPositiveInputError(f"inputs must be positive, got ({u}, {v})")
+def _check_positive(u, v):
+    # `is not False`: a point that passes skips the search; a batch always searches
+    bad = (u <= 0) | (v <= 0)
+    if bad is not False and (at := _at_first(bad, u, v)):
+        raise NonPositiveInputError("inputs must be positive, got ({}, {})".format(*at))
 
 
-def _ves_aggregate(p: VesParams, u: float, v: float) -> float:
+def _ves_aggregate(p: VesParams, u, v):
     """(rho-1)*u + v; raises DomainError unless it, u and v are all positive."""
     _check_positive(u, v)
     agg = (p.rho - 1.0) * u + v
-    if agg <= 0:
-        raise DomainError(f"(rho-1)*u + v = {agg} <= 0 at ({u}, {v})")
+    bad = agg <= 0
+    if bad is not False and (at := _at_first(bad, agg, u, v)):
+        raise DomainError("(rho-1)*u + v = {} <= 0 at ({}, {})".format(*at))
     return agg
 
 

@@ -11,6 +11,9 @@ Gaussian and mean curvatures, using the standard graph-surface formulas:
 
     K = det II / det I
     H = (g11 h22 - 2 g12 h12 + g22 h11) / (2 det I)
+
+A jet whose slots are ndarrays gives forms, K, H and sign classes
+element by element, with the bits of the one-point computation.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import enum
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import NonFiniteError
-from .jets import Jet2
+from .jets import Jet2, Slot, _at_first, _checked
 
 DEFAULT_CURVATURE_TOL = 1e-9
 
@@ -32,32 +37,42 @@ class SignClass(enum.Enum):
 
 
 class FundamentalForms(NamedTuple):
-    g11: float
-    g12: float
-    g22: float
-    h11: float
-    h12: float
-    h22: float
-    n1: float
-    n2: float
-    n3: float
+    g11: Slot
+    g12: Slot
+    g22: Slot
+    h11: Slot
+    h12: Slot
+    h22: Slot
+    n1: Slot
+    n2: Slot
+    n3: Slot
     #: det I = g11*g22 - g12^2, held as W^2 = 1 + f_u^2 + f_v^2: the
     #: difference cancels to 0.0 at steep points, the sum cannot.
-    det_first: float
+    det_first: Slot
 
     @property
-    def det_second(self) -> float:
+    def det_second(self) -> Slot:
         return self.h11 * self.h22 - self.h12 * self.h12
 
 
 def fundamental_forms(jet: Jet2) -> FundamentalForms:
-    """Fundamental forms and unit normal from a height-field jet."""
-    for slot in jet:
-        if not math.isfinite(slot):
-            raise NonFiniteError(f"non-finite jet slot in {jet}")
+    """Fundamental forms and unit normal from a height-field jet.
+
+    Raises NonFiniteError for a non-finite slot and for slopes so steep
+    that W^2 = 1 + f_u^2 + f_v^2 overflows (K would read 0 and H NaN).
+    """
+    try:
+        finite = all(map(math.isfinite, jet))
+    except TypeError:  # ndarray slots: _checked searches them
+        finite = False
+    if not finite:
+        _checked(*jet)
     fu, fv = jet.d1, jet.d2
     w2 = 1.0 + fu * fu + fv * fv
-    w = math.sqrt(w2)
+    bad = w2 == math.inf
+    if bad is not False and (at := _at_first(bad, fu, fv)):
+        raise NonFiniteError("1 + f_u^2 + f_v^2 overflows at slopes f_u={}, f_v={}".format(*at))
+    w = np.sqrt(w2) if isinstance(w2, np.ndarray) else math.sqrt(w2)
     inv_w = 1.0 / w
     return FundamentalForms(
         g11=1.0 + fu * fu,
@@ -89,16 +104,21 @@ def curvature_from_jet(jet: Jet2) -> tuple[float, float]:
     return gaussian_curvature(forms), mean_curvature(forms)
 
 
-def classify_sign(K: float, local_scale: float = 0.0,
-                  tol_K: float = DEFAULT_CURVATURE_TOL) -> SignClass:
+def classify_sign(K, local_scale: float = 0.0,
+                  tol_K: float = DEFAULT_CURVATURE_TOL):
     """Sign of a curvature value under a scale-aware zero threshold.
 
     ``local_scale`` should be the curvature magnitude reference for the
     surface at hand (typically max |K| over the evaluated grid), so that
     "zero" is judged relative to how curved the surface actually is.
+    An ndarray of K gives an object array of SignClass, element by element.
     """
     if not tol_K > 0.0:  # also rejects NaN
         raise ValueError("tol_K must be positive")
-    if abs(K) <= tol_K * (1.0 + abs(local_scale)):
+    zero = abs(K) <= tol_K * (1.0 + abs(local_scale))
+    if isinstance(K, np.ndarray):
+        return np.where(zero, SignClass.ZERO,
+                        np.where(K > 0.0, SignClass.POSITIVE, SignClass.NEGATIVE))
+    if zero:
         return SignClass.ZERO
     return SignClass.POSITIVE if K > 0.0 else SignClass.NEGATIVE

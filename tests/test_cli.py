@@ -172,6 +172,16 @@ def test_bad_point_exit_2(capsys):
     assert code == 2
 
 
+CLOSED_FORM_OVERFLOW = ("verify-t1", "--trials", "3", "--grid", "1e100,1e101,2,1e100,1e101,2")
+STEEP_SLOPES = ("grid", "--model", "ves", "--params", '{"k":1,"beta":0.5,"rho":0.5,"delta":3}',
+                "--grid", "1e100,1e101,2,1e100,1e101,2")
+#: what the error line must name, where the input is finite but overflows
+NAMED = {
+    CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
+    STEEP_SLOPES: "1 + f_u^2 + f_v^2 overflows at slopes",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-t1", "--trials", "-5"),
     ("verify-t2", "--trials", "0"),
@@ -179,12 +189,20 @@ def test_bad_point_exit_2(capsys):
     ("verify-t2", "--trials", "1", "--tol", "inf"),
     ("grid", "--model", "ves", "--params", VES, "--tol", "0"),
     # finite input whose closed-form K overflows a float
-    ("verify-t1", "--trials", "3", "--grid", "1e100,1e101,2,1e100,1e101,2"),
+    CLOSED_FORM_OVERFLOW,
+    # slopes so steep that 1 + f_u^2 + f_v^2 overflows: K read 0, H nan
+    STEEP_SLOPES,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ")
+    assert NAMED.get(argv, "") in err
+
+
+def test_default_grid_is_the_library_default():
+    assert harness.parse_grid_spec(cli.OPTIONS["--grid"]["default"]) == harness.DEFAULT_GRID
 
 
 def test_missing_params_exit_2(capsys):

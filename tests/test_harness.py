@@ -2,12 +2,14 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_close
-from prodgeo import curvature, harness, models
+from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
-from prodgeo.errors import InvalidSpecError, StencilOutOfDomainError
-from prodgeo.harness import GridSpec, Spacing
+from prodgeo.errors import InvalidSpecError, ProdGeoError, StencilOutOfDomainError
+from prodgeo.harness import GridReport, GridSpec, Spacing
 from prodgeo.surface import SignClass
 
 
@@ -219,3 +221,105 @@ class TestGridReport:
             assert float(cells[0]) == row.u and float(cells[1]) == row.v
             if row.valid:
                 assert float(cells[2]) == row.f and float(cells[3]) == row.K
+
+
+# --- The batch grid path against the one-point path ---------------------------
+
+def reference_grid(params, spec, strict_domain, tol_K):
+    """Rows and summary of a grid report, computed point by point with the
+    one-point path (jet, forms, classify_sign), in sorted (u, v) order."""
+    family = next(f for f in harness.FAMILIES.values() if isinstance(params, f.params_type))
+    in_domain = family.domain(strict_domain)
+    evaluated = []
+    for u, v in sorted(harness.sample_grid(spec)):
+        if not in_domain(params, u, v):
+            evaluated.append((u, v, None, None, None, False))
+            continue
+        jet = family.jet(params, u, v)
+        K, H = surface.curvature_from_jet(jet)
+        evaluated.append((u, v, jet.val, K, H, True))
+    max_abs_k = max((abs(K) for *_, K, _H, ok in evaluated if ok), default=0.0)
+    rows = [harness.GridRow(u, v, f, K, H, ok,
+                            surface.classify_sign(K, max_abs_k, tol_K).value if ok else "")
+            for u, v, f, K, H, ok in evaluated]
+    f_vals = [r.f for r in rows if r.valid]
+    summary = {"max_abs_k": max_abs_k,
+               "f_min": min(f_vals) if f_vals else None,
+               "f_max": max(f_vals) if f_vals else None,
+               "invalid_points": sum(1 for r in rows if not r.valid),
+               "verdict": family.verdict(params).summary}
+    return tuple(rows), summary
+
+
+@st.composite
+def grid_specs(draw):
+    def axis():
+        n = draw(st.integers(1, 5))
+        lo = 10.0 ** draw(st.floats(-150.0, 150.0))
+        return lo, lo * 10.0 ** (draw(st.floats(0.5, 60.0)) if n > 1 else 0.0), n
+    (u_lo, u_hi, n_u), (v_lo, v_hi, n_v) = axis(), axis()
+    return GridSpec(u_lo, u_hi, v_lo, v_hi, n_u, n_v, draw(st.sampled_from(Spacing)))
+
+
+@st.composite
+def family_params(draw):
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return harness.random_ves_params(seed)
+    return harness.random_kadiyala_params(
+        seed, draw(st.sampled_from([None, *DevelopabilityReason])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=family_params(), spec=st.one_of(grid_specs(), st.just(SMALL_GRID)),
+       strict=st.booleans(), tol=st.sampled_from([1e-9, 1e-3, 0.5]))
+# row 0 fails in the forms (its slopes overflow W^2), later rows already in the jet
+@example(params=models.ves_validate(1, 0.4, 1.5, 3), spec=GridSpec(1e100, 1e103, 1e100, 1e103, 2, 2),
+         strict=False, tol=1e-9)
+def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
+    """Bit for bit the report the one-point path gives, row by row; where
+    a row fails, the error of the first failing row."""
+    try:
+        rows, summary = reference_grid(params, spec, strict, tol)
+    except (ProdGeoError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)) as got:
+            harness.build_grid_report(params, spec, strict_domain=strict, tol_K=tol)
+        assert str(got.value) == str(exc)
+        return
+    report = harness.build_grid_report(params, spec, strict_domain=strict, tol_K=tol)
+    assert repr(report.rows) == repr(rows)   # repr tells -0.0 from 0.0 and keeps every bit
+    assert repr(report.summary) == repr(summary)
+
+
+def _cell(x) -> str:
+    """One CSV cell, as the row-by-row emitter wrote it."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
+
+
+CELL = st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
+                                CELL, CELL, CELL, st.booleans(),
+                                st.sampled_from(["", "zero", "positive", "negative"])),
+                      max_size=5),
+       summary=st.dictionaries(st.sampled_from(["max_abs_k", "f_min", "verdict"]),
+                               st.one_of(CELL, st.text(max_size=3)), max_size=3))
+def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
+    report = GridReport('ves:{"k": 1.0}', *map(tuple, zip(*cells)) if cells else [()] * 7,
+                        summary=summary)
+    payload = {"model": report.model,
+               "rows": [{"u": r.u, "v": r.v, "f": r.f, "K": r.K, "H": r.H,
+                         "valid": r.valid, "sign": r.sign} for r in report.rows],
+               "summary": summary}
+    assert (harness.emit_grid_report(report, "json")
+            == json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    lines = ["u,v,f,K,H,valid,sign"] + [",".join(_cell(x) for x in row) for row in cells]
+    assert harness.emit_grid_report(report, "csv") == "\n".join(lines) + "\n"

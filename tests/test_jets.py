@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import as_scalar_field, assert_close, tame_expression
 from prodgeo import harness, jets
-from prodgeo.errors import DomainError, NonFiniteError
+from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError
 from prodgeo.jets import Jet2
 
 
@@ -153,3 +154,68 @@ def test_composite_expressions_match_finite_differences(seed, u0, v0):
     assert_close(jet.d11, hess[0, 0], 1e-4, "d11")
     assert_close(jet.d12, hess[0, 1], 1e-4, "d12")
     assert_close(jet.d22, hess[1, 1], 1e-4, "d22")
+
+
+# --- ndarray slots: the float ops, element by element -----------------------
+
+ARRAY_OPS = {
+    "add": lambda a, b: jets.add(a, b),
+    "sub": lambda a, b: jets.sub(a, b),
+    "mul": lambda a, b: jets.mul(a, b),
+    "div": lambda a, b: jets.div(a, b),
+    "neg": lambda a, b: jets.neg(a),
+    "scale": lambda a, b: jets.scale(a, -2.5),
+    "powr": lambda a, b: jets.powr(a, 1.7),
+    "powr-negative": lambda a, b: jets.powr(a, -0.6),
+    "ln": lambda a, b: jets.ln(a),
+    "exp": lambda a, b: jets.exp(a),
+    "sqrt": lambda a, b: jets.sqrt(a),
+    "sugar": lambda a, b: a * b + 2.0 - a / b,
+}
+# mostly tame slots, with the extremes and signs that make ops fail
+SLOT = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300),
+                 st.sampled_from([0.0, -0.0, 5e-324, 1e200, 700.0, 1e-160]))
+POINT_JETS = st.tuples(*[SLOT] * 6)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=st.sampled_from(sorted(ARRAY_OPS)),
+       points=st.lists(st.tuples(POINT_JETS, POINT_JETS), min_size=1, max_size=6))
+def test_array_slots_match_float_slots_bitwise(op, points):
+    """An op on ndarray slots gives, element by element, the bits of the
+    op on float slots; where some point fails, it raises that point's
+    error."""
+    fn = ARRAY_OPS[op]
+    outs, errors = [], []
+    for a, b in points:
+        try:
+            outs.append(fn(Jet2(*a), Jet2(*b)))
+        except (ProdGeoError, ArithmeticError) as exc:
+            errors.append((type(exc), str(exc)))
+    batch_a, batch_b = (Jet2(*(np.array(slot) for slot in zip(*side)))
+                        for side in zip(*points))
+    with np.errstate(all="ignore"):  # the op's own checks report overflow
+        if errors:
+            with pytest.raises((ProdGeoError, ArithmeticError)) as got:
+                fn(batch_a, batch_b)
+            assert (type(got.value), str(got.value)) in errors
+            return
+        batch = fn(batch_a, batch_b)
+    for k, slot in enumerate(batch):
+        want = [out[k] for out in outs]
+        assert np.array_equal(_bits(np.broadcast_to(slot, len(want))), _bits(want)), Jet2._fields[k]
+
+
+@np.errstate(all="ignore")
+def test_array_op_names_the_first_failing_element():
+    base = jets.seed_u(np.array([2.0, 1e200, 3e200]))
+    with pytest.raises(NonFiniteError, match=r"power overflow: 1e\+200 \*\* 2.0"):
+        jets.powr(base, 2)
+    with pytest.raises(DomainError, match="got -1.5"):
+        jets.ln(jets.seed_u(np.array([1.0, -1.5, -3.0])))
+    with pytest.raises(NonFiniteError, match=r"val=inf, grad=\(0.0, 0.0\)"):
+        jets.mul(jets.constant(np.array([1.0, 1e300])), jets.constant(1e10))
