@@ -18,9 +18,13 @@ products, quotients and square roots are correctly rounded in numpy as
 in Python, and powers, logarithms and exponentials call the same libm
 ``pow``/``log``/``exp`` on each element (``np.power`` and ``np.log``
 round differently on some inputs).  An op that fails on arrays raises
-the error its float form raises at the first failing element, in array
-order.  numpy's own warnings on overflow are the caller's to silence
-(``np.errstate``); the checks here catch every non-finite slot.
+the error its float form raises at one failing element: the first, in
+array order, to fail the op's first failing check (a power's base and
+overflow are checked before the finiteness of the result).  A caller
+that needs the first failing point of a batch evaluates prefixes of it
+(``harness.build_grid_report`` does).  numpy's own warnings on overflow
+are the caller's to silence (``np.errstate``); the checks here catch
+every non-finite slot.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ from .errors import DomainError, NonFiniteError
 Scalar = Union[int, float]
 Slot = Union[float, np.ndarray]
 _ndarray = np.ndarray
-_isfinite = math.isfinite  # bound once: every op of every point calls it
+# Every op of every point ends in _checked, so it skips two Python-level
+# calls: math.isfinite bound once, and the tuple built without the
+# NamedTuple's generated __new__.
+_isfinite = math.isfinite
+_new_tuple = tuple.__new__
 
 
 class Jet2(NamedTuple):
@@ -116,7 +124,7 @@ def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
         raise NonFiniteError(
             f"non-finite jet: val={val}, grad=({d1}, {d2}), "
             f"hess=({d11}, {d12}, {d22})")
-    return Jet2(val, d1, d2, d11, d12, d22)
+    return _new_tuple(Jet2, (val, d1, d2, d11, d12, d22))
 
 
 def seed_u(u0) -> Jet2:
