@@ -76,6 +76,17 @@ CASES = {
     "grid-json-ves-strict": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
                              "--grid", "0.5,2,4,0.5,2,4,linear", "--strict-domain",
                              "--format", "json"),
+    # edges of a verify run: closed forms that overflow through a product of
+    # finite powers, and power overflows; in verify-t2's, the first failing
+    # point fails in the closed form and later points fail earlier, in the jet
+    "verify-t1-product-overflow": ("verify-t1", "--trials", "3",
+                                   "--grid", "1e30,1e31,2,1e30,1e31,2"),
+    "verify-t2-product-overflow": ("verify-t2", "--trials", "2",
+                                   "--grid", "1e30,1e31,2,1e30,1e31,2"),
+    "verify-t1-power-overflow": ("verify-t1", "--trials", "3",
+                                 "--grid", "1e100,1e101,2,1e100,1e101,2"),
+    "verify-t2-power-overflow": ("verify-t2", "--trials", "2",
+                                 "--grid", "1e100,1e200,3,1,2,2"),
 }
 
 GOLDEN = {
@@ -108,6 +119,10 @@ GOLDEN = {
     "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
     "verify-t1": "44af02dbf8178e72cd672af09970fb0fb282847eececddfba73d7a2f9b30d594",
     "verify-t2": "01da3848ab99c42efb8958eaf8b6b31441bc2bb8b14fdcff79810392afd9ee18",
+    "verify-t1-power-overflow": "5554f72e6b7c3cea461964470aece575dcafab868d7ec5ff9051ad148e32f4be",
+    "verify-t1-product-overflow": "1e82e7031adf214b282d526486cd706ff30090465865c7a8117c958d3f2f164c",
+    "verify-t2-power-overflow": "9813ed2fc2d4b034de2f5733a2db48a8dac361f3f930246ed2f5cba8cbd83d78",
+    "verify-t2-product-overflow": "253dd40fe0fa39173d0fe9ab52016d6798ebdbe6e4a0ef25708aeebaf451f391",
 }
 
 
@@ -135,4 +150,21 @@ def test_edge_grids_raise_no_warning(name):
             harness.build_grid_report(params, harness.parse_grid_spec(args.grid),
                                       strict_domain=args.strict_domain)
         except ProdGeoError:
+            pass
+
+
+EDGE_VERIFY = ("verify-t1-product-overflow", "verify-t2-product-overflow",
+               "verify-t1-power-overflow", "verify-t2-power-overflow")
+
+
+@pytest.mark.parametrize("name", EDGE_VERIFY)
+def test_edge_verify_grids_raise_no_warning(name):
+    """A verify run may fail with the program's own error, never with a warning."""
+    args = cli.build_parser().parse_args(CASES[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            args.run(args.trials, args.seed, harness.parse_grid_spec(args.grid),
+                     tol_K=args.tol)
+        except (ProdGeoError, ArithmeticError):
             pass
