@@ -8,14 +8,20 @@ as T1*T2/Den_G^2, and developability is equivalent to one of the two
 factors vanishing identically.
 
 Where the source expressions admit two algebraic groupings (Den_F, T2)
-both are implemented; they are asserted equal at run time in the tests,
-since long hand-collected expressions are the primary transcription
-risk.
+both are implemented; the verify engine (``harness``) checks at every
+point it sweeps that they agree to rounding, since long hand-collected
+expressions are the primary transcription risk.
 
 Everything here is an independent route to the same K the autodiff
 pipeline produces; the two routes are cross-checked, never merged.
-A power that overflows a float raises NonFiniteError naming the
-function and the point.
+
+u and v are both floats (one point) or both 1-d float ndarrays (a
+batch).  One formula text serves both: a batch runs on ``_Batch`` views,
+whose ``**`` is libm's ``pow`` element by element (``jets._libm_pow``),
+so every element gets the bits of the float form.  Where some point of
+a batch fails, the call raises the error the first failing point raises
+on its own.  A power that overflows a float raises NonFiniteError
+naming the function and the point.
 """
 
 from __future__ import annotations
@@ -23,9 +29,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonFiniteError, ProdGeoError
+from .jets import _at_first, _libm_pow
 from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
+
+_ndarray = np.ndarray
 
 
 class ReturnsToScale(enum.Enum):
@@ -44,6 +55,32 @@ def _overflow(name: str, u: float, v: float) -> NonFiniteError:
     return NonFiniteError(f"{name} overflows a float at ({u}, {v})")
 
 
+class _Batch(np.ndarray):
+    """Float slots of a batch whose ``**`` is libm's ``pow`` element by
+    element, as a float's is; numpy's other arithmetic rounds as Python's
+    does.  Results of arithmetic on a _Batch are _Batch views, so a
+    formula written for floats runs on a batch unchanged."""
+
+    def __pow__(self, p):
+        return _libm_pow(self.view(_ndarray), p).view(_Batch)
+
+
+def _batch(form, p, u: np.ndarray, v: np.ndarray, *flags):
+    """``form`` at each point of a batch, as plain ndarrays (a list of
+    them for a list of slots).  Where some point fails, the error that the
+    first failing point raises on its own."""
+    try:
+        with np.errstate(all="ignore"):  # the forms' own checks report overflow
+            out = form(p, u.view(_Batch), v.view(_Batch), *flags)
+    except (ProdGeoError, ArithmeticError):
+        for point in zip(u.tolist(), v.tolist()):
+            form(p, *point, *flags)
+        raise
+    if isinstance(out, list):
+        return [slot.view(_ndarray) for slot in out]
+    return out.view(_ndarray)
+
+
 # --- VES -------------------------------------------------------------------
 
 def ves_denf(p: VesParams, u: float, v: float,
@@ -54,6 +91,8 @@ def ves_denf(p: VesParams, u: float, v: float,
     (beta*rho*u)^2 + ((rho-1)*u - v*(rho*beta-1))^2 instead of the
     expanded quadratic; the two must agree to rounding.
     """
+    if type(u) is _ndarray:
+        return _batch(ves_denf, p, u, v, grouped)
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     try:
@@ -76,6 +115,8 @@ def ves_curvature_closed(p: VesParams, u: float, v: float) -> float:
             * u^(2*(beta*delta*rho + delta + 1))
             * ((rho-1)*u + v)^(2*beta*delta*rho + 2)  /  Den_F^2
     """
+    if type(u) is _ndarray:
+        return _batch(ves_curvature_closed, p, u, v)
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     try:
@@ -86,6 +127,9 @@ def ves_curvature_closed(p: VesParams, u: float, v: float) -> float:
         raise _overflow("ves_curvature_closed", u, v) from None
     den = ves_denf(p, u, v)
     # Divide twice rather than squaring den, which can overflow first.
+    zero = den == 0.0
+    if zero is not False and _at_first(zero) is not None:  # as a float's / raises
+        raise ZeroDivisionError("float division by zero")
     return num / den / den
 
 
@@ -112,6 +156,8 @@ def _kad_inner(p: KadiyalaParams, u: float, v: float) -> float:
 
 def kadiyala_T1(p: KadiyalaParams, u: float, v: float) -> float:
     """First curvature factor; vanishes identically iff delta = 1."""
+    if type(u) is _ndarray:
+        return _batch(kadiyala_T1, p, u, v)
     _check_positive(u, v)
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
@@ -132,6 +178,8 @@ def kadiyala_T2(p: KadiyalaParams, u: float, v: float,
     v collected; the default is the original two-term product grouping.
     The two must agree to rounding.
     """
+    if type(u) is _ndarray:
+        return _batch(kadiyala_T2, p, u, v, collected)
     _check_positive(u, v)
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2 = p.beta1, p.beta2
@@ -184,22 +232,30 @@ def kadiyala_deng(p: KadiyalaParams, u: float, v: float) -> float:
     """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
     product of non-negative factors under the parameter constraints, so
     the sum is strictly positive on the open first quadrant."""
+    if type(u) is _ndarray:
+        return _batch(kadiyala_deng, p, u, v)
     _check_positive(u, v)
     # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
     total = sum(_kad_deng_terms(p, u, v))
-    if total <= 0.0:
+    bad = total <= 0.0
+    if bad is not False and (at := _at_first(bad, total, u, v)):
         raise ProdGeoError(
-            f"Den_G = {total} <= 0 at ({u}, {v}): implementation bug")
+            "Den_G = {} <= 0 at ({}, {}): implementation bug".format(*at))
     return total
 
 
 def kadiyala_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
     """The five summands of Den_G individually (each must be >= 0)."""
+    if type(u) is _ndarray:
+        return _batch(kadiyala_deng_terms, p, u, v)
+    _check_positive(u, v)
     return _kad_deng_terms(p, u, v)
 
 
 def kadiyala_curvature_closed(p: KadiyalaParams, u: float, v: float) -> float:
     """Gaussian curvature of the Kadiyala surface: K = T1*T2/Den_G^2."""
+    if type(u) is _ndarray:
+        return _batch(kadiyala_curvature_closed, p, u, v)
     den = kadiyala_deng(p, u, v)
     # T1/den * T2/den keeps intermediates in range; den^2 can overflow.
     return (kadiyala_T1(p, u, v) / den) * (kadiyala_T2(p, u, v) / den)

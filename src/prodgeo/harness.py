@@ -238,6 +238,12 @@ def fd_oracle(f, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
 # samplers by module attribute at call time, so rebinding one of those
 # (to trace it, or to corrupt a verdict in a test) reaches every caller.
 
+class Check(NamedTuple):
+    """One check of a verify trial over a batch of points."""
+    bad: np.ndarray                 # where it fails (a 0-d array: the trial)
+    describe: Callable[[int], str]  # the problem at a failing index
+
+
 class Verdict(NamedTuple):
     """What a theorem says about one parameter set."""
     summary: str              # the grid report's "verdict" field
@@ -251,11 +257,13 @@ class ModelFamily:
     params_type: type
     theorem: str
     params_from_json: Callable[[str], object]
+    #: These take a point's floats or a batch's 1-d arrays of u and v.
     jet: Callable[[object, float, float], jets.Jet2]
     domain_valid: Callable[[object, float, float], bool]
     closed_K: Callable[[object, float, float], float]
-    #: problems with the closed form's side conditions at one point
-    side_checks: Callable[[object, float, float], Iterator[str]]
+    #: the closed form's side conditions over a batch, in the order a
+    #: loop over its points would report them at one point
+    side_checks: Callable[[object, np.ndarray, np.ndarray], list[Check]]
     verdict: Callable[[object], Verdict]
     #: (label, params) per trial, each drawn as the engine asks for it
     trials: Callable[[int, int], Iterator[tuple[str, object]]]
@@ -280,14 +288,20 @@ def _subseed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-def _ves_side_checks(p: VesParams, u: float, v: float) -> Iterator[str]:
+def _at(u: np.ndarray, v: np.ndarray, i: int) -> str:
+    return f"({u.item(i):.4g}, {v.item(i):.4g})"
+
+
+def _ves_side_checks(p: VesParams, u: np.ndarray, v: np.ndarray) -> list[Check]:
     den_a = curvature.ves_denf(p, u, v)
     den_b = curvature.ves_denf(p, u, v, grouped=True)
-    if den_a <= 0.0:
-        yield f"Den_F={den_a} not positive at ({u:.4g}, {v:.4g})"
-    if _rel_dev(den_a, den_b) > DUAL_FORM_RTOL:
-        yield (f"Den_F groupings disagree at ({u:.4g}, {v:.4g}): "
-               f"{den_a!r} vs {den_b!r}")
+    return [
+        Check(den_a <= 0.0,
+              lambda i: f"Den_F={den_a.item(i)} not positive at {_at(u, v, i)}"),
+        Check(_rel_dev(den_a, den_b) > DUAL_FORM_RTOL,
+              lambda i: (f"Den_F groupings disagree at {_at(u, v, i)}: "
+                         f"{den_a.item(i)!r} vs {den_b.item(i)!r}")),
+    ]
 
 
 def _ves_verdict(p: VesParams) -> Verdict:
@@ -306,14 +320,18 @@ def _ves_trials(trials: int, seed: int):
             _subseed(seed, t), stratum=DELTA_STRATA[t % len(DELTA_STRATA)])
 
 
-def _kadiyala_side_checks(p: KadiyalaParams, u: float, v: float) -> Iterator[str]:
-    if min(curvature.kadiyala_deng_terms(p, u, v)) < 0.0:
-        yield f"negative Den_G summand at ({u:.4g}, {v:.4g})"
+def _kadiyala_side_checks(p: KadiyalaParams, u: np.ndarray,
+                          v: np.ndarray) -> list[Check]:
+    terms = curvature.kadiyala_deng_terms(p, u, v)
     t2a = curvature.kadiyala_T2(p, u, v)
     t2b = curvature.kadiyala_T2(p, u, v, collected=True)
-    if _rel_dev(t2a, t2b) > DUAL_FORM_RTOL:
-        yield (f"T2 groupings disagree at ({u:.4g}, {v:.4g}): "
-               f"{t2a!r} vs {t2b!r}")
+    return [
+        Check(np.minimum.reduce(terms) < 0.0,
+              lambda i: f"negative Den_G summand at {_at(u, v, i)}"),
+        Check(_rel_dev(t2a, t2b) > DUAL_FORM_RTOL,
+              lambda i: (f"T2 groupings disagree at {_at(u, v, i)}: "
+                         f"{t2a.item(i)!r} vs {t2b.item(i)!r}")),
+    ]
 
 
 def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
@@ -546,58 +564,83 @@ class VerifySummary:
         return "\n".join(lines)
 
 
+def _verdict_checks(expect: SignClass | None, u: np.ndarray, v: np.ndarray,
+                    K: np.ndarray, tol_K: float) -> list[Check]:
+    """A trial's K held to the theorem's verdict ``expect``."""
+    max_k = max(np.abs(K).tolist(), default=0.0)
+    threshold = tol_K * (1.0 + max_k)
+    if expect is SignClass.ZERO:  # flat within the scale-aware zero band
+        return [Check(np.asarray(not (abs(K) <= threshold).all()),
+                      lambda _: (f"expected flat: max|K|={max_k:.3e} "
+                                 f"vs threshold {threshold:.3e}"))]
+    if expect is None:
+        # no sign predicted: curved at sampling resolution is the claim
+        return [Check(np.asarray(not (abs(K) > 10.0 * threshold).any()),
+                      lambda _: (f"expected curvature above {10.0 * threshold:.3e}, "
+                                 f"max|K|={max_k:.3e}"))]
+
+    # |K| spans many decades across the grid, so a scale-aware zero band
+    # would hide the sign of small K: check it strictly.
+    def describe(i: int) -> str:
+        k = K.item(i)
+        got = (SignClass.POSITIVE if k > 0.0 else
+               SignClass.NEGATIVE if k < 0.0 else SignClass.ZERO)
+        return (f"sign {got.value} != predicted {expect.value} "
+                f"at {_at(u, v, i)} with K={k:.3e}")
+    return [Check(~(K > 0.0) if expect is SignClass.POSITIVE else ~(K < 0.0), describe)]
+
+
+def _problems(checks: list[Check]) -> tuple[str | None, int]:
+    """The first problem that a loop over the points would report, point by
+    point and check by check at each point, and how many it would report."""
+    firsts = [(int(c.bad.argmax()), n) for n, c in enumerate(checks) if c.bad.any()]
+    if not firsts:
+        return None, 0
+    i, n = min(firsts)
+    return checks[n].describe(i), sum(int(np.count_nonzero(c.bad)) for c in checks)
+
+
 def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
                 tol_K: float) -> VerifySummary:
     """Randomized check of a family's theorem.  Each trial sweeps the grid
-    points inside the domain, compares closed-form K with autodiff K, runs
-    the family's side checks and holds the sweep to the theorem's verdict
-    for the drawn parameters."""
+    points inside the domain in one batch, compares closed-form K with
+    autodiff K, runs the family's side checks and holds the sweep to the
+    theorem's verdict for the drawn parameters.  A trial that fails raises
+    the error its first failing point raises on its own."""
     out = VerifySummary(theorem=family.theorem)
-    points = sample_grid(grid)
+    us, vs = _grid_points(grid)
     for label, p in family.trials(trials, seed):
         out.trials += 1
-        problems = []
-        ks = []
-        for u, v in points:
-            if not family.domain_valid(p, u, v):
-                continue
-            jet = family.jet(p, u, v)
-            k_ad = surface.gaussian_curvature(surface.fundamental_forms(jet))
-            ks.append((u, v, k_ad))
-            k_closed = family.closed_K(p, u, v)
-            dev = _rel_dev(k_closed, k_ad)
-            out.worst_closed_vs_autodiff = max(out.worst_closed_vs_autodiff, dev)
-            if dev > CLOSED_VS_AUTODIFF_RTOL:
-                problems.append(
-                    f"closed-form K={k_closed:.6e} vs autodiff K={k_ad:.6e} "
-                    f"at ({u:.4g}, {v:.4g})")
-            problems.extend(family.side_checks(p, u, v))
-        expect = family.verdict(p).expect
-        max_k = max((abs(k) for *_, k in ks), default=0.0)
-        threshold = tol_K * (1.0 + max_k)
-        if expect is SignClass.ZERO:  # flat within the scale-aware zero band
-            if not all(abs(k) <= threshold for *_, k in ks):
-                problems.append(f"expected flat: max|K|={max_k:.3e} "
-                                f"vs threshold {threshold:.3e}")
-        elif expect is None:
-            # no sign predicted: curved at sampling resolution is the claim
-            if not any(abs(k) > 10.0 * threshold for *_, k in ks):
-                problems.append(f"expected curvature above {10.0 * threshold:.3e}, "
-                                f"max|K|={max_k:.3e}")
-        else:
-            # |K| spans many decades across the grid, so a scale-aware zero
-            # band would hide the sign of small K: check it strictly.
-            for u, v, k in ks:
-                got = (SignClass.POSITIVE if k > 0.0 else
-                       SignClass.NEGATIVE if k < 0.0 else SignClass.ZERO)
-                if got is not expect:
-                    problems.append(
-                        f"sign {got.value} != predicted {expect.value} "
-                        f"at ({u:.4g}, {v:.4g}) with K={k:.3e}")
-        if problems:
+
+        def sweep(n: int):
+            """The points of [0, n) in the domain, and K both ways and the
+            side checks there."""
+            valid = family.domain_valid(p, us[:n], vs[:n])
+            u, v = us[:n][valid], vs[:n][valid]
+            K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u, v)))
+            return u, v, K, family.closed_K(p, u, v), family.side_checks(p, u, v)
+
+        # Overflow to inf or NaN is what the program's checks report.
+        with np.errstate(all="ignore"):
+            try:
+                u, v, K, K_closed, side = sweep(len(us))
+            except (ProdGeoError, ArithmeticError):
+                sweep(_first_failing_prefix(sweep, len(us)))
+                raise
+            dev = _rel_dev(K_closed, K)
+            out.worst_closed_vs_autodiff = float(
+                np.fmax.reduce(dev, initial=out.worst_closed_vs_autodiff))
+            closed = Check(dev > CLOSED_VS_AUTODIFF_RTOL,
+                           lambda i: (f"closed-form K={K_closed.item(i):.6e} vs "
+                                      f"autodiff K={K.item(i):.6e} at {_at(u, v, i)}"))
+            first, count = _problems([closed, *side])
+            verdict_first, verdict_count = _problems(
+                _verdict_checks(family.verdict(p).expect, u, v, K, tol_K))
+        count += verdict_count
+        if count:
             out.failures.append(
-                f"{label} params={models.params_to_json(p)}: " + problems[0]
-                + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""))
+                f"{label} params={models.params_to_json(p)}: {first or verdict_first}"
+                + (f" (+{count - 1} more)" if count > 1 else ""))
         else:
             out.passes += 1
     return out

@@ -216,6 +216,15 @@ def _compose(a: Jet2, g, dg, ddg) -> Jet2:
     )
 
 
+def _libm_pow(x: np.ndarray, p) -> np.ndarray:
+    """x ** p element by element, as a float array: the power ufunc's
+    object loop calls float's own ``**`` on each element, so each gets
+    libm's ``pow`` bits (the float64 loop of ``np.power`` rounds some
+    differently) and the first element whose power fails raises float's
+    error.  ``x`` is a float or an object ndarray."""
+    return (x.astype(object, copy=False) ** p).astype(float)
+
+
 def _power(x: float, p: float) -> tuple[float, float, float]:
     if x <= 0.0:
         raise DomainError(f"powr requires a positive base, got {x}")
@@ -223,6 +232,19 @@ def _power(x: float, p: float) -> tuple[float, float, float]:
         return x ** p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0)
     except OverflowError:
         raise NonFiniteError(f"power overflow: {x} ** {p}") from None
+
+
+def _power_elements(x: np.ndarray, p: float) -> tuple:
+    """_power on each element of x, through three passes of _libm_pow."""
+    if not (x <= 0.0).any():
+        boxed = x.astype(object)
+        try:
+            return (_libm_pow(boxed, p), p * _libm_pow(boxed, p - 1.0),
+                    p * (p - 1.0) * _libm_pow(boxed, p - 2.0))
+        except OverflowError:
+            pass
+    # some element fails: _power, element by element, raises its error
+    return _elementwise(_power, x, p)
 
 
 def powr(a: Jet2, p: Scalar) -> Jet2:
@@ -233,7 +255,7 @@ def powr(a: Jet2, p: Scalar) -> Jet2:
     """
     p = float(p)
     if isinstance(a.val, _ndarray):
-        g, dg, ddg = _elementwise(_power, a.val, p)
+        g, dg, ddg = _power_elements(a.val, p)
     else:
         g, dg, ddg = _power(a.val, p)
     return _compose(a, g, dg, ddg)

@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_close
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
-from prodgeo.errors import DomainError
+from prodgeo.errors import DomainError, ProdGeoError
 from prodgeo.surface import SignClass
 
 
@@ -194,3 +197,56 @@ class TestDevelopability:
                 assert k > 0.0
             else:
                 assert k < 0.0
+
+
+# --- Closed forms on ndarray slots ---------------------------------------------
+
+CLOSED_FORMS = {
+    "ves_denf": lambda p, u, v: curvature.ves_denf(p, u, v),
+    "ves_denf-grouped": lambda p, u, v: curvature.ves_denf(p, u, v, grouped=True),
+    "ves_curvature_closed": lambda p, u, v: curvature.ves_curvature_closed(p, u, v),
+    "kadiyala_T1": lambda p, u, v: curvature.kadiyala_T1(p, u, v),
+    "kadiyala_T2": lambda p, u, v: curvature.kadiyala_T2(p, u, v),
+    "kadiyala_T2-collected": lambda p, u, v: curvature.kadiyala_T2(p, u, v, collected=True),
+    "kadiyala_deng": lambda p, u, v: curvature.kadiyala_deng(p, u, v),
+    "kadiyala_deng_terms": lambda p, u, v: curvature.kadiyala_deng_terms(p, u, v),
+    "kadiyala_curvature_closed": lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),
+}
+# mostly tame coordinates, with the extremes that make closed forms fail
+COORD = st.one_of(st.floats(0.05, 20.0), st.floats(1e-200, 1e200),
+                  st.sampled_from([1e-300, 1e-150, 1e30, 1e100, 1e200, 5e-324, 0.0, -1.0]))
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=st.sampled_from(sorted(CLOSED_FORMS)), seed=st.integers(0, 10**6),
+       condition=st.sampled_from([None, *DevelopabilityReason]),
+       points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6))
+def test_array_closed_forms_match_float_forms_bitwise(form, seed, condition, points):
+    """A closed form on ndarray slots gives, element by element, the bits
+    of the form on floats; where some point fails, it raises the error of
+    the first failing point."""
+    fn = CLOSED_FORMS[form]
+    p = (harness.random_ves_params(seed) if form.startswith("ves")
+         else harness.random_kadiyala_params(seed, condition))
+    outs = []
+    for u, v in points:
+        try:
+            outs.append(fn(p, u, v))
+        except (ProdGeoError, ArithmeticError) as exc:
+            error = (type(exc), str(exc))
+            break
+    else:
+        error = None
+    u, v = (np.array(axis) for axis in zip(*points))
+    if error:
+        with pytest.raises((ProdGeoError, ArithmeticError)) as got:
+            fn(p, u, v)
+        assert (type(got.value), str(got.value)) == error
+        return
+    batch = fn(p, u, v)
+    assert type(batch) is type(outs[0]) if form.endswith("terms") else type(batch) is np.ndarray
+    assert np.array_equal(_bits(batch), _bits(np.transpose(outs)))

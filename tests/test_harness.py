@@ -323,3 +323,126 @@ def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
             == json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines = ["u,v,f,K,H,valid,sign"] + [",".join(_cell(x) for x in row) for row in cells]
     assert harness.emit_grid_report(report, "csv") == "\n".join(lines) + "\n"
+
+
+# --- The batch verify engine against the one-point engine -------------------
+
+def _reference_ves_side_checks(p, u, v):
+    den_a = curvature.ves_denf(p, u, v)
+    den_b = curvature.ves_denf(p, u, v, grouped=True)
+    if den_a <= 0.0:
+        yield f"Den_F={den_a} not positive at ({u:.4g}, {v:.4g})"
+    if harness._rel_dev(den_a, den_b) > harness.DUAL_FORM_RTOL:
+        yield (f"Den_F groupings disagree at ({u:.4g}, {v:.4g}): "
+               f"{den_a!r} vs {den_b!r}")
+
+
+def _reference_kadiyala_side_checks(p, u, v):
+    if min(curvature.kadiyala_deng_terms(p, u, v)) < 0.0:
+        yield f"negative Den_G summand at ({u:.4g}, {v:.4g})"
+    t2a = curvature.kadiyala_T2(p, u, v)
+    t2b = curvature.kadiyala_T2(p, u, v, collected=True)
+    if harness._rel_dev(t2a, t2b) > harness.DUAL_FORM_RTOL:
+        yield (f"T2 groupings disagree at ({u:.4g}, {v:.4g}): "
+               f"{t2a!r} vs {t2b!r}")
+
+
+REFERENCE_SIDE_CHECKS = {"ves": _reference_ves_side_checks,
+                         "kadiyala": _reference_kadiyala_side_checks}
+
+
+def reference_verify(family, trials, seed, grid, tol_K):
+    """The verify engine point by point, as it ran before it took each
+    trial's points in one batch: one-point calls of the jet, the forms,
+    the closed form and the side checks, and the verdict over a list."""
+    out = harness.VerifySummary(theorem=family.theorem)
+    side_checks = REFERENCE_SIDE_CHECKS[family.name]
+    points = harness.sample_grid(grid)
+    for label, p in family.trials(trials, seed):
+        out.trials += 1
+        problems = []
+        ks = []
+        for u, v in points:
+            if not family.domain_valid(p, u, v):
+                continue
+            jet = family.jet(p, u, v)
+            k_ad = surface.gaussian_curvature(surface.fundamental_forms(jet))
+            ks.append((u, v, k_ad))
+            k_closed = family.closed_K(p, u, v)
+            dev = harness._rel_dev(k_closed, k_ad)
+            out.worst_closed_vs_autodiff = max(out.worst_closed_vs_autodiff, dev)
+            if dev > harness.CLOSED_VS_AUTODIFF_RTOL:
+                problems.append(
+                    f"closed-form K={k_closed:.6e} vs autodiff K={k_ad:.6e} "
+                    f"at ({u:.4g}, {v:.4g})")
+            problems.extend(side_checks(p, u, v))
+        expect = family.verdict(p).expect
+        max_k = max((abs(k) for *_, k in ks), default=0.0)
+        threshold = tol_K * (1.0 + max_k)
+        if expect is SignClass.ZERO:
+            if not all(abs(k) <= threshold for *_, k in ks):
+                problems.append(f"expected flat: max|K|={max_k:.3e} "
+                                f"vs threshold {threshold:.3e}")
+        elif expect is None:
+            if not any(abs(k) > 10.0 * threshold for *_, k in ks):
+                problems.append(f"expected curvature above {10.0 * threshold:.3e}, "
+                                f"max|K|={max_k:.3e}")
+        else:
+            for u, v, k in ks:
+                got = (SignClass.POSITIVE if k > 0.0 else
+                       SignClass.NEGATIVE if k < 0.0 else SignClass.ZERO)
+                if got is not expect:
+                    problems.append(
+                        f"sign {got.value} != predicted {expect.value} "
+                        f"at ({u:.4g}, {v:.4g}) with K={k:.3e}")
+        if problems:
+            out.failures.append(
+                f"{label} params={models.params_to_json(p)}: " + problems[0]
+                + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""))
+        else:
+            out.passes += 1
+    return out
+
+
+def _corrupt_verdicts(monkeypatch):
+    """Flip the VES sign and negate Kadiyala developability."""
+    ves_verdict, kadiyala_verdict = (curvature.ves_theorem_verdict,
+                                     curvature.kadiyala_is_developable)
+    flipped = {SignClass.POSITIVE: SignClass.NEGATIVE,
+               SignClass.NEGATIVE: SignClass.POSITIVE, SignClass.ZERO: SignClass.POSITIVE}
+    monkeypatch.setattr(curvature, "ves_theorem_verdict",
+                        lambda p: (ves_verdict(p)[0], flipped[ves_verdict(p)[1]]))
+    monkeypatch.setattr(curvature, "kadiyala_is_developable",
+                        lambda p: DevelopabilityVerdict(not kadiyala_verdict(p).developable,
+                                                        kadiyala_verdict(p).reason))
+
+
+def _outcome(run, *args):
+    """What a verify run reports, with its worst deviation's bits, or the
+    error it raises."""
+    try:
+        out = run(*args)
+    except (ProdGeoError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return (out.trials, out.passes, out.failures,
+            math.copysign(1.0, out.worst_closed_vs_autodiff),
+            out.worst_closed_vs_autodiff.hex())
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(sorted(harness.FAMILIES)), seed=st.integers(0, 10**6),
+       trials=st.integers(1, 3), spec=st.one_of(grid_specs(), st.just(SMALL_GRID)),
+       tol=st.sampled_from([1e-9, 1e-14, 1e-3, 0.5]), corrupt=st.booleans())
+# the first failing point fails in the closed form, later points in the jet
+@example(family="kadiyala", seed=0, trials=2, spec=GridSpec(1e100, 1e200, 1, 2, 3, 2),
+         tol=1e-9, corrupt=False)
+def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, corrupt):
+    """The same trials, passes, failure texts and worst deviation, to the
+    bit, as the one-point engine; or the same error."""
+    family = harness.FAMILIES[family]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if corrupt:
+            _corrupt_verdicts(monkeypatch)
+        want = _outcome(reference_verify, family, trials, seed, spec, tol)
+        got = _outcome(harness._run_verify, family, trials, seed, spec, tol)
+    assert got == want
