@@ -20,8 +20,9 @@ batch).  One formula text serves both: a batch runs on ``_Batch`` views,
 whose ``**`` is libm's ``pow`` element by element (``jets._libm_pow``),
 so every element gets the bits of the float form.  Where some point of
 a batch fails, the call raises the error the first failing point raises
-on its own.  A power that overflows a float raises NonFiniteError
-naming the function and the point.
+on its own.  A power that overflows a float, and a closed-form K that
+comes out inf or NaN, raise NonFiniteError naming the function and the
+point.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ def _batch(form, p, u: np.ndarray, v: np.ndarray, *flags):
     return out.view(_ndarray)
 
 
+def _finite_K(name: str, K, u, v):
+    """K, unless it is inf or NaN somewhere, as an overflow in a product or
+    quotient of finite terms leaves it."""
+    bad = K - K != 0.0  # only inf and NaN give NaN
+    if bad is not False and (at := _at_first(bad, u, v)):
+        raise _overflow(name, *at)
+    return K
+
+
 # --- VES -------------------------------------------------------------------
 
 def ves_denf(p: VesParams, u: float, v: float,
@@ -127,10 +137,7 @@ def ves_curvature_closed(p: VesParams, u: float, v: float) -> float:
         raise _overflow("ves_curvature_closed", u, v) from None
     den = ves_denf(p, u, v)
     # Divide twice rather than squaring den, which can overflow first.
-    zero = den == 0.0
-    if zero is not False and _at_first(zero) is not None:  # as a float's / raises
-        raise ZeroDivisionError("float division by zero")
-    return num / den / den
+    return _finite_K("ves_curvature_closed", num / den / den, u, v)
 
 
 def ves_theorem_verdict(p: VesParams) -> tuple[ReturnsToScale, SignClass]:
@@ -258,7 +265,8 @@ def kadiyala_curvature_closed(p: KadiyalaParams, u: float, v: float) -> float:
         return _batch(kadiyala_curvature_closed, p, u, v)
     den = kadiyala_deng(p, u, v)
     # T1/den * T2/den keeps intermediates in range; den^2 can overflow.
-    return (kadiyala_T1(p, u, v) / den) * (kadiyala_T2(p, u, v) / den)
+    return _finite_K("kadiyala_curvature_closed",
+                     (kadiyala_T1(p, u, v) / den) * (kadiyala_T2(p, u, v) / den), u, v)
 
 
 class DevelopabilityReason(enum.Enum):

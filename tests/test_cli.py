@@ -173,11 +173,14 @@ def test_bad_point_exit_2(capsys):
 
 
 CLOSED_FORM_OVERFLOW = ("verify-t1", "--trials", "3", "--grid", "1e100,1e101,2,1e100,1e101,2")
+#: every power is finite; their product overflows to K = -inf
+PRODUCT_OVERFLOW = ("verify-t1", "--trials", "3", "--grid", "1e30,1e31,2,1e30,1e31,2")
 STEEP_SLOPES = ("grid", "--model", "ves", "--params", '{"k":1,"beta":0.5,"rho":0.5,"delta":3}',
                 "--grid", "1e100,1e101,2,1e100,1e101,2")
 #: what the error line must name, where the input is finite but overflows
 NAMED = {
     CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
+    PRODUCT_OVERFLOW: "ves_curvature_closed overflows a float at (1e+30, 1e+30)",
     STEEP_SLOPES: "1 + f_u^2 + f_v^2 overflows at slopes",
 }
 
@@ -192,6 +195,8 @@ NAMED = {
     CLOSED_FORM_OVERFLOW,
     # slopes so steep that 1 + f_u^2 + f_v^2 overflows: K read 0, H nan
     STEEP_SLOPES,
+    # finite input whose closed-form K overflows through a product of powers
+    PRODUCT_OVERFLOW,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -77,8 +77,9 @@ CASES = {
                              "--grid", "0.5,2,4,0.5,2,4,linear", "--strict-domain",
                              "--format", "json"),
     # edges of a verify run: closed forms that overflow through a product of
-    # finite powers, and power overflows; in verify-t2's, the first failing
-    # point fails in the closed form and later points fail earlier, in the jet
+    # finite powers (an error naming the function and the point, exit 2), and
+    # power overflows; in verify-t2's, the first failing point fails in the
+    # closed form and later points fail earlier, in the jet
     "verify-t1-product-overflow": ("verify-t1", "--trials", "3",
                                    "--grid", "1e30,1e31,2,1e30,1e31,2"),
     "verify-t2-product-overflow": ("verify-t2", "--trials", "2",
@@ -120,9 +121,9 @@ GOLDEN = {
     "verify-t1": "44af02dbf8178e72cd672af09970fb0fb282847eececddfba73d7a2f9b30d594",
     "verify-t2": "01da3848ab99c42efb8958eaf8b6b31441bc2bb8b14fdcff79810392afd9ee18",
     "verify-t1-power-overflow": "5554f72e6b7c3cea461964470aece575dcafab868d7ec5ff9051ad148e32f4be",
-    "verify-t1-product-overflow": "1e82e7031adf214b282d526486cd706ff30090465865c7a8117c958d3f2f164c",
+    "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",
     "verify-t2-power-overflow": "9813ed2fc2d4b034de2f5733a2db48a8dac361f3f930246ed2f5cba8cbd83d78",
-    "verify-t2-product-overflow": "253dd40fe0fa39173d0fe9ab52016d6798ebdbe6e4a0ef25708aeebaf451f391",
+    "verify-t2-product-overflow": "323554477491ebeb42e009c69d6ec1015a63b12848fb986b7c3d7ad4375e3122",
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import assert_close
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
-from prodgeo.errors import DomainError, ProdGeoError
+from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError
 from prodgeo.surface import SignClass
 
 
@@ -250,3 +250,21 @@ def test_array_closed_forms_match_float_forms_bitwise(form, seed, condition, poi
     batch = fn(p, u, v)
     assert type(batch) is type(outs[0]) if form.endswith("terms") else type(batch) is np.ndarray
     assert np.array_equal(_bits(batch), _bits(np.transpose(outs)))
+
+
+@pytest.mark.parametrize("form,params", [
+    (curvature.ves_curvature_closed,
+     models.ves_validate(0.9402327520733241, 0.9104308447003244, 0.9942392269310698,
+                         1.2639989664077453)),
+    (curvature.kadiyala_curvature_closed,
+     models.kadiyala_validate(0.23015773818345153, 0.24958983938568174,
+                              0.27066258304518503, 1.0, 1.0, 0.7962262783397341)),
+])
+def test_non_finite_K_names_the_function_and_point(form, params):
+    """Every power is finite at (1e30, 1e30), but their product overflows,
+    so K would be inf; a point and a batch raise alike."""
+    message = rf"{form.__name__} overflows a float at \(1e\+30, 1e\+30\)"
+    with pytest.raises(NonFiniteError, match=message):
+        form(params, 1e30, 1e30)
+    with pytest.raises(NonFiniteError, match=message):
+        form(params, np.array([1.0, 1e30, 1e31]), np.array([1.0, 1e30, 1e31]))
