@@ -531,13 +531,6 @@ def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def grid_report_from_json(text: str) -> GridReport:
-    data = json.loads(text)
-    columns = (tuple(row[key] for row in data["rows"])
-               for key in ("u", "v", "f", "K", "H", "valid", "sign"))
-    return GridReport(data["model"], *columns, summary=data["summary"])
-
-
 # --- Theorem verification runs --------------------------------------------
 
 @dataclass

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, fields
 
 from . import jets
-from .errors import (ConstraintViolation, DomainError, NonPositiveInputError,
-                     SingularPointError)
+from .errors import ConstraintViolation, DomainError, NonPositiveInputError
 from .jets import Jet2, _at_first
 
 PARAM_EQ_TOL = 1e-12  # tolerance for equality checks on user-supplied parameters
@@ -97,15 +96,6 @@ def kadiyala_validate(k1, k2, k3, beta1, beta2, delta) -> KadiyalaParams:
     checked, never silently rescaled."""
     return KadiyalaParams(float(k1), float(k2), float(k3),
                           float(beta1), float(beta2), float(delta))
-
-
-def kadiyala_normalized(k1, k2, k3, beta1, beta2, delta) -> KadiyalaParams:
-    """Convenience constructor that rescales the weights explicitly so
-    that k1 + 2*k2 + k3 = 1 before validating."""
-    s = k1 + 2 * k2 + k3
-    if s <= 0:
-        raise ConstraintViolation("k1+2*k2+k3>0", "weights sum to a non-positive value")
-    return kadiyala_validate(k1 / s, k2 / s, k3 / s, beta1, beta2, delta)
 
 
 # --- JSON wire format (snake_case keys, unknown keys rejected) -------------
@@ -210,23 +200,6 @@ def ves_elasticity(p: VesParams, u: float, v: float) -> float:
     """
     _check_positive(u, v)
     return 1.0 + (p.rho - 1.0) / (1.0 - p.beta * p.rho) * (u / v)
-
-
-def elasticity_oracle(jet: Jet2, u: float, v: float) -> float:
-    """Two-input Hicks elasticity of substitution from derivatives:
-
-        sigma = - f_u f_v (u f_u + v f_v)
-                / (u v (f_uu f_v^2 - 2 f_uv f_u f_v + f_vv f_u^2))
-
-    Independent of any closed form; used to cross-check ves_elasticity.
-    """
-    fu, fv = jet.d1, jet.d2
-    den = u * v * (jet.d11 * fv * fv - 2.0 * jet.d12 * fu * fv
-                   + jet.d22 * fu * fu)
-    if den == 0.0:
-        raise SingularPointError(
-            f"elasticity denominator vanishes at ({u}, {v})")
-    return -fu * fv * (u * fu + v * fv) / den
 
 
 # --- Kadiyala specializations ---------------------------------------------

@@ -1,10 +1,15 @@
-"""Shared test utilities: tolerance asserts and a generator of random
-positive-valued composite expressions for oracle comparisons."""
+"""Shared test utilities: tolerance asserts, a generator of random
+positive-valued composite expressions for oracle comparisons, and
+helpers that only tests call."""
 
+import json
 import random
 
-from prodgeo import jets
+from prodgeo import jets, models
+from prodgeo.errors import ConstraintViolation, SingularPointError
+from prodgeo.harness import GridReport
 from prodgeo.jets import Jet2
+from prodgeo.models import KadiyalaParams
 
 
 def assert_close(actual, expected, rtol, label=""):
@@ -64,3 +69,37 @@ def tame_expression(rng: random.Random, u0: float, v0: float,
 def as_scalar_field(expr):
     """Adapt a jet expression to a plain (float, float) -> float field."""
     return lambda u, v: expr(jets.constant(u), jets.constant(v)).val
+
+
+def kadiyala_normalized(k1, k2, k3, beta1, beta2, delta) -> KadiyalaParams:
+    """Kadiyala parameters with the weights rescaled explicitly so that
+    k1 + 2*k2 + k3 = 1 before validating."""
+    s = k1 + 2 * k2 + k3
+    if s <= 0:
+        raise ConstraintViolation("k1+2*k2+k3>0", "weights sum to a non-positive value")
+    return models.kadiyala_validate(k1 / s, k2 / s, k3 / s, beta1, beta2, delta)
+
+
+def elasticity_oracle(jet: Jet2, u: float, v: float) -> float:
+    """Two-input Hicks elasticity of substitution from derivatives:
+
+        sigma = - f_u f_v (u f_u + v f_v)
+                / (u v (f_uu f_v^2 - 2 f_uv f_u f_v + f_vv f_u^2))
+
+    Independent of any closed form; used to cross-check ves_elasticity.
+    """
+    fu, fv = jet.d1, jet.d2
+    den = u * v * (jet.d11 * fv * fv - 2.0 * jet.d12 * fu * fv
+                   + jet.d22 * fu * fu)
+    if den == 0.0:
+        raise SingularPointError(
+            f"elasticity denominator vanishes at ({u}, {v})")
+    return -fu * fv * (u * fu + v * fv) / den
+
+
+def grid_report_from_json(text: str) -> GridReport:
+    """The report that emit_grid_report(report, "json") wrote."""
+    data = json.loads(text)
+    columns = (tuple(row[key] for row in data["rows"])
+               for key in ("u", "v", "f", "K", "H", "valid", "sign"))
+    return GridReport(data["model"], *columns, summary=data["summary"])

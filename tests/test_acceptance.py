@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from helpers import as_scalar_field, assert_close, tame_expression
+from helpers import (as_scalar_field, assert_close, elasticity_oracle, kadiyala_normalized,
+                     tame_expression)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.errors import SingularPointError
 from prodgeo.surface import SignClass
@@ -156,7 +157,7 @@ def test_criterion_6_reductions_and_homogeneity():
     # k2 = 0, unit exponent sum -> linear aggregator
     p1 = models.kadiyala_validate(0.35, 0.0, 0.65, 0.25, 0.75, 1.7)
     # beta1 = beta2 = 1, rank-one weights -> linear aggregator in roots
-    p2 = models.kadiyala_normalized(0.2, math.sqrt(0.2 * 0.45), 0.45, 1, 1, 1.7)
+    p2 = kadiyala_normalized(0.2, math.sqrt(0.2 * 0.45), 0.45, 1, 1, 1.7)
     # rho = 1 VES -> Cobb-Douglas
     pv = models.ves_validate(2.5, 0.35, 1.0, 1.3)
     for _ in range(200):
@@ -195,7 +196,7 @@ def test_criterion_7_elasticity():
             continue
         jet = models.ves_eval(p, *jets.seed(u, v))
         try:
-            sigma_oracle = models.elasticity_oracle(jet, u, v)
+            sigma_oracle = elasticity_oracle(jet, u, v)
         except SingularPointError:
             continue
         assert_close(models.ves_elasticity(p, u, v), sigma_oracle, 1e-8,

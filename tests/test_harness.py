@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close
+from helpers import assert_close, grid_report_from_json
 from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
 from prodgeo.errors import InvalidSpecError, ProdGeoError, StencilOutOfDomainError
@@ -182,7 +182,7 @@ class TestGridReport:
         p = models.ves_validate(1, 0.5, 0.5, 2)
         report = harness.build_grid_report(p, SMALL_GRID)
         text = harness.emit_grid_report(report, "json")
-        assert harness.grid_report_from_json(text) == report
+        assert grid_report_from_json(text) == report
 
     def test_invalid_points_flagged(self):
         # rho < 1 makes the lower-right corner invalid

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import assert_close
+from helpers import assert_close, elasticity_oracle, kadiyala_normalized
 from prodgeo import jets, models
 from prodgeo.errors import (ConstraintViolation, DomainError,
                             NonPositiveInputError, SingularPointError)
@@ -53,7 +53,7 @@ class TestKadiyalaValidation:
         assert exc.value.clause == "k1+2*k2+k3=1"
 
     def test_explicit_normalizing_constructor(self):
-        p = models.kadiyala_normalized(2, 1, 1, 0.5, 0.5, 1)
+        p = kadiyala_normalized(2, 1, 1, 0.5, 0.5, 1)
         assert_close(p.k1 + 2 * p.k2 + p.k3, 1.0, 1e-15)
         assert_close(p.k1 / p.k3, 2.0, 1e-12)
 
@@ -194,7 +194,7 @@ class TestKadiyalaEval:
         k1, k3 = 0.2, 0.3
         k2 = math.sqrt(k1 * k3)
         s = k1 + 2 * k2 + k3
-        p2 = models.kadiyala_normalized(k1, k2, k3, 1.0, 1.0, 1.8)
+        p2 = kadiyala_normalized(k1, k2, k3, 1.0, 1.0, 1.8)
         for _ in range(100):
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
             assert_close(models.kadiyala_value(p1, u, v),
@@ -233,18 +233,18 @@ class TestElasticity:
     def test_oracle_on_cobb_douglas(self):
         u, v = jets.seed(1.4, 2.3)
         jet = jets.mul(jets.powr(u, 0.3), jets.powr(v, 0.7))
-        assert_close(models.elasticity_oracle(jet, 1.4, 2.3), 1.0, 1e-10)
+        assert_close(elasticity_oracle(jet, 1.4, 2.3), 1.0, 1e-10)
 
     def test_oracle_singular_on_perfect_substitutes(self):
         u, v = jets.seed(1.0, 2.0)
         linear = jets.add(jets.scale(u, 2.0), jets.scale(v, 3.0))
         with pytest.raises(SingularPointError):
-            models.elasticity_oracle(linear, 1.0, 2.0)
+            elasticity_oracle(linear, 1.0, 2.0)
 
     def test_closed_form_matches_oracle_on_ves(self):
         p = models.ves_validate(1, 0.5, 0.5, 1)
         jet = models.ves_eval(p, *jets.seed(1.0, 3.0))
-        assert_close(models.elasticity_oracle(jet, 1.0, 3.0),
+        assert_close(elasticity_oracle(jet, 1.0, 3.0),
                      models.ves_elasticity(p, 1.0, 3.0), 1e-8)
 
 
@@ -272,11 +272,11 @@ class TestSpecialize:
         assert "k2=0" in tag.detail
 
     def test_lu_fletcher(self):
-        p = models.kadiyala_normalized(0.4, 0.3, 0.0, 0.8, 0.7, 2)
+        p = kadiyala_normalized(0.4, 0.3, 0.0, 0.8, 0.7, 2)
         assert models.kadiyala_specialize(p).tag is Family.LU_FLETCHER_TYPE
 
     def test_ves_type_structural(self):
-        p = models.kadiyala_normalized(0.4, 0.3, 0.0, 0.8, 1.0, 2)
+        p = kadiyala_normalized(0.4, 0.3, 0.0, 0.8, 1.0, 2)
         tag = models.kadiyala_specialize(p)
         assert tag.tag is Family.VES_TYPE
 
