@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ProdGeoError
-from .jets import _at_first, _libm_pow
+from .jets import Slot, _at_first, _libm_pow
 from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
 
@@ -82,7 +82,7 @@ def _batch(form, p, u: np.ndarray, v: np.ndarray, *flags):
     return out.view(_ndarray)
 
 
-def _finite_K(name: str, K, u, v):
+def _finite_K(name: str, K: Slot, u: Slot, v: Slot) -> Slot:
     """K, unless it is inf or NaN somewhere, as an overflow in a product or
     quotient of finite terms leaves it."""
     bad = K - K != 0.0  # only inf and NaN give NaN
@@ -93,8 +93,8 @@ def _finite_K(name: str, K, u, v):
 
 # --- VES -------------------------------------------------------------------
 
-def ves_denf(p: VesParams, u: float, v: float,
-             grouped: bool = False) -> float:
+def ves_denf(p: VesParams, u: Slot, v: Slot,
+             grouped: bool = False) -> Slot:
     """The strictly positive denominator base of the VES curvature.
 
     ``grouped=True`` evaluates the sum-of-squares regrouping
@@ -118,7 +118,7 @@ def ves_denf(p: VesParams, u: float, v: float,
         raise _overflow("ves_denf", u, v) from None
 
 
-def ves_curvature_closed(p: VesParams, u: float, v: float) -> float:
+def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
     """Gaussian curvature of the VES surface, closed form:
 
         K = beta*(delta-1)*delta^2*k^2*rho*(beta*rho-1)
@@ -155,13 +155,13 @@ def ves_theorem_verdict(p: VesParams) -> tuple[ReturnsToScale, SignClass]:
 
 # --- Kadiyala --------------------------------------------------------------
 
-def _kad_inner(p: KadiyalaParams, u: float, v: float) -> float:
+def _kad_inner(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     b1, b2 = p.beta1, p.beta2
     return (p.k1 * u ** (b1 + b2) + 2.0 * p.k2 * u ** b1 * v ** b2
             + p.k3 * v ** (b1 + b2))
 
 
-def kadiyala_T1(p: KadiyalaParams, u: float, v: float) -> float:
+def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """First curvature factor; vanishes identically iff delta = 1."""
     if type(u) is _ndarray:
         return _batch(kadiyala_T1, p, u, v)
@@ -176,8 +176,8 @@ def kadiyala_T1(p: KadiyalaParams, u: float, v: float) -> float:
         raise _overflow("kadiyala_T1", u, v) from None
 
 
-def kadiyala_T2(p: KadiyalaParams, u: float, v: float,
-                collected: bool = False) -> float:
+def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot,
+                collected: bool = False) -> Slot:
     """Second curvature factor; vanishes identically iff the parameters
     describe a perfect-substitutes function.
 
@@ -212,7 +212,7 @@ def kadiyala_T2(p: KadiyalaParams, u: float, v: float,
         raise _overflow("kadiyala_T2", u, v) from None
 
 
-def _kad_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
+def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot) -> list[Slot]:
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
@@ -235,7 +235,7 @@ def _kad_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
         raise _overflow("kadiyala_deng", u, v) from None
 
 
-def kadiyala_deng(p: KadiyalaParams, u: float, v: float) -> float:
+def kadiyala_deng(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
     product of non-negative factors under the parameter constraints, so
     the sum is strictly positive on the open first quadrant."""
@@ -251,7 +251,7 @@ def kadiyala_deng(p: KadiyalaParams, u: float, v: float) -> float:
     return total
 
 
-def kadiyala_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
+def kadiyala_deng_terms(p: KadiyalaParams, u: Slot, v: Slot) -> list[Slot]:
     """The five summands of Den_G individually (each must be >= 0)."""
     if type(u) is _ndarray:
         return _batch(kadiyala_deng_terms, p, u, v)
@@ -259,7 +259,7 @@ def kadiyala_deng_terms(p: KadiyalaParams, u: float, v: float) -> list[float]:
     return _kad_deng_terms(p, u, v)
 
 
-def kadiyala_curvature_closed(p: KadiyalaParams, u: float, v: float) -> float:
+def kadiyala_curvature_closed(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Gaussian curvature of the Kadiyala surface: K = T1*T2/Den_G^2."""
     if type(u) is _ndarray:
         return _batch(kadiyala_curvature_closed, p, u, v)

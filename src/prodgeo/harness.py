@@ -21,6 +21,7 @@ import numpy as np
 from . import curvature, jets, models, surface
 from .curvature import DevelopabilityReason
 from .errors import DomainError, InvalidSpecError, ProdGeoError, StencilOutOfDomainError
+from .jets import Slot
 from .models import KadiyalaParams, VesParams
 from .surface import SignClass
 
@@ -257,10 +258,12 @@ class ModelFamily:
     params_type: type
     theorem: str
     params_from_json: Callable[[str], object]
-    #: These take a point's floats or a batch's 1-d arrays of u and v.
-    jet: Callable[[object, float, float], jets.Jet2]
-    domain_valid: Callable[[object, float, float], bool]
-    closed_K: Callable[[object, float, float], float]
+    #: the jet and the domain tests take one point's floats or a batch's
+    #: 1-d arrays of u and v
+    jet: Callable[[object, Slot, Slot], jets.Jet2]
+    domain_valid: Callable[[object, Slot, Slot], bool | np.ndarray]
+    #: closed-form K over a batch
+    closed_K: Callable[[object, np.ndarray, np.ndarray], np.ndarray]
     #: the closed form's side conditions over a batch, in the order a
     #: loop over its points would report them at one point
     side_checks: Callable[[object, np.ndarray, np.ndarray], list[Check]]
@@ -268,10 +271,10 @@ class ModelFamily:
     #: (label, params) per trial, each drawn as the engine asks for it
     trials: Callable[[int, int], Iterator[tuple[str, object]]]
     #: the narrower domain a strict sweep uses; None: the family has none
-    strict_domain_valid: Callable[[object, float, float], bool] | None = None
+    strict_domain_valid: Callable[[object, Slot, Slot], bool | np.ndarray] | None = None
     specialize: Callable[[object], models.FamilyTag] | None = None
 
-    def domain(self, strict: bool) -> Callable[[object, float, float], bool]:
+    def domain(self, strict: bool) -> Callable[[object, Slot, Slot], bool | np.ndarray]:
         """The domain test; a strict one the family lacks is an error."""
         test = self.strict_domain_valid if strict else self.domain_valid
         if test is None:
@@ -280,7 +283,7 @@ class ModelFamily:
         return test
 
 
-def _rel_dev(a: float, b: float) -> float:
+def _rel_dev(a: Slot, b: Slot) -> Slot:
     return abs(a - b) / (1.0 + abs(b))
 
 

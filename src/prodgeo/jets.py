@@ -219,9 +219,9 @@ def _compose(a: Jet2, g, dg, ddg) -> Jet2:
 def _libm_pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p element by element, as a float array: the power ufunc's
     object loop calls float's own ``**`` on each element, so each gets
-    libm's ``pow`` bits (the float64 loop of ``np.power`` rounds some
-    differently) and the first element whose power fails raises float's
-    error.  ``x`` is a float or an object ndarray."""
+    libm's ``pow`` bits (its float64 loop rounds some differently) and the
+    first element whose power fails raises float's error.  ``x`` is a
+    float64 or an object ndarray; boxing it once serves several powers."""
     return (x.astype(object, copy=False) ** p).astype(float)
 
 
