@@ -417,6 +417,25 @@ def _corrupt_verdicts(monkeypatch):
                                                         kadiyala_verdict(p).reason))
 
 
+def _corrupt_checks(monkeypatch):
+    """Move the closed-form K off by 1 where u > v and the second grouping
+    of Den_F and of T2 off by 1e-6 of itself where u <= v, so that
+    different checks fail at different points."""
+    ves_K, kadiyala_K = curvature.ves_curvature_closed, curvature.kadiyala_curvature_closed
+    denf, t2 = curvature.ves_denf, curvature.kadiyala_T2
+    monkeypatch.setattr(curvature, "ves_curvature_closed",
+                        lambda p, u, v: ves_K(p, u, v) + 1.0 * (u > v))
+    monkeypatch.setattr(curvature, "kadiyala_curvature_closed",
+                        lambda p, u, v: kadiyala_K(p, u, v) + 1.0 * (u > v))
+    monkeypatch.setattr(curvature, "ves_denf", lambda p, u, v, grouped=False: (
+        denf(p, u, v, grouped) * (1.0 + 1e-6 * grouped * (u <= v))))
+    monkeypatch.setattr(curvature, "kadiyala_T2", lambda p, u, v, collected=False: (
+        t2(p, u, v, collected) * (1.0 + 1e-6 * collected * (u <= v))))
+
+
+CORRUPT = {"verdicts": _corrupt_verdicts, "checks": _corrupt_checks}
+
+
 def _outcome(run, *args):
     """What a verify run reports, with its worst deviation's bits, or the
     error it raises."""
@@ -432,17 +451,21 @@ def _outcome(run, *args):
 @settings(max_examples=120, deadline=None)
 @given(family=st.sampled_from(sorted(harness.FAMILIES)), seed=st.integers(0, 10**6),
        trials=st.integers(1, 3), spec=st.one_of(grid_specs(), st.just(SMALL_GRID)),
-       tol=st.sampled_from([1e-9, 1e-14, 1e-3, 0.5]), corrupt=st.booleans())
+       tol=st.sampled_from([1e-9, 1e-14, 1e-3, 0.5]),
+       corrupt=st.sampled_from([None, *sorted(CORRUPT)]))
 # the first failing point fails in the closed form, later points in the jet
 @example(family="kadiyala", seed=0, trials=2, spec=GridSpec(1e100, 1e200, 1, 2, 3, 2),
-         tol=1e-9, corrupt=False)
+         tol=1e-9, corrupt=None)
+# a side check fails at (1, 1), before the closed form fails at (2, 1)
+@example(family="ves", seed=3, trials=1, spec=GridSpec(1, 2, 1, 2, 2, 2),
+         tol=1e-9, corrupt="checks")
 def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, corrupt):
     """The same trials, passes, failure texts and worst deviation, to the
     bit, as the one-point engine; or the same error."""
     family = harness.FAMILIES[family]
     with pytest.MonkeyPatch.context() as monkeypatch:
         if corrupt:
-            _corrupt_verdicts(monkeypatch)
+            CORRUPT[corrupt](monkeypatch)
         want = _outcome(reference_verify, family, trials, seed, spec, tol)
         got = _outcome(harness._run_verify, family, trials, seed, spec, tol)
     assert got == want
