@@ -15,7 +15,7 @@ from .harness import (DEFAULT_GRID, GridReport, GridRow, GridSpec, Spacing,
                       VerifySummary, build_grid_report, emit_grid_report,
                       fd_oracle, parse_grid_spec, random_kadiyala_params,
                       random_ves_params, run_verify_theorem1,
-                      run_verify_theorem2, sample_grid)
+                      run_verify_theorem2)
 from .jets import Jet2, constant, seed, seed_u, seed_v
 from .models import (Family, FamilyTag, KadiyalaParams, VesParams,
                      kadiyala_eval, kadiyala_params_from_json,

@@ -7,10 +7,9 @@ the returns-to-scale parameter alone; for Kadiyala the curvature splits
 as T1*T2/Den_G^2, and developability is equivalent to one of the two
 factors vanishing identically.
 
-Where the source expressions admit two algebraic groupings (Den_F, T2)
-both are implemented; the verify engine (``harness``) checks at every
-point it sweeps that they agree to rounding, since long hand-collected
-expressions are the primary transcription risk.
+Long hand-derived expressions are the primary transcription risk, so
+the tests prove each form once against the Monge curvature of the model
+at 60 digits (``tests/test_identities.py``).
 
 Everything here is an independent route to the same K the autodiff
 pipeline produces; the two routes are cross-checked, never merged.
@@ -66,17 +65,17 @@ class _Batch(np.ndarray):
         return _libm_pow(self.view(_ndarray), p).view(_Batch)
 
 
-def _batch(name: str, p, u: np.ndarray, v: np.ndarray, *flags):
+def _batch(name: str, p, u: np.ndarray, v: np.ndarray):
     """The closed form ``name`` at each point of a batch, as plain ndarrays
     (a list of them for a list of slots).  Where some point fails, the
     error that the first failing point raises on its own."""
     form = _AS_DEFINED[name]
     try:
         with np.errstate(all="ignore"):  # the forms' own checks report overflow
-            out = form(p, u.view(_Batch), v.view(_Batch), *flags)
+            out = form(p, u.view(_Batch), v.view(_Batch))
     except (ProdGeoError, ArithmeticError):
         for point in zip(u.tolist(), v.tolist()):
-            form(p, *point, *flags)
+            form(p, *point)
         raise
     if isinstance(out, list):
         return [slot.view(_ndarray) for slot in out]
@@ -94,25 +93,16 @@ def _finite_K(name: str, K: Slot, u: Slot, v: Slot) -> Slot:
 
 # --- VES -------------------------------------------------------------------
 
-def ves_denf(p: VesParams, u: Slot, v: Slot,
-             grouped: bool = False) -> Slot:
-    """The strictly positive denominator base of the VES curvature.
-
-    ``grouped=True`` evaluates the sum-of-squares regrouping
-    (beta*rho*u)^2 + ((rho-1)*u - v*(rho*beta-1))^2 instead of the
-    expanded quadratic; the two must agree to rounding.
-    """
+def ves_denf(p: VesParams, u: Slot, v: Slot) -> Slot:
+    """The strictly positive denominator base of the VES curvature."""
     if type(u) is _ndarray:
-        return _batch("ves_denf", p, u, v, grouped)
+        return _batch("ves_denf", p, u, v)
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     try:
-        if grouped:
-            quad = (b * r * u) ** 2 + ((r - 1.0) * u - v * (r * b - 1.0)) ** 2
-        else:
-            quad = (u * u * (r * (b * b * r + r - 2.0) + 1.0)
-                    - 2.0 * (r - 1.0) * u * v * (b * r - 1.0)
-                    + v * v * (b * r - 1.0) ** 2)
+        quad = (u * u * (r * (b * b * r + r - 2.0) + 1.0)
+                - 2.0 * (r - 1.0) * u * v * (b * r - 1.0)
+                + v * v * (b * r - 1.0) ** 2)
         return (d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r)
                 + agg ** 2 * u ** (2.0 * b * d * r + 2.0))
     except OverflowError:
@@ -177,31 +167,16 @@ def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
         raise _overflow("kadiyala_T1", u, v) from None
 
 
-def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot,
-                collected: bool = False) -> Slot:
+def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Second curvature factor; vanishes identically iff the parameters
-    describe a perfect-substitutes function.
-
-    ``collected=True`` evaluates the four-term form with powers of u and
-    v collected; the default is the original two-term product grouping.
-    The two must agree to rounding.
-    """
+    describe a perfect-substitutes function."""
     if type(u) is _ndarray:
-        return _batch("kadiyala_T2", p, u, v, collected)
+        return _batch("kadiyala_T2", p, u, v)
     _check_positive(u, v)
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2 = p.beta1, p.beta2
     bsum = b1 + b2
     try:
-        if collected:
-            return ((2.0 * b2 ** 3 + 2.0 * b1 * b2 ** 2 - 2.0 * b2 ** 2
-                     - 2.0 * b1 * b2) * k1 * k2 * u ** bsum
-                    - 4.0 * b1 * b2 * k2 * k2 * u ** b1 * v ** b2
-                    + (b1 ** 3 + 3.0 * b2 * b1 ** 2 - b1 ** 2 + 3.0 * b2 ** 2 * b1
-                       - 2.0 * b2 * b1 + b2 ** 3 - b2 ** 2) * k1 * k3
-                    * u ** b2 * v ** b1
-                    + (2.0 * b1 ** 3 + 2.0 * b2 * b1 ** 2 - 2.0 * b1 ** 2
-                       - 2.0 * b2 * b1) * k2 * k3 * v ** bsum)
         return (bsum * k1 * u ** b2
                 * (2.0 * (b2 - 1.0) * b2 * k2 * u ** b1
                    + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)

@@ -26,7 +26,6 @@ from .models import KadiyalaParams, VesParams
 from .surface import SignClass
 
 CLOSED_VS_AUTODIFF_RTOL = 1e-7
-DUAL_FORM_RTOL = 1e-10
 
 
 class Spacing(enum.Enum):
@@ -78,12 +77,6 @@ def _grid_points(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     us = _axis(spec.u_min, spec.u_max, spec.n_u, spec.spacing)
     vs = _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing)
     return np.repeat(us, len(vs)), np.tile(vs, len(us))
-
-
-def sample_grid(spec: GridSpec) -> list[tuple[float, float]]:
-    """All n_u*n_v sample points, ordered lexicographically by (u, v)."""
-    us, vs = _grid_points(spec)
-    return list(zip(us.tolist(), vs.tolist()))
 
 
 def parse_grid_spec(text: str) -> GridSpec:
@@ -296,15 +289,8 @@ def _at(u: np.ndarray, v: np.ndarray, i: int) -> str:
 
 
 def _ves_side_checks(p: VesParams, u: np.ndarray, v: np.ndarray) -> list[Check]:
-    den_a = curvature.ves_denf(p, u, v)
-    den_b = curvature.ves_denf(p, u, v, grouped=True)
-    return [
-        Check(den_a <= 0.0,
-              lambda i: f"Den_F={den_a.item(i)} not positive at {_at(u, v, i)}"),
-        Check(_rel_dev(den_a, den_b) > DUAL_FORM_RTOL,
-              lambda i: (f"Den_F groupings disagree at {_at(u, v, i)}: "
-                         f"{den_a.item(i)!r} vs {den_b.item(i)!r}")),
-    ]
+    den = curvature.ves_denf(p, u, v)
+    return [Check(den <= 0.0, lambda i: f"Den_F={den.item(i)} not positive at {_at(u, v, i)}")]
 
 
 def _ves_verdict(p: VesParams) -> Verdict:
@@ -326,15 +312,8 @@ def _ves_trials(trials: int, seed: int):
 def _kadiyala_side_checks(p: KadiyalaParams, u: np.ndarray,
                           v: np.ndarray) -> list[Check]:
     terms = curvature.kadiyala_deng_terms(p, u, v)
-    t2a = curvature.kadiyala_T2(p, u, v)
-    t2b = curvature.kadiyala_T2(p, u, v, collected=True)
-    return [
-        Check(np.minimum.reduce(terms) < 0.0,
-              lambda i: f"negative Den_G summand at {_at(u, v, i)}"),
-        Check(_rel_dev(t2a, t2b) > DUAL_FORM_RTOL,
-              lambda i: (f"T2 groupings disagree at {_at(u, v, i)}: "
-                         f"{t2a.item(i)!r} vs {t2b.item(i)!r}")),
-    ]
+    return [Check(np.minimum.reduce(terms) < 0.0,
+                  lambda i: f"negative Den_G summand at {_at(u, v, i)}")]
 
 
 def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
@@ -649,9 +628,8 @@ def run_verify_theorem1(trials: int, seed: int,
 
     Trials are stratified across the three returns-to-scale regimes.
     Besides closed form against autodiff, each point checks that Den_F
-    is positive and that its two algebraic groupings agree; the sign of
-    K must be the one predicted from delta alone, strictly at every
-    point, or flat for constant returns.
+    is positive; the sign of K must be the one predicted from delta
+    alone, strictly at every point, or flat for constant returns.
     """
     return _run_verify(VES, trials, seed, grid, tol_K)
 
@@ -666,6 +644,6 @@ def run_verify_theorem2(trials: int, seed: int,
     (at sampling resolution): ``trials`` generic draws violating all
     conditions must each show at least one grid point with |K| more
     than 10x the zero threshold.  Each point also checks that the Den_G
-    summands are non-negative and that T2's two groupings agree.
+    summands are non-negative.
     """
     return _run_verify(KADIYALA, trials, seed, grid, tol_K)

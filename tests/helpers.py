@@ -5,9 +5,9 @@ helpers that only tests call."""
 import json
 import random
 
-from prodgeo import jets, models
+from prodgeo import harness, jets, models
 from prodgeo.errors import ConstraintViolation, SingularPointError
-from prodgeo.harness import GridReport
+from prodgeo.harness import GridReport, GridSpec
 from prodgeo.jets import Jet2
 from prodgeo.models import KadiyalaParams
 
@@ -103,3 +103,9 @@ def grid_report_from_json(text: str) -> GridReport:
     columns = (tuple(row[key] for row in data["rows"])
                for key in ("u", "v", "f", "K", "H", "valid", "sign"))
     return GridReport(data["model"], *columns, summary=data["summary"])
+
+
+def sample_grid(spec: GridSpec) -> list[tuple[float, float]]:
+    """All n_u*n_v sample points, ordered lexicographically by (u, v)."""
+    us, vs = harness._grid_points(spec)
+    return list(zip(us.tolist(), vs.tolist()))

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from helpers import (as_scalar_field, assert_close, elasticity_oracle, kadiyala_normalized,
-                     tame_expression)
+                     sample_grid, tame_expression)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.errors import SingularPointError
 from prodgeo.surface import SignClass
@@ -137,7 +137,7 @@ def test_criterion_4_theorem2_kadiyala():
 
 def test_criterion_5_denominator_positivity():
     rng = random.Random(ACCEPT_SEED + 2)
-    grid = harness.sample_grid(harness.DEFAULT_GRID)
+    grid = sample_grid(harness.DEFAULT_GRID)
     for s in range(40):
         p = harness.random_ves_params(rng.randrange(2**31))
         for u, v in grid[:: 7]:

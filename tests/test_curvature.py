@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close
+from helpers import assert_close, sample_grid
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
 from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError
@@ -56,17 +56,14 @@ class TestVesClosedForm:
         k_ad = autodiff_K(p, 1.0, 2.0)
         assert_close(curvature.ves_curvature_closed(p, 1.0, 2.0), k_ad, 1e-8)
 
-    def test_denf_positive_and_groupings_agree(self):
+    def test_denf_positive(self):
         rng = random.Random(32)
         for _ in range(200):
             p = harness.random_ves_params(rng.randrange(2**31))
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
             if not models.ves_domain_valid(p, u, v, strict=False):
                 continue
-            a = curvature.ves_denf(p, u, v)
-            b = curvature.ves_denf(p, u, v, grouped=True)
-            assert a > 0.0
-            assert_close(a, b, 1e-10, "Den_F groupings")
+            assert curvature.ves_denf(p, u, v) > 0.0
 
     def test_denf_value_frozen(self):
         # direct evaluation of the expression at a hand-checkable point:
@@ -104,15 +101,6 @@ class TestKadiyalaFactors:
         for u, v in ((1, 1), (0.3, 4), (9, 0.2)):
             assert_close(curvature.kadiyala_T2(p1, u, v), 0.0, 1e-12)
             assert_close(curvature.kadiyala_T2(p2, u, v), 0.0, 1e-12)
-
-    def test_t2_groupings_agree(self):
-        rng = random.Random(33)
-        for _ in range(200):
-            p = harness.random_kadiyala_params(rng.randrange(2**31))
-            u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
-            a = curvature.kadiyala_T2(p, u, v)
-            b = curvature.kadiyala_T2(p, u, v, collected=True)
-            assert_close(a, b, 1e-10, "T2 groupings")
 
     def test_t2_nonzero_generic(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
@@ -179,7 +167,7 @@ class TestDevelopability:
         assert v.reason is DevelopabilityReason.NOT_DEVELOPABLE
         # confirmed by actual curvature on the default grid
         max_k = max(abs(autodiff_K(p, u, v_))
-                    for u, v_ in harness.sample_grid(harness.DEFAULT_GRID))
+                    for u, v_ in sample_grid(harness.DEFAULT_GRID))
         assert max_k > 1e-8
 
     def test_theorem_sign_property(self):
@@ -203,11 +191,9 @@ class TestDevelopability:
 
 CLOSED_FORMS = {
     "ves_denf": lambda p, u, v: curvature.ves_denf(p, u, v),
-    "ves_denf-grouped": lambda p, u, v: curvature.ves_denf(p, u, v, grouped=True),
     "ves_curvature_closed": lambda p, u, v: curvature.ves_curvature_closed(p, u, v),
     "kadiyala_T1": lambda p, u, v: curvature.kadiyala_T1(p, u, v),
     "kadiyala_T2": lambda p, u, v: curvature.kadiyala_T2(p, u, v),
-    "kadiyala_T2-collected": lambda p, u, v: curvature.kadiyala_T2(p, u, v, collected=True),
     "kadiyala_deng": lambda p, u, v: curvature.kadiyala_deng(p, u, v),
     "kadiyala_deng_terms": lambda p, u, v: curvature.kadiyala_deng_terms(p, u, v),
     "kadiyala_curvature_closed": lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),

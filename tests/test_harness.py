@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close, grid_report_from_json
+from helpers import assert_close, grid_report_from_json, sample_grid
 from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
 from prodgeo.errors import InvalidSpecError, ProdGeoError, StencilOutOfDomainError
@@ -16,17 +16,17 @@ from prodgeo.surface import SignClass
 class TestGrid:
     def test_linear_corners(self):
         spec = GridSpec(1, 10, 1, 10, 2, 2, Spacing.LINEAR)
-        assert set(harness.sample_grid(spec)) == {(1, 1), (1, 10), (10, 1), (10, 10)}
+        assert set(sample_grid(spec)) == {(1, 1), (1, 10), (10, 1), (10, 10)}
 
     def test_log_midpoint(self):
         spec = GridSpec(1, 100, 1, 1, 3, 1, Spacing.LOGARITHMIC)
-        us = [u for u, _ in harness.sample_grid(spec)]
+        us = [u for u, _ in sample_grid(spec)]
         assert_close(us[0], 1, 1e-12)
         assert_close(us[1], 10, 1e-12)
         assert_close(us[2], 100, 1e-12)
 
     def test_default_grid_size(self):
-        pts = harness.sample_grid(harness.DEFAULT_GRID)
+        pts = sample_grid(harness.DEFAULT_GRID)
         assert len(pts) == 400
         assert all(u > 0 and v > 0 for u, v in pts)
 
@@ -161,6 +161,13 @@ class TestVerificationRuns:
         assert not out.ok
         assert out.trials == 8 and out.passes == 0
 
+    def test_theorem2_forward_trials_pass_on_a_large_grid(self):
+        # A second grouping of T2 once failed here, where T2 cancels to
+        # rounding noise on a developable draw.
+        out = harness.run_verify_theorem2(1, 0, GridSpec(1e4, 1e5, 1e4, 1e5, 2, 2))
+        assert out.trials == 4
+        assert not [f for f in out.failures if f.startswith("forward trial")]
+
 
 class TestGridReport:
     def test_csv_shape(self):
@@ -231,7 +238,7 @@ def reference_grid(params, spec, strict_domain, tol_K):
     family = next(f for f in harness.FAMILIES.values() if isinstance(params, f.params_type))
     in_domain = family.domain(strict_domain)
     evaluated = []
-    for u, v in sorted(harness.sample_grid(spec)):
+    for u, v in sorted(sample_grid(spec)):
         if not in_domain(params, u, v):
             evaluated.append((u, v, None, None, None, False))
             continue
@@ -328,23 +335,14 @@ def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
 # --- The batch verify engine against the one-point engine -------------------
 
 def _reference_ves_side_checks(p, u, v):
-    den_a = curvature.ves_denf(p, u, v)
-    den_b = curvature.ves_denf(p, u, v, grouped=True)
-    if den_a <= 0.0:
-        yield f"Den_F={den_a} not positive at ({u:.4g}, {v:.4g})"
-    if harness._rel_dev(den_a, den_b) > harness.DUAL_FORM_RTOL:
-        yield (f"Den_F groupings disagree at ({u:.4g}, {v:.4g}): "
-               f"{den_a!r} vs {den_b!r}")
+    den = curvature.ves_denf(p, u, v)
+    if den <= 0.0:
+        yield f"Den_F={den} not positive at ({u:.4g}, {v:.4g})"
 
 
 def _reference_kadiyala_side_checks(p, u, v):
     if min(curvature.kadiyala_deng_terms(p, u, v)) < 0.0:
         yield f"negative Den_G summand at ({u:.4g}, {v:.4g})"
-    t2a = curvature.kadiyala_T2(p, u, v)
-    t2b = curvature.kadiyala_T2(p, u, v, collected=True)
-    if harness._rel_dev(t2a, t2b) > harness.DUAL_FORM_RTOL:
-        yield (f"T2 groupings disagree at ({u:.4g}, {v:.4g}): "
-               f"{t2a!r} vs {t2b!r}")
 
 
 REFERENCE_SIDE_CHECKS = {"ves": _reference_ves_side_checks,
@@ -357,7 +355,7 @@ def reference_verify(family, trials, seed, grid, tol_K):
     the closed form and the side checks, and the verdict over a list."""
     out = harness.VerifySummary(theorem=family.theorem)
     side_checks = REFERENCE_SIDE_CHECKS[family.name]
-    points = harness.sample_grid(grid)
+    points = sample_grid(grid)
     for label, p in family.trials(trials, seed):
         out.trials += 1
         problems = []
@@ -418,19 +416,23 @@ def _corrupt_verdicts(monkeypatch):
 
 
 def _corrupt_checks(monkeypatch):
-    """Move the closed-form K off by 1 where u > v and the second grouping
-    of Den_F and of T2 off by 1e-6 of itself where u <= v, so that
-    different checks fail at different points."""
+    """Move the closed-form K off by 1 where u > v, and negate Den_F and
+    the first Den_G summand where u <= v, so that different checks fail
+    at different points.  K keeps its bits where u <= v: it divides by
+    Den_F twice, and Den_G sums its terms without kadiyala_deng_terms."""
     ves_K, kadiyala_K = curvature.ves_curvature_closed, curvature.kadiyala_curvature_closed
-    denf, t2 = curvature.ves_denf, curvature.kadiyala_T2
+    denf, deng_terms = curvature.ves_denf, curvature.kadiyala_deng_terms
     monkeypatch.setattr(curvature, "ves_curvature_closed",
                         lambda p, u, v: ves_K(p, u, v) + 1.0 * (u > v))
     monkeypatch.setattr(curvature, "kadiyala_curvature_closed",
                         lambda p, u, v: kadiyala_K(p, u, v) + 1.0 * (u > v))
-    monkeypatch.setattr(curvature, "ves_denf", lambda p, u, v, grouped=False: (
-        denf(p, u, v, grouped) * (1.0 + 1e-6 * grouped * (u <= v))))
-    monkeypatch.setattr(curvature, "kadiyala_T2", lambda p, u, v, collected=False: (
-        t2(p, u, v, collected) * (1.0 + 1e-6 * collected * (u <= v))))
+    monkeypatch.setattr(curvature, "ves_denf",
+                        lambda p, u, v: denf(p, u, v) * (1.0 - 2.0 * (u <= v)))
+
+    def negated_first_summand(p, u, v):
+        a1, *rest = deng_terms(p, u, v)
+        return [a1 * (1.0 - 2.0 * (u <= v)), *rest]
+    monkeypatch.setattr(curvature, "kadiyala_deng_terms", negated_first_summand)
 
 
 CORRUPT = {"verdicts": _corrupt_verdicts, "checks": _corrupt_checks}
@@ -458,6 +460,8 @@ def _outcome(run, *args):
          tol=1e-9, corrupt=None)
 # a side check fails at (1, 1), before the closed form fails at (2, 1)
 @example(family="ves", seed=3, trials=1, spec=GridSpec(1, 2, 1, 2, 2, 2),
+         tol=1e-9, corrupt="checks")
+@example(family="kadiyala", seed=3, trials=1, spec=GridSpec(1, 2, 1, 2, 2, 2),
          tol=1e-9, corrupt="checks")
 def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, corrupt):
     """The same trials, passes, failure texts and worst deviation, to the
