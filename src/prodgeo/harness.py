@@ -9,6 +9,7 @@ instead of raising, so one bad draw cannot mask the rest.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import random
@@ -408,6 +409,22 @@ class GridReport:
         return tuple(map(GridRow, self.u, self.v, self.f, self.K, self.H,
                          self.valid, self.sign))
 
+    @functools.cached_property
+    def _reprs(self) -> dict[str, list[str]]:
+        """repr of every cell of u, v, f, K, H and valid, formatted once
+        for both of emit_grid_report's formats."""
+        return {"u": _repr_each_value(self.u), "v": _repr_each_value(self.v),
+                "f": list(map(repr, self.f)), "K": list(map(repr, self.K)),
+                "H": list(map(repr, self.H)), "valid": _repr_each_value(self.valid)}
+
+
+def _repr_each_value(column: tuple) -> list[str]:
+    """repr of each cell of a column of one type, called once per distinct
+    value.  0.0 and -0.0 are one dict key but two texts, so falsy cells
+    are formatted directly."""
+    text = {x: repr(x) for x in dict.fromkeys(column)}
+    return [text[x] if x else repr(x) for x in column]
+
 
 def _first_failing_prefix(sweep: Callable[[int], object], n: int) -> int:
     """The length of the shortest prefix of n rows on which ``sweep``
@@ -457,7 +474,10 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
             sweep(_first_failing_prefix(sweep, len(us)))
             raise
         max_abs_k = max(np.abs(K).tolist(), default=0.0)
-        signs = [s.value for s in surface.classify_sign(K, max_abs_k, tol_K)]
+        classes = surface.classify_sign(K, max_abs_k, tol_K)
+    signs = np.empty(len(K), dtype=object)
+    for cls in SignClass:  # by identity, a whole class at a time
+        signs[classes == cls] = cls.value
 
     def column(values, fill) -> tuple:
         out = np.full(len(us), fill, dtype=object)
@@ -488,23 +508,22 @@ _JSON_ROW = ('    {\n      "H": %s,\n      "K": %s,\n      "f": %s,\n      "sign
              '      "u": %s,\n      "v": %s,\n      "valid": %s\n    }')
 
 
-def _cells(column: tuple, spelling: dict) -> list[str]:
-    return [spelling.get(text, text) for text in map(repr, column)]
+def _spelled(report: GridReport, spelling: dict, *names: str) -> list[Iterator[str]]:
+    """The report's columns ``names`` in one format's spelling."""
+    return [map(spelling.get, report._reprs[name], report._reprs[name]) for name in names]
 
 
 def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
     """The report as CSV, or as the JSON that json.dumps(..., indent=2,
     sort_keys=True) gives for {"model", "rows", "summary"}, written from
-    templates."""
+    templates.  Both read one repr of each cell, kept on the report."""
     if fmt == "csv":
-        cells = [_cells(c, _CSV_SPELLING) for c in
-                 (report.u, report.v, report.f, report.K, report.H, report.valid)]
+        cells = _spelled(report, _CSV_SPELLING, "u", "v", "f", "K", "H", "valid")
         lines = map(",".join, zip(*cells, report.sign))
         return "\n".join(["u,v,f,K,H,valid,sign", *lines]) + "\n"
     if fmt == "json":
-        H, K, f, u, v, valid = (_cells(c, _JSON_SPELLING) for c in
-                                (report.H, report.K, report.f, report.u, report.v,
-                                 report.valid))
+        H, K, f, u, v, valid = _spelled(report, _JSON_SPELLING,
+                                        "H", "K", "f", "u", "v", "valid")
         rows = ",\n".join(map(_JSON_ROW.__mod__, zip(H, K, f, report.sign, u, v, valid)))
         summary = json.dumps(report.summary, indent=2, sort_keys=True)
         return ('{\n  "model": %s,\n  "rows": %s,\n  "summary": %s\n}\n'

@@ -22,9 +22,9 @@ the error its float form raises at one failing element: the first, in
 array order, to fail the op's first failing check (a power's base and
 overflow are checked before the finiteness of the result).  A caller
 that needs the first failing point of a batch evaluates prefixes of it
-(``harness.build_grid_report`` does).  numpy's own warnings on overflow
-are the caller's to silence (``np.errstate``); the checks here catch
-every non-finite slot.
+(``harness.build_grid_report`` does).  The checks here catch every
+non-finite slot; numpy's own warnings on overflow are the caller's to
+silence (``np.errstate``), as the evaluators in ``models`` do on a batch.
 """
 
 from __future__ import annotations

@@ -20,9 +20,12 @@ names the first bad point.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import jets
 from .errors import ConstraintViolation, DomainError, NonPositiveInputError
@@ -162,6 +165,20 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
 
 # --- Evaluators ------------------------------------------------------------
 
+def _quiet_on_batches(evaluate):
+    """``evaluate``, run under np.errstate(all="ignore") when its slots are
+    arrays: the jets' checks raise for every non-finite slot, so numpy's
+    overflow warnings would only repeat them.  One point runs as is."""
+    @functools.wraps(evaluate)
+    def evaluate_quietly(p, u: Jet2, v: Jet2) -> Jet2:
+        if type(u.val) is np.ndarray:
+            with np.errstate(all="ignore"):
+                return evaluate(p, u, v)
+        return evaluate(p, u, v)
+    return evaluate_quietly
+
+
+@_quiet_on_batches
 def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of Q(u, v); raises DomainError outside the well-posed region."""
     _ves_aggregate(p, u.val, v.val)
@@ -176,6 +193,7 @@ def ves_value(p: VesParams, u: float, v: float) -> float:
     return ves_eval(p, jets.constant(u), jets.constant(v)).val
 
 
+@_quiet_on_batches
 def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of P(u, v); requires u, v > 0."""
     _check_positive(u.val, v.val)

@@ -310,26 +310,39 @@ def _cell(x) -> str:
 
 
 CELL = st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True))
+#: u and v from a small pool, so that values repeat down a column as on a
+#: grid; 0.0 and -0.0 are equal dict keys with different texts.
+AXIS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1.0, 2.5, 1e300])
 
 
 @settings(max_examples=100, deadline=None)
-@given(cells=st.lists(st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
-                                CELL, CELL, CELL, st.booleans(),
+@given(cells=st.lists(st.tuples(AXIS, AXIS, CELL, CELL, CELL, st.booleans(),
                                 st.sampled_from(["", "zero", "positive", "negative"])),
-                      max_size=5),
+                      max_size=8),
        summary=st.dictionaries(st.sampled_from(["max_abs_k", "f_min", "verdict"]),
                                st.one_of(CELL, st.text(max_size=3)), max_size=3))
+@example(cells=[(0.0, -0.0, None, None, None, False, ""),
+                (-0.0, 0.0, 1.0, 0.0, -0.0, True, "zero"),
+                (0.0, -0.0, -0.0, 0.0, 0.0, True, "zero")],
+         summary={})
 def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
-    report = GridReport('ves:{"k": 1.0}', *map(tuple, zip(*cells)) if cells else [()] * 7,
-                        summary=summary)
-    payload = {"model": report.model,
+    def fresh():
+        return GridReport('ves:{"k": 1.0}', *map(tuple, zip(*cells)) if cells else [()] * 7,
+                          summary=summary)
+
+    json_first, csv_first = fresh(), fresh()
+    json_text = harness.emit_grid_report(json_first, "json")
+    csv_text = harness.emit_grid_report(csv_first, "csv")
+    # each format writes the same bytes on a report the other has emitted
+    assert harness.emit_grid_report(json_first, "csv") == csv_text
+    assert harness.emit_grid_report(csv_first, "json") == json_text
+    payload = {"model": json_first.model,
                "rows": [{"u": r.u, "v": r.v, "f": r.f, "K": r.K, "H": r.H,
-                         "valid": r.valid, "sign": r.sign} for r in report.rows],
+                         "valid": r.valid, "sign": r.sign} for r in json_first.rows],
                "summary": summary}
-    assert (harness.emit_grid_report(report, "json")
-            == json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert json_text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = ["u,v,f,K,H,valid,sign"] + [",".join(_cell(x) for x in row) for row in cells]
-    assert harness.emit_grid_report(report, "csv") == "\n".join(lines) + "\n"
+    assert csv_text == "\n".join(lines) + "\n"
 
 
 # --- The batch verify engine against the one-point engine -------------------

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from helpers import assert_close, elasticity_oracle, kadiyala_normalized
 from prodgeo import jets, models
-from prodgeo.errors import (ConstraintViolation, DomainError,
+from prodgeo.errors import (ConstraintViolation, DomainError, NonFiniteError,
                             NonPositiveInputError, SingularPointError)
 from prodgeo.models import Family
 
@@ -214,6 +216,30 @@ class TestKadiyalaEval:
         p = models.kadiyala_validate(0.25, 0.25, 0.25, 0.5, 0.5, 2)
         with pytest.raises(DomainError):
             models.kadiyala_value(p, 0, 1)
+
+
+#: Batches whose second point overflows in a product of finite slots, where
+#: numpy warns unless told not to.
+BATCH_OVERFLOWS = [
+    pytest.param(models.ves_eval, models.ves_validate(1.0, 0.5, 0.5, 3.0),
+                 (1.0, 1e120), (1.0, 1e121), id="ves"),
+    pytest.param(models.kadiyala_eval,
+                 models.kadiyala_validate(0.25, 0.25, 0.25, 0.5, 0.5, 1.5),
+                 (1.0, 1e-150), (1.0, 1e200), id="kadiyala"),
+]
+
+
+@pytest.mark.parametrize("evaluate,p,u,v", BATCH_OVERFLOWS)
+def test_batch_overflow_raises_only_the_point_error(evaluate, p, u, v):
+    """An evaluator on array slots raises the NonFiniteError its failing point
+    raises on its own, with no numpy warning beside it."""
+    with pytest.raises(NonFiniteError) as alone:
+        evaluate(p, *jets.seed(u[1], v[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as batch:
+            evaluate(p, *jets.seed(np.array(u), np.array(v)))
+    assert str(batch.value) == str(alone.value)
 
 
 class TestElasticity:
