@@ -15,23 +15,24 @@ Everything here is an independent route to the same K the autodiff
 pipeline produces; the two routes are cross-checked, never merged.
 
 u and v are both floats (one point) or both 1-d float ndarrays (a
-batch).  One formula text serves both: a batch runs on ``_Batch`` views,
-whose ``**`` is libm's ``pow`` element by element (``jets._libm_pow``),
-so every element gets the bits of the float form.  Where some point of
-a batch fails, the call raises the error the first failing point raises
-on its own.  A power that overflows a float, and a closed-form K that
-comes out inf or NaN, raise NonFiniteError naming the function and the
-point.
+batch).  Each closed form is a formula for a point under ``_closed_form``,
+which runs a batch on ``_Batch`` views, whose ``**`` is libm's ``pow``
+element by element (``jets._libm_pow``), so every element gets the bits
+of the float form; a failing batch raises its first failing point's
+error.  A power that overflows a float, and a K that comes out inf or
+NaN, raise NonFiniteError; Den_F <= 0, Den_G <= 0 and a negative Den_G
+summand raise SingularPointError; each names the quantity and the point.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ProdGeoError
+from .errors import NonFiniteError, ProdGeoError, SingularPointError
 from .jets import Slot, _at_first, _libm_pow
 from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
@@ -65,21 +66,22 @@ class _Batch(np.ndarray):
         return _libm_pow(self.view(_ndarray), p).view(_Batch)
 
 
-def _batch(name: str, p, u: np.ndarray, v: np.ndarray):
-    """The closed form ``name`` at each point of a batch, as plain ndarrays
-    (a list of them for a list of slots).  Where some point fails, the
-    error that the first failing point raises on its own."""
-    form = _AS_DEFINED[name]
-    try:
-        with np.errstate(all="ignore"):  # the forms' own checks report overflow
-            out = form(p, u.view(_Batch), v.view(_Batch))
-    except (ProdGeoError, ArithmeticError):
-        for point in zip(u.tolist(), v.tolist()):
-            form(p, *point)
-        raise
-    if isinstance(out, list):
-        return [slot.view(_ndarray) for slot in out]
-    return out.view(_ndarray)
+def _closed_form(formula):
+    """The closed form ``formula``, written for a point, on a point or a
+    batch.  It holds the formula itself, so a wrapper bound to the public
+    name (a tracer, a test's monkeypatch) is entered once per call."""
+    @functools.wraps(formula)
+    def form(p, u: Slot, v: Slot) -> Slot:
+        if type(u) is not _ndarray:
+            return formula(p, u, v)
+        try:
+            with np.errstate(all="ignore"):  # the forms' own checks report overflow
+                return formula(p, u.view(_Batch), v.view(_Batch)).view(_ndarray)
+        except (ProdGeoError, ArithmeticError):
+            for point in zip(u.tolist(), v.tolist()):
+                formula(p, *point)
+            raise
+    return form
 
 
 def _finite_K(name: str, K: Slot, u: Slot, v: Slot) -> Slot:
@@ -91,24 +93,46 @@ def _finite_K(name: str, K: Slot, u: Slot, v: Slot) -> Slot:
     return K
 
 
+def _positive(name: str, den: Slot, u: Slot, v: Slot, summands=()) -> Slot:
+    """``den``, unless it is not positive or one of its ``summands`` is
+    negative somewhere.  The theorems rule both out on the domain, and a
+    summand of same-signed factors keeps its sign in floats; an underflow
+    of ``den`` to 0.0 does not."""
+    bad = den <= 0.0
+    for term in summands:  # `|` per summand keeps one point's floats off numpy
+        bad = bad | (term < 0.0)
+    if bad is not False and (at := _at_first(bad, den, u, v)):
+        den, u, v = at
+        problem = "is not positive" if den <= 0.0 else "has a negative summand"
+        raise SingularPointError(f"{name} = {den} {problem} at ({u}, {v})")
+    return den
+
+
 # --- VES -------------------------------------------------------------------
 
-def ves_denf(p: VesParams, u: Slot, v: Slot) -> Slot:
-    """The strictly positive denominator base of the VES curvature."""
-    if type(u) is _ndarray:
-        return _batch("ves_denf", p, u, v)
-    agg = _ves_aggregate(p, u, v)
+def _ves_denf_terms(p: VesParams, u: Slot, v: Slot, agg: Slot) -> list[Slot]:
+    """Den_F's two summands at agg = (rho-1)*u + v."""
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     try:
         quad = (u * u * (r * (b * b * r + r - 2.0) + 1.0)
                 - 2.0 * (r - 1.0) * u * v * (b * r - 1.0)
                 + v * v * (b * r - 1.0) ** 2)
-        return (d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r)
-                + agg ** 2 * u ** (2.0 * b * d * r + 2.0))
+        return [d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r),
+                agg ** 2 * u ** (2.0 * b * d * r + 2.0)]
     except OverflowError:
         raise _overflow("ves_denf", u, v) from None
 
 
+@_closed_form
+def ves_denf(p: VesParams, u: Slot, v: Slot) -> Slot:
+    """The denominator base Den_F of the VES curvature, a non-negative and
+    a positive summand on the domain.  Only the sum is checked: the first
+    summand's quadratic, a sum of squares expanded, can round below 0."""
+    a1, a2 = _ves_denf_terms(p, u, v, _ves_aggregate(p, u, v))
+    return _positive("Den_F", a1 + a2, u, v)
+
+
+@_closed_form
 def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
     """Gaussian curvature of the VES surface, closed form:
 
@@ -116,8 +140,6 @@ def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
             * u^(2*(beta*delta*rho + delta + 1))
             * ((rho-1)*u + v)^(2*beta*delta*rho + 2)  /  Den_F^2
     """
-    if type(u) is _ndarray:
-        return _batch("ves_curvature_closed", p, u, v)
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     try:
@@ -152,10 +174,9 @@ def _kad_inner(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
             + p.k3 * v ** (b1 + b2))
 
 
+@_closed_form
 def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """First curvature factor; vanishes identically iff delta = 1."""
-    if type(u) is _ndarray:
-        return _batch("kadiyala_T1", p, u, v)
     _check_positive(u, v)
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
@@ -167,11 +188,10 @@ def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
         raise _overflow("kadiyala_T1", u, v) from None
 
 
+@_closed_form
 def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Second curvature factor; vanishes identically iff the parameters
     describe a perfect-substitutes function."""
-    if type(u) is _ndarray:
-        return _batch("kadiyala_T2", p, u, v)
     _check_positive(u, v)
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2 = p.beta1, p.beta2
@@ -211,46 +231,24 @@ def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot) -> list[Slot]:
         raise _overflow("kadiyala_deng", u, v) from None
 
 
+@_closed_form
 def kadiyala_deng(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
-    product of non-negative factors under the parameter constraints, so
-    the sum is strictly positive on the open first quadrant."""
-    if type(u) is _ndarray:
-        return _batch("kadiyala_deng", p, u, v)
+    product of factors whose signs the parameter constraints fix, so
+    each A_i >= 0 and the sum > 0 on the open first quadrant."""
     _check_positive(u, v)
+    terms = _kad_deng_terms(p, u, v)
     # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
-    total = sum(_kad_deng_terms(p, u, v))
-    bad = total <= 0.0
-    if bad is not False and (at := _at_first(bad, total, u, v)):
-        raise ProdGeoError(
-            "Den_G = {} <= 0 at ({}, {}): implementation bug".format(*at))
-    return total
+    return _positive("Den_G", sum(terms), u, v, terms)
 
 
-def kadiyala_deng_terms(p: KadiyalaParams, u: Slot, v: Slot) -> list[Slot]:
-    """The five summands of Den_G individually (each must be >= 0)."""
-    if type(u) is _ndarray:
-        return _batch("kadiyala_deng_terms", p, u, v)
-    _check_positive(u, v)
-    return _kad_deng_terms(p, u, v)
-
-
+@_closed_form
 def kadiyala_curvature_closed(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Gaussian curvature of the Kadiyala surface: K = T1*T2/Den_G^2."""
-    if type(u) is _ndarray:
-        return _batch("kadiyala_curvature_closed", p, u, v)
     den = kadiyala_deng(p, u, v)
     # T1/den * T2/den keeps intermediates in range; den^2 can overflow.
     return _finite_K("kadiyala_curvature_closed",
                      (kadiyala_T1(p, u, v) / den) * (kadiyala_T2(p, u, v) / den), u, v)
-
-
-#: The closed forms as defined, which _batch calls with _Batch views: a
-#: wrapper bound to a public name (a tracer, a test's monkeypatch) is then
-#: entered once for a batch, as for a point, not a second time.
-_AS_DEFINED = {form.__name__: form for form in (
-    ves_denf, ves_curvature_closed, kadiyala_T1, kadiyala_T2, kadiyala_deng,
-    kadiyala_deng_terms, kadiyala_curvature_closed)}
 
 
 class DevelopabilityReason(enum.Enum):

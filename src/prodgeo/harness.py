@@ -256,11 +256,8 @@ class ModelFamily:
     #: 1-d arrays of u and v
     jet: Callable[[object, Slot, Slot], jets.Jet2]
     domain_valid: Callable[[object, Slot, Slot], bool | np.ndarray]
-    #: closed-form K over a batch
+    #: closed-form K over a batch; raises where its denominator fails
     closed_K: Callable[[object, np.ndarray, np.ndarray], np.ndarray]
-    #: the closed form's side conditions over a batch, in the order a
-    #: loop over its points would report them at one point
-    side_checks: Callable[[object, np.ndarray, np.ndarray], list[Check]]
     verdict: Callable[[object], Verdict]
     #: (label, params) per trial, each drawn as the engine asks for it
     trials: Callable[[int, int], Iterator[tuple[str, object]]]
@@ -289,11 +286,6 @@ def _at(u: np.ndarray, v: np.ndarray, i: int) -> str:
     return f"({u.item(i):.4g}, {v.item(i):.4g})"
 
 
-def _ves_side_checks(p: VesParams, u: np.ndarray, v: np.ndarray) -> list[Check]:
-    den = curvature.ves_denf(p, u, v)
-    return [Check(den <= 0.0, lambda i: f"Den_F={den.item(i)} not positive at {_at(u, v, i)}")]
-
-
 def _ves_verdict(p: VesParams) -> Verdict:
     regime, sign = curvature.ves_theorem_verdict(p)
     return Verdict(f"{regime.value}-returns:{sign.value}-curvature",
@@ -308,13 +300,6 @@ def _ves_trials(trials: int, seed: int):
     for t in range(trials):
         yield f"trial {t}", random_ves_params(
             _subseed(seed, t), stratum=DELTA_STRATA[t % len(DELTA_STRATA)])
-
-
-def _kadiyala_side_checks(p: KadiyalaParams, u: np.ndarray,
-                          v: np.ndarray) -> list[Check]:
-    terms = curvature.kadiyala_deng_terms(p, u, v)
-    return [Check(np.minimum.reduce(terms) < 0.0,
-                  lambda i: f"negative Den_G summand at {_at(u, v, i)}")]
 
 
 def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
@@ -353,7 +338,6 @@ VES = ModelFamily(
     domain_valid=lambda p, u, v: models.ves_domain_valid(p, u, v, strict=False),
     strict_domain_valid=lambda p, u, v: models.ves_domain_valid(p, u, v, strict=True),
     closed_K=lambda p, u, v: curvature.ves_curvature_closed(p, u, v),
-    side_checks=_ves_side_checks,
     verdict=_ves_verdict,
     trials=_ves_trials,
 )
@@ -366,7 +350,6 @@ KADIYALA = ModelFamily(
     jet=lambda p, u, v: models.kadiyala_eval(p, *jets.seed(u, v)),
     domain_valid=lambda p, u, v: (u > 0) & (v > 0),
     closed_K=lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),
-    side_checks=_kadiyala_side_checks,
     verdict=_kadiyala_verdict,
     trials=_kadiyala_trials,
     specialize=lambda p: models.kadiyala_specialize(p),
@@ -558,20 +541,20 @@ class VerifySummary:
         return "\n".join(lines)
 
 
-def _verdict_checks(expect: SignClass | None, u: np.ndarray, v: np.ndarray,
-                    K: np.ndarray, tol_K: float) -> list[Check]:
+def _verdict_check(expect: SignClass | None, u: np.ndarray, v: np.ndarray,
+                   K: np.ndarray, tol_K: float) -> Check:
     """A trial's K held to the theorem's verdict ``expect``."""
     max_k = max(np.abs(K).tolist(), default=0.0)
     threshold = tol_K * (1.0 + max_k)
     if expect is SignClass.ZERO:  # flat within the scale-aware zero band
-        return [Check(np.asarray(not (abs(K) <= threshold).all()),
-                      lambda _: (f"expected flat: max|K|={max_k:.3e} "
-                                 f"vs threshold {threshold:.3e}"))]
+        return Check(np.asarray(not (abs(K) <= threshold).all()),
+                     lambda _: (f"expected flat: max|K|={max_k:.3e} "
+                                f"vs threshold {threshold:.3e}"))
     if expect is None:
         # no sign predicted: curved at sampling resolution is the claim
-        return [Check(np.asarray(not (abs(K) > 10.0 * threshold).any()),
-                      lambda _: (f"expected curvature above {10.0 * threshold:.3e}, "
-                                 f"max|K|={max_k:.3e}"))]
+        return Check(np.asarray(not (abs(K) > 10.0 * threshold).any()),
+                     lambda _: (f"expected curvature above {10.0 * threshold:.3e}, "
+                                f"max|K|={max_k:.3e}"))
 
     # |K| spans many decades across the grid, so a scale-aware zero band
     # would hide the sign of small K: check it strictly.
@@ -581,43 +564,39 @@ def _verdict_checks(expect: SignClass | None, u: np.ndarray, v: np.ndarray,
                SignClass.NEGATIVE if k < 0.0 else SignClass.ZERO)
         return (f"sign {got.value} != predicted {expect.value} "
                 f"at {_at(u, v, i)} with K={k:.3e}")
-    return [Check(~(K > 0.0) if expect is SignClass.POSITIVE else ~(K < 0.0), describe)]
+    return Check(~(K > 0.0) if expect is SignClass.POSITIVE else ~(K < 0.0), describe)
 
 
-def _problems(checks: list[Check]) -> tuple[str | None, int]:
-    """The first problem that a loop over the points would report, point by
-    point and check by check at each point, and how many it would report."""
-    firsts = [(int(c.bad.argmax()), n) for n, c in enumerate(checks) if c.bad.any()]
-    if not firsts:
-        return None, 0
-    i, n = min(firsts)
-    return checks[n].describe(i), sum(int(np.count_nonzero(c.bad)) for c in checks)
+def _problems(check: Check) -> tuple[str | None, int]:
+    """The first problem that a loop over the points would report, and how
+    many it would report."""
+    count = int(np.count_nonzero(check.bad))
+    return (check.describe(int(check.bad.argmax())) if count else None), count
 
 
 def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
                 tol_K: float) -> VerifySummary:
     """Randomized check of a family's theorem.  Each trial sweeps the grid
     points inside the domain in one batch, compares closed-form K with
-    autodiff K, runs the family's side checks and holds the sweep to the
-    theorem's verdict for the drawn parameters.  A trial that fails raises
-    the error its first failing point raises on its own."""
+    autodiff K and holds the sweep to the theorem's verdict for the drawn
+    parameters.  A trial that fails raises the error its first failing
+    point raises on its own, a closed form's denominator check among them."""
     out = VerifySummary(theorem=family.theorem)
     us, vs = _grid_points(grid)
     for label, p in family.trials(trials, seed):
         out.trials += 1
 
         def sweep(n: int):
-            """The points of [0, n) in the domain, and K both ways and the
-            side checks there."""
+            """The points of [0, n) in the domain, and K both ways there."""
             valid = family.domain_valid(p, us[:n], vs[:n])
             u, v = us[:n][valid], vs[:n][valid]
             K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u, v)))
-            return u, v, K, family.closed_K(p, u, v), family.side_checks(p, u, v)
+            return u, v, K, family.closed_K(p, u, v)
 
         # Overflow to inf or NaN is what the program's checks report.
         with np.errstate(all="ignore"):
             try:
-                u, v, K, K_closed, side = sweep(len(us))
+                u, v, K, K_closed = sweep(len(us))
             except (ProdGeoError, ArithmeticError):
                 sweep(_first_failing_prefix(sweep, len(us)))
                 raise
@@ -627,9 +606,9 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
             closed = Check(dev > CLOSED_VS_AUTODIFF_RTOL,
                            lambda i: (f"closed-form K={K_closed.item(i):.6e} vs "
                                       f"autodiff K={K.item(i):.6e} at {_at(u, v, i)}"))
-            first, count = _problems([closed, *side])
+            first, count = _problems(closed)
             verdict_first, verdict_count = _problems(
-                _verdict_checks(family.verdict(p).expect, u, v, K, tol_K))
+                _verdict_check(family.verdict(p).expect, u, v, K, tol_K))
         count += verdict_count
         if count:
             out.failures.append(
@@ -646,9 +625,10 @@ def run_verify_theorem1(trials: int, seed: int,
     """Randomized check of the VES curvature-sign theorem.
 
     Trials are stratified across the three returns-to-scale regimes.
-    Besides closed form against autodiff, each point checks that Den_F
-    is positive; the sign of K must be the one predicted from delta
-    alone, strictly at every point, or flat for constant returns.
+    Each point's closed-form K must match autodiff, and the sign of K
+    must be the one predicted from delta alone, strictly at every point,
+    or flat for constant returns.  A point where Den_F is not positive
+    raises SingularPointError from the closed form.
     """
     return _run_verify(VES, trials, seed, grid, tol_K)
 
@@ -662,7 +642,8 @@ def run_verify_theorem2(trials: int, seed: int,
     must give |K| within the zero band at every grid point.  Converse
     (at sampling resolution): ``trials`` generic draws violating all
     conditions must each show at least one grid point with |K| more
-    than 10x the zero threshold.  Each point also checks that the Den_G
-    summands are non-negative.
+    than 10x the zero threshold.  A point where Den_G is not positive or
+    one of its summands is negative raises SingularPointError from the
+    closed form.
     """
     return _run_verify(KADIYALA, trials, seed, grid, tol_K)

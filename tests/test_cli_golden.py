@@ -123,7 +123,7 @@ GOLDEN = {
     "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
     "verify-t1": "44af02dbf8178e72cd672af09970fb0fb282847eececddfba73d7a2f9b30d594",
     "verify-t2": "01da3848ab99c42efb8958eaf8b6b31441bc2bb8b14fdcff79810392afd9ee18",
-    "verify-t1-denf-underflow": "fa5bf66a06b81de793838e0c40dc8b814f068a38974f2c1926e075ae8e9c0c00",
+    "verify-t1-denf-underflow": "7a10dcc26ff3849a9de493bc0e8eb849c657f18fec798fa3d6b446ae4b11a6a6",
     "verify-t1-power-overflow": "5554f72e6b7c3cea461964470aece575dcafab868d7ec5ff9051ad148e32f4be",
     "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",
     "verify-t2-power-overflow": "9813ed2fc2d4b034de2f5733a2db48a8dac361f3f930246ed2f5cba8cbd83d78",

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import assert_close, sample_grid
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
-from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError
+from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError, SingularPointError
 from prodgeo.surface import SignClass
 
 
@@ -111,7 +112,7 @@ class TestKadiyalaFactors:
         for _ in range(200):
             p = harness.random_kadiyala_params(rng.randrange(2**31))
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
-            terms = curvature.kadiyala_deng_terms(p, u, v)
+            terms = curvature._kad_deng_terms(p, u, v)
             assert all(t >= 0.0 for t in terms)
             total = curvature.kadiyala_deng(p, u, v)
             assert total > 0.0
@@ -189,15 +190,9 @@ class TestDevelopability:
 
 # --- Closed forms on ndarray slots ---------------------------------------------
 
-CLOSED_FORMS = {
-    "ves_denf": lambda p, u, v: curvature.ves_denf(p, u, v),
-    "ves_curvature_closed": lambda p, u, v: curvature.ves_curvature_closed(p, u, v),
-    "kadiyala_T1": lambda p, u, v: curvature.kadiyala_T1(p, u, v),
-    "kadiyala_T2": lambda p, u, v: curvature.kadiyala_T2(p, u, v),
-    "kadiyala_deng": lambda p, u, v: curvature.kadiyala_deng(p, u, v),
-    "kadiyala_deng_terms": lambda p, u, v: curvature.kadiyala_deng_terms(p, u, v),
-    "kadiyala_curvature_closed": lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),
-}
+#: Every function of curvature written under its _closed_form decorator.
+CLOSED_FORMS = {name: fn for name, fn in vars(curvature).items()
+                if inspect.isfunction(fn) and hasattr(fn, "__wrapped__")}
 # mostly tame coordinates, with the extremes that make closed forms fail
 COORD = st.one_of(st.floats(0.05, 20.0), st.floats(1e-200, 1e200),
                   st.sampled_from([1e-300, 1e-150, 1e30, 1e100, 1e200, 5e-324, 0.0, -1.0]))
@@ -215,7 +210,7 @@ def test_array_closed_forms_match_float_forms_bitwise(form, seed, condition, poi
     """A closed form on ndarray slots gives, element by element, the bits
     of the form on floats; where some point fails, it raises the error of
     the first failing point."""
-    fn = CLOSED_FORMS[form]
+    fn = getattr(curvature, form)
     p = (harness.random_ves_params(seed) if form.startswith("ves")
          else harness.random_kadiyala_params(seed, condition))
     outs = []
@@ -234,8 +229,64 @@ def test_array_closed_forms_match_float_forms_bitwise(form, seed, condition, poi
         assert (type(got.value), str(got.value)) == error
         return
     batch = fn(p, u, v)
-    assert type(batch) is type(outs[0]) if form.endswith("terms") else type(batch) is np.ndarray
-    assert np.array_equal(_bits(batch), _bits(np.transpose(outs)))
+    assert type(batch) is np.ndarray
+    assert np.array_equal(_bits(batch), _bits(outs))
+
+
+def test_closed_forms_are_found():
+    assert sorted(CLOSED_FORMS) == [
+        "kadiyala_T1", "kadiyala_T2", "kadiyala_curvature_closed", "kadiyala_deng",
+        "ves_curvature_closed", "ves_denf"]
+
+
+VES_DECREASING = models.ves_validate(1.3, 0.5, 0.3, 0.7)
+KAD_GENERIC = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2.0)
+
+
+def _negate_summand(monkeypatch, index, where):
+    """Den_G's summand ``index`` negated at the points ``where`` picks."""
+    terms = curvature._kad_deng_terms
+
+    def corrupted(p, u, v):
+        out = terms(p, u, v)
+        out[index] = out[index] * (1.0 - 2.0 * where(u, v))
+        return out
+    monkeypatch.setattr(curvature, "_kad_deng_terms", corrupted)
+
+
+@pytest.mark.parametrize("form,params,corrupt,bad,message", [
+    # Den_F underflows to 0.0 here, where K by autodiff is finite
+    ("ves_denf", VES_DECREASING, None, 1e-100, r"Den_F = 0\.0 is not positive"),
+    ("ves_curvature_closed", VES_DECREASING, None, 1e-100, r"Den_F = 0\.0 is not positive"),
+    ("kadiyala_deng", KAD_GENERIC, 4, 3.0, r"Den_G = [0-9.e+]+ has a negative summand"),
+    ("kadiyala_curvature_closed", KAD_GENERIC, 0, 3.0,
+     r"Den_G = [0-9.e+]+ has a negative summand"),
+])
+def test_denominators_name_the_first_failing_point(monkeypatch, form, params, corrupt,
+                                                    bad, message):
+    """Den_F and Den_G raise where they are computed, on a point and on a
+    batch alike, naming the first point where the denominator is not
+    positive or one of Den_G's summands is negative."""
+    if corrupt is not None:
+        _negate_summand(monkeypatch, corrupt, lambda u, v: u > 2.0)
+    fn = getattr(curvature, form)
+    fn(params, 1.0, 2.0)  # a tame point passes
+    message += rf" at \({bad}, {bad}\)"
+    with pytest.raises(SingularPointError, match=message):
+        fn(params, bad, bad)
+    with pytest.raises(SingularPointError, match=message):
+        fn(params, np.array([1.0, bad, bad * 0.5]), np.array([2.0, bad, bad * 0.5]))
+
+
+def test_deng_not_positive_is_named(monkeypatch):
+    """A Den_G that sums to 0.0 with no negative summand is named as such."""
+    monkeypatch.setattr(curvature, "_kad_deng_terms",
+                        lambda p, u, v: [0.0 * u] * 5)
+    message = r"Den_G = 0\.0 is not positive at \(1\.0, 2\.0\)"
+    with pytest.raises(SingularPointError, match=message):
+        curvature.kadiyala_deng(KAD_GENERIC, 1.0, 2.0)
+    with pytest.raises(SingularPointError, match=message):
+        curvature.kadiyala_deng(KAD_GENERIC, np.array([1.0, 3.0]), np.array([2.0, 4.0]))
 
 
 @pytest.mark.parametrize("form,params", [

@@ -347,27 +347,11 @@ def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
 
 # --- The batch verify engine against the one-point engine -------------------
 
-def _reference_ves_side_checks(p, u, v):
-    den = curvature.ves_denf(p, u, v)
-    if den <= 0.0:
-        yield f"Den_F={den} not positive at ({u:.4g}, {v:.4g})"
-
-
-def _reference_kadiyala_side_checks(p, u, v):
-    if min(curvature.kadiyala_deng_terms(p, u, v)) < 0.0:
-        yield f"negative Den_G summand at ({u:.4g}, {v:.4g})"
-
-
-REFERENCE_SIDE_CHECKS = {"ves": _reference_ves_side_checks,
-                         "kadiyala": _reference_kadiyala_side_checks}
-
-
 def reference_verify(family, trials, seed, grid, tol_K):
     """The verify engine point by point, as it ran before it took each
-    trial's points in one batch: one-point calls of the jet, the forms,
-    the closed form and the side checks, and the verdict over a list."""
+    trial's points in one batch: one-point calls of the jet, the forms
+    and the closed form, and the verdict over a list."""
     out = harness.VerifySummary(theorem=family.theorem)
-    side_checks = REFERENCE_SIDE_CHECKS[family.name]
     points = sample_grid(grid)
     for label, p in family.trials(trials, seed):
         out.trials += 1
@@ -386,7 +370,6 @@ def reference_verify(family, trials, seed, grid, tol_K):
                 problems.append(
                     f"closed-form K={k_closed:.6e} vs autodiff K={k_ad:.6e} "
                     f"at ({u:.4g}, {v:.4g})")
-            problems.extend(side_checks(p, u, v))
         expect = family.verdict(p).expect
         max_k = max((abs(k) for *_, k in ks), default=0.0)
         threshold = tol_K * (1.0 + max_k)
@@ -429,23 +412,23 @@ def _corrupt_verdicts(monkeypatch):
 
 
 def _corrupt_checks(monkeypatch):
-    """Move the closed-form K off by 1 where u > v, and negate Den_F and
-    the first Den_G summand where u <= v, so that different checks fail
-    at different points.  K keeps its bits where u <= v: it divides by
-    Den_F twice, and Den_G sums its terms without kadiyala_deng_terms."""
+    """Move the closed-form K off by 1 where u > v, and where u <= v negate
+    both Den_F summands, so that Den_F < 0, and the first Den_G summand,
+    so that the denominators' own checks raise there."""
     ves_K, kadiyala_K = curvature.ves_curvature_closed, curvature.kadiyala_curvature_closed
-    denf, deng_terms = curvature.ves_denf, curvature.kadiyala_deng_terms
+    denf_terms, deng_terms = curvature._ves_denf_terms, curvature._kad_deng_terms
     monkeypatch.setattr(curvature, "ves_curvature_closed",
                         lambda p, u, v: ves_K(p, u, v) + 1.0 * (u > v))
     monkeypatch.setattr(curvature, "kadiyala_curvature_closed",
                         lambda p, u, v: kadiyala_K(p, u, v) + 1.0 * (u > v))
-    monkeypatch.setattr(curvature, "ves_denf",
-                        lambda p, u, v: denf(p, u, v) * (1.0 - 2.0 * (u <= v)))
+    monkeypatch.setattr(curvature, "_ves_denf_terms",
+                        lambda p, u, v, agg: [a * (1.0 - 2.0 * (u <= v))
+                                              for a in denf_terms(p, u, v, agg)])
 
     def negated_first_summand(p, u, v):
         a1, *rest = deng_terms(p, u, v)
         return [a1 * (1.0 - 2.0 * (u <= v)), *rest]
-    monkeypatch.setattr(curvature, "kadiyala_deng_terms", negated_first_summand)
+    monkeypatch.setattr(curvature, "_kad_deng_terms", negated_first_summand)
 
 
 CORRUPT = {"verdicts": _corrupt_verdicts, "checks": _corrupt_checks}
@@ -471,7 +454,7 @@ def _outcome(run, *args):
 # the first failing point fails in the closed form, later points in the jet
 @example(family="kadiyala", seed=0, trials=2, spec=GridSpec(1e100, 1e200, 1, 2, 3, 2),
          tol=1e-9, corrupt=None)
-# a side check fails at (1, 1), before the closed form fails at (2, 1)
+# a denominator raises at (1, 1), before the closed form fails at (2, 1)
 @example(family="ves", seed=3, trials=1, spec=GridSpec(1, 2, 1, 2, 2, 2),
          tol=1e-9, corrupt="checks")
 @example(family="kadiyala", seed=3, trials=1, spec=GridSpec(1, 2, 1, 2, 2, 2),

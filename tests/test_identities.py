@@ -11,6 +11,7 @@ a slip in the other factors.
 
 import random
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -92,3 +93,44 @@ def test_closed_form_K_is_the_monge_K(name):
             worst = max(worst, abs(closed(p_mp, mpf(u), mpf(v)) - K) / scale)
         assert worst <= IDENTITY_RTOL, f"{name}: {mp.nstr(worst, 3)}"
 
+
+
+# --- The denominators are positive ------------------------------------------
+#
+# Run on sympy symbols, the library's own summands of Den_F and Den_G show
+# the signs that let the closed forms divide by them.  nsimplify turns the
+# formulas' float constants (2.0, 1.0) into the integers they are.
+
+def test_denf_is_a_positive_plus_a_nonnegative_summand():
+    """On the domain, agg = (rho-1)*u + v > 0 and u > 0.  Den_F's first
+    summand is positive powers times a quadratic that is a sum of two
+    squares, and its second summand is positive, so Den_F > 0."""
+    k, b, r, d, agg = sympy.symbols("k beta rho delta agg", positive=True)
+    p = SimpleNamespace(k=k, beta=b, rho=r, delta=d)
+    a1, a2 = map(sympy.nsimplify, curvature._ves_denf_terms(p, u_, v_, agg))
+    squares = ((b * r - 1) * v_ - (r - 1) * u_) ** 2 + (b * r * u_) ** 2
+    powers = d ** 2 * k ** 2 * u_ ** (2 * d) * agg ** (2 * b * d * r)
+    assert sympy.expand(a1 - powers * squares) == 0
+    assert (powers * squares).is_nonnegative
+    assert a2.is_positive
+
+
+@pytest.mark.parametrize("bsum_sign", [1, -1])
+@pytest.mark.parametrize("positive_weight", ["k1", "k2"])
+def test_deng_summands_are_nonnegative_and_sum_positive(monkeypatch, bsum_sign,
+                                                        positive_weight):
+    """beta1*(beta1+beta2) > 0 and beta2*(beta1+beta2) > 0 give beta1 and
+    beta2 the sign of their sum; with k_i >= 0 each of Den_G's summands is
+    then a product of factors of known sign, and >= 0.  (k1, k2) != (0, 0)
+    makes one of them positive, so Den_G > 0.  The aggregate inner to the
+    power, k1*u^s + 2*k2*u^b1*v^b2 + k3*v^s, is positive for the same
+    reason; it stands here as a positive symbol."""
+    c1, c2, d, inner = sympy.symbols("c1 c2 delta inner", positive=True)
+    weights = {name: sympy.Symbol(name, nonnegative=True) for name in ("k1", "k2", "k3")}
+    weights[positive_weight] = sympy.Symbol(positive_weight, positive=True)
+    p = SimpleNamespace(**weights, beta1=bsum_sign * c1, beta2=bsum_sign * c2, delta=d)
+    monkeypatch.setattr(curvature, "_kad_inner", lambda p, u, v: inner)
+    terms = curvature._kad_deng_terms(p, u_, v_)
+    assert len(terms) == 5
+    assert all(term.is_nonnegative for term in terms)
+    assert sympy.Add(*terms).is_positive
