@@ -96,8 +96,8 @@ def _finite_K(name: str, K: Slot, u: Slot, v: Slot) -> Slot:
 def _positive(name: str, den: Slot, u: Slot, v: Slot, summands=()) -> Slot:
     """``den``, unless it is not positive or one of its ``summands`` is
     negative somewhere.  The theorems rule both out on the domain, and a
-    summand of same-signed factors keeps its sign in floats; an underflow
-    of ``den`` to 0.0 does not."""
+    summand of same-signed factors keeps its sign in floats; ``den`` can
+    still underflow to 0.0, or round below it."""
     bad = den <= 0.0
     for term in summands:  # `|` per summand keeps one point's floats off numpy
         bad = bad | (term < 0.0)

@@ -210,7 +210,7 @@ def test_array_closed_forms_match_float_forms_bitwise(form, seed, condition, poi
     """A closed form on ndarray slots gives, element by element, the bits
     of the form on floats; where some point fails, it raises the error of
     the first failing point."""
-    fn = getattr(curvature, form)
+    fn = CLOSED_FORMS[form]
     p = (harness.random_ves_params(seed) if form.startswith("ves")
          else harness.random_kadiyala_params(seed, condition))
     outs = []
@@ -233,33 +233,37 @@ def test_array_closed_forms_match_float_forms_bitwise(form, seed, condition, poi
     assert np.array_equal(_bits(batch), _bits(outs))
 
 
-def test_closed_forms_are_found():
-    assert sorted(CLOSED_FORMS) == [
-        "kadiyala_T1", "kadiyala_T2", "kadiyala_curvature_closed", "kadiyala_deng",
-        "ves_curvature_closed", "ves_denf"]
+def test_every_public_form_over_points_is_a_closed_form():
+    """A public function of curvature over (p, u, v) that lacks the
+    decorator would take no batches and miss the bitwise test above."""
+    over_points = {name for name, fn in vars(curvature).items()
+                   if inspect.isfunction(fn) and not name.startswith("_")
+                   and list(inspect.signature(fn).parameters) == ["p", "u", "v"]}
+    assert "ves_denf" in over_points and over_points == set(CLOSED_FORMS)
 
 
 VES_DECREASING = models.ves_validate(1.3, 0.5, 0.3, 0.7)
 KAD_GENERIC = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2.0)
 
 
-def _negate_summand(monkeypatch, index, where):
-    """Den_G's summand ``index`` negated at the points ``where`` picks."""
-    terms = curvature._kad_deng_terms
+def _negated(index):
+    """Den_G's summand ``index`` negated where ``where`` holds."""
+    return lambda terms, where: [t * (1.0 - 2.0 * where) if i == index else t
+                                 for i, t in enumerate(terms)]
 
-    def corrupted(p, u, v):
-        out = terms(p, u, v)
-        out[index] = out[index] * (1.0 - 2.0 * where(u, v))
-        return out
-    monkeypatch.setattr(curvature, "_kad_deng_terms", corrupted)
+
+def _zeroed(terms, where):
+    """Every Den_G summand 0.0 where ``where`` holds."""
+    return [t * (1.0 - where) for t in terms]
 
 
 @pytest.mark.parametrize("form,params,corrupt,bad,message", [
     # Den_F underflows to 0.0 here, where K by autodiff is finite
     ("ves_denf", VES_DECREASING, None, 1e-100, r"Den_F = 0\.0 is not positive"),
     ("ves_curvature_closed", VES_DECREASING, None, 1e-100, r"Den_F = 0\.0 is not positive"),
-    ("kadiyala_deng", KAD_GENERIC, 4, 3.0, r"Den_G = [0-9.e+]+ has a negative summand"),
-    ("kadiyala_curvature_closed", KAD_GENERIC, 0, 3.0,
+    ("kadiyala_deng", KAD_GENERIC, _negated(4), 3.0, r"Den_G = [0-9.e+]+ has a negative summand"),
+    ("kadiyala_deng", KAD_GENERIC, _zeroed, 3.0, r"Den_G = 0\.0 is not positive"),
+    ("kadiyala_curvature_closed", KAD_GENERIC, _negated(0), 3.0,
      r"Den_G = [0-9.e+]+ has a negative summand"),
 ])
 def test_denominators_name_the_first_failing_point(monkeypatch, form, params, corrupt,
@@ -267,8 +271,10 @@ def test_denominators_name_the_first_failing_point(monkeypatch, form, params, co
     """Den_F and Den_G raise where they are computed, on a point and on a
     batch alike, naming the first point where the denominator is not
     positive or one of Den_G's summands is negative."""
-    if corrupt is not None:
-        _negate_summand(monkeypatch, corrupt, lambda u, v: u > 2.0)
+    if corrupt is not None:  # where u > 2
+        terms = curvature._kad_deng_terms
+        monkeypatch.setattr(curvature, "_kad_deng_terms",
+                            lambda p, u, v: corrupt(terms(p, u, v), u > 2.0))
     fn = getattr(curvature, form)
     fn(params, 1.0, 2.0)  # a tame point passes
     message += rf" at \({bad}, {bad}\)"
@@ -276,17 +282,6 @@ def test_denominators_name_the_first_failing_point(monkeypatch, form, params, co
         fn(params, bad, bad)
     with pytest.raises(SingularPointError, match=message):
         fn(params, np.array([1.0, bad, bad * 0.5]), np.array([2.0, bad, bad * 0.5]))
-
-
-def test_deng_not_positive_is_named(monkeypatch):
-    """A Den_G that sums to 0.0 with no negative summand is named as such."""
-    monkeypatch.setattr(curvature, "_kad_deng_terms",
-                        lambda p, u, v: [0.0 * u] * 5)
-    message = r"Den_G = 0\.0 is not positive at \(1\.0, 2\.0\)"
-    with pytest.raises(SingularPointError, match=message):
-        curvature.kadiyala_deng(KAD_GENERIC, 1.0, 2.0)
-    with pytest.raises(SingularPointError, match=message):
-        curvature.kadiyala_deng(KAD_GENERIC, np.array([1.0, 3.0]), np.array([2.0, 4.0]))
 
 
 @pytest.mark.parametrize("form,params", [

@@ -94,7 +94,6 @@ def test_closed_form_K_is_the_monge_K(name):
         assert worst <= IDENTITY_RTOL, f"{name}: {mp.nstr(worst, 3)}"
 
 
-
 # --- The denominators are positive ------------------------------------------
 #
 # Run on sympy symbols, the library's own summands of Den_F and Den_G show
