@@ -16,12 +16,13 @@ pipeline produces; the two routes are cross-checked, never merged.
 
 u and v are both floats (one point) or both 1-d float ndarrays (a
 batch).  Each closed form is a formula for a point under ``_closed_form``,
-which runs a batch on ``_Batch`` views, whose ``**`` is libm's ``pow``
-element by element (``jets._libm_pow``), so every element gets the bits
-of the float form; a failing batch raises its first failing point's
-error.  A power that overflows a float, and a K that comes out inf or
-NaN, raise NonFiniteError; Den_F <= 0, Den_G <= 0 and a negative Den_G
-summand raise SingularPointError; each names the quantity and the point.
+which runs it on a batch as it is, in numpy, so a batch agrees with the
+float form to within the rounding of numpy's power.  On a batch, each
+parameter may be a float or one value per point (a record whose fields
+are columns).  A failing batch raises its first failing point's error.
+A power that overflows a float, and a K that comes out inf or NaN, raise
+NonFiniteError; Den_F <= 0, Den_G <= 0 and a negative Den_G summand raise
+SingularPointError; each names the quantity and the point.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import NonFiniteError, ProdGeoError, SingularPointError
-from .jets import Slot, _at_first, _libm_pow
+from .jets import Slot, _at_first
 from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
 
@@ -56,31 +58,35 @@ def _overflow(name: str, u: float, v: float) -> NonFiniteError:
     return NonFiniteError(f"{name} overflows a float at ({u}, {v})")
 
 
-class _Batch(np.ndarray):
-    """Float slots of a batch whose ``**`` is libm's ``pow`` element by
-    element, as a float's is; numpy's other arithmetic rounds as Python's
-    does.  Results of arithmetic on a _Batch are _Batch views, so a
-    formula written for floats runs on a batch unchanged."""
-
-    def __pow__(self, p):
-        return _libm_pow(self.view(_ndarray), p).view(_Batch)
+def _point(p, i: int):
+    """Point i's parameters from a record whose fields are floats or columns."""
+    return SimpleNamespace(**{name: x.item(i) if type(x) is _ndarray else x
+                              for name, x in vars(p).items()})
 
 
 def _closed_form(formula):
     """The closed form ``formula``, written for a point, on a point or a
     batch.  It holds the formula itself, so a wrapper bound to the public
-    name (a tracer, a test's monkeypatch) is entered once per call."""
+    name (a tracer, a test's monkeypatch) is entered once per call.
+
+    numpy's power gives inf where a float's ``**`` raises, and an inf
+    factor can still leave K finite, so a batch that overflows anywhere,
+    or fails a check, runs the float form point by point: the first
+    failing point raises its error.  Where no point fails (an overflow
+    that the float form also carries to a finite K), the batch's values
+    stand."""
     @functools.wraps(formula)
     def form(p, u: Slot, v: Slot) -> Slot:
         if type(u) is not _ndarray:
             return formula(p, u, v)
         try:
-            with np.errstate(all="ignore"):  # the forms' own checks report overflow
-                return formula(p, u.view(_Batch), v.view(_Batch)).view(_ndarray)
+            with np.errstate(all="raise", under="ignore"):
+                return formula(p, u, v)
         except (ProdGeoError, ArithmeticError):
-            for point in zip(u.tolist(), v.tolist()):
-                formula(p, *point)
-            raise
+            for i, point in enumerate(zip(u.tolist(), v.tolist())):
+                formula(_point(p, i), *point)
+        with np.errstate(all="ignore"):
+            return formula(p, u, v)
     return form
 
 

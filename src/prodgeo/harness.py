@@ -15,6 +15,7 @@ import math
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -574,6 +575,16 @@ def _problems(check: Check) -> tuple[str | None, int]:
     return (check.describe(int(check.bad.argmax())) if count else None), count
 
 
+def _param_columns(records: list, counts: list[int]) -> SimpleNamespace:
+    """One parameter record whose fields are columns: each record's values
+    repeated as often as its count says.  A batch of several parameter
+    sets runs as one; numpy's power then sees an exponent per point, and
+    a point's bits do not depend on what else is in its batch."""
+    names = list(vars(records[0]))
+    values = np.array([[getattr(r, name) for name in names] for r in records])
+    return SimpleNamespace(**dict(zip(names, np.repeat(values.T, counts, axis=1))))
+
+
 def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
                 tol_K: float) -> VerifySummary:
     """Randomized check of a family's theorem.  Each trial sweeps the grid
@@ -590,8 +601,9 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
             """The points of [0, n) in the domain, and K both ways there."""
             valid = family.domain_valid(p, us[:n], vs[:n])
             u, v = us[:n][valid], vs[:n][valid]
-            K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u, v)))
-            return u, v, K, family.closed_K(p, u, v)
+            columns = _param_columns([p], [len(u)])
+            K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(columns, u, v)))
+            return u, v, K, family.closed_K(columns, u, v)
 
         # Overflow to inf or NaN is what the program's checks report.
         with np.errstate(all="ignore"):

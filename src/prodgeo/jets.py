@@ -12,19 +12,22 @@ structural and therefore exact.
 A slot is a float, for one point, or a 1-d ndarray of floats, for a
 batch of points (vector forward mode: Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).  The same functions serve both, so model code
-written once evaluates a point or a whole grid.  On arrays every op
-gives, element by element, the bits its float form gives: sums,
+written once evaluates a point or a whole grid.  On arrays, sums,
 products, quotients and square roots are correctly rounded in numpy as
-in Python, and powers, logarithms and exponentials call the same libm
-``pow``/``log``/``exp`` on each element (``np.power`` and ``np.log``
-round differently on some inputs).  An op that fails on arrays raises
-the error its float form raises at one failing element: the first, in
-array order, to fail the op's first failing check (a power's base and
-overflow are checked before the finiteness of the result).  A caller
-that needs the first failing point of a batch evaluates prefixes of it
-(``harness.build_grid_report`` does).  The checks here catch every
-non-finite slot; numpy's own warnings on overflow are the caller's to
-silence (``np.errstate``), as the evaluators in ``models`` do on a batch.
+in Python, so each element gets the bits its float form gives;
+``ln`` and ``exp`` call the float kernel on each element.  Powers use
+numpy's own power, which may round the last bit differently from the
+libm ``pow`` behind a float's ``**``: a batch agrees with the float form
+to within rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
+also take an array factor or exponent, one per element.  An op that
+fails on arrays raises the error its float form raises at one failing
+element: the first, in array order, to fail the op's first failing
+check (a power's base and overflow are checked before the finiteness of
+the result).  A caller that needs the first failing point of a batch
+evaluates prefixes of it (``harness.build_grid_report`` does).  The
+checks here catch every non-finite slot; numpy's own warnings on
+overflow are the caller's to silence (``np.errstate``), as the
+evaluators in ``models`` do on a batch.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteError
 
-Scalar = Union[int, float]
 Slot = Union[float, np.ndarray]
 _ndarray = np.ndarray
 # Every op of every point ends in _checked, so it skips two Python-level
@@ -83,7 +85,7 @@ class Jet2(NamedTuple):
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p: Scalar) -> "Jet2":
+    def __pow__(self, p: Slot) -> "Jet2":
         return powr(self, p)
 
 
@@ -164,8 +166,8 @@ def neg(a: Jet2) -> Jet2:
     return Jet2(-a.val, -a.d1, -a.d2, -a.d11, -a.d12, -a.d22)
 
 
-def scale(a: Jet2, c: Scalar) -> Jet2:
-    c = float(c)
+def scale(a: Jet2, c: Slot) -> Jet2:
+    """c * a, for a number c or, on a batch, one factor per element."""
     return _checked(c * a.val, c * a.d1, c * a.d2,
                     c * a.d11, c * a.d12, c * a.d22)
 
@@ -216,15 +218,6 @@ def _compose(a: Jet2, g, dg, ddg) -> Jet2:
     )
 
 
-def _libm_pow(x: np.ndarray, p) -> np.ndarray:
-    """x ** p element by element, as a float array: the power ufunc's
-    object loop calls float's own ``**`` on each element, so each gets
-    libm's ``pow`` bits (its float64 loop rounds some differently) and the
-    first element whose power fails raises float's error.  ``x`` is a
-    float64 or an object ndarray; boxing it once serves several powers."""
-    return (x.astype(object, copy=False) ** p).astype(float)
-
-
 def _power(x: float, p: float) -> tuple[float, float, float]:
     if x <= 0.0:
         raise DomainError(f"powr requires a positive base, got {x}")
@@ -234,30 +227,31 @@ def _power(x: float, p: float) -> tuple[float, float, float]:
         raise NonFiniteError(f"power overflow: {x} ** {p}") from None
 
 
-def _power_elements(x: np.ndarray, p: float) -> tuple:
-    """_power on each element of x, through three passes of _libm_pow."""
+def _power_elements(x: np.ndarray, p: Slot) -> tuple:
+    """_power on each element of x, by numpy's power, with p a float or
+    one exponent per element.  numpy gives inf where a float's ``**``
+    raises, so wherever a result is not finite, _power runs element by
+    element and raises the first failing element's error."""
     if not (x <= 0.0).any():
-        boxed = x.astype(object)
-        try:
-            return (_libm_pow(boxed, p), p * _libm_pow(boxed, p - 1.0),
-                    p * (p - 1.0) * _libm_pow(boxed, p - 2.0))
-        except OverflowError:
-            pass
-    # some element fails: _power, element by element, raises its error
+        g = np.power(x, p)
+        dg = p * np.power(x, p - 1.0)
+        ddg = p * (p - 1.0) * np.power(x, p - 2.0)
+        if np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all():
+            return g, dg, ddg
     return _elementwise(_power, x, p)
 
 
-def powr(a: Jet2, p: Scalar) -> Jet2:
-    """Real power a**p for a strictly positive base.
+def powr(a: Jet2, p: Slot) -> Jet2:
+    """Real power a**p for a strictly positive base; on a batch, p may
+    be one exponent per element.
 
     Implemented with direct p*a**(p-1) chain terms rather than
     exp(p*ln a); the two must agree to rounding (asserted in tests).
     """
-    p = float(p)
     if isinstance(a.val, _ndarray):
-        g, dg, ddg = _power_elements(a.val, p)
+        g, dg, ddg = _power_elements(a.val, p if isinstance(p, _ndarray) else float(p))
     else:
-        g, dg, ddg = _power(a.val, p)
+        g, dg, ddg = _power(a.val, float(p))
     return _compose(a, g, dg, ddg)
 
 

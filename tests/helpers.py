@@ -1,15 +1,20 @@
 """Shared test utilities: tolerance asserts, a generator of random
-positive-valued composite expressions for oracle comparisons, and
+positive-valued composite expressions for oracle comparisons, the
+rounding bound that judges a batch against the one-point path, and
 helpers that only tests call."""
 
 import json
+import math
 import random
+import sys
+
+import numpy as np
 
 from prodgeo import harness, jets, models
 from prodgeo.errors import ConstraintViolation, SingularPointError
 from prodgeo.harness import GridReport, GridSpec
 from prodgeo.jets import Jet2
-from prodgeo.models import KadiyalaParams
+from prodgeo.models import KadiyalaParams, VesParams
 
 
 def assert_close(actual, expected, rtol, label=""):
@@ -109,3 +114,167 @@ def sample_grid(spec: GridSpec) -> list[tuple[float, float]]:
     """All n_u*n_v sample points, ordered lexicographically by (u, v)."""
     us, vs = harness._grid_points(spec)
     return list(zip(us.tolist(), vs.tolist()))
+
+
+# --- The rounding bound: batch values against one-point values ---------------
+#
+# A batch computes its powers with numpy, a point with a float's ``**``
+# (libm's pow); the two may round the last bit differently, so a batch
+# value x is held to |x - x*| <= LIMIT * EPS * scale of the point's x*.
+# The scale is a first-order running error analysis (Higham, *Accuracy
+# and Stability of Numerical Algorithms*, sec. 1.7 and ch. 3), the same
+# one the benchmark's oracle uses.
+
+EPS = sys.float_info.epsilon
+LIMIT = 16.0
+
+
+def _pow(x: float, p: float) -> float:
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+class Magnitude:
+    """A value x with scales for the rounding error of x and of its first
+    and second derivatives: a first-order running error analysis along
+    the expression tree of f, in units of EPS.
+
+    Each scale sums the terms that make up its quantity in absolute value,
+    so cancellation between terms shows.  A power also counts the error of
+    its base, scaled by how much the base cancelled, and the rounding of
+    its exponent, which the program forms from the parameters in double
+    precision.
+    """
+
+    def __init__(self, val, m0, m1=0.0, m2=0.0, m11=0.0, m12=0.0, m22=0.0):
+        self.val, self.m = val, (m0, m1, m2, m11, m12, m22)
+
+    def __add__(self, other):
+        return Magnitude(self.val + other.val, *(a + b for a, b in zip(self.m, other.m)))
+
+    def scale(self, c):
+        return Magnitude(c * self.val, *(abs(c) * a for a in self.m))
+
+    def __mul__(self, other):
+        x, a1, a2, a11, a12, a22 = self.m
+        y, b1, b2, b11, b12, b22 = other.m
+        return Magnitude(self.val * other.val, x * y, a1 * y + x * b1, a2 * y + x * b2,
+                         a11 * y + 2 * a1 * b1 + x * b11,
+                         a12 * y + a1 * b2 + a2 * b1 + x * b12,
+                         a22 * y + 2 * a2 * b2 + x * b22)
+
+    def __pow__(self, p):
+        x = self.val                 # a positive base
+        r, ln = self.m[0] / x, math.log(x)   # r: how much the base cancelled
+        q = abs(p)
+        g = _pow(x, p) * (1 + q * (r + abs(ln)))
+        dg = q * _pow(x, p - 1) * (1 + abs(p - 1) * r + abs(1 + p * ln))
+        ddg = (abs(p * (p - 1)) * _pow(x, p - 2) * (1 + abs(p - 2) * r)
+               + q * _pow(x, p - 2) * abs(2 * p - 1 + p * (p - 1) * ln))
+        _, a1, a2, a11, a12, a22 = self.m
+        return Magnitude(_pow(x, p), g, dg * a1, dg * a2, ddg * a1 * a1 + dg * a11,
+                         ddg * a1 * a2 + dg * a12, ddg * a2 * a2 + dg * a22)
+
+
+class RunningError:
+    """A value with a bound on its rounding error in units of EPS, carried
+    through the operations of a closed form (Higham, sec. 3.3): each
+    rounded operation adds its result's magnitude, and an error already in
+    an operand propagates through it.  Inputs and the parameters' floats
+    are exact, and a batch and a point form the exponents alike, so a
+    power adds only its own rounding.  A closed form runs on it as it is
+    written: ``form(p, RunningError(u), RunningError(v)).err``."""
+
+    def __init__(self, val: float, err: float = 0.0):
+        self.val, self.err = val, err
+
+    @staticmethod
+    def _of(x) -> "RunningError":
+        return x if isinstance(x, RunningError) else RunningError(x)
+
+    def __add__(self, other):
+        other = self._of(other)
+        total = self.val + other.val
+        return RunningError(total, self.err + other.err + abs(total))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RunningError(-self.val, self.err)
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __rsub__(self, other):
+        return self._of(other) - self
+
+    def __mul__(self, other):
+        other = self._of(other)
+        product = self.val * other.val
+        return RunningError(product, abs(self.val) * other.err + abs(other.val) * self.err
+                            + abs(product))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        q = self.val / other.val
+        return RunningError(q, (self.err + abs(q) * other.err) / abs(other.val) + abs(q))
+
+    def __pow__(self, p):
+        g = _pow(self.val, p)
+        if not self.val:  # a 0.0 that carries an error: the power of the error
+            return RunningError(g, _pow(self.err, p))
+        return RunningError(g, abs(g) * (1.0 + abs(p) * self.err / abs(self.val)))
+
+    def __lt__(self, other):
+        return self.val < self._of(other).val
+
+    def __le__(self, other):
+        return self.val <= self._of(other).val
+
+    def __ne__(self, other):
+        return self.val != self._of(other).val
+
+    def __repr__(self):
+        return repr(self.val)
+
+
+def _ves_magnitude(p, u, v):
+    return ((u ** (p.delta * (1 - p.beta * p.rho)))
+            * (u.scale(p.rho - 1) + v) ** (p.beta * p.delta * p.rho)).scale(p.k)
+
+
+def _kadiyala_magnitude(p, u, v):
+    s = p.beta1 + p.beta2
+    return ((u ** s).scale(p.k1) + (u ** p.beta1 * v ** p.beta2).scale(2 * p.k2)
+            + (v ** s).scale(p.k3)) ** (p.delta / s)
+
+
+def surface_scales(params, u: float, v: float, fu: float, fv: float,
+                   K: float, H: float) -> dict:
+    """Scales of f, K and H at (u, v), from the running error of f and
+    its derivatives along the model's expression tree; fu, fv, K and H
+    are the point's values.  The closed-form K is judged on K's scale."""
+    height = _ves_magnitude if isinstance(params, VesParams) else _kadiyala_magnitude
+    m0, m1, m2, m11, m12, m22 = height(params, Magnitude(u, u, 1.0),
+                                       Magnitude(v, v, 0.0, 1.0)).m
+    w2 = 1 + fu * fu + fv * fv   # divided by one factor at a time: W^4 can overflow
+    c = (1 + m1 * m1) / w2 * (1 + m2 * m2)
+    return {"f": m0,
+            "K": (m11 * m22 + m12 * m12) / w2 / w2 + abs(K) * c,
+            "H": ((1 + m1 * m1) * m22 + 2 * m1 * m2 * m12 + (1 + m2 * m2) * m11)
+                 / (2 * w2) / math.sqrt(w2) + abs(H) * c}
+
+
+def within_bound(x, x_ref, scale) -> bool:
+    """|x - x_ref| <= LIMIT * EPS * scale, element by element; where the
+    scale is 0 (an operation that rounds as the one-point path does, or an
+    exact 0), the same bits.  A scale that is NaN, where the running error
+    itself overflowed at an extreme point, bounds nothing."""
+    x, x_ref, scale = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, x_ref, scale)))
+    exact = x.view(np.int64) == x_ref.view(np.int64)
+    with np.errstate(all="ignore"):
+        return bool((exact | np.isnan(scale) | (np.abs(x - x_ref) <= LIMIT * EPS * scale)).all())

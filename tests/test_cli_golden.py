@@ -102,27 +102,27 @@ GOLDEN = {
     "eval-ves": "35f2229f8ca4484c69da7307e63ae27cdfcf66332e06c97d515abd67970dabdc",
     "eval-ves-outside-domain": "a811b8900058a52f9adfa27b61822d73ddbb28a284e583d373f3014b9640a153",
     "eval-ves-strict-invalid": "00e641c8575737b54815442e9f98e2d08ced264c80ac151ec914d5b55253a28a",
-    "grid-csv-1x1": "d3045bdb3e469dfbb8a093bc5a27ceeb1e29402cc8e4dc3743572e674a96439b",
-    "grid-csv-kadiyala-developable": "22f8652e56e02e024a9f69bbc2020ceedd6bd1bb350eb75ce455fd44ab9b12c8",
-    "grid-csv-kadiyala-generic": "df134e71a092e2a28d4c939748d95e350c5b90ac5aeb6a02b20558b6571acc5b",
-    "grid-csv-ves-increasing": "e16044eab5084ec577b8c7dd3a47b6a4ac38b0ef4fc46183877a7cc07067b448",
-    "grid-csv-ves-rho-below-1": "f70fd21cc898720534c7d853c07eb4d9ec050791a9db8c51cf8dd853af5f1b2a",
-    "grid-csv-ves-strict": "9ab2660f9c074713b2c075be0b61f145273902a203b2bd2b0141a03575df4776",
-    "grid-json-1x1": "483422a85c82f42919da808655194a8e87954e5a3ccef716d4c0eb5e7755236d",
-    "grid-json-kadiyala-developable": "4f458b2481d7a4fc66a8d59e97ed6715f7a6e9e5836b82ce009d66ba8ae76bb4",
-    "grid-json-kadiyala-generic": "b44a38fab35ca83099c6ac480c5fe4d1afa3c638c1cba71667238adb55f14aa9",
-    "grid-json-ves-increasing": "40352a465f8ed57ed10acb8ec7debb661654f0765d8c72ddc44935c4ff78f14a",
-    "grid-json-ves-rho-below-1": "9d0b369577028e3f8306bcb77e3644e8f7be534272f9bde8ae085a2d70691feb",
-    "grid-json-ves-strict": "a62d0ceb5eb5b7b2c18046edcf799b532d54e317f31492a6181c74480a399144",
+    "grid-csv-1x1": "0b860e634e48ff615e9547a3311608109f47c26a29cf2be200580bd1096fdc4a",
+    "grid-csv-kadiyala-developable": "43b594b5e46fbfd7265f5bd77e4bee59bbce99c3ced02e097e227e3e9d329017",
+    "grid-csv-kadiyala-generic": "ba3c86d47f7c503c6397aa431dee500ee807e3a6bc1565a0a52409a19540750d",
+    "grid-csv-ves-increasing": "c3d8ea0bb04d02fa5ef862bb23550e6a71ce5df88cb6ebddbb03861a4e044dd0",
+    "grid-csv-ves-rho-below-1": "77260b56d2b9365aa7331004ae90d13b7ecdf78e8d61ddfcf70ee82357864c98",
+    "grid-csv-ves-strict": "2b3ca6b6495d6461319f9dbd83d0844265289f58a283a5197dc0bc992d5d3f2b",
+    "grid-json-1x1": "dc0cb21ece8bb4e354176daed3f24f3af79ec51fa6784b4c4b2a1c70ad7293eb",
+    "grid-json-kadiyala-developable": "f016d3db6d68cc69a596bb89bd3d3f836c5b546aa4785f4ec6480e32111f61fe",
+    "grid-json-kadiyala-generic": "f3ff072f95b68e846df9cf07b46ce1e0ee6b7d23bc7aa2660ad2f19e030b4d52",
+    "grid-json-ves-increasing": "dc90ce147b3afa901067220e09db9292d50e8c2d0bf1620f42262fdb4a8ea906",
+    "grid-json-ves-rho-below-1": "ef73737fb826a5c4f2f234ef59a093f423774eb8174e478552e9d294d68af49a",
+    "grid-json-ves-strict": "3ee787ffcf65dc5e0b543c6b08735d67693c5ec2e66477bf5f49e069e4d9ac19",
     "grid-kadiyala-base-underflow": "63e05bd163d36d5f7e75fe57f7bf45ac200d2a87cfbd853b38354643c9d56a83",
     "grid-kadiyala-first-row-fails-late": "cb8f9d74e6ff053a76d1a474f8e70da0e03e5da550733736b0c3a3c531eae47f",
     "grid-kadiyala-power-overflow": "b97419951756350516d3af8f8bf27a36d7ab25908a12c6cf863083c956cc5565",
     "grid-ves-extreme-u": "d6d5f0d8ab34f35d3455345ab7debc496fe9bfb3cc49a40fae37d2b3700785b5",
-    "grid-ves-invalid-extreme-u": "c2d3a39254934ccd2755b572b7ec08f90cee728c6edcac78142f17ac2ef9cc84",
+    "grid-ves-invalid-extreme-u": "e4a01fd060bcb89fba5c5f22f194acefa78b0e7a66f05e7591765f4f263e750a",
     "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
     "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
-    "verify-t1": "44af02dbf8178e72cd672af09970fb0fb282847eececddfba73d7a2f9b30d594",
-    "verify-t2": "01da3848ab99c42efb8958eaf8b6b31441bc2bb8b14fdcff79810392afd9ee18",
+    "verify-t1": "9537ed30ce71ac71be3262e4264008116230e32505bbfcc6e46c6f37a552def6",
+    "verify-t2": "abdb70e4364beab32d7e06c4072640f60074bb005839f00e9615d27ba8b9206b",
     "verify-t1-denf-underflow": "7a10dcc26ff3849a9de493bc0e8eb849c657f18fec798fa3d6b446ae4b11a6a6",
     "verify-t1-power-overflow": "5554f72e6b7c3cea461964470aece575dcafab868d7ec5ff9051ad148e32f4be",
     "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",

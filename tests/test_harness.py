@@ -1,11 +1,14 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close, grid_report_from_json, sample_grid
+from helpers import (EPS, LIMIT, assert_close, grid_report_from_json, sample_grid,
+                     surface_scales, within_bound)
 from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
 from prodgeo.errors import InvalidSpecError, ProdGeoError, StencilOutOfDomainError
@@ -234,17 +237,23 @@ class TestGridReport:
 
 def reference_grid(params, spec, strict_domain, tol_K):
     """Rows and summary of a grid report, computed point by point with the
-    one-point path (jet, forms, classify_sign), in sorted (u, v) order."""
+    one-point path (jet, forms, classify_sign), in sorted (u, v) order,
+    and each valid row's rounding scales (``helpers.surface_scales``)."""
     family = next(f for f in harness.FAMILIES.values() if isinstance(params, f.params_type))
     in_domain = family.domain(strict_domain)
-    evaluated = []
+    evaluated, scales = [], []
     for u, v in sorted(sample_grid(spec)):
         if not in_domain(params, u, v):
             evaluated.append((u, v, None, None, None, False))
+            scales.append(None)
             continue
-        jet = family.jet(params, u, v)
-        K, H = surface.curvature_from_jet(jet)
+        try:
+            jet = family.jet(params, u, v)
+            K, H = surface.curvature_from_jet(jet)
+        except (ProdGeoError, ArithmeticError) as exc:
+            raise RowFailed(u, v) from exc
         evaluated.append((u, v, jet.val, K, H, True))
+        scales.append(surface_scales(params, u, v, jet.d1, jet.d2, K, H))
     max_abs_k = max((abs(K) for *_, K, _H, ok in evaluated if ok), default=0.0)
     rows = [harness.GridRow(u, v, f, K, H, ok,
                             surface.classify_sign(K, max_abs_k, tol_K).value if ok else "")
@@ -255,7 +264,14 @@ def reference_grid(params, spec, strict_domain, tol_K):
                "f_max": max(f_vals) if f_vals else None,
                "invalid_points": sum(1 for r in rows if not r.valid),
                "verdict": family.verdict(params).summary}
-    return tuple(rows), summary
+    return tuple(rows), summary, scales
+
+
+class RowFailed(Exception):
+    """The one-point path failed at row (u, v); the cause is its error."""
+    def __init__(self, u, v):
+        super().__init__(u, v)
+        self.u, self.v = u, v
 
 
 @st.composite
@@ -284,18 +300,45 @@ def family_params(draw):
 @example(params=models.ves_validate(1, 0.4, 1.5, 3), spec=GridSpec(1e100, 1e103, 1e100, 1e103, 2, 2),
          strict=False, tol=1e-9)
 def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
-    """Bit for bit the report the one-point path gives, row by row; where
-    a row fails, the error of the first failing row."""
+    """The report the one-point path gives, row by row: the same points,
+    validity and summary counts, f, K and H within the rounding bound, and
+    the same sign unless K's bound straddles the zero band's edge.  Where
+    a row fails, the error class of the first failing row, and the error
+    that row raises as a grid of its own."""
     try:
-        rows, summary = reference_grid(params, spec, strict, tol)
-    except (ProdGeoError, ArithmeticError) as exc:
-        with pytest.raises(type(exc)) as got:
+        rows, summary, scales = reference_grid(params, spec, strict, tol)
+    except ProdGeoError as exc:  # no strict domain for the family
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
             harness.build_grid_report(params, spec, strict_domain=strict, tol_K=tol)
-        assert str(got.value) == str(exc)
+        return
+    except RowFailed as failed:
+        with pytest.raises(type(failed.__cause__)) as got:
+            harness.build_grid_report(params, spec, strict_domain=strict, tol_K=tol)
+        alone = GridSpec(failed.u, failed.u, failed.v, failed.v, 1, 1)
+        with pytest.raises(type(failed.__cause__)) as want:
+            harness.build_grid_report(params, alone, strict_domain=strict, tol_K=tol)
+        assert str(got.value) == str(want.value)
         return
     report = harness.build_grid_report(params, spec, strict_domain=strict, tol_K=tol)
-    assert repr(report.rows) == repr(rows)   # repr tells -0.0 from 0.0 and keeps every bit
-    assert repr(report.summary) == repr(summary)
+    band = tol * (1.0 + report.summary["max_abs_k"])
+    band_ref = tol * (1.0 + summary["max_abs_k"])
+    worst = {"f": 0.0, "K": 0.0}
+    for got, want, scale in zip(report.rows, rows, scales):
+        assert (got.u, got.v, got.valid) == (want.u, want.v, want.valid)
+        if not want.valid:
+            assert got == want
+            continue
+        for name in ("f", "K", "H"):
+            assert within_bound(getattr(got, name), getattr(want, name), scale[name]), name
+        bound_K = LIMIT * EPS * scale["K"]
+        straddles = abs(abs(want.K) - band_ref) <= bound_K + abs(band - band_ref)
+        assert got.sign == want.sign or straddles
+        worst = {"f": max(worst["f"], scale["f"]), "K": max(worst["K"], scale["K"])}
+    for key, name in (("max_abs_k", "K"), ("f_min", "f"), ("f_max", "f")):
+        if summary[key] is not None:
+            assert within_bound(report.summary[key], summary[key], worst[name]), key
+    assert ({k: summary[k] for k in ("invalid_points", "verdict")}
+            == {k: report.summary[k] for k in ("invalid_points", "verdict")})
 
 
 def _cell(x) -> str:
@@ -347,23 +390,36 @@ def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
 
 # --- The batch verify engine against the one-point engine -------------------
 
+def _trial_batch(family, p, points):
+    """Autodiff and closed-form K over points, in one batch whose
+    parameters are columns, as the engine computes them."""
+    u, v = (np.array(axis, dtype=float) for axis in zip(*points)) if points else [np.empty(0)] * 2
+    columns = harness._param_columns([p], [len(u)])
+    with np.errstate(all="ignore"):
+        K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(columns, u, v)))
+        return K.tolist(), family.closed_K(columns, u, v).tolist()
+
+
 def reference_verify(family, trials, seed, grid, tol_K):
-    """The verify engine point by point, as it ran before it took each
-    trial's points in one batch: one-point calls of the jet, the forms
-    and the closed form, and the verdict over a list."""
+    """The verify engine as one batch per trial and a loop over its points:
+    each trial's in-domain points in one batch (where it fails, the error
+    of the first point that fails as a batch of its own), then the checks
+    point by point and the verdict over a list."""
     out = harness.VerifySummary(theorem=family.theorem)
-    points = sample_grid(grid)
+    grid_points = sample_grid(grid)
     for label, p in family.trials(trials, seed):
         out.trials += 1
         problems = []
         ks = []
-        for u, v in points:
-            if not family.domain_valid(p, u, v):
-                continue
-            jet = family.jet(p, u, v)
-            k_ad = surface.gaussian_curvature(surface.fundamental_forms(jet))
+        points = [(u, v) for u, v in grid_points if family.domain_valid(p, u, v)]
+        try:
+            ks_ad, ks_closed = _trial_batch(family, p, points)
+        except (ProdGeoError, ArithmeticError):
+            for point in points:
+                _trial_batch(family, p, [point])
+            raise
+        for (u, v), k_ad, k_closed in zip(points, ks_ad, ks_closed):
             ks.append((u, v, k_ad))
-            k_closed = family.closed_K(p, u, v)
             dev = harness._rel_dev(k_closed, k_ad)
             out.worst_closed_vs_autodiff = max(out.worst_closed_vs_autodiff, dev)
             if dev > harness.CLOSED_VS_AUTODIFF_RTOL:
@@ -461,7 +517,7 @@ def _outcome(run, *args):
          tol=1e-9, corrupt="checks")
 def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, corrupt):
     """The same trials, passes, failure texts and worst deviation, to the
-    bit, as the one-point engine; or the same error."""
+    bit, as one batch per trial; or the same error."""
     family = harness.FAMILIES[family]
     with pytest.MonkeyPatch.context() as monkeypatch:
         if corrupt:
