@@ -91,6 +91,20 @@ CASES = {
     # Den_F underflows to 0.0 where the autodiff K is finite
     "verify-t1-denf-underflow": ("verify-t1", "--trials", "1",
                                  "--grid", "1e-100,1e-99,2,1e-100,1e-99,2"),
+    # runs of more trials than one batch of a verify run takes, and not a
+    # multiple of it: trials with no point in the domain between curved
+    # ones, and at the end; failing trials in the middle of a run; an
+    # error that a later trial raises, after earlier trials passed
+    "verify-t1-empty-trials": ("verify-t1", "--trials", "11", "--seed", "0",
+                               "--grid", "10,100,3,0.1,1,3"),
+    "verify-t1-failing-trial": ("verify-t1", "--trials", "20", "--seed", "2", "--tol", "1e-14",
+                                "--grid", "0.1,10,7,0.1,10,7"),
+    "verify-t2-failing-trials": ("verify-t2", "--trials", "5", "--seed", "2", "--tol", "1e-14",
+                                 "--grid", "0.1,10,7,0.1,10,7"),
+    "verify-t1-later-trial-raises": ("verify-t1", "--trials", "11",
+                                     "--grid", "1e15,1e25,2,1e15,1e25,2"),
+    "verify-t2-later-trial-raises": ("verify-t2", "--trials", "3", "--seed", "4",
+                                     "--grid", "2.38e+33,6.51e+36,2,2.38e+33,6.51e+36,2"),
 }
 
 GOLDEN = {
@@ -128,6 +142,11 @@ GOLDEN = {
     "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",
     "verify-t2-power-overflow": "9813ed2fc2d4b034de2f5733a2db48a8dac361f3f930246ed2f5cba8cbd83d78",
     "verify-t2-product-overflow": "323554477491ebeb42e009c69d6ec1015a63b12848fb986b7c3d7ad4375e3122",
+    "verify-t1-empty-trials": "92d150a638fed72bff38e574458074debd36e49746bbad0f6a3e75b9a48ccd61",
+    "verify-t1-failing-trial": "aebc546b5eb494fa4d61ffdb81840e299c93e0c8c56b29ff2eeb10c714f864f3",
+    "verify-t1-later-trial-raises": "1c1100315184be92e8382832173cb4613dbb676135bab2d6881d8b6c6c5d362b",
+    "verify-t2-failing-trials": "9bfcaa43a3b22cbec1ad463fa635be3d787ba8b74bb84b5d1b68ff2959b4e5d4",
+    "verify-t2-later-trial-raises": "f53e2106c80e3ec01a654fc2f97e62dfec2d8b62777880d6ed8bb3b2724dfcfe",
 }
 
 
@@ -160,7 +179,8 @@ def test_edge_grids_raise_no_warning(name):
 
 EDGE_VERIFY = ("verify-t1-product-overflow", "verify-t2-product-overflow",
                "verify-t1-power-overflow", "verify-t2-power-overflow",
-               "verify-t1-denf-underflow")
+               "verify-t1-denf-underflow", "verify-t1-later-trial-raises",
+               "verify-t2-later-trial-raises")
 
 
 @pytest.mark.parametrize("name", EDGE_VERIFY)

@@ -504,7 +504,7 @@ def _outcome(run, *args):
 
 @settings(max_examples=120, deadline=None)
 @given(family=st.sampled_from(sorted(harness.FAMILIES)), seed=st.integers(0, 10**6),
-       trials=st.integers(1, 3), spec=st.one_of(grid_specs(), st.just(SMALL_GRID)),
+       trials=st.integers(1, 10), spec=st.one_of(grid_specs(), st.just(SMALL_GRID)),
        tol=st.sampled_from([1e-9, 1e-14, 1e-3, 0.5]),
        corrupt=st.sampled_from([None, *sorted(CORRUPT)]))
 # the first failing point fails in the closed form, later points in the jet
@@ -515,6 +515,20 @@ def _outcome(run, *args):
          tol=1e-9, corrupt="checks")
 @example(family="kadiyala", seed=3, trials=1, spec=GridSpec(1, 2, 1, 2, 2, 2),
          tol=1e-9, corrupt="checks")
+# more trials than one batch of the engine takes, and not a multiple of it:
+# trials with no point in the domain between curved trials and at the end
+@example(family="ves", seed=0, trials=11, spec=GridSpec(10, 100, 0.1, 1, 3, 3),
+         tol=1e-9, corrupt=None)
+# trial 10 fails, and with the verdicts corrupted, every trial
+@example(family="ves", seed=2, trials=20, spec=GridSpec(0.1, 10, 0.1, 10, 4, 4),
+         tol=1e-14, corrupt=None)
+@example(family="kadiyala", seed=2, trials=5, spec=GridSpec(0.1, 10, 0.1, 10, 4, 4),
+         tol=1e-9, corrupt="verdicts")
+# trial 5, and for Kadiyala trial 3, raises after the earlier trials pass
+@example(family="ves", seed=0, trials=11, spec=GridSpec(1e15, 1e25, 1e15, 1e25, 2, 2),
+         tol=1e-9, corrupt=None)
+@example(family="kadiyala", seed=4, trials=3, spec=GridSpec(2.38e33, 6.51e36, 2.38e33, 6.51e36, 2, 2),
+         tol=1e-9, corrupt=None)
 def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, corrupt):
     """The same trials, passes, failure texts and worst deviation, to the
     bit, as one batch per trial; or the same error."""
