@@ -117,12 +117,12 @@ def _positive(name: str, den: Slot, u: Slot, v: Slot, summands=()) -> Slot:
 # --- VES -------------------------------------------------------------------
 
 def _ves_denf_terms(p: VesParams, u: Slot, v: Slot, agg: Slot) -> list[Slot]:
-    """Den_F's two summands at agg = (rho-1)*u + v."""
+    """Den_F's two summands at agg = (rho-1)*u + v.  The first one's
+    quadratic in u and v is written as the sum of squares it is, which
+    cannot cancel below 0 as its expanded form can."""
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     try:
-        quad = (u * u * (r * (b * b * r + r - 2.0) + 1.0)
-                - 2.0 * (r - 1.0) * u * v * (b * r - 1.0)
-                + v * v * (b * r - 1.0) ** 2)
+        quad = ((b * r - 1.0) * v - (r - 1.0) * u) ** 2 + (b * r * u) ** 2
         return [d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r),
                 agg ** 2 * u ** (2.0 * b * d * r + 2.0)]
     except OverflowError:
@@ -132,8 +132,8 @@ def _ves_denf_terms(p: VesParams, u: Slot, v: Slot, agg: Slot) -> list[Slot]:
 @_closed_form
 def ves_denf(p: VesParams, u: Slot, v: Slot) -> Slot:
     """The denominator base Den_F of the VES curvature, a non-negative and
-    a positive summand on the domain.  Only the sum is checked: the first
-    summand's quadratic, a sum of squares expanded, can round below 0."""
+    a positive summand on the domain, in floats too: each is a product of
+    non-negative factors.  Their sum can still underflow to 0.0."""
     a1, a2 = _ves_denf_terms(p, u, v, _ves_aggregate(p, u, v))
     return _positive("Den_F", a1 + a2, u, v)
 

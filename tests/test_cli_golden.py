@@ -135,14 +135,14 @@ GOLDEN = {
     "grid-ves-invalid-extreme-u": "e4a01fd060bcb89fba5c5f22f194acefa78b0e7a66f05e7591765f4f263e750a",
     "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
     "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
-    "verify-t1": "9537ed30ce71ac71be3262e4264008116230e32505bbfcc6e46c6f37a552def6",
+    "verify-t1": "9ef3690a57ff52a43b858f606d8eef5ed2726e0aaec92928057c61200e3685ca",
     "verify-t2": "abdb70e4364beab32d7e06c4072640f60074bb005839f00e9615d27ba8b9206b",
     "verify-t1-denf-underflow": "7a10dcc26ff3849a9de493bc0e8eb849c657f18fec798fa3d6b446ae4b11a6a6",
     "verify-t1-power-overflow": "5554f72e6b7c3cea461964470aece575dcafab868d7ec5ff9051ad148e32f4be",
     "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",
     "verify-t2-power-overflow": "9813ed2fc2d4b034de2f5733a2db48a8dac361f3f930246ed2f5cba8cbd83d78",
     "verify-t2-product-overflow": "323554477491ebeb42e009c69d6ec1015a63b12848fb986b7c3d7ad4375e3122",
-    "verify-t1-empty-trials": "92d150a638fed72bff38e574458074debd36e49746bbad0f6a3e75b9a48ccd61",
+    "verify-t1-empty-trials": "fd96fe95c21a4ce0c142b869211b045c9b8cec1a325992dfc28d0f2f0357003f",
     "verify-t1-failing-trial": "aebc546b5eb494fa4d61ffdb81840e299c93e0c8c56b29ff2eeb10c714f864f3",
     "verify-t1-later-trial-raises": "1c1100315184be92e8382832173cb4613dbb676135bab2d6881d8b6c6c5d362b",
     "verify-t2-failing-trials": "9bfcaa43a3b22cbec1ad463fa635be3d787ba8b74bb84b5d1b68ff2959b4e5d4",

@@ -57,6 +57,17 @@ class TestVesClosedForm:
         k_ad = autodiff_K(p, 1.0, 2.0)
         assert_close(curvature.ves_curvature_closed(p, 1.0, 2.0), k_ad, 1e-8)
 
+    def test_denf_does_not_cancel_below_zero(self):
+        """Expanded, Den_F's quadratic cancels to -2.4e-22 here, at a valid
+        point with a valid beta*rho near 0.  K is the 60-digit Monge K of
+        tests/test_identities.py at this point; autodiff, whose det Hess
+        cancels, is 4.5e-7 off it."""
+        p = models.ves_validate(1, 1e-9, 0.5, 2.0)
+        u, v = 0.10985411419875583, 0.05492705712684145
+        assert curvature.ves_denf(p, u, v) > 0.0
+        K = curvature.ves_curvature_closed(p, u, v)
+        assert abs(K - -22480491652.035240869) <= 1e-13 * 22480491652.0
+
     def test_denf_positive(self):
         rng = random.Random(32)
         for _ in range(200):

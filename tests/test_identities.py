@@ -103,11 +103,15 @@ def test_closed_form_K_is_the_monge_K(name):
 def test_denf_is_a_positive_plus_a_nonnegative_summand():
     """On the domain, agg = (rho-1)*u + v > 0 and u > 0.  Den_F's first
     summand is positive powers times a quadratic that is a sum of two
-    squares, and its second summand is positive, so Den_F > 0."""
+    squares, the paper's expanded quadratic, and its second summand is
+    positive, so Den_F > 0."""
     k, b, r, d, agg = sympy.symbols("k beta rho delta agg", positive=True)
     p = SimpleNamespace(k=k, beta=b, rho=r, delta=d)
     a1, a2 = map(sympy.nsimplify, curvature._ves_denf_terms(p, u_, v_, agg))
     squares = ((b * r - 1) * v_ - (r - 1) * u_) ** 2 + (b * r * u_) ** 2
+    expanded = (u_ ** 2 * (r * (b ** 2 * r + r - 2) + 1) - 2 * (r - 1) * u_ * v_ * (b * r - 1)
+                + v_ ** 2 * (b * r - 1) ** 2)
+    assert sympy.expand(squares - expanded) == 0   # the paper's quadratic
     powers = d ** 2 * k ** 2 * u_ ** (2 * d) * agg ** (2 * b * d * r)
     assert sympy.expand(a1 - powers * squares) == 0
     assert (powers * squares).is_nonnegative
