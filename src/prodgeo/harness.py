@@ -586,9 +586,9 @@ def _param_columns(records: list, counts: list[int]) -> SimpleNamespace:
     return SimpleNamespace(**dict(zip(names, np.repeat(values.T, counts, axis=1))))
 
 
-#: Verify trials per batch.  A batch of 8 trials on the default 400-point
-#: grid holds 3 200 points; twice as many ran faster but took over 5%
-#: more peak memory.
+#: Verify trials per batch: 3 200 points on the default grid.  Larger
+#: batches run faster, but a run's peak memory grows by about 0.1 MB per
+#: trial of a batch; 8 keep it within 2% of one trial at a time.
 VERIFY_BATCH_TRIALS = 8
 
 
