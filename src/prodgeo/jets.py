@@ -14,8 +14,8 @@ batch of points (vector forward mode: Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).  The same functions serve both, so model code
 written once evaluates a point or a whole grid.  On arrays, sums,
 products, quotients and square roots are correctly rounded in numpy as
-in Python, so each element gets the bits its float form gives;
-``ln`` and ``exp`` call the float kernel on each element.  Powers use
+in Python, so each element gets the bits its float form gives; ``ln``,
+``exp`` and ``sqrt`` call the float kernel on each element.  Powers use
 numpy's own power, which may round the last bit differently from the
 libm ``pow`` behind a float's ``**``: a batch agrees with the float form
 to within rounding, not bit for bit.  ``scale`` and ``powr`` on arrays

@@ -13,7 +13,8 @@ Gaussian and mean curvatures, using the standard graph-surface formulas:
     H = (g11 h22 - 2 g12 h12 + g22 h11) / (2 det I)
 
 A jet whose slots are ndarrays gives forms, K, H and sign classes
-element by element, with the bits of the one-point computation.
+element by element, with the bits the one-point computation gives on
+the same slots.
 """
 
 from __future__ import annotations

@@ -322,7 +322,7 @@ def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
     report = harness.build_grid_report(params, spec, strict_domain=strict, tol_K=tol)
     band = tol * (1.0 + report.summary["max_abs_k"])
     band_ref = tol * (1.0 + summary["max_abs_k"])
-    worst = {"f": 0.0, "K": 0.0}
+    max_scale = {"f": 0.0, "K": 0.0}
     for got, want, scale in zip(report.rows, rows, scales):
         assert (got.u, got.v, got.valid) == (want.u, want.v, want.valid)
         if not want.valid:
@@ -333,10 +333,10 @@ def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
         bound_K = LIMIT * EPS * scale["K"]
         straddles = abs(abs(want.K) - band_ref) <= bound_K + abs(band - band_ref)
         assert got.sign == want.sign or straddles
-        worst = {"f": max(worst["f"], scale["f"]), "K": max(worst["K"], scale["K"])}
+        max_scale = {name: max(max_scale[name], scale[name]) for name in max_scale}
     for key, name in (("max_abs_k", "K"), ("f_min", "f"), ("f_max", "f")):
         if summary[key] is not None:
-            assert within_bound(report.summary[key], summary[key], worst[name]), key
+            assert within_bound(report.summary[key], summary[key], max_scale[name]), key
     assert ({k: summary[k] for k in ("invalid_points", "verdict")}
             == {k: report.summary[k] for k in ("invalid_points", "verdict")})
 
