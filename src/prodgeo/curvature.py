@@ -32,14 +32,10 @@ import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import numpy as np
-
 from .errors import NonFiniteError, ProdGeoError, SingularPointError
-from .jets import Slot, _at_first
+from .jets import POINT, Slot, _at_first, np
 from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
-
-_ndarray = np.ndarray
 
 
 class ReturnsToScale(enum.Enum):
@@ -60,7 +56,7 @@ def _overflow(name: str, u: float, v: float) -> NonFiniteError:
 
 def _point(p, i: int):
     """Point i's parameters from a record whose fields are floats or columns."""
-    return SimpleNamespace(**{name: x.item(i) if type(x) is _ndarray else x
+    return SimpleNamespace(**{name: x if isinstance(x, POINT) else x.item(i)
                               for name, x in vars(p).items()})
 
 
@@ -77,7 +73,7 @@ def _closed_form(formula):
     stand."""
     @functools.wraps(formula)
     def form(p, u: Slot, v: Slot) -> Slot:
-        if type(u) is not _ndarray:
+        if isinstance(u, POINT):
             return formula(p, u, v)
         try:
             with np.errstate(all="raise", under="ignore"):

@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
-
 from . import curvature, jets, models, surface
 from .curvature import DevelopabilityReason
 from .errors import DomainError, InvalidSpecError, ProdGeoError, StencilOutOfDomainError
-from .jets import Slot
+from .jets import Slot, np
 from .models import KadiyalaParams, VesParams
 from .surface import SignClass
 

@@ -28,19 +28,46 @@ evaluates prefixes of it (``harness.build_grid_report`` does).  The
 checks here catch every non-finite slot; numpy's own warnings on
 overflow are the caller's to silence (``np.errstate``), as the
 evaluators in ``models`` do on a batch.
+
+numpy is a batch's dependency only.  ``np`` is numpy loaded lazily: it
+executes on its first attribute access, which a point never makes.
+``isinstance(x, POINT)`` tells a point's float (or int) from a batch's
+ndarray without touching numpy; every module tests a slot this one way.
+A point's values and errors are thus computed without loading numpy,
+and a batch loads it on its first operation.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from typing import NamedTuple, Union
-
-import numpy as np
 
 from .errors import DomainError, NonFiniteError
 
-Slot = Union[float, np.ndarray]
-_ndarray = np.ndarray
+
+def _lazy_import(name: str):
+    """The module ``name``, executed on its first attribute access: the
+    LazyLoader recipe of the importlib documentation.  It stands in
+    sys.modules, so an ``import`` elsewhere, which reads its ``__spec__``,
+    executes it there and gets the same module."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
+#: The types of a point's slot or coordinate; a batch's is an ndarray.
+POINT = (float, int)
+Slot = Union[float, "np.ndarray"]
+
 # Every op of every point ends in _checked, so it skips two Python-level
 # calls: math.isfinite bound once, and the tuple built without the
 # NamedTuple's generated __new__.
@@ -102,12 +129,12 @@ def _at_first(bad, *slots):
     first point where it holds, as floats.  ``bad`` and the slots are
     one point's bools and floats or a batch's arrays (a slot may also be
     a float shared by the whole batch)."""
-    if not isinstance(bad, _ndarray):
+    if isinstance(bad, POINT):
         return slots if bad else None
     if not bad.any():
         return None
     i = int(bad.argmax())
-    return tuple(s.item(i) if isinstance(s, _ndarray) else s for s in slots)
+    return tuple(s if isinstance(s, POINT) else s.item(i) for s in slots)
 
 
 def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
@@ -131,13 +158,13 @@ def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
 
 def seed_u(u0) -> Jet2:
     """Jet of the first independent variable at u = u0 (a float or an ndarray)."""
-    u0 = u0.astype(float) if isinstance(u0, _ndarray) else float(u0)
+    u0 = float(u0) if isinstance(u0, POINT) else u0.astype(float)
     return _checked(u0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def seed_v(v0) -> Jet2:
     """Jet of the second independent variable at v = v0 (a float or an ndarray)."""
-    v0 = v0.astype(float) if isinstance(v0, _ndarray) else float(v0)
+    v0 = float(v0) if isinstance(v0, POINT) else v0.astype(float)
     return _checked(v0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
@@ -148,7 +175,7 @@ def seed(u0, v0) -> tuple[Jet2, Jet2]:
 
 def constant(c) -> Jet2:
     """Jet of a constant: all derivative slots zero."""
-    c = c.astype(float) if isinstance(c, _ndarray) else float(c)
+    c = float(c) if isinstance(c, POINT) else c.astype(float)
     return _checked(c, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -248,10 +275,10 @@ def powr(a: Jet2, p: Slot) -> Jet2:
     Implemented with direct p*a**(p-1) chain terms rather than
     exp(p*ln a); the two must agree to rounding (asserted in tests).
     """
-    if isinstance(a.val, _ndarray):
-        g, dg, ddg = _power_elements(a.val, p if isinstance(p, _ndarray) else float(p))
-    else:
+    if isinstance(a.val, POINT):
         g, dg, ddg = _power(a.val, float(p))
+    else:
+        g, dg, ddg = _power_elements(a.val, float(p) if isinstance(p, POINT) else p)
     return _compose(a, g, dg, ddg)
 
 
@@ -263,9 +290,9 @@ def _log(x: float) -> tuple[float, float, float]:
 
 
 def ln(a: Jet2) -> Jet2:
-    if isinstance(a.val, _ndarray):
-        return _compose(a, *_elementwise(_log, a.val))
-    return _compose(a, *_log(a.val))
+    if isinstance(a.val, POINT):
+        return _compose(a, *_log(a.val))
+    return _compose(a, *_elementwise(_log, a.val))
 
 
 def _exp(x: float) -> tuple[float, float, float]:
@@ -277,9 +304,9 @@ def _exp(x: float) -> tuple[float, float, float]:
 
 
 def exp(a: Jet2) -> Jet2:
-    if isinstance(a.val, _ndarray):
-        return _compose(a, *_elementwise(_exp, a.val))
-    return _compose(a, *_exp(a.val))
+    if isinstance(a.val, POINT):
+        return _compose(a, *_exp(a.val))
+    return _compose(a, *_elementwise(_exp, a.val))
 
 
 def _sqrt(x: float) -> tuple[float, float, float]:
@@ -291,6 +318,6 @@ def _sqrt(x: float) -> tuple[float, float, float]:
 
 
 def sqrt(a: Jet2) -> Jet2:
-    if isinstance(a.val, _ndarray):
-        return _compose(a, *_elementwise(_sqrt, a.val))
-    return _compose(a, *_sqrt(a.val))
+    if isinstance(a.val, POINT):
+        return _compose(a, *_sqrt(a.val))
+    return _compose(a, *_elementwise(_sqrt, a.val))

@@ -25,11 +25,9 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import jets
 from .errors import ConstraintViolation, DomainError, NonPositiveInputError
-from .jets import Jet2, _at_first
+from .jets import POINT, Jet2, _at_first, np
 
 PARAM_EQ_TOL = 1e-12  # tolerance for equality checks on user-supplied parameters
 
@@ -171,10 +169,10 @@ def _quiet_on_batches(evaluate):
     overflow warnings would only repeat them.  One point runs as is."""
     @functools.wraps(evaluate)
     def evaluate_quietly(p, u: Jet2, v: Jet2) -> Jet2:
-        if type(u.val) is np.ndarray:
-            with np.errstate(all="ignore"):
-                return evaluate(p, u, v)
-        return evaluate(p, u, v)
+        if isinstance(u.val, POINT):
+            return evaluate(p, u, v)
+        with np.errstate(all="ignore"):
+            return evaluate(p, u, v)
     return evaluate_quietly
 
 

@@ -23,10 +23,8 @@ import enum
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NonFiniteError
-from .jets import Jet2, Slot, _at_first, _checked
+from .jets import POINT, Jet2, Slot, _at_first, _checked, np
 
 DEFAULT_CURVATURE_TOL = 1e-9
 
@@ -73,7 +71,7 @@ def fundamental_forms(jet: Jet2) -> FundamentalForms:
     bad = w2 == math.inf
     if bad is not False and (at := _at_first(bad, fu, fv)):
         raise NonFiniteError("1 + f_u^2 + f_v^2 overflows at slopes f_u={}, f_v={}".format(*at))
-    w = np.sqrt(w2) if isinstance(w2, np.ndarray) else math.sqrt(w2)
+    w = math.sqrt(w2) if isinstance(w2, POINT) else np.sqrt(w2)
     inv_w = 1.0 / w
     return FundamentalForms(
         g11=1.0 + fu * fu,
@@ -117,7 +115,7 @@ def classify_sign(K, local_scale: float = 0.0,
     if not tol_K > 0.0:  # also rejects NaN
         raise ValueError("tol_K must be positive")
     zero = abs(K) <= tol_K * (1.0 + abs(local_scale))
-    if isinstance(K, np.ndarray):
+    if not isinstance(K, POINT):
         return np.where(zero, SignClass.ZERO,
                         np.where(K > 0.0, SignClass.POSITIVE, SignClass.NEGATIVE))
     if zero:

@@ -150,12 +150,16 @@ GOLDEN = {
 }
 
 
+def blob_hash(code: int, out: str, err: str) -> str:
+    """The sha256 that GOLDEN holds for a run's exit code, stdout and stderr."""
+    return hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_unchanged(capsys, name):
     code = cli.main(list(CASES[name]))
     captured = capsys.readouterr()
-    blob = f"{code}\n{captured.out}\n{captured.err}".encode()
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[name]
+    assert blob_hash(code, captured.out, captured.err) == GOLDEN[name]
 
 
 EDGE_GRIDS = ("grid-kadiyala-power-overflow", "grid-kadiyala-first-row-fails-late",
