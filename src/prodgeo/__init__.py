@@ -10,18 +10,17 @@ from .curvature import (DevelopabilityReason, DevelopabilityVerdict,
                         ves_denf, ves_theorem_verdict)
 from .errors import (ConstraintViolation, DomainError, InvalidSpecError,
                      NonFiniteError, NonPositiveInputError, ProdGeoError,
-                     SingularPointError, StencilOutOfDomainError)
-from .harness import (DEFAULT_GRID, GridReport, GridRow, GridSpec, Spacing,
-                      VerifySummary, build_grid_report, emit_grid_report,
-                      fd_oracle, parse_grid_spec, random_kadiyala_params,
-                      random_ves_params, run_verify_theorem1,
-                      run_verify_theorem2)
+                     SingularPointError)
+from .harness import (DEFAULT_GRID, GridReport, GridSpec, Spacing, VerifySummary,
+                      build_grid_report, emit_grid_report, parse_grid_spec,
+                      random_kadiyala_params, random_ves_params,
+                      run_verify_theorem1, run_verify_theorem2)
 from .jets import Jet2, constant, seed, seed_u, seed_v
 from .models import (Family, FamilyTag, KadiyalaParams, VesParams,
                      kadiyala_eval, kadiyala_params_from_json,
-                     kadiyala_specialize, kadiyala_validate, kadiyala_value,
-                     params_to_json, ves_domain_valid, ves_elasticity,
-                     ves_eval, ves_params_from_json, ves_validate, ves_value)
+                     kadiyala_specialize, kadiyala_validate, params_to_json,
+                     ves_domain_valid, ves_eval, ves_params_from_json,
+                     ves_validate)
 from .surface import (FundamentalForms, SignClass,
                       classify_sign, curvature_from_jet, fundamental_forms,
                       gaussian_curvature, mean_curvature)

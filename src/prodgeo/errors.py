@@ -32,9 +32,5 @@ class SingularPointError(ProdGeoError):
     """A derivative-based quantity is undefined because a denominator vanishes."""
 
 
-class StencilOutOfDomainError(DomainError):
-    """A finite-difference stencil point falls outside the model domain."""
-
-
 class InvalidSpecError(ProdGeoError):
     """A grid specification is malformed."""

@@ -1,6 +1,5 @@
 """The table of model families, grid sweeps, seeded parameter sampling,
-the finite-difference oracle, and the randomized verification runs for
-the two curvature theorems.
+and the randomized verification runs for the two curvature theorems.
 
 Verification runs aggregate every violation into the returned summary
 instead of raising, so one bad draw cannot mask the rest.
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 from . import curvature, jets, models, surface
 from .curvature import DevelopabilityReason
-from .errors import DomainError, InvalidSpecError, ProdGeoError, StencilOutOfDomainError
+from .errors import InvalidSpecError, ProdGeoError
 from .jets import Slot, np
 from .models import KadiyalaParams, VesParams
 from .surface import SignClass
@@ -188,43 +187,6 @@ def random_kadiyala_params(
         return models.kadiyala_validate(k1, k2, k3, b1, b2, delta)
 
 
-# --- Finite-difference oracle ---------------------------------------------
-
-FD_H_SCALE = 1e-5
-
-
-def fd_oracle(f, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient and Hessian of a scalar field f(u, v).
-
-    Steps scale with the point magnitude: h_i = FD_H_SCALE * max(1, |x_i|).
-    The mixed partial uses the 4-point stencil.  Raises
-    StencilOutOfDomainError if any stencil point leaves the field's
-    domain.
-    """
-    hu = FD_H_SCALE * max(1.0, abs(u))
-    hv = FD_H_SCALE * max(1.0, abs(v))
-
-    def ev(uu, vv):
-        try:
-            return f(uu, vv)
-        except DomainError as exc:
-            raise StencilOutOfDomainError(
-                f"stencil point ({uu}, {vv}) left the domain: {exc}") from exc
-
-    f00 = ev(u, v)
-    fp0, fm0 = ev(u + hu, v), ev(u - hu, v)
-    f0p, f0m = ev(u, v + hv), ev(u, v - hv)
-    fpp, fpm = ev(u + hu, v + hv), ev(u + hu, v - hv)
-    fmp, fmm = ev(u - hu, v + hv), ev(u - hu, v - hv)
-
-    grad = np.array([(fp0 - fm0) / (2.0 * hu), (f0p - f0m) / (2.0 * hv)])
-    d11 = (fp0 - 2.0 * f00 + fm0) / (hu * hu)
-    d22 = (f0p - 2.0 * f00 + f0m) / (hv * hv)
-    d12 = (fpp - fpm - fmp + fmm) / (4.0 * hu * hv)
-    hess = np.array([[d11, d12], [d12, d22]])
-    return grad, hess
-
-
 # --- Model families ----------------------------------------------------------
 #
 # Everything that differs between VES and Kadiyala is one record below;
@@ -362,17 +324,6 @@ _FAMILY_OF_TYPE = {family.params_type: family for family in FAMILIES.values()}
 # --- Grid reports ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class GridRow:
-    u: float
-    v: float
-    f: float | None
-    K: float | None
-    H: float | None
-    valid: bool
-    sign: str
-
-
-@dataclass(frozen=True)
 class GridReport:
     """A grid sweep column by column: row i is (u[i], v[i], f[i], K[i],
     H[i], valid[i], sign[i]), with f, K, H None and sign "" where the
@@ -386,11 +337,6 @@ class GridReport:
     valid: tuple[bool, ...]
     sign: tuple[str, ...]
     summary: dict
-
-    @property
-    def rows(self) -> tuple[GridRow, ...]:
-        return tuple(map(GridRow, self.u, self.v, self.f, self.K, self.H,
-                         self.valid, self.sign))
 
     @functools.cached_property
     def _reprs(self) -> dict[str, list[str]]:

@@ -187,10 +187,6 @@ def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
         p.k)
 
 
-def ves_value(p: VesParams, u: float, v: float) -> float:
-    return ves_eval(p, jets.constant(u), jets.constant(v)).val
-
-
 @_quiet_on_batches
 def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of P(u, v); requires u, v > 0."""
@@ -201,21 +197,6 @@ def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
                                    jets.powr(v, p.beta2)), 2.0 * p.k2)
              + jets.scale(jets.powr(v, bsum), p.k3))
     return jets.powr(inner, p.delta / bsum)
-
-
-def kadiyala_value(p: KadiyalaParams, u: float, v: float) -> float:
-    return kadiyala_eval(p, jets.constant(u), jets.constant(v)).val
-
-
-# --- Elasticity of substitution -------------------------------------------
-
-def ves_elasticity(p: VesParams, u: float, v: float) -> float:
-    """Revankar's closed form: sigma = 1 + (rho-1)/(1-beta*rho) * u/v.
-
-    Linear in the capital-labor ratio u/v, hence scale-invariant.
-    """
-    _check_positive(u, v)
-    return 1.0 + (p.rho - 1.0) / (1.0 - p.beta * p.rho) * (u / v)
 
 
 # --- Kadiyala specializations ---------------------------------------------

@@ -1,17 +1,18 @@
 """Shared test utilities: tolerance asserts, a generator of random
 positive-valued composite expressions for oracle comparisons, the
-rounding bound that judges a batch against the one-point path, and
-helpers that only tests call."""
+finite-difference oracle, the rounding bound that judges a batch against
+the one-point path, and helpers that only tests call."""
 
 import json
 import math
 import random
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from prodgeo import harness, jets, models
-from prodgeo.errors import ConstraintViolation, SingularPointError
+from prodgeo.errors import ConstraintViolation, DomainError, SingularPointError
 from prodgeo.harness import GridReport, GridSpec
 from prodgeo.jets import Jet2
 from prodgeo.models import KadiyalaParams, VesParams
@@ -76,6 +77,64 @@ def as_scalar_field(expr):
     return lambda u, v: expr(jets.constant(u), jets.constant(v)).val
 
 
+def ves_value(p: VesParams, u: float, v: float) -> float:
+    return models.ves_eval(p, jets.constant(u), jets.constant(v)).val
+
+
+def kadiyala_value(p: KadiyalaParams, u: float, v: float) -> float:
+    return models.kadiyala_eval(p, jets.constant(u), jets.constant(v)).val
+
+
+def ves_elasticity(p: VesParams, u: float, v: float) -> float:
+    """Revankar's closed form: sigma = 1 + (rho-1)/(1-beta*rho) * u/v.
+
+    Linear in the capital-labor ratio u/v, hence scale-invariant.
+    """
+    models._check_positive(u, v)
+    return 1.0 + (p.rho - 1.0) / (1.0 - p.beta * p.rho) * (u / v)
+
+
+# --- Finite-difference oracle ---------------------------------------------
+
+FD_H_SCALE = 1e-5
+
+
+class StencilOutOfDomainError(DomainError):
+    """A finite-difference stencil point falls outside the model domain."""
+
+
+def fd_oracle(f, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradient and Hessian of a scalar field f(u, v).
+
+    Steps scale with the point magnitude: h_i = FD_H_SCALE * max(1, |x_i|).
+    The mixed partial uses the 4-point stencil.  Raises
+    StencilOutOfDomainError if any stencil point leaves the field's
+    domain.
+    """
+    hu = FD_H_SCALE * max(1.0, abs(u))
+    hv = FD_H_SCALE * max(1.0, abs(v))
+
+    def ev(uu, vv):
+        try:
+            return f(uu, vv)
+        except DomainError as exc:
+            raise StencilOutOfDomainError(
+                f"stencil point ({uu}, {vv}) left the domain: {exc}") from exc
+
+    f00 = ev(u, v)
+    fp0, fm0 = ev(u + hu, v), ev(u - hu, v)
+    f0p, f0m = ev(u, v + hv), ev(u, v - hv)
+    fpp, fpm = ev(u + hu, v + hv), ev(u + hu, v - hv)
+    fmp, fmm = ev(u - hu, v + hv), ev(u - hu, v - hv)
+
+    grad = np.array([(fp0 - fm0) / (2.0 * hu), (f0p - f0m) / (2.0 * hv)])
+    d11 = (fp0 - 2.0 * f00 + fm0) / (hu * hu)
+    d22 = (f0p - 2.0 * f00 + f0m) / (hv * hv)
+    d12 = (fpp - fpm - fmp + fmm) / (4.0 * hu * hv)
+    hess = np.array([[d11, d12], [d12, d22]])
+    return grad, hess
+
+
 def kadiyala_normalized(k1, k2, k3, beta1, beta2, delta) -> KadiyalaParams:
     """Kadiyala parameters with the weights rescaled explicitly so that
     k1 + 2*k2 + k3 = 1 before validating."""
@@ -100,6 +159,23 @@ def elasticity_oracle(jet: Jet2, u: float, v: float) -> float:
         raise SingularPointError(
             f"elasticity denominator vanishes at ({u}, {v})")
     return -fu * fv * (u * fu + v * fv) / den
+
+
+@dataclass(frozen=True)
+class GridRow:
+    u: float
+    v: float
+    f: float | None
+    K: float | None
+    H: float | None
+    valid: bool
+    sign: str
+
+
+def report_rows(report: GridReport) -> tuple[GridRow, ...]:
+    """The report row by row."""
+    return tuple(map(GridRow, report.u, report.v, report.f, report.K, report.H,
+                     report.valid, report.sign))
 
 
 def grid_report_from_json(text: str) -> GridReport:

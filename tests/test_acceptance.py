@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from helpers import (as_scalar_field, assert_close, elasticity_oracle, kadiyala_normalized,
-                     sample_grid, tame_expression)
+from helpers import (as_scalar_field, assert_close, elasticity_oracle, fd_oracle,
+                     kadiyala_normalized, kadiyala_value, sample_grid, tame_expression,
+                     ves_elasticity, ves_value)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.errors import SingularPointError
 from prodgeo.surface import SignClass
@@ -31,9 +32,9 @@ def scaled_to_unit_height(params, u0, v0):
     """Rescale a point along its ray so the model's height there is ~1;
     keeps finite differences trustworthy for arbitrary parameter draws."""
     if isinstance(params, models.VesParams):
-        value = lambda u, v: models.ves_value(params, u, v)
+        value = lambda u, v: ves_value(params, u, v)
     else:
-        value = lambda u, v: models.kadiyala_value(params, u, v)
+        value = lambda u, v: kadiyala_value(params, u, v)
     lam = value(u0, v0) ** (-1.0 / params.delta)
     lam = min(max(lam, 0.05), 20.0)
     return u0 * lam, v0 * lam
@@ -45,7 +46,7 @@ def test_criterion_1_autodiff_vs_finite_differences():
     checked = 0
 
     def check(jet, field, u0, v0, label):
-        grad, hess = harness.fd_oracle(field, u0, v0)
+        grad, hess = fd_oracle(field, u0, v0)
         assert_close(jet.d1, grad[0], 1e-6, f"{label} d1")
         assert_close(jet.d2, grad[1], 1e-6, f"{label} d2")
         assert_close(jet.d11, hess[0, 0], 1e-4, f"{label} d11")
@@ -68,7 +69,7 @@ def test_criterion_1_autodiff_vs_finite_differences():
         # strict validity depends only on v/u, so it survives the rescale
         u0, v0 = scaled_to_unit_height(p, u0, v0)
         check(models.ves_eval(p, *jets.seed(u0, v0)),
-              lambda u, v: models.ves_value(p, u, v), u0, v0, f"ves {ves_done}")
+              lambda u, v: ves_value(p, u, v), u0, v0, f"ves {ves_done}")
         ves_done += 1
         checked += 1
 
@@ -77,7 +78,7 @@ def test_criterion_1_autodiff_vs_finite_differences():
         u0, v0 = scaled_to_unit_height(
             p, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         check(models.kadiyala_eval(p, *jets.seed(u0, v0)),
-              lambda u, v: models.kadiyala_value(p, u, v), u0, v0, f"kad {i}")
+              lambda u, v: kadiyala_value(p, u, v), u0, v0, f"kad {i}")
         checked += 1
 
     elapsed = time.perf_counter() - t0
@@ -162,26 +163,26 @@ def test_criterion_6_reductions_and_homogeneity():
     pv = models.ves_validate(2.5, 0.35, 1.0, 1.3)
     for _ in range(200):
         u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
-        assert_close(models.kadiyala_value(p1, u, v),
+        assert_close(kadiyala_value(p1, u, v),
                      (0.35 * u + 0.65 * v) ** 1.7, 1e-12, "P1")
-        assert_close(models.kadiyala_value(p2, u, v),
+        assert_close(kadiyala_value(p2, u, v),
                      (math.sqrt(p2.k1) * u + math.sqrt(p2.k3) * v) ** 1.7,
                      1e-12, "P2")
-        assert_close(models.ves_value(pv, u, v),
+        assert_close(ves_value(pv, u, v),
                      2.5 * u ** (1.3 * 0.65) * v ** (0.35 * 1.3), 1e-12,
                      "rho=1 Cobb-Douglas")
     for s in range(50):
         pk = harness.random_kadiyala_params(rng.randrange(2**31))
         pv = harness.random_ves_params(rng.randrange(2**31))
         u, v = rng.uniform(0.5, 2), rng.uniform(0.5, 2)
-        base_k = models.kadiyala_value(pk, u, v)
+        base_k = kadiyala_value(pk, u, v)
         ves_ok = models.ves_domain_valid(pv, u, v, strict=False)
-        base_v = models.ves_value(pv, u, v) if ves_ok else None
+        base_v = ves_value(pv, u, v) if ves_ok else None
         for lam in (0.5, 2.0, 10.0):
-            assert_close(models.kadiyala_value(pk, lam * u, lam * v),
+            assert_close(kadiyala_value(pk, lam * u, lam * v),
                          lam ** pk.delta * base_k, 1e-10, "P homogeneity")
             if ves_ok:
-                assert_close(models.ves_value(pv, lam * u, lam * v),
+                assert_close(ves_value(pv, lam * u, lam * v),
                              lam ** pv.delta * base_v, 1e-10, "Q homogeneity")
     report("criterion 6: closed-form reductions and degree-delta homogeneity", True)
 
@@ -199,12 +200,12 @@ def test_criterion_7_elasticity():
             sigma_oracle = elasticity_oracle(jet, u, v)
         except SingularPointError:
             continue
-        assert_close(models.ves_elasticity(p, u, v), sigma_oracle, 1e-8,
+        assert_close(ves_elasticity(p, u, v), sigma_oracle, 1e-8,
                      "sigma closed vs oracle")
         # exact scale invariance: power-of-two scaling keeps u/v bit-identical
         lam = 2.0 ** rng.randint(-3, 3)
-        assert (models.ves_elasticity(p, lam * u, lam * v)
-                == models.ves_elasticity(p, u, v))
+        assert (ves_elasticity(p, lam * u, lam * v)
+                == ves_elasticity(p, u, v))
         checked += 1
     report("criterion 7: elasticity closed form vs derivative oracle",
            True, f"{checked} points")

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (EPS, LIMIT, assert_close, grid_report_from_json, sample_grid,
+from helpers import (EPS, LIMIT, GridRow, StencilOutOfDomainError, assert_close, fd_oracle,
+                     grid_report_from_json, kadiyala_value, ves_value, report_rows, sample_grid,
                      surface_scales, within_bound)
 from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
-from prodgeo.errors import InvalidSpecError, ProdGeoError, StencilOutOfDomainError
+from prodgeo.errors import InvalidSpecError, ProdGeoError
 from prodgeo.harness import GridReport, GridSpec, Spacing
 from prodgeo.surface import SignClass
 
@@ -90,7 +91,7 @@ class TestRandomParams:
 
 class TestFdOracle:
     def test_simple_square(self):
-        grad, hess = harness.fd_oracle(lambda u, v: u * u, 3.0, 1.0)
+        grad, hess = fd_oracle(lambda u, v: u * u, 3.0, 1.0)
         assert abs(grad[0] - 6.0) <= 1e-8
         assert abs(grad[1]) <= 1e-8
         assert abs(hess[0, 0] - 2.0) <= 1e-5
@@ -99,14 +100,14 @@ class TestFdOracle:
         p = models.ves_validate(1, 0.5, 0.5, 1)
         # boundary at v = 0.5*u; a point this close puts the stencil across
         with pytest.raises(StencilOutOfDomainError):
-            harness.fd_oracle(lambda u, v: models.ves_value(p, u, v),
+            fd_oracle(lambda u, v: ves_value(p, u, v),
                               1.0, 0.5 + 1e-7)
 
     def test_matches_autodiff_on_kadiyala(self):
         from prodgeo import jets
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
-        grad, hess = harness.fd_oracle(
-            lambda u, v: models.kadiyala_value(p, u, v), 1.0, 1.0)
+        grad, hess = fd_oracle(
+            lambda u, v: kadiyala_value(p, u, v), 1.0, 1.0)
         jet = models.kadiyala_eval(p, *jets.seed(1.0, 1.0))
         assert_close(jet.d1, grad[0], 1e-6)
         assert_close(jet.d2, grad[1], 1e-6)
@@ -185,7 +186,7 @@ class TestGridReport:
     def test_developable_grid_all_zero_sign(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 1.0)
         report = harness.build_grid_report(p, SMALL_GRID)
-        assert all(r.sign == "zero" for r in report.rows)
+        assert all(r.sign == "zero" for r in report_rows(report))
         assert report.summary["verdict"] == "constant-returns"
 
     def test_json_round_trip(self):
@@ -198,20 +199,20 @@ class TestGridReport:
         # rho < 1 makes the lower-right corner invalid
         p = models.ves_validate(1, 0.5, 0.1, 2)
         report = harness.build_grid_report(p, GridSpec(0.1, 10, 0.1, 10, 6, 6))
-        for row in report.rows:
+        for row in report_rows(report):
             expected = models.ves_domain_valid(p, row.u, row.v, strict=False)
             assert row.valid == expected
             if not expected:
                 assert row.f is None and row.K is None and row.sign == ""
         assert report.summary["invalid_points"] == sum(
-            1 for r in report.rows if not r.valid)
+            1 for r in report_rows(report) if not r.valid)
         assert report.summary["invalid_points"] > 0
 
     def test_summary_recomputable_from_rows(self):
         p = models.ves_validate(1, 0.5, 0.5, 2)
         report = harness.build_grid_report(p, SMALL_GRID)
-        ks = [abs(r.K) for r in report.rows if r.valid]
-        fs = [r.f for r in report.rows if r.valid]
+        ks = [abs(r.K) for r in report_rows(report) if r.valid]
+        fs = [r.f for r in report_rows(report) if r.valid]
         assert report.summary["max_abs_k"] == max(ks)
         assert report.summary["f_min"] == min(fs)
         assert report.summary["f_max"] == max(fs)
@@ -226,7 +227,7 @@ class TestGridReport:
         p = models.ves_validate(1, 0.5, 0.5, 2)
         report = harness.build_grid_report(p, SMALL_GRID)
         text = harness.emit_grid_report(report, "csv")
-        for line, row in zip(text.strip().split("\n")[1:], report.rows):
+        for line, row in zip(text.strip().split("\n")[1:], report_rows(report)):
             cells = line.split(",")
             assert float(cells[0]) == row.u and float(cells[1]) == row.v
             if row.valid:
@@ -255,7 +256,7 @@ def reference_grid(params, spec, strict_domain, tol_K):
         evaluated.append((u, v, jet.val, K, H, True))
         scales.append(surface_scales(params, u, v, jet.d1, jet.d2, K, H))
     max_abs_k = max((abs(K) for *_, K, _H, ok in evaluated if ok), default=0.0)
-    rows = [harness.GridRow(u, v, f, K, H, ok,
+    rows = [GridRow(u, v, f, K, H, ok,
                             surface.classify_sign(K, max_abs_k, tol_K).value if ok else "")
             for u, v, f, K, H, ok in evaluated]
     f_vals = [r.f for r in rows if r.valid]
@@ -323,7 +324,7 @@ def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
     band = tol * (1.0 + report.summary["max_abs_k"])
     band_ref = tol * (1.0 + summary["max_abs_k"])
     max_scale = {"f": 0.0, "K": 0.0}
-    for got, want, scale in zip(report.rows, rows, scales):
+    for got, want, scale in zip(report_rows(report), rows, scales):
         assert (got.u, got.v, got.valid) == (want.u, want.v, want.valid)
         if not want.valid:
             assert got == want
@@ -381,7 +382,7 @@ def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
     assert harness.emit_grid_report(csv_first, "json") == json_text
     payload = {"model": json_first.model,
                "rows": [{"u": r.u, "v": r.v, "f": r.f, "K": r.K, "H": r.H,
-                         "valid": r.valid, "sign": r.sign} for r in json_first.rows],
+                         "valid": r.valid, "sign": r.sign} for r in report_rows(json_first)],
                "summary": summary}
     assert json_text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = ["u,v,f,K,H,valid,sign"] + [",".join(_cell(x) for x in row) for row in cells]

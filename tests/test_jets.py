@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import Magnitude, as_scalar_field, assert_close, tame_expression, within_bound
-from prodgeo import harness, jets
+from helpers import (Magnitude, as_scalar_field, assert_close, fd_oracle, tame_expression,
+                     within_bound)
+from prodgeo import jets
 from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError
 from prodgeo.jets import Jet2
 
@@ -148,7 +149,7 @@ def test_composite_expressions_match_finite_differences(seed, u0, v0):
     Hessian to 1e-4 relative."""
     expr = tame_expression(random.Random(seed), u0, v0)
     jet = expr(*jets.seed(u0, v0))
-    grad, hess = harness.fd_oracle(as_scalar_field(expr), u0, v0)
+    grad, hess = fd_oracle(as_scalar_field(expr), u0, v0)
     assert_close(jet.d1, grad[0], 1e-6, "d1")
     assert_close(jet.d2, grad[1], 1e-6, "d2")
     assert_close(jet.d11, hess[0, 0], 1e-4, "d11")

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_close, elasticity_oracle, kadiyala_normalized
+from helpers import (assert_close, elasticity_oracle, kadiyala_normalized, kadiyala_value,
+                     ves_elasticity, ves_value)
 from prodgeo import jets, models
 from prodgeo.errors import (ConstraintViolation, DomainError, NonFiniteError,
                             NonPositiveInputError, SingularPointError)
@@ -112,7 +113,7 @@ class TestVesDomain:
 class TestVesEval:
     def test_reduces_to_unity_at_ones(self):
         p = models.ves_validate(1, 0.5, 1, 1)
-        assert models.ves_value(p, 1, 1) == 1.0
+        assert ves_value(p, 1, 1) == 1.0
 
     def test_homogeneity(self):
         rng = random.Random(21)
@@ -122,9 +123,9 @@ class TestVesEval:
             u, v = rng.uniform(0.5, 3), rng.uniform(0.5, 3)
             if not models.ves_domain_valid(p, u, v, strict=False):
                 continue
-            base = models.ves_value(p, u, v)
+            base = ves_value(p, u, v)
             for lam in (0.5, 2.0, 10.0):
-                assert_close(models.ves_value(p, lam * u, lam * v),
+                assert_close(ves_value(p, lam * u, lam * v),
                              lam ** p.delta * base, 1e-10, "Q homogeneity")
 
     def test_rho_one_is_cobb_douglas(self):
@@ -133,7 +134,7 @@ class TestVesEval:
         for _ in range(50):
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
             expected = 3 * u ** (1.7 * 0.6) * v ** (0.4 * 1.7)
-            assert_close(models.ves_value(p, u, v), expected, 1e-12)
+            assert_close(ves_value(p, u, v), expected, 1e-12)
 
     def test_jet_matches_finite_differences(self):
         # frozen from the finite-difference oracle at (1, 2)
@@ -149,7 +150,7 @@ class TestVesEval:
     def test_domain_error_outside_region(self):
         p = models.ves_validate(1, 0.5, 0.5, 1)
         with pytest.raises(DomainError):
-            models.ves_value(p, 1, 0.4)
+            ves_value(p, 1, 0.4)
 
     def test_marginal_products_nonnegative(self):
         from prodgeo import harness
@@ -166,7 +167,7 @@ class TestVesEval:
 class TestKadiyalaEval:
     def test_unity_at_ones(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
-        assert_close(models.kadiyala_value(p, 1, 1), 1.0, 1e-14)
+        assert_close(kadiyala_value(p, 1, 1), 1.0, 1e-14)
 
     def test_homogeneity(self):
         from prodgeo import harness
@@ -174,9 +175,9 @@ class TestKadiyalaEval:
         for _ in range(50):
             p = harness.random_kadiyala_params(rng.randrange(2**31))
             u, v = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
-            base = models.kadiyala_value(p, u, v)
+            base = kadiyala_value(p, u, v)
             for lam in (0.5, 2.0, 10.0):
-                assert_close(models.kadiyala_value(p, lam * u, lam * v),
+                assert_close(kadiyala_value(p, lam * u, lam * v),
                              lam ** p.delta * base, 1e-10, "P homogeneity")
 
     def test_jet_matches_finite_differences(self):
@@ -199,9 +200,9 @@ class TestKadiyalaEval:
         p2 = kadiyala_normalized(k1, k2, k3, 1.0, 1.0, 1.8)
         for _ in range(100):
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
-            assert_close(models.kadiyala_value(p1, u, v),
+            assert_close(kadiyala_value(p1, u, v),
                          (0.3 * u + 0.7 * v) ** 1.8, 1e-12, "P1 reduction")
-            assert_close(models.kadiyala_value(p2, u, v),
+            assert_close(kadiyala_value(p2, u, v),
                          (math.sqrt(p2.k1) * u + math.sqrt(p2.k3) * v) ** 1.8,
                          1e-12, "P2 reduction")
 
@@ -215,7 +216,7 @@ class TestKadiyalaEval:
     def test_rejects_nonpositive_inputs(self):
         p = models.kadiyala_validate(0.25, 0.25, 0.25, 0.5, 0.5, 2)
         with pytest.raises(DomainError):
-            models.kadiyala_value(p, 0, 1)
+            kadiyala_value(p, 0, 1)
 
 
 #: Batches whose second point overflows in a product of finite slots, where
@@ -246,15 +247,15 @@ class TestElasticity:
     def test_rho_one_gives_unit_sigma(self):
         p = models.ves_validate(1, 0.3, 1, 2)
         for u, v in ((1, 1), (0.2, 7), (5, 0.1)):
-            assert models.ves_elasticity(p, u, v) == 1.0
+            assert ves_elasticity(p, u, v) == 1.0
 
     def test_printed_value(self):
         p = models.ves_validate(1, 0.5, 0.5, 1)
-        assert_close(models.ves_elasticity(p, 2, 2), 1.0 / 3.0, 1e-14)
+        assert_close(ves_elasticity(p, 2, 2), 1.0 / 3.0, 1e-14)
 
     def test_depends_only_on_ratio(self):
         p = models.ves_validate(1, 0.4, 0.6, 1.5)
-        assert models.ves_elasticity(p, 2, 6) == models.ves_elasticity(p, 1, 3)
+        assert ves_elasticity(p, 2, 6) == ves_elasticity(p, 1, 3)
 
     def test_oracle_on_cobb_douglas(self):
         u, v = jets.seed(1.4, 2.3)
@@ -271,7 +272,7 @@ class TestElasticity:
         p = models.ves_validate(1, 0.5, 0.5, 1)
         jet = models.ves_eval(p, *jets.seed(1.0, 3.0))
         assert_close(elasticity_oracle(jet, 1.0, 3.0),
-                     models.ves_elasticity(p, 1.0, 3.0), 1e-8)
+                     ves_elasticity(p, 1.0, 3.0), 1e-8)
 
 
 class TestSpecialize:
