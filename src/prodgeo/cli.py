@@ -42,7 +42,10 @@ def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ProdGeoError(f"--point must be 'u,v', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    u, v = float(parts[0]), float(parts[1])
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ProdGeoError(f"--point must be finite, got {text!r}")
+    return u, v
 
 
 def _checked_tol(args) -> float:

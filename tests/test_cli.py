@@ -177,11 +177,15 @@ CLOSED_FORM_OVERFLOW = ("verify-t1", "--trials", "3", "--grid", "1e100,1e101,2,1
 PRODUCT_OVERFLOW = ("verify-t1", "--trials", "3", "--grid", "1e30,1e31,2,1e30,1e31,2")
 STEEP_SLOPES = ("grid", "--model", "ves", "--params", '{"k":1,"beta":0.5,"rho":0.5,"delta":3}',
                 "--grid", "1e100,1e101,2,1e100,1e101,2")
+NAN_POINT = ("eval", "--model", "ves", "--params", VES, "--point", "nan,1")
+INF_POINT = ("eval", "--model", "kadiyala", "--params", KAD, "--point", "1,inf")
 #: what the error line must name, where the input is finite but overflows
 NAMED = {
     CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
     PRODUCT_OVERFLOW: "ves_curvature_closed overflows a float at (1e+30, 1e+30)",
     STEEP_SLOPES: "1 + f_u^2 + f_v^2 overflows at slopes",
+    NAN_POINT: "error: --point must be finite, got 'nan,1'",
+    INF_POINT: "error: --point must be finite, got '1,inf'",
 }
 
 
@@ -197,6 +201,9 @@ NAMED = {
     STEEP_SLOPES,
     # finite input whose closed-form K overflows through a product of powers
     PRODUCT_OVERFLOW,
+    # a point that is not finite: the error names the argument, not a jet
+    NAN_POINT,
+    INF_POINT,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
