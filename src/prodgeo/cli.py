@@ -59,8 +59,11 @@ def _cmd_eval(args) -> int:
     in_domain = family.domain(args.strict_domain)
     p = _load_params(args)
     u, v = _parse_point(args.point)
-    jet = family.jet(p, u, v)
-    K, H = surface.curvature_from_jet(jet)
+    try:
+        jet = family.jet(p, u, v)
+        K, H = surface.curvature_from_jet(jet)
+    except (ProdGeoError, ArithmeticError) as exc:
+        raise harness.name_point(exc, u, v)
     valid = in_domain(p, u, v)
     print(json.dumps({
         "u": u, "v": v, "f": jet.val,

@@ -355,13 +355,25 @@ def _repr_each_value(column: tuple) -> list[str]:
     return [text[x] if x else repr(x) for x in column]
 
 
-def _first_failing_prefix(sweep: Callable[[int], object], n: int) -> int:
-    """The length of the shortest prefix of n rows on which ``sweep``
-    raises, given that it raises on all n.  Rows are evaluated
-    independently, so a prefix fails exactly when it holds a failing row,
-    and the shortest one ends at the first failing row: where a sweep
-    row by row would stop, and the only row that can fail in it."""
-    passes, fails = 0, n
+def name_point(exc: Exception, u: float, v: float) -> Exception:
+    """``exc``, its message ending in the point (u, v) unless it names it
+    already.  The domain checks name the point they fail at; the jets and
+    the forms see only slots, and a batch's slots hold many points."""
+    point = f"({u}, {v})"
+    if point not in str(exc):
+        exc.args = (f"{exc} at {point}",)
+    return exc
+
+
+def _raise_first_failing_row(sweep: Callable[[int], object], us: np.ndarray,
+                             vs: np.ndarray):
+    """Raises what the first failing row of us, vs raises on its own,
+    naming its point, given that ``sweep(n)``, which evaluates the first n
+    rows, raises for n = len(us).  Rows are evaluated independently, so a
+    prefix fails exactly when it holds a failing row, and the shortest one
+    ends at the first failing row: where a sweep row by row would stop,
+    and the only row that can fail in it."""
+    passes, fails = 0, len(us)
     while fails - passes > 1:
         mid = (passes + fails) // 2
         try:
@@ -370,7 +382,10 @@ def _first_failing_prefix(sweep: Callable[[int], object], n: int) -> int:
             fails = mid
         else:
             passes = mid
-    return fails
+    try:
+        sweep(fails)
+    except (ProdGeoError, ArithmeticError) as exc:
+        raise name_point(exc, us.item(fails - 1), vs.item(fails - 1))
 
 
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
@@ -382,7 +397,8 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
     ``strict_domain`` raises ProdGeoError for a family without a strict
     domain.  Sign classification uses the grid's max |K| as its local
     scale, so the zero band adapts to how curved the surface is.  A grid
-    that fails raises the error its first failing row raises on its own.
+    that fails raises the error its first failing row raises on its own,
+    naming the row's point.
     """
     family = _FAMILY_OF_TYPE[type(params)]
     in_domain = family.domain(strict_domain)
@@ -400,7 +416,7 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
         try:
             valid, f, K, H = sweep(len(us))
         except (ProdGeoError, ArithmeticError):
-            sweep(_first_failing_prefix(sweep, len(us)))
+            _raise_first_failing_row(sweep, us, vs)
             raise
         max_abs_k = max(np.abs(K).tolist(), default=0.0)
         classes = surface.classify_sign(K, max_abs_k, tol_K)
@@ -552,13 +568,14 @@ def _sweep(family: ModelFamily, trials: list[tuple[str, object]], us: np.ndarray
 
 def _raise_first_failure(family: ModelFamily, trial: tuple[str, object],
                          us: np.ndarray, vs: np.ndarray):
-    """Raises what the trial's first failing point raises, if one fails."""
+    """Raises what the trial's first failing point raises, naming the
+    point, if one fails."""
     def sweep(n: int):
         return _sweep(family, [trial], us[:n], vs[:n])
     try:
         sweep(len(us))
     except (ProdGeoError, ArithmeticError):
-        sweep(_first_failing_prefix(sweep, len(us)))
+        _raise_first_failing_row(sweep, us, vs)
         raise
 
 

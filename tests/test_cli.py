@@ -179,6 +179,9 @@ STEEP_SLOPES = ("grid", "--model", "ves", "--params", '{"k":1,"beta":0.5,"rho":0
                 "--grid", "1e100,1e101,2,1e100,1e101,2")
 NAN_POINT = ("eval", "--model", "ves", "--params", VES, "--point", "nan,1")
 INF_POINT = ("eval", "--model", "kadiyala", "--params", KAD, "--point", "1,inf")
+#: a power in the jet overflows; the jets see slots, the error names the point
+POWER_OVERFLOW = ("eval", "--model", "ves", "--params",
+                  '{"k":1,"beta":0.4,"rho":0.6,"delta":1.3}', "--point", "1e-300,1e-300")
 #: what the error line must name, where the input is finite but overflows
 NAMED = {
     CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
@@ -186,6 +189,7 @@ NAMED = {
     STEEP_SLOPES: "1 + f_u^2 + f_v^2 overflows at slopes",
     NAN_POINT: "error: --point must be finite, got 'nan,1'",
     INF_POINT: "error: --point must be finite, got '1,inf'",
+    POWER_OVERFLOW: "power overflow: 6e-301 ** 0.312 at (1e-300, 1e-300)",
 }
 
 
@@ -204,6 +208,7 @@ NAMED = {
     # a point that is not finite: the error names the argument, not a jet
     NAN_POINT,
     INF_POINT,
+    POWER_OVERFLOW,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

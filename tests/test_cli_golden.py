@@ -15,6 +15,7 @@ KAD_GENERIC = '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "de
 KAD_DEVELOPABLE = '{"k1": 0.4, "k2": 0, "k3": 0.6, "beta1": 0.3, "beta2": 0.7, "delta": 1.7}'
 VES_RHO_BELOW_1 = '{"k": 1.3, "beta": 0.5, "rho": 0.3, "delta": 0.7}'
 VES_INCREASING = '{"k": 1, "beta": 0.4, "rho": 1.5, "delta": 1.6}'
+VES_DECREASING_RHO = '{"k": 1, "beta": 0.4, "rho": 0.6, "delta": 1.3}'
 GRID = "0.1,10,5,0.1,10,5,log"
 
 CASES = {
@@ -46,6 +47,9 @@ CASES = {
                       "--point", "0.3,4"),
     "eval-kadiyala-nonpositive": ("eval", "--model", "kadiyala", "--params", KAD_GENERIC,
                                   "--point=-1,2"),
+    # a power that overflows in the jet, whose error names the point
+    "eval-ves-power-overflow": ("eval", "--model", "ves", "--params", VES_DECREASING_RHO,
+                                "--point", "1e-300,1e-300"),
     "classify-ves": ("classify", "--model", "ves", "--params", VES_RHO_BELOW_1),
     "classify-kadiyala-generic": ("classify", "--model", "kadiyala", "--params", KAD_GENERIC),
     "classify-kadiyala-developable": ("classify", "--model", "kadiyala",
@@ -88,6 +92,10 @@ CASES = {
                                  "--grid", "1e100,1e101,2,1e100,1e101,2"),
     "verify-t2-power-overflow": ("verify-t2", "--trials", "2",
                                  "--grid", "1e100,1e200,3,1,2,2"),
+    # a power's base underflows to 0.0 in the jet; the error names the point
+    "verify-t2-base-underflow": ("verify-t2", "--trials", "2", "--seed", "21", "--grid",
+                                 "5.3183557491192666e-114,6.4769932553289324e-114,3,"
+                                 "5.3183557491192666e-114,6.4769932553289324e-114,3"),
     # Den_F underflows to 0.0 where the autodiff K is finite
     "verify-t1-denf-underflow": ("verify-t1", "--trials", "1",
                                  "--grid", "1e-100,1e-99,2,1e-100,1e-99,2"),
@@ -114,6 +122,7 @@ GOLDEN = {
     "eval-kadiyala": "cba5089fb1c4186b4bc1518b01477461c83f03676cc636ed3f3c02a8404222c2",
     "eval-kadiyala-nonpositive": "51b6928980dec7874456a27344f1e6b006e1e7e1f08eb30bfef8a95ecbd62ca9",
     "eval-ves": "35f2229f8ca4484c69da7307e63ae27cdfcf66332e06c97d515abd67970dabdc",
+    "eval-ves-power-overflow": "f633edaea7adfa77260f69048ced02caf7e691c690ae015409fa433d3eea843c",
     "eval-ves-outside-domain": "a811b8900058a52f9adfa27b61822d73ddbb28a284e583d373f3014b9640a153",
     "eval-ves-strict-invalid": "00e641c8575737b54815442e9f98e2d08ced264c80ac151ec914d5b55253a28a",
     "grid-csv-1x1": "0b860e634e48ff615e9547a3311608109f47c26a29cf2be200580bd1096fdc4a",
@@ -128,15 +137,16 @@ GOLDEN = {
     "grid-json-ves-increasing": "dc90ce147b3afa901067220e09db9292d50e8c2d0bf1620f42262fdb4a8ea906",
     "grid-json-ves-rho-below-1": "ef73737fb826a5c4f2f234ef59a093f423774eb8174e478552e9d294d68af49a",
     "grid-json-ves-strict": "3ee787ffcf65dc5e0b543c6b08735d67693c5ec2e66477bf5f49e069e4d9ac19",
-    "grid-kadiyala-base-underflow": "63e05bd163d36d5f7e75fe57f7bf45ac200d2a87cfbd853b38354643c9d56a83",
-    "grid-kadiyala-first-row-fails-late": "cb8f9d74e6ff053a76d1a474f8e70da0e03e5da550733736b0c3a3c531eae47f",
-    "grid-kadiyala-power-overflow": "b97419951756350516d3af8f8bf27a36d7ab25908a12c6cf863083c956cc5565",
-    "grid-ves-extreme-u": "d6d5f0d8ab34f35d3455345ab7debc496fe9bfb3cc49a40fae37d2b3700785b5",
+    "grid-kadiyala-base-underflow": "3d2a0b7ccb1cecb974b63f92de4290ee039ba7739a7b2266425b20a40a491914",
+    "grid-kadiyala-first-row-fails-late": "c7a7b818bcffa222595db4307379a92492c300cf06b1bd7f2fad9c5bbb12d5b2",
+    "grid-kadiyala-power-overflow": "fbdf76c97e3e4547bdf80ee6bed4e72b7fb477026f418443de5c455866934d89",
+    "grid-ves-extreme-u": "f44d6ff6692cead544b70b1682ef38882aea9c9ed10b9df8fb34bbf4512f5fda",
     "grid-ves-invalid-extreme-u": "e4a01fd060bcb89fba5c5f22f194acefa78b0e7a66f05e7591765f4f263e750a",
     "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
     "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
     "verify-t1": "9ef3690a57ff52a43b858f606d8eef5ed2726e0aaec92928057c61200e3685ca",
     "verify-t2": "abdb70e4364beab32d7e06c4072640f60074bb005839f00e9615d27ba8b9206b",
+    "verify-t2-base-underflow": "9f110e59f7e5f67426fd6f57dc21d818e0a096e68d08c54b7c73dd1305beaa7b",
     "verify-t1-denf-underflow": "7a10dcc26ff3849a9de493bc0e8eb849c657f18fec798fa3d6b446ae4b11a6a6",
     "verify-t1-power-overflow": "5554f72e6b7c3cea461964470aece575dcafab868d7ec5ff9051ad148e32f4be",
     "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",
@@ -184,7 +194,7 @@ def test_edge_grids_raise_no_warning(name):
 EDGE_VERIFY = ("verify-t1-product-overflow", "verify-t2-product-overflow",
                "verify-t1-power-overflow", "verify-t2-power-overflow",
                "verify-t1-denf-underflow", "verify-t1-later-trial-raises",
-               "verify-t2-later-trial-raises")
+               "verify-t2-later-trial-raises", "verify-t2-base-underflow")
 
 
 @pytest.mark.parametrize("name", EDGE_VERIFY)

@@ -404,8 +404,9 @@ def _trial_batch(family, p, points):
 def reference_verify(family, trials, seed, grid, tol_K):
     """The verify engine as one batch per trial and a loop over its points:
     each trial's in-domain points in one batch (where it fails, the error
-    of the first point that fails as a batch of its own), then the checks
-    point by point and the verdict over a list."""
+    of the first point that fails as a batch of its own, its message
+    ending in the point unless it names it), then the checks point by
+    point and the verdict over a list."""
     out = harness.VerifySummary(theorem=family.theorem)
     grid_points = sample_grid(grid)
     for label, p in family.trials(trials, seed):
@@ -416,8 +417,13 @@ def reference_verify(family, trials, seed, grid, tol_K):
         try:
             ks_ad, ks_closed = _trial_batch(family, p, points)
         except (ProdGeoError, ArithmeticError):
-            for point in points:
-                _trial_batch(family, p, [point])
+            for u, v in points:
+                try:
+                    _trial_batch(family, p, [(u, v)])
+                except (ProdGeoError, ArithmeticError) as exc:
+                    if f"({u}, {v})" not in str(exc):
+                        exc.args = (f"{exc} at ({u}, {v})",)
+                    raise
             raise
         for (u, v), k_ad, k_closed in zip(points, ks_ad, ks_closed):
             ks.append((u, v, k_ad))
