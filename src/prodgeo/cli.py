@@ -29,12 +29,13 @@ from .errors import ProdGeoError
 
 
 def _load_params(args):
+    """--params as a JSON object inline, its first non-space character
+    ``{``, or else the path of a file that holds one."""
     text = args.params
     if text is None:
         raise ProdGeoError("--params is required for this command")
-    candidate = Path(text)
-    if candidate.is_file():
-        text = candidate.read_text()
+    if not text.lstrip().startswith("{"):
+        text = Path(text).read_text()
     return harness.FAMILIES[args.model].params_from_json(text)
 
 

@@ -65,22 +65,26 @@ def _closed_form(formula):
     batch.  It holds the formula itself, so a wrapper bound to the public
     name (a tracer, a test's monkeypatch) is entered once per call.
 
-    numpy's power gives inf where a float's ``**`` raises, and an inf
-    factor can still leave K finite, so a batch that overflows anywhere,
-    or fails a check, runs the float form point by point: the first
+    On a point, a float's ``**`` that overflows raises NonFiniteError,
+    naming the form and the point.  numpy's power gives inf there instead,
+    and an inf factor can still leave K finite, so a batch that overflows
+    anywhere, or fails a check, runs the form point by point: the first
     failing point raises its error.  Where no point fails (an overflow
     that the float form also carries to a finite K), the batch's values
     stand."""
     @functools.wraps(formula)
     def form(p, u: Slot, v: Slot) -> Slot:
         if isinstance(u, POINT):
-            return formula(p, u, v)
+            try:
+                return formula(p, u, v)
+            except OverflowError:
+                raise _overflow(formula.__name__, u, v) from None
         try:
             with np.errstate(all="raise", under="ignore"):
                 return formula(p, u, v)
         except (ProdGeoError, ArithmeticError):
             for i, point in enumerate(zip(u.tolist(), v.tolist())):
-                formula(_point(p, i), *point)
+                form(_point(p, i), *point)
         with np.errstate(all="ignore"):
             return formula(p, u, v)
     return form
@@ -117,12 +121,9 @@ def _ves_denf_terms(p: VesParams, u: Slot, v: Slot, agg: Slot) -> list[Slot]:
     quadratic in u and v is written as the sum of squares it is, which
     cannot cancel below 0 as its expanded form can."""
     k, b, r, d = p.k, p.beta, p.rho, p.delta
-    try:
-        quad = ((b * r - 1.0) * v - (r - 1.0) * u) ** 2 + (b * r * u) ** 2
-        return [d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r),
-                agg ** 2 * u ** (2.0 * b * d * r + 2.0)]
-    except OverflowError:
-        raise _overflow("ves_denf", u, v) from None
+    quad = ((b * r - 1.0) * v - (r - 1.0) * u) ** 2 + (b * r * u) ** 2
+    return [d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r),
+            agg ** 2 * u ** (2.0 * b * d * r + 2.0)]
 
 
 @_closed_form
@@ -144,12 +145,9 @@ def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
     """
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
-    try:
-        num = (b * (d - 1.0) * d * d * k * k * r * (b * r - 1.0)
-               * u ** (2.0 * (b * d * r + d + 1.0))
-               * agg ** (2.0 * b * d * r + 2.0))
-    except OverflowError:
-        raise _overflow("ves_curvature_closed", u, v) from None
+    num = (b * (d - 1.0) * d * d * k * k * r * (b * r - 1.0)
+           * u ** (2.0 * (b * d * r + d + 1.0))
+           * agg ** (2.0 * b * d * r + 2.0))
     den = ves_denf(p, u, v)
     # Divide twice rather than squaring den, which can overflow first.
     return _finite_K("ves_curvature_closed", num / den / den, u, v)
@@ -182,12 +180,9 @@ def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     _check_positive(u, v)
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    try:
-        inner = _kad_inner(p, u, v)
-        return (bsum * bsum * (d - 1.0) * d * d * u ** (b1 + 2.0) * v ** (b2 + 2.0)
-                * inner ** (2.0 * d / bsum + 2.0))
-    except OverflowError:
-        raise _overflow("kadiyala_T1", u, v) from None
+    inner = _kad_inner(p, u, v)
+    return (bsum * bsum * (d - 1.0) * d * d * u ** (b1 + 2.0) * v ** (b2 + 2.0)
+            * inner ** (2.0 * d / bsum + 2.0))
 
 
 @_closed_form
@@ -198,39 +193,33 @@ def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2 = p.beta1, p.beta2
     bsum = b1 + b2
-    try:
-        return (bsum * k1 * u ** b2
-                * (2.0 * (b2 - 1.0) * b2 * k2 * u ** b1
-                   + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
-                   * k3 * v ** b1)
-                - 2.0 * b1 * k2 * v ** b2
-                * (2.0 * b2 * k2 * u ** b1
-                   - (b1 - 1.0) * bsum * k3 * v ** b1))
-    except OverflowError:
-        raise _overflow("kadiyala_T2", u, v) from None
+    return (bsum * k1 * u ** b2
+            * (2.0 * (b2 - 1.0) * b2 * k2 * u ** b1
+               + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
+               * k3 * v ** b1)
+            - 2.0 * b1 * k2 * v ** b2
+            * (2.0 * b2 * k2 * u ** b1
+               - (b1 - 1.0) * bsum * k3 * v ** b1))
 
 
 def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot) -> list[Slot]:
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    try:
-        inner = _kad_inner(p, u, v)
-        e = d * d * inner ** (2.0 * d / bsum)
-        return [
-            bsum * bsum * k1 * k1 * v * v * u ** (2.0 * bsum) * (e + u * u),
-            bsum * bsum * k3 * k3 * u * u * v ** (2.0 * bsum) * (e + v * v),
-            4.0 * bsum * k2 * k3 * u ** (b1 + 2.0) * v ** (b1 + 2.0 * b2)
-            * (b2 * (e + v * v) + b1 * v * v),
-            4.0 * k2 * k2 * u ** (2.0 * b1) * v ** (2.0 * b2)
-            * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
-               + 2.0 * b1 * b2 * u * u * v * v),
-            2.0 * bsum * k1 * u ** bsum * v ** (b2 + 2.0)
-            * (bsum * k3 * u * u * v ** b1
-               + 2.0 * k2 * u ** b1 * (b1 * (e + u * u) + b2 * u * u)),
-        ]
-    except OverflowError:
-        raise _overflow("kadiyala_deng", u, v) from None
+    inner = _kad_inner(p, u, v)
+    e = d * d * inner ** (2.0 * d / bsum)
+    return [
+        bsum * bsum * k1 * k1 * v * v * u ** (2.0 * bsum) * (e + u * u),
+        bsum * bsum * k3 * k3 * u * u * v ** (2.0 * bsum) * (e + v * v),
+        4.0 * bsum * k2 * k3 * u ** (b1 + 2.0) * v ** (b1 + 2.0 * b2)
+        * (b2 * (e + v * v) + b1 * v * v),
+        4.0 * k2 * k2 * u ** (2.0 * b1) * v ** (2.0 * b2)
+        * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
+           + 2.0 * b1 * b2 * u * u * v * v),
+        2.0 * bsum * k1 * u ** bsum * v ** (b2 + 2.0)
+        * (bsum * k3 * u * u * v ** b1
+           + 2.0 * k2 * u ** b1 * (b1 * (e + u * u) + b2 * u * u)),
+    ]
 
 
 @_closed_form

@@ -46,6 +46,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_u < 1 or self.n_v < 1:
             raise InvalidSpecError("grid counts must be >= 1")
+        bounds = {name: getattr(self, name) for name in ("u_min", "u_max", "v_min", "v_max")}
+        if bad := [f"{name}={x}" for name, x in bounds.items() if not math.isfinite(x)]:
+            raise InvalidSpecError(f"grid bounds must be finite, got {', '.join(bad)}")
         # a degenerate axis (min == max) is allowed only with a single sample
         u_ok = 0 < self.u_min < self.u_max or (self.n_u == 1 and 0 < self.u_min == self.u_max)
         v_ok = 0 < self.v_min < self.v_max or (self.n_v == 1 and 0 < self.v_min == self.v_max)
@@ -365,27 +368,27 @@ def name_point(exc: Exception, u: float, v: float) -> Exception:
     return exc
 
 
-def _raise_first_failing_row(sweep: Callable[[int], object], us: np.ndarray,
-                             vs: np.ndarray):
-    """Raises what the first failing row of us, vs raises on its own,
-    naming its point, given that ``sweep(n)``, which evaluates the first n
-    rows, raises for n = len(us).  Rows are evaluated independently, so a
-    prefix fails exactly when it holds a failing row, and the shortest one
-    ends at the first failing row: where a sweep row by row would stop,
-    and the only row that can fail in it."""
+def _sweep_all(sweep: Callable[[int], object], us: np.ndarray, vs: np.ndarray):
+    """``sweep(len(us))``, where ``sweep(n)`` evaluates the first n rows of
+    us, vs; where it fails, what the first failing row raises on its own,
+    naming its point.  Rows are evaluated independently, so a prefix fails
+    exactly when it holds a failing row, and the shortest one, which a
+    bisection finds, ends at the first failing row: where a sweep row by
+    row would stop, and the only row that can fail in it."""
+    try:
+        return sweep(len(us))
+    except (ProdGeoError, ArithmeticError) as exc:
+        error = exc
     passes, fails = 0, len(us)
     while fails - passes > 1:
         mid = (passes + fails) // 2
         try:
             sweep(mid)
-        except (ProdGeoError, ArithmeticError):
-            fails = mid
+        except (ProdGeoError, ArithmeticError) as exc:
+            fails, error = mid, exc
         else:
             passes = mid
-    try:
-        sweep(fails)
-    except (ProdGeoError, ArithmeticError) as exc:
-        raise name_point(exc, us.item(fails - 1), vs.item(fails - 1))
+    raise name_point(error, us.item(fails - 1), vs.item(fails - 1))
 
 
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
@@ -413,11 +416,7 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
 
     # Overflow to inf or NaN is what the jets' checks report, row by row.
     with np.errstate(all="ignore"):
-        try:
-            valid, f, K, H = sweep(len(us))
-        except (ProdGeoError, ArithmeticError):
-            _raise_first_failing_row(sweep, us, vs)
-            raise
+        valid, f, K, H = _sweep_all(sweep, us, vs)
         max_abs_k = max(np.abs(K).tolist(), default=0.0)
         classes = surface.classify_sign(K, max_abs_k, tol_K)
     signs = np.empty(len(K), dtype=object)
@@ -506,7 +505,7 @@ class VerifySummary:
 def _verdict_check(expect: SignClass | None, u: np.ndarray, v: np.ndarray,
                    K: np.ndarray, tol_K: float) -> Check:
     """A trial's K held to the theorem's verdict ``expect``."""
-    max_k = max(np.abs(K).tolist(), default=0.0)
+    max_k = np.abs(K).max(initial=0.0)
     threshold = tol_K * (1.0 + max_k)
     if expect is SignClass.ZERO:  # flat within the scale-aware zero band
         return Check(np.asarray(not (abs(K) <= threshold).all()),
@@ -552,41 +551,22 @@ def _param_columns(records: list, counts: list[int]) -> SimpleNamespace:
 VERIFY_BATCH_TRIALS = 8
 
 
-def _sweep(family: ModelFamily, trials: list[tuple[str, object]], us: np.ndarray,
+def _stack(family: ModelFamily, trials: list[tuple[str, object]], us: np.ndarray,
            vs: np.ndarray):
-    """The points of us, vs in the domain of each trial's parameters, all
-    trials in one batch: their u and v, how many each trial has, and K
-    both ways there."""
+    """The points of us, vs in the domain of each trial's parameters,
+    stacked trial by trial in grid order: their u and v, how many each
+    trial has, and ``sweep(n)``, K both ways at the first n of them."""
     masks = [family.domain_valid(p, us, vs) for _, p in trials]
     counts = [int(np.count_nonzero(mask)) for mask in masks]
     u = np.concatenate([us[mask] for mask in masks])
     v = np.concatenate([vs[mask] for mask in masks])
-    p = _param_columns([p for _, p in trials], counts)
-    K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u, v)))
-    return u, v, np.array(counts), K, family.closed_K(p, u, v)
+    columns = vars(_param_columns([p for _, p in trials], counts))
 
-
-def _raise_first_failure(family: ModelFamily, trial: tuple[str, object],
-                         us: np.ndarray, vs: np.ndarray):
-    """Raises what the trial's first failing point raises, naming the
-    point, if one fails."""
     def sweep(n: int):
-        return _sweep(family, [trial], us[:n], vs[:n])
-    try:
-        sweep(len(us))
-    except (ProdGeoError, ArithmeticError):
-        _raise_first_failing_row(sweep, us, vs)
-        raise
-
-
-def _by_trial(ufunc, values: np.ndarray, counts: np.ndarray, empty) -> np.ndarray:
-    """``ufunc`` reduced over each trial's run of values; ``empty`` for a
-    trial with no point, where reduceat would read the next trial's."""
-    out = np.full(len(counts), empty)
-    some = counts > 0
-    if some.any():
-        out[some] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[some])
-    return out
+        p = SimpleNamespace(**{name: column[:n] for name, column in columns.items()})
+        K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u[:n], v[:n])))
+        return K, family.closed_K(p, u[:n], v[:n])
+    return u, v, counts, sweep
 
 
 def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
@@ -596,12 +576,11 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
     holds them to the theorem's verdict for its parameters.
 
     Trials are drawn one at a time and run VERIFY_BATCH_TRIALS at a time
-    as one batch, each trial's parameters repeated over its points.  Each
-    trial's verdict comes from reductions over its run of the batch, and
-    only a failing trial's slice is read again to word its failure.  A
-    batch that fails runs trial by trial: the first failing trial raises
-    the error its first failing point raises on its own, a closed form's
-    denominator check among them."""
+    as one batch, each trial's parameters repeated over its points, and
+    ``_failure`` judges each trial once on its run of the batch.  A batch
+    that fails raises the error its first failing point raises on its own,
+    a closed form's denominator check among them: its points are stacked
+    trial by trial, so that point is the first failing trial's first."""
     out = VerifySummary(theorem=family.theorem)
     us, vs = _grid_points(grid)
     draws = family.trials(trials, seed)
@@ -609,44 +588,35 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
         out.trials += len(batch)
         # Overflow to inf or NaN is what the program's checks report.
         with np.errstate(all="ignore"):
-            try:
-                u, v, counts, K, K_closed = _sweep(family, batch, us, vs)
-            except (ProdGeoError, ArithmeticError):
-                for trial in batch:
-                    _raise_first_failure(family, trial, us, vs)
-                raise
+            u, v, counts, sweep = _stack(family, batch, us, vs)
+            K, K_closed = _sweep_all(sweep, u, v)
             dev = _rel_dev(K_closed, K)
             out.worst_closed_vs_autodiff = float(
                 np.fmax.reduce(dev, initial=out.worst_closed_vs_autodiff))
-            closed_bad = _by_trial(np.add, dev > CLOSED_VS_AUTODIFF_RTOL, counts, 0)
-            max_k = _by_trial(np.maximum, np.abs(K), counts, 0.0)
-            positive = _by_trial(np.add, K > 0.0, counts, 0)
-            negative = _by_trial(np.add, K < 0.0, counts, 0)
-        ends = np.cumsum(counts).tolist()
-        for t, (label, p) in enumerate(batch):
-            expect = family.verdict(p).expect
-            threshold = tol_K * (1.0 + max_k[t])   # as _verdict_check draws its band
-            holds = (max_k[t] <= threshold if expect is SignClass.ZERO else
-                     max_k[t] > 10.0 * threshold if expect is None else
-                     (positive if expect is SignClass.POSITIVE else negative)[t] == counts[t])
-            if holds and not closed_bad[t]:
+        for (label, p), end, count in zip(batch, itertools.accumulate(counts), counts):
+            run = slice(end - count, end)
+            failure = _failure(label, p, family.verdict(p).expect, u[run], v[run],
+                               K[run], K_closed[run], dev[run], tol_K)
+            if failure is None:
                 out.passes += 1
-                continue
-            run = slice(ends[t] - counts[t], ends[t])
-            out.failures.append(_failure(label, p, expect, u[run], v[run], K[run],
-                                         K_closed[run], dev[run], tol_K))
+            else:
+                out.failures.append(failure)
     return out
 
 
 def _failure(label: str, p, expect: SignClass | None, u: np.ndarray, v: np.ndarray,
-             K: np.ndarray, K_closed: np.ndarray, dev: np.ndarray, tol_K: float) -> str:
-    """The failure text of a trial: its first problem and how many more."""
+             K: np.ndarray, K_closed: np.ndarray, dev: np.ndarray,
+             tol_K: float) -> str | None:
+    """The failure text of a trial: its first problem and how many more;
+    None where it has none, and the trial passes."""
     closed = Check(dev > CLOSED_VS_AUTODIFF_RTOL,
                    lambda i: (f"closed-form K={K_closed.item(i):.6e} vs "
                               f"autodiff K={K.item(i):.6e} at {_at(u, v, i)}"))
     first, count = _problems(closed)
     verdict_first, verdict_count = _problems(_verdict_check(expect, u, v, K, tol_K))
     count += verdict_count
+    if not count:
+        return None
     return (f"{label} params={models.params_to_json(p)}: {first or verdict_first}"
             + (f" (+{count - 1} more)" if count > 1 else ""))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -152,6 +153,17 @@ def test_grid_steep_points_finite(capsys):
     assert valid and all(math.isfinite(float(r[3])) for r in valid)
 
 
+def test_long_inline_params_are_not_a_path(capsys):
+    """Inline JSON longer than a file name may be is read as JSON."""
+    compact = json.dumps(json.loads(KAD))
+    padded = "\n" + " " * 128 + json.dumps(json.loads(KAD), indent=16) + "\n"
+    assert len(padded.encode()) > 255
+    outputs = [run(capsys, "eval", "--model", "kadiyala", "--params", params,
+                   "--point", "1.5,0.7") for params in (compact, padded)]
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 def test_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--model", "ves",
                        "--params", '{"k": 1, "beta": 2, "rho": 0.5, "delta": 1}',
@@ -182,6 +194,9 @@ INF_POINT = ("eval", "--model", "kadiyala", "--params", KAD, "--point", "1,inf")
 #: a power in the jet overflows; the jets see slots, the error names the point
 POWER_OVERFLOW = ("eval", "--model", "ves", "--params",
                   '{"k":1,"beta":0.4,"rho":0.6,"delta":1.3}', "--point", "1e-300,1e-300")
+#: an infinite grid bound, which numpy's spacing would meet with a warning
+INF_GRID = ("grid", "--model", "ves", "--params", VES, "--grid", "1,inf,3,1,2,3")
+INF_GRID_VERIFY = ("verify-t1", "--trials", "1", "--grid", "1,inf,3,1,2,3")
 #: what the error line must name, where the input is finite but overflows
 NAMED = {
     CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
@@ -190,6 +205,8 @@ NAMED = {
     NAN_POINT: "error: --point must be finite, got 'nan,1'",
     INF_POINT: "error: --point must be finite, got '1,inf'",
     POWER_OVERFLOW: "power overflow: 6e-301 ** 0.312 at (1e-300, 1e-300)",
+    INF_GRID: "error: grid bounds must be finite, got u_max=inf",
+    INF_GRID_VERIFY: "error: grid bounds must be finite, got u_max=inf",
 }
 
 
@@ -209,9 +226,14 @@ NAMED = {
     NAN_POINT,
     INF_POINT,
     POWER_OVERFLOW,
+    INF_GRID,
+    INF_GRID_VERIFY,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert not caught
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

@@ -536,6 +536,10 @@ def _outcome(run, *args):
          tol=1e-9, corrupt=None)
 @example(family="kadiyala", seed=4, trials=3, spec=GridSpec(2.38e33, 6.51e36, 2.38e33, 6.51e36, 2, 2),
          tol=1e-9, corrupt=None)
+# one batch: trial 0 first fails at grid row 1, trial 2 already at row 0;
+# the error is trial 0's
+@example(family="ves", seed=826957, trials=3, spec=GridSpec(4.94e-48, 1.29e-32, 2.66e126, 3.38e166, 2, 5),
+         tol=1e-9, corrupt=None)
 def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, corrupt):
     """The same trials, passes, failure texts and worst deviation, to the
     bit, as one batch per trial; or the same error."""
