@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import harness, surface
 from .errors import ProdGeoError
@@ -35,7 +34,8 @@ def _load_params(args):
     if text is None:
         raise ProdGeoError("--params is required for this command")
     if not text.lstrip().startswith("{"):
-        text = Path(text).read_text()
+        with open(text) as file:
+            text = file.read()
     return harness.FAMILIES[args.model].params_from_json(text)
 
 
