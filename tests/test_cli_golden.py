@@ -17,6 +17,8 @@ VES_RHO_BELOW_1 = '{"k": 1.3, "beta": 0.5, "rho": 0.3, "delta": 0.7}'
 VES_INCREASING = '{"k": 1, "beta": 0.4, "rho": 1.5, "delta": 1.6}'
 VES_DECREASING_RHO = '{"k": 1, "beta": 0.4, "rho": 0.6, "delta": 1.3}'
 GRID = "0.1,10,5,0.1,10,5,log"
+#: the size of the benchmark's grids
+GRID_200 = "0.1,10,200,0.1,10,200"
 
 CASES = {
     "grid-csv-kadiyala-generic": ("grid", "--model", "kadiyala", "--params", KAD_GENERIC,
@@ -80,6 +82,16 @@ CASES = {
     "grid-json-ves-strict": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
                              "--grid", "0.5,2,4,0.5,2,4,linear", "--strict-domain",
                              "--format", "json"),
+    # whole reports at the benchmark's size, one with a third of its rows
+    # outside the domain
+    "grid-csv-kadiyala-generic-200": ("grid", "--model", "kadiyala", "--params", KAD_GENERIC,
+                                      "--grid", GRID_200),
+    "grid-json-kadiyala-generic-200": ("grid", "--model", "kadiyala", "--params", KAD_GENERIC,
+                                       "--grid", GRID_200, "--format", "json"),
+    "grid-csv-ves-rho-below-1-200": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                     "--grid", GRID_200),
+    "grid-json-ves-rho-below-1-200": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                      "--grid", GRID_200, "--format", "json"),
     # edges of a verify run: closed forms that overflow through a product of
     # finite powers (an error naming the function and the point, exit 2), and
     # power overflows; in verify-t2's, the first failing point fails in the
@@ -137,6 +149,10 @@ GOLDEN = {
     "grid-json-ves-increasing": "dc90ce147b3afa901067220e09db9292d50e8c2d0bf1620f42262fdb4a8ea906",
     "grid-json-ves-rho-below-1": "ef73737fb826a5c4f2f234ef59a093f423774eb8174e478552e9d294d68af49a",
     "grid-json-ves-strict": "3ee787ffcf65dc5e0b543c6b08735d67693c5ec2e66477bf5f49e069e4d9ac19",
+    "grid-csv-kadiyala-generic-200": "66ea120bd88b0c3df385be459d4509f5e40482288845df3b40e5121cb21d958e",
+    "grid-json-kadiyala-generic-200": "fa5785c04bc2580597801d4e842c326e3512265b413812e9578589176812b46c",
+    "grid-csv-ves-rho-below-1-200": "fe5a2ef4fbc4d063bd7b33f386209430fa4ba2420cddece9a872712c0eb8d05a",
+    "grid-json-ves-rho-below-1-200": "5baf8e8b0808b1650f7b2e7aed55db66d96a8289b343c45f08e4e7b21811c394",
     "grid-kadiyala-base-underflow": "3d2a0b7ccb1cecb974b63f92de4290ee039ba7739a7b2266425b20a40a491914",
     "grid-kadiyala-first-row-fails-late": "c7a7b818bcffa222595db4307379a92492c300cf06b1bd7f2fad9c5bbb12d5b2",
     "grid-kadiyala-power-overflow": "fbdf76c97e3e4547bdf80ee6bed4e72b7fb477026f418443de5c455866934d89",
