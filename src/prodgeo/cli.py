@@ -13,7 +13,8 @@
 
 ``--strict-domain`` (the strict VES domain) is refused for a family
 without one.  Exit codes: 0 success / all checks passed, 1 verification
-failure, 2 bad input, an unknown option included.
+failure, 2 bad input, an unknown option and a grid too large for memory
+included.
 """
 
 from __future__ import annotations
@@ -163,6 +164,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ProdGeoError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid too large to hold: bad input, not a failed check
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -447,9 +447,6 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
 _JSON_SPELLING = {"None": "null", "True": "true", "False": "false",
                   "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CSV_SPELLING = {"None": "", "True": "true", "False": "false"}
-#: One row of json.dumps(..., indent=2, sort_keys=True) inside "rows".
-_JSON_ROW = ('    {\n      "H": %s,\n      "K": %s,\n      "f": %s,\n      "sign": "%s",\n'
-             '      "u": %s,\n      "v": %s,\n      "valid": %s\n    }')
 
 
 def _spelled(report: GridReport, spelling: dict, *names: str) -> list[Iterator[str]]:
@@ -457,22 +454,52 @@ def _spelled(report: GridReport, spelling: dict, *names: str) -> list[Iterator[s
     return [map(spelling.get, report._reprs[name], report._reprs[name]) for name in names]
 
 
+def _shared(text_of: Callable[..., str], *columns) -> Iterator[str]:
+    """``text_of(*cells)`` for each row's cells of ``columns``: one text
+    per distinct tuple of cells, which every row that has it shares."""
+    text = {key: text_of(*key) for key in set(zip(*columns))}
+    return map(text.__getitem__, zip(*columns))
+
+
+def _items(head: str, row: list, end: str, n: int) -> list[str]:
+    """head, then n rows, each the items of ``row`` in turn, then end: the
+    items of one str.join.  An item of ``row`` is a text that every row
+    shares or an iterable of one text per row."""
+    items = [end] * (len(row) * n + 2)
+    items[0] = head
+    for j, part in enumerate(row):
+        items[1 + j:-1:len(row)] = [part] * n if isinstance(part, str) else part
+    return items
+
+
 def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
     """The report as CSV, or as the JSON that json.dumps(..., indent=2,
-    sort_keys=True) gives for {"model", "rows", "summary"}, written from
-    templates.  Both read one repr of each cell, kept on the report."""
+    sort_keys=True) gives for {"model", "rows", "summary"}.
+
+    Each format is one str.join over the cells' texts, one repr of each
+    cell kept on the report, and the fixed texts between them, which the
+    rows share: no row becomes a string of its own, and the document is
+    not copied after the join."""
+    n = len(report.u)
     if fmt == "csv":
-        cells = _spelled(report, _CSV_SPELLING, "u", "v", "f", "K", "H", "valid")
-        lines = map(",".join, zip(*cells, report.sign))
-        return "\n".join(["u,v,f,K,H,valid,sign", *lines]) + "\n"
+        u, v, f, K, H = _spelled(report, _CSV_SPELLING, "u", "v", "f", "K", "H")
+        tail = _shared(lambda valid, sign: f",{_CSV_SPELLING.get(valid, valid)},{sign}\n",
+                       report._reprs["valid"], report.sign)
+        return "".join(_items("u,v,f,K,H,valid,sign\n",
+                              [u, ",", v, ",", f, ",", K, ",", H, tail], "", n))
     if fmt == "json":
         H, K, f, u, v, valid = _spelled(report, _JSON_SPELLING,
                                         "H", "K", "f", "u", "v", "valid")
-        rows = ",\n".join(map(_JSON_ROW.__mod__, zip(H, K, f, report.sign, u, v, valid)))
+        sign = _shared(lambda sign: f',\n      "sign": "{sign}",\n      "u": ', report.sign)
         summary = json.dumps(report.summary, indent=2, sort_keys=True)
-        return ('{\n  "model": %s,\n  "rows": %s,\n  "summary": %s\n}\n'
-                % (json.dumps(report.model), f"[\n{rows}\n  ]" if rows else "[]",
-                   summary.replace("\n", "\n  ")))
+        items = _items('{\n  "model": %s,\n  "rows": [' % json.dumps(report.model),
+                       [',\n    {\n      "H": ', H, ',\n      "K": ', K, ',\n      "f": ', f,
+                        sign, u, ',\n      "v": ', v, ',\n      "valid": ', valid, "\n    }"],
+                       '%s],\n  "summary": %s\n}\n' % ("\n  " if n else "",
+                                                       summary.replace("\n", "\n  ")), n)
+        if n:  # the first row opens the list: no comma before it
+            items[1] = items[1][1:]
+        return "".join(items)
     raise ValueError(f"unknown format {fmt!r}")
 
 

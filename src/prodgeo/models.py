@@ -37,11 +37,21 @@ def _require(cond: bool, clause: str):
         raise ConstraintViolation(clause)
 
 
+def _require_finite(record):
+    """Each field of ``record`` finite: an infinity can pass a clause such
+    as delta>0, and a NaN fails every clause whatever it means."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise ConstraintViolation(f"{f.name} finite",
+                                      f"parameter {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class VesParams:
     """VES parameters, validated against the constraint set:
 
-    k > 0, 0 < beta < 1, 0 < beta*rho < 1, delta > 0.
+    every field finite, k > 0, 0 < beta < 1, 0 < beta*rho < 1, delta > 0.
 
     The pointwise condition (rho-1)*u + v > 0 is a domain predicate
     (see :func:`ves_domain_valid`), not a parameter constraint.
@@ -53,6 +63,7 @@ class VesParams:
     delta: float
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.k > 0, "k>0")
         _require(0 < self.beta < 1, "0<beta<1")
         _require(0 < self.beta * self.rho < 1, "0<beta*rho<1")
@@ -63,8 +74,8 @@ class VesParams:
 class KadiyalaParams:
     """Kadiyala parameters, validated against the constraint set:
 
-    k1 + 2*k2 + k3 = 1 (to 1e-12, not rescaled), k_i >= 0,
-    (k1, k2) != (0, 0), (k2, k3) != (0, 0),
+    every field finite, k1 + 2*k2 + k3 = 1 (to 1e-12, not rescaled),
+    k_i >= 0, (k1, k2) != (0, 0), (k2, k3) != (0, 0),
     beta1*(beta1+beta2) > 0, beta2*(beta1+beta2) > 0, delta > 0.
     """
 
@@ -76,6 +87,7 @@ class KadiyalaParams:
     delta: float
 
     def __post_init__(self):
+        _require_finite(self)
         _require(abs(self.k1 + 2 * self.k2 + self.k3 - 1.0) <= PARAM_EQ_TOL,
                  "k1+2*k2+k3=1")
         _require(self.k1 >= 0 and self.k2 >= 0 and self.k3 >= 0, "k_i>=0")

@@ -197,6 +197,11 @@ POWER_OVERFLOW = ("eval", "--model", "ves", "--params",
 #: an infinite grid bound, which numpy's spacing would meet with a warning
 INF_GRID = ("grid", "--model", "ves", "--params", VES, "--grid", "1,inf,3,1,2,3")
 INF_GRID_VERIFY = ("verify-t1", "--trials", "1", "--grid", "1,inf,3,1,2,3")
+#: parameters that are not finite: the error names the field, not a jet
+INF_DELTA = ("classify", "--params", '{"k":2,"beta":0.4,"rho":1.3,"delta":Infinity}')
+INF_BETA2 = ("classify", "--model", "kadiyala", "--params",
+             '{"k1":0.3,"k2":0.2,"k3":0.3,"beta1":1.5,"beta2":Infinity,"delta":2}')
+HUGE_K = ("grid", "--params", '{"k":1e400,"beta":0.4,"rho":1.3,"delta":2}')
 #: what the error line must name, where the input is finite but overflows
 NAMED = {
     CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
@@ -207,6 +212,9 @@ NAMED = {
     POWER_OVERFLOW: "power overflow: 6e-301 ** 0.312 at (1e-300, 1e-300)",
     INF_GRID: "error: grid bounds must be finite, got u_max=inf",
     INF_GRID_VERIFY: "error: grid bounds must be finite, got u_max=inf",
+    INF_DELTA: "error: parameter delta must be finite, got inf",
+    INF_BETA2: "error: parameter beta2 must be finite, got inf",
+    HUGE_K: "error: parameter k must be finite, got inf",
 }
 
 
@@ -228,6 +236,9 @@ NAMED = {
     POWER_OVERFLOW,
     INF_GRID,
     INF_GRID_VERIFY,
+    INF_DELTA,
+    INF_BETA2,
+    HUGE_K,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -238,6 +249,21 @@ def test_vacuous_or_nan_input_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert NAMED.get(argv, "") in err
+
+
+def test_out_of_memory_exit_2(capsys, monkeypatch):
+    """A grid too large to allocate is bad input; exit 1 means a check failed."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000000,) and data type float64")
+
+    monkeypatch.setattr(harness, "build_grid_report", too_large)
+    code, out, err = run(capsys, "grid", "--params", VES,
+                         "--grid", "0.1,10,100000,0.1,10,100000")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: out of memory: Unable to allocate 74.5 GiB for an array "
+                   "with shape (10000000000,) and data type float64\n")
 
 
 def test_default_grid_is_the_library_default():

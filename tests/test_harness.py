@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,23 @@ class TestGridReport:
         b = harness.emit_grid_report(harness.build_grid_report(p, SMALL_GRID), "csv")
         assert a == b
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emitting_holds_under_twice_the_text(self, fmt):
+        """The emitter joins the cells' texts once: no string per row and
+        no copy of the document.  On an all-valid 200x200 grid, the most
+        it holds at once, its text included, is under twice the text."""
+        p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
+        report = harness.build_grid_report(p, GridSpec(0.1, 10, 0.1, 10, 200, 200))
+        assert all(report.valid)
+        report._reprs  # formatted once, before either format is emitted
+        tracemalloc.start()
+        try:
+            text = harness.emit_grid_report(report, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text)
+
     def test_csv_floats_round_trip(self):
         p = models.ves_validate(1, 0.5, 0.5, 2)
         report = harness.build_grid_report(p, SMALL_GRID)
@@ -361,7 +379,8 @@ AXIS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1.0, 2.5,
 
 @settings(max_examples=100, deadline=None)
 @given(cells=st.lists(st.tuples(AXIS, AXIS, CELL, CELL, CELL, st.booleans(),
-                                st.sampled_from(["", "zero", "positive", "negative"])),
+                                st.sampled_from(["", "zero", "positive", "negative"])
+                                | st.text("abz- ", max_size=4)),
                       max_size=8),
        summary=st.dictionaries(st.sampled_from(["max_abs_k", "f_min", "verdict"]),
                                st.one_of(CELL, st.text(max_size=3)), max_size=3))

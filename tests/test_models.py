@@ -36,6 +36,29 @@ class TestVesValidation:
             models.ves_validate(1, 0.5, 0.5, -1)
 
 
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["k", "beta", "rho", "delta"])
+def test_ves_rejects_non_finite_field(field, value):
+    raw = {"k": 2.0, "beta": 0.4, "rho": 1.3, "delta": 1.5, field: value}
+    with pytest.raises(ConstraintViolation) as exc:
+        models.ves_validate(**raw)
+    assert exc.value.clause == f"{field} finite"
+    assert f"parameter {field} must be finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["k1", "k2", "k3", "beta1", "beta2", "delta"])
+def test_kadiyala_rejects_non_finite_field(field, value):
+    raw = {"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "delta": 2.0,
+           field: value}
+    with pytest.raises(ConstraintViolation) as exc:
+        models.kadiyala_validate(**raw)
+    assert exc.value.clause == f"{field} finite"
+
+
 class TestKadiyalaValidation:
     def test_accepts_valid(self):
         models.kadiyala_validate(0.25, 0.25, 0.25, 0.5, 0.5, 1)
