@@ -40,11 +40,10 @@ def _require(cond: bool, clause: str):
 def _require_finite(record):
     """Each field of ``record`` finite: an infinity can pass a clause such
     as delta>0, and a NaN fails every clause whatever it means."""
-    for f in fields(record):
-        value = getattr(record, f.name)
+    for name, value in vars(record).items():
         if not math.isfinite(value):
-            raise ConstraintViolation(f"{f.name} finite",
-                                      f"parameter {f.name} must be finite, got {value}")
+            raise ConstraintViolation(f"{name} finite",
+                                      f"parameter {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
