@@ -482,7 +482,9 @@ def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
     not copied after the join."""
     n = len(report.u)
     if fmt == "csv":
-        u, v, f, K, H = _spelled(report, _CSV_SPELLING, "u", "v", "f", "K", "H")
+        # The CSV respells only None and bools, which u and v never hold.
+        u, v = report._reprs["u"], report._reprs["v"]
+        f, K, H = _spelled(report, _CSV_SPELLING, "f", "K", "H")
         tail = _shared(lambda valid, sign: f",{_CSV_SPELLING.get(valid, valid)},{sign}\n",
                        report._reprs["valid"], report.sign)
         return "".join(_items("u,v,f,K,H,valid,sign\n",
