@@ -38,8 +38,9 @@ def _require(cond: bool, clause: str):
 
 
 def _require_finite(record):
-    """Each field of ``record`` finite: an infinity can pass a clause such
-    as delta>0, and a NaN fails every clause whatever it means."""
+    """Each field of ``record`` finite, checked before the clauses: an
+    infinity passes one such as delta>0, and a NaN fails the first clause
+    it meets, named after that clause rather than the field."""
     for name, value in vars(record).items():
         if not math.isfinite(value):
             raise ConstraintViolation(f"{name} finite",
