@@ -138,7 +138,7 @@ def random_ves_params(seed: int, stratum: str | None = None) -> VesParams:
 
 def random_kadiyala_params(
         seed: int,
-        force_condition: DevelopabilityReason | str | None = None,
+        force_condition: DevelopabilityReason | None = None,
 ) -> KadiyalaParams:
     """Deterministic constraint-satisfying Kadiyala draw.
 
@@ -147,8 +147,6 @@ def random_kadiyala_params(
     margins) produces a generic draw kept away from all three condition
     manifolds so converse tests have curvature to find.
     """
-    if isinstance(force_condition, str):
-        force_condition = DevelopabilityReason(force_condition)
     rng = random.Random(seed)
 
     def simplex_weights():

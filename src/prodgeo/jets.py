@@ -13,10 +13,9 @@ A slot is a float, for one point, or a 1-d ndarray of floats, for a
 batch of points (vector forward mode: Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).  The same functions serve both, so model code
 written once evaluates a point or a whole grid.  On arrays, sums,
-products, quotients and square roots are correctly rounded in numpy as
-in Python, so each element gets the bits its float form gives; ``ln``,
-``exp`` and ``sqrt`` call the float kernel on each element.  Powers use
-numpy's own power, which may round the last bit differently from the
+scalings and products are correctly rounded in numpy as in Python, so
+each element gets the bits its float form gives.  Powers use numpy's
+own power, which may round the last bit differently from the
 libm ``pow`` behind a float's ``**``: a batch agrees with the float form
 to within rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
 also take an array factor or exponent, one per element.  An op that
@@ -83,37 +82,9 @@ class Jet2(NamedTuple):
     d12: Slot = 0.0
     d22: Slot = 0.0
 
-    # Arithmetic dunders delegate to the module-level functions so that
-    # model code can be written naturally (a * b + c).
+    # A sum delegates to add, so model code can chain terms (a + b + c).
     def __add__(self, other):
         return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p: Slot) -> "Jet2":
-        return powr(self, p)
 
 
 def _coerce(x) -> Jet2:
@@ -184,15 +155,6 @@ def add(a: Jet2, b: Jet2) -> Jet2:
                     a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22)
 
 
-def sub(a: Jet2, b: Jet2) -> Jet2:
-    return _checked(a.val - b.val, a.d1 - b.d1, a.d2 - b.d2,
-                    a.d11 - b.d11, a.d12 - b.d12, a.d22 - b.d22)
-
-
-def neg(a: Jet2) -> Jet2:
-    return Jet2(-a.val, -a.d1, -a.d2, -a.d11, -a.d12, -a.d22)
-
-
 def scale(a: Jet2, c: Slot) -> Jet2:
     """c * a, for a number c or, on a batch, one factor per element."""
     return _checked(c * a.val, c * a.d1, c * a.d2,
@@ -208,29 +170,6 @@ def mul(a: Jet2, b: Jet2) -> Jet2:
         a.d12 * b.val + a.d1 * b.d2 + a.d2 * b.d1 + a.val * b.d12,
         a.d22 * b.val + 2.0 * a.d2 * b.d2 + a.val * b.d22,
     )
-
-
-def div(a: Jet2, b: Jet2) -> Jet2:
-    zero = b.val == 0.0
-    if zero is not False and _at_first(zero) is not None:
-        raise ZeroDivisionError("Jet2 division by zero")
-    # q = a/b, so a = q*b; solve the product rule for the slots of q.
-    inv = 1.0 / b.val
-    q = a.val * inv
-    q1 = (a.d1 - q * b.d1) * inv
-    q2 = (a.d2 - q * b.d2) * inv
-    q11 = (a.d11 - 2.0 * q1 * b.d1 - q * b.d11) * inv
-    q12 = (a.d12 - q1 * b.d2 - q2 * b.d1 - q * b.d12) * inv
-    q22 = (a.d22 - 2.0 * q2 * b.d2 - q * b.d22) * inv
-    return _checked(q, q1, q2, q11, q12, q22)
-
-
-def _elementwise(kernel, x: np.ndarray, *args) -> tuple:
-    """kernel(x, *args) = (g, g', g'') for one float, applied element by
-    element on Python floats: each element gets the float path's bits,
-    and the first bad element raises the float path's error."""
-    return tuple(s.astype(float) for s in
-                 np.frompyfunc(kernel, 1 + len(args), 3)(x, *args))
 
 
 def _compose(a: Jet2, g, dg, ddg) -> Jet2:
@@ -257,15 +196,16 @@ def _power(x: float, p: float) -> tuple[float, float, float]:
 def _power_elements(x: np.ndarray, p: Slot) -> tuple:
     """_power on each element of x, by numpy's power, with p a float or
     one exponent per element.  numpy gives inf where a float's ``**``
-    raises, so wherever a result is not finite, _power runs element by
-    element and raises the first failing element's error."""
+    raises, so wherever a base is not positive or a result is not
+    finite, _power runs element by element on Python floats and raises
+    the first failing element's error."""
     if not (x <= 0.0).any():
         g = np.power(x, p)
         dg = p * np.power(x, p - 1.0)
         ddg = p * (p - 1.0) * np.power(x, p - 2.0)
         if np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all():
             return g, dg, ddg
-    return _elementwise(_power, x, p)
+    return tuple(s.astype(float) for s in np.frompyfunc(_power, 2, 3)(x, p))
 
 
 def powr(a: Jet2, p: Slot) -> Jet2:
@@ -280,44 +220,3 @@ def powr(a: Jet2, p: Slot) -> Jet2:
     else:
         g, dg, ddg = _power_elements(a.val, float(p) if isinstance(p, POINT) else p)
     return _compose(a, g, dg, ddg)
-
-
-def _log(x: float) -> tuple[float, float, float]:
-    if x <= 0.0:
-        raise DomainError(f"ln requires a positive argument, got {x}")
-    inv = 1.0 / x
-    return math.log(x), inv, -inv * inv
-
-
-def ln(a: Jet2) -> Jet2:
-    if isinstance(a.val, POINT):
-        return _compose(a, *_log(a.val))
-    return _compose(a, *_elementwise(_log, a.val))
-
-
-def _exp(x: float) -> tuple[float, float, float]:
-    try:
-        e = math.exp(x)
-    except OverflowError:
-        raise NonFiniteError(f"exp overflow at {x}") from None
-    return e, e, e
-
-
-def exp(a: Jet2) -> Jet2:
-    if isinstance(a.val, POINT):
-        return _compose(a, *_exp(a.val))
-    return _compose(a, *_elementwise(_exp, a.val))
-
-
-def _sqrt(x: float) -> tuple[float, float, float]:
-    if x <= 0.0:
-        raise DomainError(f"sqrt requires a positive argument, got {x}")
-    r = math.sqrt(x)
-    dg = 0.5 / r
-    return r, dg, -0.5 * dg / x
-
-
-def sqrt(a: Jet2) -> Jet2:
-    if isinstance(a.val, POINT):
-        return _compose(a, *_sqrt(a.val))
-    return _compose(a, *_elementwise(_sqrt, a.val))

@@ -118,7 +118,10 @@ def params_to_json(p) -> str:
                       sort_keys=True)
 
 
-def _params_from_dict(cls, data: dict):
+def _params_from_dict(cls, data):
+    if not isinstance(data, dict):
+        raise ConstraintViolation(
+            "object", f"parameters must be a JSON object, got {json.dumps(data)}")
     names = {f.name for f in fields(cls)}
     unknown = set(data) - names
     if unknown:
@@ -128,6 +131,10 @@ def _params_from_dict(cls, data: dict):
     if missing:
         raise ConstraintViolation(
             "missing keys", f"missing parameter keys: {sorted(missing)}")
+    for name, value in data.items():
+        if type(value) not in (int, float):  # a bool is an int, but not a JSON number
+            raise ConstraintViolation(
+                f"{name} number", f"parameter {name} must be a number, got {json.dumps(value)}")
     return cls(**{k: float(v) for k, v in data.items()})
 
 
@@ -251,9 +258,9 @@ def kadiyala_specialize(p: KadiyalaParams) -> FamilyTag:
         return FamilyTag(
             Family.PERFECT_SUBSTITUTES,
             f"P(u,v) = ({math.sqrt(p.k1)}*u + {math.sqrt(p.k3)}*v)^{p.delta}")
-    if k1_zero and k3_zero and abs(p.delta - 1.0) <= PARAM_EQ_TOL:
+    if k1_zero and k3_zero:  # 2*k2 = 1, so P = u^(beta1*delta/s) * v^(beta2*delta/s)
         return FamilyTag(Family.COBB_DOUGLAS_TYPE,
-                         f"P(u,v) = u^{p.beta1 / bsum}*v^{p.beta2 / bsum}")
+                         f"P(u,v) = u^{p.beta1 * p.delta / bsum}*v^{p.beta2 * p.delta / bsum}")
     if k2_zero:
         if bsum < 1.0:
             return FamilyTag(Family.CES_TYPE)

@@ -202,6 +202,16 @@ INF_DELTA = ("classify", "--params", '{"k":2,"beta":0.4,"rho":1.3,"delta":Infini
 INF_BETA2 = ("classify", "--model", "kadiyala", "--params",
              '{"k1":0.3,"k2":0.2,"k3":0.3,"beta1":1.5,"beta2":Infinity,"delta":2}')
 HUGE_K = ("grid", "--params", '{"k":1e400,"beta":0.4,"rho":1.3,"delta":2}')
+#: values that are not JSON numbers, and documents that are not objects
+NULL_K = ("classify", "--params", '{"k": null, "beta": 0.5, "rho": 0.5, "delta": 1}')
+OBJECT_DELTA = ("classify", "--params", '{"k": 1, "beta": 0.5, "rho": 0.5, "delta": {}}')
+LIST_K = ("classify", "--params", '{"k": [1], "beta": 0.5, "rho": 0.5, "delta": 1}')
+BOOL_K = ("classify", "--params", '{"k": true, "beta": 0.5, "rho": 0.5, "delta": 1}')
+STRING_K = ("classify", "--params", '{"k": "1", "beta": 0.5, "rho": 0.5, "delta": 1}')
+#: --params files, written in the test's working directory
+PARAMS_FILES = {"five.json": "5", "null.json": "null"}
+NUMBER_FILE = ("classify", "--params", "five.json")
+NULL_FILE = ("eval", "--model", "kadiyala", "--params", "null.json", "--point", "1,1")
 #: what the error line must name, where the input is finite but overflows
 NAMED = {
     CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
@@ -215,6 +225,13 @@ NAMED = {
     INF_DELTA: "error: parameter delta must be finite, got inf",
     INF_BETA2: "error: parameter beta2 must be finite, got inf",
     HUGE_K: "error: parameter k must be finite, got inf",
+    NULL_K: "error: parameter k must be a number, got null",
+    OBJECT_DELTA: "error: parameter delta must be a number, got {}",
+    LIST_K: "error: parameter k must be a number, got [1]",
+    BOOL_K: "error: parameter k must be a number, got true",
+    STRING_K: 'error: parameter k must be a number, got "1"',
+    NUMBER_FILE: "error: parameters must be a JSON object, got 5",
+    NULL_FILE: "error: parameters must be a JSON object, got null",
 }
 
 
@@ -239,8 +256,18 @@ NAMED = {
     INF_DELTA,
     INF_BETA2,
     HUGE_K,
+    NULL_K,
+    OBJECT_DELTA,
+    LIST_K,
+    BOOL_K,
+    STRING_K,
+    NUMBER_FILE,
+    NULL_FILE,
 ])
-def test_vacuous_or_nan_input_exit_2(capsys, argv):
+def test_vacuous_or_nan_input_exit_2(capsys, monkeypatch, tmp_path, argv):
+    for name, text in PARAMS_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)

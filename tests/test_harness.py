@@ -79,11 +79,6 @@ class TestRandomParams:
             verdict = curvature.kadiyala_is_developable(p)
             assert verdict.developable and verdict.reason is condition
 
-    def test_force_condition_accepts_strings(self):
-        p = harness.random_kadiyala_params(3, "beta-one-rank-one-weights")
-        assert curvature.kadiyala_is_developable(p).reason \
-            is DevelopabilityReason.BETA_ONE_RANK_ONE
-
     def test_generic_draws_violate_all_conditions(self):
         for s in range(200):
             p = harness.random_kadiyala_params(s, None)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -331,8 +332,16 @@ class TestSpecialize:
         assert tag.tag is Family.VES_TYPE
 
     def test_cobb_douglas(self):
-        p = models.kadiyala_validate(0.0, 0.5, 0.0, 0.8, 0.7, 1)
-        assert models.kadiyala_specialize(p).tag is Family.COBB_DOUGLAS_TYPE
+        """k1 = k3 = 0 is Cobb-Douglas for every delta, beta2 = 1 included:
+        P = u^(beta1*delta/s) * v^(beta2*delta/s), as the detail writes."""
+        for beta1, beta2, delta in ((0.8, 0.7, 1), (0.3, 0.7, 1.8), (0.3, 1.0, 1.8),
+                                    (-0.5, -1.0, 0.4)):
+            p = models.kadiyala_validate(0.0, 0.5, 0.0, beta1, beta2, delta)
+            tag = models.kadiyala_specialize(p)
+            assert tag.tag is Family.COBB_DOUGLAS_TYPE
+            a, b = map(float, re.fullmatch(r"P\(u,v\) = u\^(.+)\*v\^(.+)", tag.detail).groups())
+            for u, v in ((0.5, 2.0), (1.3, 0.7), (3.0, 4.0)):
+                assert_close(kadiyala_value(p, u, v), u ** a * v ** b, 1e-12, tag.detail)
 
     def test_generic(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)

@@ -53,9 +53,9 @@ def test_paraboloid_forms():
 def sphere_jet(u0, v0):
     # f = sqrt(1 - u^2 - v^2), via the operation set
     u, v = jets.seed(u0, v0)
-    inside = jets.sub(jets.constant(1.0),
-                      jets.add(jets.mul(u, u), jets.mul(v, v)))
-    return jets.sqrt(inside)
+    inside = jets.add(jets.constant(1.0),
+                      jets.scale(jets.add(jets.mul(u, u), jets.mul(v, v)), -1.0))
+    return jets.powr(inside, 0.5)
 
 
 def test_unit_sphere_curvatures():
