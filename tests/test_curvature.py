@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 
@@ -315,3 +316,39 @@ def test_non_finite_K_names_the_function_and_point(form, params):
         form(params, 1e30, 1e30)
     with pytest.raises(NonFiniteError, match=message):
         form(params, np.array([1.0, 1e30, 1e31]), np.array([1.0, 1e30, 1e31]))
+
+
+# --- The Kadiyala closed forms' bits ------------------------------------------
+
+#: sha256 of each Kadiyala form's values, recorded before its powers were
+#: shared between T1, T2 and Den_G: sharing them must change no bit.
+KADIYALA_BITS = {
+    "kadiyala_T1":
+        "ea2c3a74a5e6ede69ae22d9e602f5722c9ea15ef4f35c2a9c80a95995b7b73c4",
+    "kadiyala_T2":
+        "05de9e0e3c137977e86f30581ec8aa6ac1eec0e590099828a36a36bbcaf76c36",
+    "kadiyala_deng":
+        "16ae57c0183e11b6111f23d949b35c15cfd49b6ced3da3677d01786fdf80822a",
+    "kadiyala_curvature_closed":
+        "fc24474aad6a8585376456985f474552ef8c50cd3012b4241602bc8c75214f14",
+}
+
+
+def _kadiyala_bits(fn) -> str:
+    """sha256 of ``fn`` over a stacked batch, its parameters columns as the
+    verify engine builds them, and at a few float points."""
+    records = [harness.random_kadiyala_params(seed, condition)
+               for seed, condition in enumerate([None, *DevelopabilityReason, None])]
+    us, vs = harness._grid_points(harness.parse_grid_spec("0.05,30,9,0.05,30,9,log"))
+    p = harness._param_columns(records, [len(us)] * len(records))
+    digest = hashlib.sha256(fn(p, np.tile(us, len(records)), np.tile(vs, len(records)))
+                            .tobytes())
+    for record, (u, v) in zip(records, [(0.3, 4.0), (1.0, 1.0), (7.5, 0.2), (2.0, 3.0),
+                                        (1e-3, 50.0)]):
+        digest.update(repr(fn(record, u, v)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(KADIYALA_BITS))
+def test_kadiyala_closed_forms_keep_their_bits(name):
+    assert _kadiyala_bits(getattr(curvature, name)) == KADIYALA_BITS[name]
