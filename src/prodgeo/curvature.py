@@ -34,7 +34,8 @@ from types import SimpleNamespace
 
 from .errors import NonFiniteError, ProdGeoError, SingularPointError
 from .jets import POINT, Slot, _at_first, np
-from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
+from .models import (PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _point,
+                     _ves_aggregate)
 from .surface import SignClass
 
 
@@ -52,12 +53,6 @@ def returns_to_scale(delta: float) -> ReturnsToScale:
 
 def _overflow(name: str, u: float, v: float) -> NonFiniteError:
     return NonFiniteError(f"{name} overflows a float at ({u}, {v})")
-
-
-def _point(p, i: int):
-    """Point i's parameters from a record whose fields are floats or columns."""
-    return SimpleNamespace(**{name: x if isinstance(x, POINT) else x.item(i)
-                              for name, x in vars(p).items()})
 
 
 def _closed_form(formula):
@@ -168,10 +163,55 @@ def ves_theorem_verdict(p: VesParams) -> tuple[ReturnsToScale, SignClass]:
 
 # --- Kadiyala --------------------------------------------------------------
 
-def _kad_inner(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
+def _named(name: str, u: Slot, v: Slot, compute, *args):
+    """compute(*args), with a float power's overflow in it named after the
+    closed form ``name``, as that form's own call names it."""
+    try:
+        return compute(*args)
+    except OverflowError:
+        raise _overflow(name, u, v) from None
+
+
+def _kad_inner(p: KadiyalaParams, u_s: Slot, u_b1: Slot, v_b2: Slot, v_s: Slot) -> Slot:
+    """k1*u^s + 2*k2*u^beta1*v^beta2 + k3*v^s, s = beta1+beta2, from its powers."""
+    return p.k1 * u_s + 2.0 * p.k2 * u_b1 * v_b2 + p.k3 * v_s
+
+
+def _kad_powers(p: KadiyalaParams, u: Slot, v: Slot) -> SimpleNamespace:
+    """The inner sum and each power of u, v and the inner sum that Den_G
+    takes, computed once; T1 and T2 take most of them too.  A name gives
+    the exponent: u_b1p2 is u^(beta1+2), v_2s is v^(2*s)."""
+    b1, b2, d = p.beta1, p.beta2, p.delta
+    bsum = b1 + b2
+    w = SimpleNamespace(u_s=u ** bsum, u_b1=u ** b1, v_b2=v ** b2, v_s=v ** bsum)
+    w.inner = _kad_inner(p, w.u_s, w.u_b1, w.v_b2, w.v_s)
+    w.inner_e = w.inner ** (2.0 * d / bsum)
+    w.u_2s, w.v_2s = u ** (2.0 * bsum), v ** (2.0 * bsum)
+    w.u_b1p2, w.v_b1p2b2 = u ** (b1 + 2.0), v ** (b1 + 2.0 * b2)
+    w.u_2b1, w.v_2b2 = u ** (2.0 * b1), v ** (2.0 * b2)
+    w.v_b2p2, w.v_b1 = v ** (b2 + 2.0), v ** b1
+    return w
+
+
+def _kad_t1(p: KadiyalaParams, u_b1p2: Slot, v_b2p2: Slot, inner_t1: Slot) -> Slot:
+    """T1 from u^(beta1+2), v^(beta2+2) and inner^(2*delta/s + 2)."""
+    b1, b2, d = p.beta1, p.beta2, p.delta
+    bsum = b1 + b2
+    return bsum * bsum * (d - 1.0) * d * d * u_b1p2 * v_b2p2 * inner_t1
+
+
+def _kad_t2(p: KadiyalaParams, u_b1: Slot, u_b2: Slot, v_b1: Slot, v_b2: Slot) -> Slot:
+    """T2 from u^beta1, u^beta2, v^beta1 and v^beta2."""
+    k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2 = p.beta1, p.beta2
-    return (p.k1 * u ** (b1 + b2) + 2.0 * p.k2 * u ** b1 * v ** b2
-            + p.k3 * v ** (b1 + b2))
+    bsum = b1 + b2
+    return (bsum * k1 * u_b2
+            * (2.0 * (b2 - 1.0) * b2 * k2 * u_b1
+               + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
+               * k3 * v_b1)
+            - 2.0 * b1 * k2 * v_b2
+            * (2.0 * b2 * k2 * u_b1
+               - (b1 - 1.0) * bsum * k3 * v_b1))
 
 
 @_closed_form
@@ -180,9 +220,8 @@ def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     _check_positive(u, v)
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    inner = _kad_inner(p, u, v)
-    return (bsum * bsum * (d - 1.0) * d * d * u ** (b1 + 2.0) * v ** (b2 + 2.0)
-            * inner ** (2.0 * d / bsum + 2.0))
+    inner = _kad_inner(p, u ** bsum, u ** b1, v ** b2, v ** bsum)
+    return _kad_t1(p, u ** (b1 + 2.0), v ** (b2 + 2.0), inner ** (2.0 * d / bsum + 2.0))
 
 
 @_closed_form
@@ -190,36 +229,33 @@ def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Second curvature factor; vanishes identically iff the parameters
     describe a perfect-substitutes function."""
     _check_positive(u, v)
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    b1, b2 = p.beta1, p.beta2
-    bsum = b1 + b2
-    return (bsum * k1 * u ** b2
-            * (2.0 * (b2 - 1.0) * b2 * k2 * u ** b1
-               + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
-               * k3 * v ** b1)
-            - 2.0 * b1 * k2 * v ** b2
-            * (2.0 * b2 * k2 * u ** b1
-               - (b1 - 1.0) * bsum * k3 * v ** b1))
+    return _kad_t2(p, u ** p.beta1, u ** p.beta2, v ** p.beta1, v ** p.beta2)
 
 
-def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot) -> list[Slot]:
+def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot, w: SimpleNamespace) -> list[Slot]:
+    """Den_G's five summands, from ``_kad_powers``."""
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    inner = _kad_inner(p, u, v)
-    e = d * d * inner ** (2.0 * d / bsum)
+    e = d * d * w.inner_e
     return [
-        bsum * bsum * k1 * k1 * v * v * u ** (2.0 * bsum) * (e + u * u),
-        bsum * bsum * k3 * k3 * u * u * v ** (2.0 * bsum) * (e + v * v),
-        4.0 * bsum * k2 * k3 * u ** (b1 + 2.0) * v ** (b1 + 2.0 * b2)
+        bsum * bsum * k1 * k1 * v * v * w.u_2s * (e + u * u),
+        bsum * bsum * k3 * k3 * u * u * w.v_2s * (e + v * v),
+        4.0 * bsum * k2 * k3 * w.u_b1p2 * w.v_b1p2b2
         * (b2 * (e + v * v) + b1 * v * v),
-        4.0 * k2 * k2 * u ** (2.0 * b1) * v ** (2.0 * b2)
+        4.0 * k2 * k2 * w.u_2b1 * w.v_2b2
         * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
            + 2.0 * b1 * b2 * u * u * v * v),
-        2.0 * bsum * k1 * u ** bsum * v ** (b2 + 2.0)
-        * (bsum * k3 * u * u * v ** b1
-           + 2.0 * k2 * u ** b1 * (b1 * (e + u * u) + b2 * u * u)),
+        2.0 * bsum * k1 * w.u_s * w.v_b2p2
+        * (bsum * k3 * u * u * w.v_b1
+           + 2.0 * k2 * w.u_b1 * (b1 * (e + u * u) + b2 * u * u)),
     ]
+
+
+def _kad_deng(p: KadiyalaParams, u: Slot, v: Slot, w: SimpleNamespace) -> Slot:
+    terms = _kad_deng_terms(p, u, v, w)
+    # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
+    return _positive("Den_G", sum(terms), u, v, terms)
 
 
 @_closed_form
@@ -228,18 +264,25 @@ def kadiyala_deng(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     product of factors whose signs the parameter constraints fix, so
     each A_i >= 0 and the sum > 0 on the open first quadrant."""
     _check_positive(u, v)
-    terms = _kad_deng_terms(p, u, v)
-    # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
-    return _positive("Den_G", sum(terms), u, v, terms)
+    return _kad_deng(p, u, v, _kad_powers(p, u, v))
 
 
 @_closed_form
 def kadiyala_curvature_closed(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
-    """Gaussian curvature of the Kadiyala surface: K = T1*T2/Den_G^2."""
-    den = kadiyala_deng(p, u, v)
+    """Gaussian curvature of the Kadiyala surface: K = T1*T2/Den_G^2.
+
+    Each power of u, v and the inner sum is computed once and shared by
+    the three factors, in the order and with the errors of kadiyala_deng,
+    kadiyala_T1 and kadiyala_T2 called in turn."""
+    _check_positive(u, v)
+    w = _named("kadiyala_deng", u, v, _kad_powers, p, u, v)
+    den = _kad_deng(p, u, v, w)
+    bsum = p.beta1 + p.beta2
+    t1 = _kad_t1(p, w.u_b1p2, w.v_b2p2,
+                 _named("kadiyala_T1", u, v, pow, w.inner, 2.0 * p.delta / bsum + 2.0))
+    t2 = _kad_t2(p, w.u_b1, _named("kadiyala_T2", u, v, pow, u, p.beta2), w.v_b1, w.v_b2)
     # T1/den * T2/den keeps intermediates in range; den^2 can overflow.
-    return _finite_K("kadiyala_curvature_closed",
-                     (kadiyala_T1(p, u, v) / den) * (kadiyala_T2(p, u, v) / den), u, v)
+    return _finite_K("kadiyala_curvature_closed", (t1 / den) * (t2 / den), u, v)
 
 
 class DevelopabilityReason(enum.Enum):

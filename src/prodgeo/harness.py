@@ -412,7 +412,7 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
         jet = family.jet(params, u[valid], v[valid])
         return (valid, jet.val, *surface.curvature_from_jet(jet))
 
-    # Overflow to inf or NaN is what the jets' checks report, row by row.
+    # Overflow to inf or NaN is what the program's checks report, row by row.
     with np.errstate(all="ignore"):
         valid, f, K, H = _sweep_all(sweep, us, vs)
         max_abs_k = max(np.abs(K).tolist(), default=0.0)

@@ -12,21 +12,29 @@ structural and therefore exact.
 A slot is a float, for one point, or a 1-d ndarray of floats, for a
 batch of points (vector forward mode: Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).  The same functions serve both, so model code
-written once evaluates a point or a whole grid.  On arrays, sums,
-scalings and products are correctly rounded in numpy as in Python, so
-each element gets the bits its float form gives.  Powers use numpy's
-own power, which may round the last bit differently from the
+written once evaluates a point or a whole grid.  On a batch, a slot that
+is a float holds for every point, as the seeds' 0.0 and 1.0 do, and the
+ops keep it a float: a product with a 0.0 slot is 0.0, a product with a
+1.0 slot is the other factor, and a sum with a 0.0 slot is the other
+summand.  Otherwise sums, scalings and products are correctly rounded in
+numpy as in Python, so each element gets the bits its float form gives,
+but for the sign of a zero that a folded slot leaves out.  Powers use
+numpy's own power, which may round the last bit differently from the
 libm ``pow`` behind a float's ``**``: a batch agrees with the float form
 to within rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
-also take an array factor or exponent, one per element.  An op that
-fails on arrays raises the error its float form raises at one failing
-element: the first, in array order, to fail the op's first failing
-check (a power's base and overflow are checked before the finiteness of
-the result).  A caller that needs the first failing point of a batch
-evaluates prefixes of it (``harness.build_grid_report`` does).  The
-checks here catch every non-finite slot; numpy's own warnings on
-overflow are the caller's to silence (``np.errstate``), as the
-evaluators in ``models`` do on a batch.
+also take an array factor or exponent, one per element; ``scale``'s
+factor is never folded, so a zero weight keeps the NaN of 0 * inf.
+
+Every op on one point checks its six slots and raises for one that is
+not finite; seeds and constants check their input on a batch too.  Ops
+on a batch check nothing: inf and NaN travel on to the result, and
+``powr`` writes NaN into the value wherever its float form raises (a
+base not in (0, inf), or a power that is not finite), since inf ** -p
+is 0.0 and would hide the inf before it.  A batch is checked once, when
+it is complete: the evaluators in ``models`` find its rows that are not
+finite and replay them on the one-point path, which raises the point's
+own error.  numpy's warnings on overflow are the caller's to silence
+(``np.errstate``), as those evaluators do on a batch.
 
 numpy is a batch's dependency only.  ``np`` is numpy loaded lazily: it
 executes on its first attribute access, which a point never makes.
@@ -114,17 +122,33 @@ def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
         finite = (_isfinite(val) and _isfinite(d1) and _isfinite(d2)
                   and _isfinite(d11) and _isfinite(d12) and _isfinite(d22))
     except TypeError:  # ndarray slots: name the first point with a bad slot
-        bad = _at_first(~(np.isfinite(val) & np.isfinite(d1) & np.isfinite(d2)
-                          & np.isfinite(d11) & np.isfinite(d12) & np.isfinite(d22)),
-                        val, d1, d2, d11, d12, d22)
-        finite = bad is None
-        if not finite:
-            val, d1, d2, d11, d12, d22 = bad
+        jet = _new_tuple(Jet2, (val, d1, d2, d11, d12, d22))
+        bad = _bad_rows(jet)
+        if not len(bad):
+            return jet
+        val, d1, d2, d11, d12, d22 = _row(jet, bad[0])
+        finite = False
     if not finite:
         raise NonFiniteError(
             f"non-finite jet: val={val}, grad=({d1}, {d2}), "
             f"hess=({d11}, {d12}, {d22})")
     return _new_tuple(Jet2, (val, d1, d2, d11, d12, d22))
+
+
+def _bad_rows(jet: Jet2):
+    """The indices, in order, of a batch jet's rows with a slot that is
+    not finite.  A sum of finite terms is finite unless it overflows, so
+    one sum per slot clears the batch, or else the rows are searched."""
+    if _isfinite(sum(s if isinstance(s, POINT) else s.sum() for s in jet)):
+        return ()
+    return np.flatnonzero(~(np.isfinite(jet.val) & np.isfinite(jet.d1) & np.isfinite(jet.d2)
+                            & np.isfinite(jet.d11) & np.isfinite(jet.d12)
+                            & np.isfinite(jet.d22)))
+
+
+def _row(jet: Jet2, i: int) -> Jet2:
+    """Row i of a batch jet, as one point's jet."""
+    return _new_tuple(Jet2, tuple(s if isinstance(s, POINT) else s.item(i) for s in jet))
 
 
 def seed_u(u0) -> Jet2:
@@ -150,38 +174,88 @@ def constant(c) -> Jet2:
     return _checked(c, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+# --- Slots on a batch, where a float slot holds for every point ------------
+
+def _sum(x: Slot, y: Slot) -> Slot:
+    if isinstance(x, POINT) and not x:
+        return y
+    if isinstance(y, POINT) and not y:
+        return x
+    return x + y
+
+
+def _times(x: Slot, y: Slot) -> Slot:
+    """x * y, folding y only: a factor x that is 0.0 still turns an inf
+    in y into NaN."""
+    if isinstance(y, POINT):
+        if not y:
+            return 0.0
+        if y == 1.0:
+            return x
+    return x * y
+
+
+def _prod(x: Slot, y: Slot) -> Slot:
+    if isinstance(x, POINT) and (not x or x == 1.0):
+        return _times(y, x)
+    return _times(x, y)
+
+
 def add(a: Jet2, b: Jet2) -> Jet2:
-    return _checked(a.val + b.val, a.d1 + b.d1, a.d2 + b.d2,
-                    a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22)
+    if isinstance(a.val, POINT) and isinstance(b.val, POINT):
+        return _checked(a.val + b.val, a.d1 + b.d1, a.d2 + b.d2,
+                        a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22)
+    return _new_tuple(Jet2, tuple(map(_sum, a, b)))
 
 
 def scale(a: Jet2, c: Slot) -> Jet2:
     """c * a, for a number c or, on a batch, one factor per element."""
-    return _checked(c * a.val, c * a.d1, c * a.d2,
-                    c * a.d11, c * a.d12, c * a.d22)
+    if isinstance(a.val, POINT):
+        return _checked(c * a.val, c * a.d1, c * a.d2,
+                        c * a.d11, c * a.d12, c * a.d22)
+    return _new_tuple(Jet2, tuple(_times(c, s) for s in a))
 
 
 def mul(a: Jet2, b: Jet2) -> Jet2:
-    return _checked(
-        a.val * b.val,
-        a.d1 * b.val + a.val * b.d1,
-        a.d2 * b.val + a.val * b.d2,
-        a.d11 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d11,
-        a.d12 * b.val + a.d1 * b.d2 + a.d2 * b.d1 + a.val * b.d12,
-        a.d22 * b.val + 2.0 * a.d2 * b.d2 + a.val * b.d22,
-    )
+    if isinstance(a.val, POINT) and isinstance(b.val, POINT):
+        return _checked(
+            a.val * b.val,
+            a.d1 * b.val + a.val * b.d1,
+            a.d2 * b.val + a.val * b.d2,
+            a.d11 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d11,
+            a.d12 * b.val + a.d1 * b.d2 + a.d2 * b.d1 + a.val * b.d12,
+            a.d22 * b.val + 2.0 * a.d2 * b.d2 + a.val * b.d22,
+        )
+    return _new_tuple(Jet2, (
+        _prod(a.val, b.val),
+        _sum(_prod(a.d1, b.val), _prod(a.val, b.d1)),
+        _sum(_prod(a.d2, b.val), _prod(a.val, b.d2)),
+        _sum(_sum(_prod(a.d11, b.val), _prod(_prod(2.0, a.d1), b.d1)), _prod(a.val, b.d11)),
+        _sum(_sum(_sum(_prod(a.d12, b.val), _prod(a.d1, b.d2)), _prod(a.d2, b.d1)),
+             _prod(a.val, b.d12)),
+        _sum(_sum(_prod(a.d22, b.val), _prod(_prod(2.0, a.d2), b.d2)), _prod(a.val, b.d22)),
+    ))
 
 
 def _compose(a: Jet2, g, dg, ddg) -> Jet2:
     # Chain rule through second order for g(a).
-    return _checked(
+    if isinstance(g, POINT):
+        return _checked(
+            g,
+            dg * a.d1,
+            dg * a.d2,
+            ddg * a.d1 * a.d1 + dg * a.d11,
+            ddg * a.d1 * a.d2 + dg * a.d12,
+            ddg * a.d2 * a.d2 + dg * a.d22,
+        )
+    return _new_tuple(Jet2, (
         g,
-        dg * a.d1,
-        dg * a.d2,
-        ddg * a.d1 * a.d1 + dg * a.d11,
-        ddg * a.d1 * a.d2 + dg * a.d12,
-        ddg * a.d2 * a.d2 + dg * a.d22,
-    )
+        _prod(dg, a.d1),
+        _prod(dg, a.d2),
+        _sum(_prod(_prod(ddg, a.d1), a.d1), _prod(dg, a.d11)),
+        _sum(_prod(_prod(ddg, a.d1), a.d2), _prod(dg, a.d12)),
+        _sum(_prod(_prod(ddg, a.d2), a.d2), _prod(dg, a.d22)),
+    ))
 
 
 def _power(x: float, p: float) -> tuple[float, float, float]:
@@ -195,17 +269,17 @@ def _power(x: float, p: float) -> tuple[float, float, float]:
 
 def _power_elements(x: np.ndarray, p: Slot) -> tuple:
     """_power on each element of x, by numpy's power, with p a float or
-    one exponent per element.  numpy gives inf where a float's ``**``
-    raises, so wherever a base is not positive or a result is not
-    finite, _power runs element by element on Python floats and raises
-    the first failing element's error."""
-    if not (x <= 0.0).any():
-        g = np.power(x, p)
-        dg = p * np.power(x, p - 1.0)
-        ddg = p * (p - 1.0) * np.power(x, p - 2.0)
-        if np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all():
-            return g, dg, ddg
-    return tuple(s.astype(float) for s in np.frompyfunc(_power, 2, 3)(x, p))
+    one exponent per element, and g NaN wherever _power on floats
+    raises: where the base is not in (0, inf) or a value is not finite."""
+    g = np.power(x, p)
+    dg = p * np.power(x, p - 1.0)
+    ddg = p * (p - 1.0) * np.power(x, p - 2.0)
+    if not (x.min(initial=math.inf) > 0.0 and x.max(initial=0.0) < math.inf
+            and _isfinite(g.sum() + dg.sum() + ddg.sum())):
+        ok = ((x > 0.0) & (x < math.inf)
+              & np.isfinite(g) & np.isfinite(dg) & np.isfinite(ddg))
+        g = np.where(ok, g, math.nan)
+    return g, dg, ddg
 
 
 def powr(a: Jet2, p: Slot) -> Jet2:

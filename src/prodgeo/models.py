@@ -24,6 +24,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 from . import jets
 from .errors import ConstraintViolation, DomainError, NonPositiveInputError
@@ -131,11 +132,16 @@ def _params_from_dict(cls, data):
     if missing:
         raise ConstraintViolation(
             "missing keys", f"missing parameter keys: {sorted(missing)}")
+    values = {}
     for name, value in data.items():
         if type(value) not in (int, float):  # a bool is an int, but not a JSON number
             raise ConstraintViolation(
                 f"{name} number", f"parameter {name} must be a number, got {json.dumps(value)}")
-    return cls(**{k: float(v) for k, v in data.items()})
+        try:
+            values[name] = float(value)
+        except OverflowError:  # an integer beyond float range, as 1e400 reads inf
+            values[name] = math.inf if value > 0 else -math.inf
+    return cls(**values)
 
 
 def ves_params_from_json(text: str) -> VesParams:
@@ -182,20 +188,38 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
 
 # --- Evaluators ------------------------------------------------------------
 
-def _quiet_on_batches(evaluate):
-    """``evaluate``, run under np.errstate(all="ignore") when its slots are
-    arrays: the jets' checks raise for every non-finite slot, so numpy's
-    overflow warnings would only repeat them.  One point runs as is."""
+def _point(p, i: int):
+    """Point i's parameters from a record whose fields are floats or columns."""
+    return SimpleNamespace(**{name: x if isinstance(x, POINT) else x.item(i)
+                              for name, x in vars(p).items()})
+
+
+def _checked_on_batches(evaluate):
+    """``evaluate``, which on one point checks each jet op as it goes.  On
+    a batch it runs under np.errstate(all="ignore"), its ops check nothing
+    (see ``jets``), and the jet it returns is checked once: each row that
+    is not finite, in order, runs again as one point, with its own
+    parameters where they are columns, and the first whose point path
+    fails raises that point's error.  Where every such row passes as a
+    point (a batch's power can round past an overflow its float form
+    stays below), the first of them raises the NonFiniteError that names
+    its slots, as the check of a point's op does."""
     @functools.wraps(evaluate)
-    def evaluate_quietly(p, u: Jet2, v: Jet2) -> Jet2:
+    def evaluate_checked(p, u: Jet2, v: Jet2) -> Jet2:
         if isinstance(u.val, POINT):
             return evaluate(p, u, v)
         with np.errstate(all="ignore"):
-            return evaluate(p, u, v)
-    return evaluate_quietly
+            jet = evaluate(p, u, v)
+        bad = jets._bad_rows(jet)
+        for i in bad:
+            evaluate(_point(p, i), jets._row(u, i), jets._row(v, i))
+        if len(bad):
+            jets._checked(*jet)
+        return jet
+    return evaluate_checked
 
 
-@_quiet_on_batches
+@_checked_on_batches
 def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of Q(u, v); raises DomainError outside the well-posed region."""
     _ves_aggregate(p, u.val, v.val)
@@ -206,7 +230,7 @@ def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
         p.k)
 
 
-@_quiet_on_batches
+@_checked_on_batches
 def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of P(u, v); requires u, v > 0."""
     _check_positive(u.val, v.val)

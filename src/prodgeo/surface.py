@@ -1,8 +1,8 @@
 """Monge-patch geometry of a graph surface (u, v, f(u, v)).
 
 Given a second-order jet of the height field at a point, these routines
-produce the first and second fundamental forms, the unit normal, and the
-Gaussian and mean curvatures, using the standard graph-surface formulas:
+produce the first and second fundamental forms and the Gaussian and mean
+curvatures, using the standard graph-surface formulas:
 
     g11 = 1 + f_u^2      g12 = f_u f_v      g22 = 1 + f_v^2
     W   = sqrt(1 + f_u^2 + f_v^2)
@@ -12,9 +12,10 @@ Gaussian and mean curvatures, using the standard graph-surface formulas:
     K = det II / det I
     H = (g11 h22 - 2 g12 h12 + g22 h11) / (2 det I)
 
-A jet whose slots are ndarrays gives forms, K, H and sign classes
-element by element, with the bits the one-point computation gives on
-the same slots.
+h_ij are taken against the upward normal N, so H's sign rests on that
+convention; N itself is not computed.  A jet whose slots are ndarrays
+gives forms, K and H element by element, with the bits the one-point
+computation gives on the same slots.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class FundamentalForms(NamedTuple):
     h11: Slot
     h12: Slot
     h22: Slot
-    n1: Slot
-    n2: Slot
-    n3: Slot
     #: det I = g11*g22 - g12^2, held as W^2 = 1 + f_u^2 + f_v^2: the
     #: difference cancels to 0.0 at steep points, the sum cannot.
     det_first: Slot
@@ -55,7 +53,7 @@ class FundamentalForms(NamedTuple):
 
 
 def fundamental_forms(jet: Jet2) -> FundamentalForms:
-    """Fundamental forms and unit normal from a height-field jet.
+    """Fundamental forms from a height-field jet.
 
     Raises NonFiniteError for a non-finite slot and for slopes so steep
     that W^2 = 1 + f_u^2 + f_v^2 overflows (K would read 0 and H NaN).
@@ -80,9 +78,6 @@ def fundamental_forms(jet: Jet2) -> FundamentalForms:
         h11=jet.d11 * inv_w,
         h12=jet.d12 * inv_w,
         h22=jet.d22 * inv_w,
-        n1=-fu * inv_w,
-        n2=-fv * inv_w,
-        n3=inv_w,
         det_first=w2,
     )
 
@@ -103,21 +98,17 @@ def curvature_from_jet(jet: Jet2) -> tuple[float, float]:
     return gaussian_curvature(forms), mean_curvature(forms)
 
 
-def classify_sign(K, local_scale: float = 0.0,
-                  tol_K: float = DEFAULT_CURVATURE_TOL):
-    """Sign of a curvature value under a scale-aware zero threshold.
+def classify_sign(K: np.ndarray, local_scale: float = 0.0,
+                  tol_K: float = DEFAULT_CURVATURE_TOL) -> np.ndarray:
+    """Sign of each curvature value under a scale-aware zero threshold, as
+    an object array of SignClass.
 
     ``local_scale`` should be the curvature magnitude reference for the
     surface at hand (typically max |K| over the evaluated grid), so that
     "zero" is judged relative to how curved the surface actually is.
-    An ndarray of K gives an object array of SignClass, element by element.
     """
     if not tol_K > 0.0:  # also rejects NaN
         raise ValueError("tol_K must be positive")
     zero = abs(K) <= tol_K * (1.0 + abs(local_scale))
-    if not isinstance(K, POINT):
-        return np.where(zero, SignClass.ZERO,
-                        np.where(K > 0.0, SignClass.POSITIVE, SignClass.NEGATIVE))
-    if zero:
-        return SignClass.ZERO
-    return SignClass.POSITIVE if K > 0.0 else SignClass.NEGATIVE
+    return np.where(zero, SignClass.ZERO,
+                    np.where(K > 0.0, SignClass.POSITIVE, SignClass.NEGATIVE))

@@ -147,7 +147,7 @@ def test_criterion_5_denominator_positivity():
     for s in range(40):
         p = harness.random_kadiyala_params(rng.randrange(2**31))
         for u, v in grid[:: 7]:
-            terms = curvature._kad_deng_terms(p, u, v)
+            terms = curvature._kad_deng_terms(p, u, v, curvature._kad_powers(p, u, v))
             assert all(t >= 0.0 for t in terms)
             assert curvature.kadiyala_deng(p, u, v) > 0.0
     report("criterion 5: Den_F > 0, Den_G > 0, all A_i >= 0", True)

@@ -202,6 +202,7 @@ INF_DELTA = ("classify", "--params", '{"k":2,"beta":0.4,"rho":1.3,"delta":Infini
 INF_BETA2 = ("classify", "--model", "kadiyala", "--params",
              '{"k1":0.3,"k2":0.2,"k3":0.3,"beta1":1.5,"beta2":Infinity,"delta":2}')
 HUGE_K = ("grid", "--params", '{"k":1e400,"beta":0.4,"rho":1.3,"delta":2}')
+HUGE_INT_K = ("classify", "--params", '{"k":1' + "0" * 400 + ',"beta":0.4,"rho":1.3,"delta":2}')
 #: values that are not JSON numbers, and documents that are not objects
 NULL_K = ("classify", "--params", '{"k": null, "beta": 0.5, "rho": 0.5, "delta": 1}')
 OBJECT_DELTA = ("classify", "--params", '{"k": 1, "beta": 0.5, "rho": 0.5, "delta": {}}')
@@ -225,6 +226,7 @@ NAMED = {
     INF_DELTA: "error: parameter delta must be finite, got inf",
     INF_BETA2: "error: parameter beta2 must be finite, got inf",
     HUGE_K: "error: parameter k must be finite, got inf",
+    HUGE_INT_K: "error: parameter k must be finite, got inf",
     NULL_K: "error: parameter k must be a number, got null",
     OBJECT_DELTA: "error: parameter delta must be a number, got {}",
     LIST_K: "error: parameter k must be a number, got [1]",
@@ -256,6 +258,7 @@ NAMED = {
     INF_DELTA,
     INF_BETA2,
     HUGE_K,
+    HUGE_INT_K,
     NULL_K,
     OBJECT_DELTA,
     LIST_K,

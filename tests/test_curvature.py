@@ -124,7 +124,7 @@ class TestKadiyalaFactors:
         for _ in range(200):
             p = harness.random_kadiyala_params(rng.randrange(2**31))
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
-            terms = curvature._kad_deng_terms(p, u, v)
+            terms = curvature._kad_deng_terms(p, u, v, curvature._kad_powers(p, u, v))
             assert all(t >= 0.0 for t in terms)
             total = curvature.kadiyala_deng(p, u, v)
             assert total > 0.0
@@ -290,7 +290,7 @@ def test_denominators_name_the_first_failing_point(monkeypatch, form, params, co
     if corrupt is not None:  # where u > 2
         terms = curvature._kad_deng_terms
         monkeypatch.setattr(curvature, "_kad_deng_terms",
-                            lambda p, u, v: corrupt(terms(p, u, v), u > 2.0))
+                            lambda p, u, v, w: corrupt(terms(p, u, v, w), u > 2.0))
     fn = getattr(curvature, form)
     fn(params, 1.0, 2.0)  # a tame point passes
     message += rf" at \({bad}, {bad}\)"

@@ -270,7 +270,7 @@ def reference_grid(params, spec, strict_domain, tol_K):
         scales.append(surface_scales(params, u, v, jet.d1, jet.d2, K, H))
     max_abs_k = max((abs(K) for *_, K, _H, ok in evaluated if ok), default=0.0)
     rows = [GridRow(u, v, f, K, H, ok,
-                            surface.classify_sign(K, max_abs_k, tol_K).value if ok else "")
+                    surface.classify_sign(np.array([K]), max_abs_k, tol_K)[0].value if ok else "")
             for u, v, f, K, H, ok in evaluated]
     f_vals = [r.f for r in rows if r.valid]
     summary = {"max_abs_k": max_abs_k,
@@ -502,8 +502,8 @@ def _corrupt_checks(monkeypatch):
                         lambda p, u, v, agg: [a * (1.0 - 2.0 * (u <= v))
                                               for a in denf_terms(p, u, v, agg)])
 
-    def negated_first_summand(p, u, v):
-        a1, *rest = deng_terms(p, u, v)
+    def negated_first_summand(p, u, v, w):
+        a1, *rest = deng_terms(p, u, v, w)
         return [a1 * (1.0 - 2.0 * (u <= v)), *rest]
     monkeypatch.setattr(curvature, "_kad_deng_terms", negated_first_summand)
 

@@ -132,8 +132,8 @@ def test_deng_summands_are_nonnegative_and_sum_positive(monkeypatch, bsum_sign,
     weights = {name: sympy.Symbol(name, nonnegative=True) for name in ("k1", "k2", "k3")}
     weights[positive_weight] = sympy.Symbol(positive_weight, positive=True)
     p = SimpleNamespace(**weights, beta1=bsum_sign * c1, beta2=bsum_sign * c2, delta=d)
-    monkeypatch.setattr(curvature, "_kad_inner", lambda p, u, v: inner)
-    terms = curvature._kad_deng_terms(p, u_, v_)
+    monkeypatch.setattr(curvature, "_kad_inner", lambda p, *powers: inner)
+    terms = curvature._kad_deng_terms(p, u_, v_, curvature._kad_powers(p, u_, v_))
     assert len(terms) == 5
     assert all(term.is_nonnegative for term in terms)
     assert sympy.Add(*terms).is_positive

@@ -156,40 +156,41 @@ def _batch(points, i=slice(None)):
 def test_array_slots_match_float_slots_within_rounding(op, points):
     """An op on ndarray slots gives, element by element, the op on float
     slots: to the bit, or for a power within the rounding bound.  Where
-    some points fail, the batch raises what one of them raises taken
-    alone as a batch, in the error class of its float op."""
+    the float op fails, the batch's row is not finite: a batch op checks
+    nothing, and leaves the error to the check of the whole evaluation."""
     fn = ARRAY_OPS[op]
-    outs, failing = [], {}
-    for i, (a, b) in enumerate(points):
+    outs = []
+    for a, b in points:
         try:
             outs.append(fn(Jet2(*a), Jet2(*b)))
-        except (ProdGeoError, ArithmeticError) as exc:
-            failing[i] = type(exc)
-    with np.errstate(all="ignore"):  # the op's own checks report overflow
-        if failing:
-            alone = set()
-            for i, error_class in failing.items():
-                with pytest.raises(error_class) as got:
-                    fn(*_batch(points, slice(i, i + 1)))
-                alone.add((error_class, str(got.value)))
-            with pytest.raises((ProdGeoError, ArithmeticError)) as got:
-                fn(*_batch(points))
-            assert (type(got.value), str(got.value)) in alone
-            return
-        batch = fn(*_batch(points))
-    scales = [_scales(op, a) for a, _ in points]
-    for k, slot in enumerate(batch):
-        want = [out[k] for out in outs]
-        assert within_bound(np.broadcast_to(slot, len(want)), want,
-                            [s[k] for s in scales]), Jet2._fields[k]
+        except (ProdGeoError, ArithmeticError):
+            outs.append(None)
+    with np.errstate(all="ignore"):
+        batch = np.array([np.broadcast_to(slot, len(points)) for slot in fn(*_batch(points))])
+    finite = np.isfinite(batch).all(axis=0)
+    for i, ((a, _), out) in enumerate(zip(points, outs)):
+        if out is None:
+            assert not finite[i]
+            continue
+        for k, scale in enumerate(_scales(op, a)):
+            assert within_bound(batch[k, i], out[k], scale), Jet2._fields[k]
 
 
 @np.errstate(all="ignore")
 def test_array_op_names_the_first_failing_element():
-    base = jets.seed_u(np.array([2.0, 1e200, 3e200]))
-    with pytest.raises(NonFiniteError, match=r"power overflow: 1e\+200 \*\* 2.0"):
-        jets.powr(base, 2)
-    with pytest.raises(DomainError, match="got -1.5"):
-        jets.powr(jets.seed_u(np.array([1.0, -1.5, -3.0])), 0.5)
-    with pytest.raises(NonFiniteError, match=r"val=inf, grad=\(0.0, 0.0\)"):
-        jets.mul(jets.constant(np.array([1.0, 1e300])), jets.constant(1e10))
+    """A batch op leaves not finite each row that its float op rejects, and
+    the first of them, taken as a point, raises the error that names it."""
+    cases = [
+        (lambda x: jets.powr(jets.seed_u(x), 2), [2.0, 1e200, 3e200],
+         NonFiniteError, r"power overflow: 1e\+200 \*\* 2.0"),
+        (lambda x: jets.powr(jets.seed_u(x), 0.5), [1.0, -1.5, -3.0],
+         DomainError, "got -1.5"),
+        (lambda x: jets.mul(jets.constant(x), jets.constant(1e10)), [1.0, 1e300],
+         NonFiniteError, r"val=inf, grad=\(0.0, 0.0\)"),
+    ]
+    for op, xs, error, message in cases:
+        batch = np.array([np.broadcast_to(slot, len(xs)) for slot in op(np.array(xs))])
+        assert np.isfinite(batch).all(axis=0).tolist() == [True] + [False] * (len(xs) - 1)
+        assert batch[:, 0].tolist() == list(op(xs[0]))
+        with pytest.raises(error, match=message):
+            op(xs[1])

@@ -251,6 +251,10 @@ BATCH_OVERFLOWS = [
     pytest.param(models.kadiyala_eval,
                  models.kadiyala_validate(0.25, 0.25, 0.25, 0.5, 0.5, 1.5),
                  (1.0, 1e-150), (1.0, 1e200), id="kadiyala"),
+    # the overflow is in the term that k2 = 0 weighs: 0 * inf must stay NaN
+    pytest.param(models.kadiyala_eval,
+                 models.kadiyala_validate(0.5, 0.0, 0.5, 0.5, 0.5, 1.5),
+                 (1.0, 1e-150), (1.0, 1e200), id="kadiyala-k2-zero"),
 ]
 
 
@@ -265,6 +269,27 @@ def test_batch_overflow_raises_only_the_point_error(evaluate, p, u, v):
         with pytest.raises(NonFiniteError) as batch:
             evaluate(p, *jets.seed(np.array(u), np.array(v)))
     assert str(batch.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("evaluate,p", [
+    (models.ves_eval, models.ves_validate(1.3, 0.5, 0.3, 0.7)),
+    (models.kadiyala_eval, models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2.0)),
+])
+def test_batch_keeps_the_seeds_structural_slots_floats(monkeypatch, evaluate, p):
+    """On a batch, the first power of u keeps the 0.0 slots it gets from
+    the seed as floats, one value for every point, which no op spends an
+    array pass on."""
+    powers = []
+    powr = jets.powr
+
+    def recording_powr(a, q):
+        powers.append(powr(a, q))
+        return powers[-1]
+    monkeypatch.setattr(jets, "powr", recording_powr)
+    evaluate(p, *jets.seed(np.array([0.5, 2.0]), np.array([1.5, 3.0])))
+    first = powers[0]
+    assert [type(slot) is float for slot in first] == [False, False, True, False, True, True]
+    assert first.d2 == first.d12 == first.d22 == 0.0
 
 
 class TestElasticity:
