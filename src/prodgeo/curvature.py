@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .errors import NonFiniteError, ProdGeoError, SingularPointError
 from .jets import POINT, Slot, _at_first, np
@@ -177,20 +176,21 @@ def _kad_inner(p: KadiyalaParams, u_s: Slot, u_b1: Slot, v_b2: Slot, v_s: Slot) 
     return p.k1 * u_s + 2.0 * p.k2 * u_b1 * v_b2 + p.k3 * v_s
 
 
-def _kad_powers(p: KadiyalaParams, u: Slot, v: Slot) -> SimpleNamespace:
+def _kad_powers(p: KadiyalaParams, u: Slot, v: Slot) -> tuple:
     """The inner sum and each power of u, v and the inner sum that Den_G
-    takes, computed once; T1 and T2 take most of them too.  A name gives
-    the exponent: u_b1p2 is u^(beta1+2), v_2s is v^(2*s)."""
+    takes, computed once (T1 and T2 take most of them too), in this
+    order: inner, inner^(2*delta/s), u^s, u^beta1, u^(2s), u^(beta1+2),
+    u^(2*beta1), v^beta1, v^beta2, v^s, v^(2s), v^(beta2+2),
+    v^(beta1+2*beta2), v^(2*beta2).  A plain tuple: on one point, a
+    record of them would cost more than the powers it saves."""
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    w = SimpleNamespace(u_s=u ** bsum, u_b1=u ** b1, v_b2=v ** b2, v_s=v ** bsum)
-    w.inner = _kad_inner(p, w.u_s, w.u_b1, w.v_b2, w.v_s)
-    w.inner_e = w.inner ** (2.0 * d / bsum)
-    w.u_2s, w.v_2s = u ** (2.0 * bsum), v ** (2.0 * bsum)
-    w.u_b1p2, w.v_b1p2b2 = u ** (b1 + 2.0), v ** (b1 + 2.0 * b2)
-    w.u_2b1, w.v_2b2 = u ** (2.0 * b1), v ** (2.0 * b2)
-    w.v_b2p2, w.v_b1 = v ** (b2 + 2.0), v ** b1
-    return w
+    u_s, u_b1, v_b2, v_s = u ** bsum, u ** b1, v ** b2, v ** bsum
+    inner = _kad_inner(p, u_s, u_b1, v_b2, v_s)
+    return (inner, inner ** (2.0 * d / bsum),
+            u_s, u_b1, u ** (2.0 * bsum), u ** (b1 + 2.0), u ** (2.0 * b1),
+            v ** b1, v_b2, v_s, v ** (2.0 * bsum), v ** (b2 + 2.0), v ** (b1 + 2.0 * b2),
+            v ** (2.0 * b2))
 
 
 def _kad_t1(p: KadiyalaParams, u_b1p2: Slot, v_b2p2: Slot, inner_t1: Slot) -> Slot:
@@ -232,27 +232,28 @@ def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     return _kad_t2(p, u ** p.beta1, u ** p.beta2, v ** p.beta1, v ** p.beta2)
 
 
-def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot, w: SimpleNamespace) -> list[Slot]:
+def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot, w: tuple) -> list[Slot]:
     """Den_G's five summands, from ``_kad_powers``."""
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
-    e = d * d * w.inner_e
+    _, inner_e, u_s, u_b1, u_2s, u_b1p2, u_2b1, v_b1, _, _, v_2s, v_b2p2, v_b1p2b2, v_2b2 = w
+    e = d * d * inner_e
     return [
-        bsum * bsum * k1 * k1 * v * v * w.u_2s * (e + u * u),
-        bsum * bsum * k3 * k3 * u * u * w.v_2s * (e + v * v),
-        4.0 * bsum * k2 * k3 * w.u_b1p2 * w.v_b1p2b2
+        bsum * bsum * k1 * k1 * v * v * u_2s * (e + u * u),
+        bsum * bsum * k3 * k3 * u * u * v_2s * (e + v * v),
+        4.0 * bsum * k2 * k3 * u_b1p2 * v_b1p2b2
         * (b2 * (e + v * v) + b1 * v * v),
-        4.0 * k2 * k2 * w.u_2b1 * w.v_2b2
+        4.0 * k2 * k2 * u_2b1 * v_2b2
         * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
            + 2.0 * b1 * b2 * u * u * v * v),
-        2.0 * bsum * k1 * w.u_s * w.v_b2p2
-        * (bsum * k3 * u * u * w.v_b1
-           + 2.0 * k2 * w.u_b1 * (b1 * (e + u * u) + b2 * u * u)),
+        2.0 * bsum * k1 * u_s * v_b2p2
+        * (bsum * k3 * u * u * v_b1
+           + 2.0 * k2 * u_b1 * (b1 * (e + u * u) + b2 * u * u)),
     ]
 
 
-def _kad_deng(p: KadiyalaParams, u: Slot, v: Slot, w: SimpleNamespace) -> Slot:
+def _kad_deng(p: KadiyalaParams, u: Slot, v: Slot, w: tuple) -> Slot:
     terms = _kad_deng_terms(p, u, v, w)
     # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
     return _positive("Den_G", sum(terms), u, v, terms)
@@ -277,10 +278,11 @@ def kadiyala_curvature_closed(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     _check_positive(u, v)
     w = _named("kadiyala_deng", u, v, _kad_powers, p, u, v)
     den = _kad_deng(p, u, v, w)
+    inner, _, _, u_b1, _, u_b1p2, _, v_b1, v_b2, _, _, v_b2p2, _, _ = w
     bsum = p.beta1 + p.beta2
-    t1 = _kad_t1(p, w.u_b1p2, w.v_b2p2,
-                 _named("kadiyala_T1", u, v, pow, w.inner, 2.0 * p.delta / bsum + 2.0))
-    t2 = _kad_t2(p, w.u_b1, _named("kadiyala_T2", u, v, pow, u, p.beta2), w.v_b1, w.v_b2)
+    t1 = _kad_t1(p, u_b1p2, v_b2p2,
+                 _named("kadiyala_T1", u, v, pow, inner, 2.0 * p.delta / bsum + 2.0))
+    t2 = _kad_t2(p, u_b1, _named("kadiyala_T2", u, v, pow, u, p.beta2), v_b1, v_b2)
     # T1/den * T2/den keeps intermediates in range; den^2 can overflow.
     return _finite_K("kadiyala_curvature_closed", (t1 / den) * (t2 / den), u, v)
 

@@ -14,14 +14,16 @@ batch of points (vector forward mode: Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).  The same functions serve both, so model code
 written once evaluates a point or a whole grid.  On a batch, a slot that
 is a float holds for every point, as the seeds' 0.0 and 1.0 do, and the
-ops keep it a float: a product with a 0.0 slot is 0.0, a product with a
-1.0 slot is the other factor, and a sum with a 0.0 slot is the other
-summand.  Otherwise sums, scalings and products are correctly rounded in
-numpy as in Python, so each element gets the bits its float form gives,
-but for the sign of a zero that a folded slot leaves out.  Powers use
-numpy's own power, which may round the last bit differently from the
-libm ``pow`` behind a float's ``**``: a batch agrees with the float form
-to within rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
+ops keep it a float where they can: in the derivative slots, a product
+with a 0.0 slot is 0.0, a product with a 1.0 slot is the other factor,
+and a sum of two float slots is a float.  Otherwise sums, scalings and
+products are correctly rounded in numpy as in Python, so each element
+gets the bits its float form gives, but for the sign of a zero: a
+folded product is 0.0 where the float form's is -0.0 (x * 0.0 for
+x < 0), which a zero K or H can show.  Powers use numpy's own power,
+which may round the last bit differently from the libm ``pow`` behind
+a float's ``**``: a batch agrees with the float form to within
+rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
 also take an array factor or exponent, one per element; ``scale``'s
 factor is never folded, so a zero weight keeps the NaN of 0 * inf.
 
@@ -177,10 +179,11 @@ def constant(c) -> Jet2:
 # --- Slots on a batch, where a float slot holds for every point ------------
 
 def _sum(x: Slot, y: Slot) -> Slot:
-    if isinstance(x, POINT) and not x:
-        return y
-    if isinstance(y, POINT) and not y:
-        return x
+    """x + y, a float where both are.  A 0.0 is still added to an array:
+    x + 0.0 turns a -0.0 into 0.0, as the float form's sum with the
+    product that the 0.0 stands for does where that product is 0.0."""
+    if isinstance(x, POINT) and isinstance(y, POINT):
+        return y if not x else x if not y else x + y
     return x + y
 
 
@@ -201,25 +204,31 @@ def _prod(x: Slot, y: Slot) -> Slot:
     return _times(x, y)
 
 
+# Each op tests its value slot for a point: a point's ops keep their float
+# expressions and check each result; a batch's fold and check nothing.
+
 def add(a: Jet2, b: Jet2) -> Jet2:
-    if isinstance(a.val, POINT) and isinstance(b.val, POINT):
-        return _checked(a.val + b.val, a.d1 + b.d1, a.d2 + b.d2,
+    val = a.val + b.val
+    if isinstance(val, POINT):
+        return _checked(val, a.d1 + b.d1, a.d2 + b.d2,
                         a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22)
-    return _new_tuple(Jet2, tuple(map(_sum, a, b)))
+    return _new_tuple(Jet2, (val, *map(_sum, a[1:], b[1:])))
 
 
 def scale(a: Jet2, c: Slot) -> Jet2:
     """c * a, for a number c or, on a batch, one factor per element."""
-    if isinstance(a.val, POINT):
-        return _checked(c * a.val, c * a.d1, c * a.d2,
+    val = c * a.val
+    if isinstance(val, POINT):
+        return _checked(val, c * a.d1, c * a.d2,
                         c * a.d11, c * a.d12, c * a.d22)
-    return _new_tuple(Jet2, tuple(_times(c, s) for s in a))
+    return _new_tuple(Jet2, (val, *(_times(c, s) for s in a[1:])))
 
 
 def mul(a: Jet2, b: Jet2) -> Jet2:
-    if isinstance(a.val, POINT) and isinstance(b.val, POINT):
+    val = a.val * b.val
+    if isinstance(val, POINT):
         return _checked(
-            a.val * b.val,
+            val,
             a.d1 * b.val + a.val * b.d1,
             a.d2 * b.val + a.val * b.d2,
             a.d11 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d11,
@@ -227,7 +236,7 @@ def mul(a: Jet2, b: Jet2) -> Jet2:
             a.d22 * b.val + 2.0 * a.d2 * b.d2 + a.val * b.d22,
         )
     return _new_tuple(Jet2, (
-        _prod(a.val, b.val),
+        val,
         _sum(_prod(a.d1, b.val), _prod(a.val, b.d1)),
         _sum(_prod(a.d2, b.val), _prod(a.val, b.d2)),
         _sum(_sum(_prod(a.d11, b.val), _prod(_prod(2.0, a.d1), b.d1)), _prod(a.val, b.d11)),
@@ -237,17 +246,19 @@ def mul(a: Jet2, b: Jet2) -> Jet2:
     ))
 
 
-def _compose(a: Jet2, g, dg, ddg) -> Jet2:
-    # Chain rule through second order for g(a).
-    if isinstance(g, POINT):
-        return _checked(
-            g,
-            dg * a.d1,
-            dg * a.d2,
-            ddg * a.d1 * a.d1 + dg * a.d11,
-            ddg * a.d1 * a.d2 + dg * a.d12,
-            ddg * a.d2 * a.d2 + dg * a.d22,
-        )
+def _compose(a: Jet2, g: float, dg: float, ddg: float) -> Jet2:
+    # Chain rule through second order for g(a), on one point.
+    return _checked(
+        g,
+        dg * a.d1,
+        dg * a.d2,
+        ddg * a.d1 * a.d1 + dg * a.d11,
+        ddg * a.d1 * a.d2 + dg * a.d12,
+        ddg * a.d2 * a.d2 + dg * a.d22,
+    )
+
+
+def _compose_batch(a: Jet2, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Jet2:
     return _new_tuple(Jet2, (
         g,
         _prod(dg, a.d1),
@@ -291,6 +302,6 @@ def powr(a: Jet2, p: Slot) -> Jet2:
     """
     if isinstance(a.val, POINT):
         g, dg, ddg = _power(a.val, float(p))
-    else:
-        g, dg, ddg = _power_elements(a.val, float(p) if isinstance(p, POINT) else p)
-    return _compose(a, g, dg, ddg)
+        return _compose(a, g, dg, ddg)
+    g, dg, ddg = _power_elements(a.val, float(p) if isinstance(p, POINT) else p)
+    return _compose_batch(a, g, dg, ddg)

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (assert_close, elasticity_oracle, kadiyala_normalized, kadiyala_value,
                      ves_elasticity, ves_value)
-from prodgeo import jets, models
+from prodgeo import jets, models, surface
 from prodgeo.errors import (ConstraintViolation, DomainError, NonFiniteError,
                             NonPositiveInputError, SingularPointError)
 from prodgeo.models import Family
@@ -291,6 +291,21 @@ def test_batch_keeps_the_seeds_structural_slots_floats(monkeypatch, evaluate, p)
     assert [type(slot) is float for slot in first] == [False, False, True, False, True, True]
     assert first.d2 == first.d12 == first.d22 == 0.0
 
+
+
+def test_batch_K_that_underflows_keeps_the_point_paths_sign():
+    """Where the Hessian underflows, K is a zero, -0.0 here on the point
+    path; the batch's is the same: its sums still add a 0.0 slot to an
+    array, as the point path adds the 0.0 products it stands for."""
+    p = models.ves_validate(5.463212725275709, 0.05417622805297948, 2.8692463503120225,
+                            0.6749011259637108)
+    u, v = np.array([1e200, 1e200]), np.array([1.0, 2.0])
+    with np.errstate(all="ignore"):
+        batch = surface.curvature_from_jet(models.ves_eval(p, *jets.seed(u, v)))[0]
+    for i in range(len(u)):
+        point = surface.curvature_from_jet(models.ves_eval(p, *jets.seed(u[i], v[i])))[0]
+        assert (point, math.copysign(1.0, point)) == (0.0, -1.0)
+        assert math.copysign(1.0, batch[i]) == -1.0 and batch[i] == 0.0
 
 class TestElasticity:
     def test_rho_one_gives_unit_sigma(self):

@@ -97,7 +97,7 @@ def test_pipeline_matches_direct_monge_formula():
         direct = ((jet.d11 * jet.d22 - jet.d12 ** 2)
                   / (1.0 + jet.d1 ** 2 + jet.d2 ** 2) ** 2)
         assert_close(K, direct, 1e-12, "pipeline vs direct Monge K")
-        # structural invariants
+        # structural invariant
         assert forms.det_first >= 1.0
 
 
