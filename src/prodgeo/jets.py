@@ -176,16 +176,7 @@ def constant(c) -> Jet2:
     return _checked(c, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-# --- Slots on a batch, where a float slot holds for every point ------------
-
-def _sum(x: Slot, y: Slot) -> Slot:
-    """x + y, a float where both are.  A 0.0 is still added to an array:
-    x + 0.0 turns a -0.0 into 0.0, as the float form's sum with the
-    product that the 0.0 stands for does where that product is 0.0."""
-    if isinstance(x, POINT) and isinstance(y, POINT):
-        return y if not x else x if not y else x + y
-    return x + y
-
+# --- Products on a batch, where a float slot holds for every point --------
 
 def _times(x: Slot, y: Slot) -> Slot:
     """x * y, folding y only: a factor x that is 0.0 still turns an inf
@@ -199,6 +190,7 @@ def _times(x: Slot, y: Slot) -> Slot:
 
 
 def _prod(x: Slot, y: Slot) -> Slot:
+    """x * y, folding whichever factor is a float 0.0 or 1.0."""
     if isinstance(x, POINT) and (not x or x == 1.0):
         return _times(y, x)
     return _times(x, y)
@@ -206,13 +198,17 @@ def _prod(x: Slot, y: Slot) -> Slot:
 
 # Each op tests its value slot for a point: a point's ops keep their float
 # expressions and check each result; a batch's fold and check nothing.
+# Sums are never folded: a 0.0 added to an array turns its -0.0 into 0.0,
+# as the float form's sum with the 0.0 product it stands for does, and a
+# K that underflows to zero keeps the sign the point path gives it.
 
 def add(a: Jet2, b: Jet2) -> Jet2:
     val = a.val + b.val
     if isinstance(val, POINT):
         return _checked(val, a.d1 + b.d1, a.d2 + b.d2,
                         a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22)
-    return _new_tuple(Jet2, (val, *map(_sum, a[1:], b[1:])))
+    return _new_tuple(Jet2, (val, a.d1 + b.d1, a.d2 + b.d2,
+                             a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22))
 
 
 def scale(a: Jet2, c: Slot) -> Jet2:
@@ -237,12 +233,12 @@ def mul(a: Jet2, b: Jet2) -> Jet2:
         )
     return _new_tuple(Jet2, (
         val,
-        _sum(_prod(a.d1, b.val), _prod(a.val, b.d1)),
-        _sum(_prod(a.d2, b.val), _prod(a.val, b.d2)),
-        _sum(_sum(_prod(a.d11, b.val), _prod(_prod(2.0, a.d1), b.d1)), _prod(a.val, b.d11)),
-        _sum(_sum(_sum(_prod(a.d12, b.val), _prod(a.d1, b.d2)), _prod(a.d2, b.d1)),
-             _prod(a.val, b.d12)),
-        _sum(_sum(_prod(a.d22, b.val), _prod(_prod(2.0, a.d2), b.d2)), _prod(a.val, b.d22)),
+        _prod(a.d1, b.val) + _prod(a.val, b.d1),
+        _prod(a.d2, b.val) + _prod(a.val, b.d2),
+        _prod(a.d11, b.val) + _prod(_prod(2.0, a.d1), b.d1) + _prod(a.val, b.d11),
+        (_prod(a.d12, b.val) + _prod(a.d1, b.d2) + _prod(a.d2, b.d1)
+         + _prod(a.val, b.d12)),
+        _prod(a.d22, b.val) + _prod(_prod(2.0, a.d2), b.d2) + _prod(a.val, b.d22),
     ))
 
 
@@ -263,9 +259,9 @@ def _compose_batch(a: Jet2, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> J
         g,
         _prod(dg, a.d1),
         _prod(dg, a.d2),
-        _sum(_prod(_prod(ddg, a.d1), a.d1), _prod(dg, a.d11)),
-        _sum(_prod(_prod(ddg, a.d1), a.d2), _prod(dg, a.d12)),
-        _sum(_prod(_prod(ddg, a.d2), a.d2), _prod(dg, a.d22)),
+        _prod(_prod(ddg, a.d1), a.d1) + _prod(dg, a.d11),
+        _prod(_prod(ddg, a.d1), a.d2) + _prod(dg, a.d12),
+        _prod(_prod(ddg, a.d2), a.d2) + _prod(dg, a.d22),
     ))
 
 
