@@ -14,14 +14,18 @@ at 60 digits (``tests/test_identities.py``).
 Everything here is an independent route to the same K the autodiff
 pipeline produces; the two routes are cross-checked, never merged.
 
-u and v are both floats (one point) or both 1-d float ndarrays (a
-batch).  Each closed form is a formula for a point under ``_closed_form``,
-which runs it on a batch as it is, in numpy, so a batch agrees with the
-float form to within the rounding of numpy's power.  On a batch, each
-parameter may be a float or one value per point (a record whose fields
-are columns).  A failing batch raises its first failing point's error.
-A power that overflows a float, and a K that comes out inf or NaN, raise
-NonFiniteError; Den_F <= 0, Den_G <= 0 and a negative Den_G summand raise
+u and v are both floats (one point) or both float ndarrays that
+broadcast to a batch's shape (a batch).  Each closed form is a formula
+for a point under ``_closed_form``, which runs it on a batch as it is,
+in numpy, so a batch agrees with the float form to within the rounding
+of numpy's power.  On a batch, each parameter may be a float or an
+array that broadcasts to the batch's shape (a record whose fields are
+columns): a verify batch's parameters vary along its first axis, u
+along its second and v along its third, so a power of u alone is taken
+once per trial and value of u.  A failing batch raises the error of its
+first failing point, in the batch's flat order.  A power that overflows
+a float, and a K that comes out inf or NaN, raise NonFiniteError;
+Den_F <= 0, Den_G <= 0 and a negative Den_G summand raise
 SingularPointError; each names the quantity and the point.
 """
 
@@ -32,7 +36,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import NonFiniteError, ProdGeoError, SingularPointError
-from .jets import POINT, Slot, _at_first, np
+from .jets import POINT, Slot, _at_first, _shape, np
 from .models import (PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _point,
                      _ves_aggregate)
 from .surface import SignClass
@@ -77,8 +81,10 @@ def _closed_form(formula):
             with np.errstate(all="raise", under="ignore"):
                 return formula(p, u, v)
         except (ProdGeoError, ArithmeticError):
-            for i, point in enumerate(zip(u.tolist(), v.tolist())):
-                form(_point(p, i), *point)
+            shape = _shape(u, v, *vars(p).values())
+            us, vs = (np.broadcast_to(x, shape).ravel().tolist() for x in (u, v))
+            for i, point in enumerate(zip(us, vs)):
+                form(_point(p, i, shape), *point)
         with np.errstate(all="ignore"):
             return formula(p, u, v)
     return form
@@ -99,9 +105,16 @@ def _positive(name: str, den: Slot, u: Slot, v: Slot, summands=()) -> Slot:
     summand of same-signed factors keeps its sign in floats; ``den`` can
     still underflow to 0.0, or round below it."""
     bad = den <= 0.0
-    for term in summands:  # `|` per summand keeps one point's floats off numpy
-        bad = bad | (term < 0.0)
-    if bad is not False and (at := _at_first(bad, den, u, v)):
+    if isinstance(den, POINT):  # a point's floats: plain comparisons
+        for term in summands:
+            if term < 0.0:
+                bad = True
+        at = (den, u, v) if bad else None
+    else:
+        for term in summands:
+            bad = bad | (term < 0.0)
+        at = _at_first(bad, den, u, v)
+    if at:
         den, u, v = at
         problem = "is not positive" if den <= 0.0 else "has a negative summand"
         raise SingularPointError(f"{name} = {den} {problem} at ({u}, {v})")

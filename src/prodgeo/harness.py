@@ -74,11 +74,16 @@ def _axis(lo: float, hi: float, n: int, spacing: Spacing) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's n_u values of u and n_v values of v, each increasing."""
+    return (_axis(spec.u_min, spec.u_max, spec.n_u, spec.spacing),
+            _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing))
+
+
 def _grid_points(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """u and v of all n_u*n_v sample points, ordered lexicographically by
     (u, v): both axes increase, so u-major order is that order."""
-    us = _axis(spec.u_min, spec.u_max, spec.n_u, spec.spacing)
-    vs = _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing)
+    us, vs = _grid_axes(spec)
     return np.repeat(us, len(vs)), np.tile(vs, len(us))
 
 
@@ -196,12 +201,6 @@ def random_kadiyala_params(
 # samplers by module attribute at call time, so rebinding one of those
 # (to trace it, or to corrupt a verdict in a test) reaches every caller.
 
-class Check(NamedTuple):
-    """One check of a verify trial over a batch of points."""
-    bad: np.ndarray                 # where it fails (a 0-d array: the trial)
-    describe: Callable[[int], str]  # the problem at a failing index
-
-
 class Verdict(NamedTuple):
     """What a theorem says about one parameter set."""
     summary: str              # the grid report's "verdict" field
@@ -243,10 +242,6 @@ def _rel_dev(a: Slot, b: Slot) -> Slot:
 
 def _subseed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
-
-
-def _at(u: np.ndarray, v: np.ndarray, i: int) -> str:
-    return f"({u.item(i):.4g}, {v.item(i):.4g})"
 
 
 def _ves_verdict(p: VesParams) -> Verdict:
@@ -366,18 +361,20 @@ def name_point(exc: Exception, u: float, v: float) -> Exception:
     return exc
 
 
-def _sweep_all(sweep: Callable[[int], object], us: np.ndarray, vs: np.ndarray):
-    """``sweep(len(us))``, where ``sweep(n)`` evaluates the first n rows of
-    us, vs; where it fails, what the first failing row raises on its own,
-    naming its point.  Rows are evaluated independently, so a prefix fails
-    exactly when it holds a failing row, and the shortest one, which a
-    bisection finds, ends at the first failing row: where a sweep row by
-    row would stop, and the only row that can fail in it."""
+def _sweep_all(sweep: Callable[[int], object], size: int,
+               point: Callable[[int], tuple[float, float]]):
+    """``sweep(size)``, where ``sweep(n)`` evaluates the first n of size
+    rows, row i at ``point(i)``; where it fails, what the first failing
+    row raises on its own, naming its point.  Rows are evaluated
+    independently, so a prefix fails exactly when it holds a failing row,
+    and the shortest one, which a bisection finds, ends at the first
+    failing row: where a sweep row by row would stop, and the only row
+    that can fail in it."""
     try:
-        return sweep(len(us))
+        return sweep(size)
     except (ProdGeoError, ArithmeticError) as exc:
         error = exc
-    passes, fails = 0, len(us)
+    passes, fails = 0, size
     while fails - passes > 1:
         mid = (passes + fails) // 2
         try:
@@ -386,7 +383,7 @@ def _sweep_all(sweep: Callable[[int], object], us: np.ndarray, vs: np.ndarray):
             fails, error = mid, exc
         else:
             passes = mid
-    raise name_point(error, us.item(fails - 1), vs.item(fails - 1))
+    raise name_point(error, *point(fails - 1))
 
 
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
@@ -414,7 +411,7 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
 
     # Overflow to inf or NaN is what the program's checks report, row by row.
     with np.errstate(all="ignore"):
-        valid, f, K, H = _sweep_all(sweep, us, vs)
+        valid, f, K, H = _sweep_all(sweep, len(us), lambda i: (us.item(i), vs.item(i)))
         max_abs_k = max(np.abs(K).tolist(), default=0.0)
         classes = surface.classify_sign(K, max_abs_k, tol_K)
     signs = np.empty(len(K), dtype=object)
@@ -529,71 +526,94 @@ class VerifySummary:
         return "\n".join(lines)
 
 
-def _verdict_check(expect: SignClass | None, u: np.ndarray, v: np.ndarray,
-                   K: np.ndarray, tol_K: float) -> Check:
-    """A trial's K held to the theorem's verdict ``expect``."""
-    max_k = np.abs(K).max(initial=0.0)
-    threshold = tol_K * (1.0 + max_k)
-    if expect is SignClass.ZERO:  # flat within the scale-aware zero band
-        return Check(np.asarray(not (abs(K) <= threshold).all()),
-                     lambda _: (f"expected flat: max|K|={max_k:.3e} "
-                                f"vs threshold {threshold:.3e}"))
-    if expect is None:
-        # no sign predicted: curved at sampling resolution is the claim
-        return Check(np.asarray(not (abs(K) > 10.0 * threshold).any()),
-                     lambda _: (f"expected curvature above {10.0 * threshold:.3e}, "
-                                f"max|K|={max_k:.3e}"))
-
-    # |K| spans many decades across the grid, so a scale-aware zero band
-    # would hide the sign of small K: check it strictly.
-    def describe(i: int) -> str:
-        k = K.item(i)
-        got = (SignClass.POSITIVE if k > 0.0 else
-               SignClass.NEGATIVE if k < 0.0 else SignClass.ZERO)
-        return (f"sign {got.value} != predicted {expect.value} "
-                f"at {_at(u, v, i)} with K={k:.3e}")
-    return Check(~(K > 0.0) if expect is SignClass.POSITIVE else ~(K < 0.0), describe)
-
-
-def _problems(check: Check) -> tuple[str | None, int]:
-    """The first problem that a loop over the points would report, and how
-    many it would report."""
-    count = int(np.count_nonzero(check.bad))
-    return (check.describe(int(check.bad.argmax())) if count else None), count
-
-
-def _param_columns(records: list, counts: list[int]) -> SimpleNamespace:
-    """One parameter record whose fields are columns: each record's values
-    repeated as often as its count says.  A batch of several parameter
-    sets runs as one; numpy's power then sees an exponent per point, and
-    a point's bits do not depend on what else is in its batch."""
+def _trial_columns(records: list) -> SimpleNamespace:
+    """One parameter record whose fields are (trial, 1, 1) columns, row t
+    holding record t's value.  Against a (1, n_u, 1) u and a (1, 1, n_v)
+    v, numpy's broadcasting computes what depends on the parameters alone
+    once per trial, and a power of u or of v alone once per trial and
+    value, with the bits that one value per point gives."""
     names = list(vars(records[0]))
-    values = np.array([[getattr(r, name) for name in names] for r in records])
-    return SimpleNamespace(**dict(zip(names, np.repeat(values.T, counts, axis=1))))
+    values = np.array([[getattr(r, name) for name in names] for r in records]).T.copy()
+    return SimpleNamespace(**{name: row.reshape(-1, 1, 1) for name, row in zip(names, values)})
 
 
-#: Verify trials per batch: 3 200 points on the default grid.  Larger
-#: batches run faster, but a run's peak memory grows by about 0.1 MB per
-#: trial of a batch; 8 keep it within 2% of one trial at a time.
-VERIFY_BATCH_TRIALS = 8
+def _rows(p: SimpleNamespace, rows) -> SimpleNamespace:
+    """The trials ``rows`` (an index or a slice) of a record of columns."""
+    return SimpleNamespace(**{name: column[rows] for name, column in vars(p).items()})
 
 
-def _stack(family: ModelFamily, trials: list[tuple[str, object]], us: np.ndarray,
-           vs: np.ndarray):
-    """The points of us, vs in the domain of each trial's parameters,
-    stacked trial by trial in grid order: their u and v, how many each
-    trial has, and ``sweep(n)``, K both ways at the first n of them."""
-    masks = [family.domain_valid(p, us, vs) for _, p in trials]
-    counts = [int(np.count_nonzero(mask)) for mask in masks]
-    u = np.concatenate([us[mask] for mask in masks])
-    v = np.concatenate([vs[mask] for mask in masks])
-    columns = vars(_param_columns([p for _, p in trials], counts))
+#: Verify trials per batch: 6 400 points on the default grid.  Larger
+#: batches run faster, but a run's peak memory grows with them: by
+#: tracemalloc, a default-grid batch of 16 peaks at about 130 bytes a
+#: point for Kadiyala and 170 for VES (0.8 and 1.1 MB), where the same
+#: trials stacked point by point, as 8 a batch were, took 282 and 210.
+VERIFY_BATCH_TRIALS = 16
+
+
+class _Stack(NamedTuple):
+    """A batch of verify trials laid out as (trial, u, v) over a grid."""
+    mask: np.ndarray  # (trial, u, v): the cells in the domain of the trials in rows
+    rows: np.ndarray  # the trials with a cell in their domain, the ones sweep evaluates
+    size: int         # how many cells mask holds
+    sweep: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    point: Callable[[int], tuple[float, float]]
+
+
+def _stack(family: ModelFamily, records: list, us: np.ndarray, vs: np.ndarray) -> _Stack:
+    """The trials of parameters ``records`` on the grid us × vs: which
+    cells lie in each one's domain, and ``sweep(n)``, K both ways at the
+    first n of those cells, stacked trial by trial in grid order, laid out
+    as (trial, u, v) over the trials with such cells (``point(i)`` is the
+    i-th cell's u, v).
+
+    A cell outside its trial's domain holds the trial's first cell inside
+    it.  ``sweep(n)`` fills every cell in the domain after the n-th with
+    that stand-in too, and leaves out the trials after the n-th cell's:
+    it evaluates points among the first n alone, as ``_sweep_all``'s
+    prefix bisection needs.  While every cell is in its trial's domain,
+    u and v stay one axis each."""
+    u, v = us[None, :, None], vs[None, None, :]
+    p = _trial_columns(records)
+    mask = np.broadcast_to(family.domain_valid(p, u, v), (len(records), len(us), len(vs)))
+    counts = np.count_nonzero(mask, axis=(1, 2))
+    rows = np.flatnonzero(counts)
+    if len(rows) < len(records):
+        counts, mask, p = counts[rows], mask[rows], _rows(p, rows)
+    ends = np.cumsum(counts)
+    size = int(ends[-1]) if len(ends) else 0
+    whole = bool(mask.all())
 
     def sweep(n: int):
-        p = SimpleNamespace(**{name: column[:n] for name, column in columns.items()})
-        K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u[:n], v[:n])))
-        return K, family.closed_K(p, u[:n], v[:n])
-    return u, v, counts, sweep
+        if n == size and whole:
+            return _curvatures(family, p, u, v)
+        t = int(np.searchsorted(ends, n))  # the trial of the n-th cell
+        keep = mask[:t + 1]
+        if n < size:
+            keep = keep.copy()
+            keep.reshape(-1)[np.flatnonzero(keep)[n:]] = False
+        iu, iv = np.unravel_index(keep.reshape(t + 1, -1).argmax(axis=1), keep.shape[1:])
+        return _curvatures(family, _rows(p, slice(t + 1)),
+                           np.where(keep, u, us[iu, None, None]),
+                           np.where(keep, v, vs[iv, None, None]))
+
+    def point(i: int) -> tuple[float, float]:
+        _, iu, iv = np.unravel_index(np.flatnonzero(mask)[i], mask.shape)
+        return us.item(iu), vs.item(iv)
+    return _Stack(mask, rows, size, sweep, point)
+
+
+def _curvatures(family: ModelFamily, p, u: np.ndarray, v: np.ndarray):
+    """K by autodiff and by the closed form over a batch."""
+    K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u, v)))
+    return K, family.closed_K(p, u, v)
+
+
+def _all_trials(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """x, whose rows are the trials ``rows`` of n, with a row of zeros
+    (False) for each other trial."""
+    out = np.zeros((n, *x.shape[1:]), dtype=x.dtype)
+    out[rows] = x
+    return out
 
 
 def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
@@ -603,49 +623,90 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
     holds them to the theorem's verdict for its parameters.
 
     Trials are drawn one at a time and run VERIFY_BATCH_TRIALS at a time
-    as one batch, each trial's parameters repeated over its points, and
-    ``_failure`` judges each trial once on its run of the batch.  A batch
-    that fails raises the error its first failing point raises on its own,
-    a closed form's denominator check among them: its points are stacked
-    trial by trial, so that point is the first failing trial's first."""
+    as one batch laid out as (trial, u, v) (``_stack``), and ``_judge``
+    judges a batch's trials together.  A batch that fails raises the
+    error its first failing point raises on its own, a closed form's
+    denominator check among them: its cells are swept as if stacked trial
+    by trial, so that point is the first failing trial's first."""
     out = VerifySummary(theorem=family.theorem)
-    us, vs = _grid_points(grid)
+    us, vs = _grid_axes(grid)
     draws = family.trials(trials, seed)
     while batch := list(itertools.islice(draws, VERIFY_BATCH_TRIALS)):
         out.trials += len(batch)
         # Overflow to inf or NaN is what the program's checks report.
         with np.errstate(all="ignore"):
-            u, v, counts, sweep = _stack(family, batch, us, vs)
-            K, K_closed = _sweep_all(sweep, u, v)
+            stack = _stack(family, [p for _, p in batch], us, vs)
+            K, K_closed = _sweep_all(stack.sweep, stack.size, stack.point)
+            mask = stack.mask
+            if len(stack.rows) < len(batch):  # a trial with no point is judged on none
+                K, K_closed, mask = (_all_trials(x, stack.rows, len(batch))
+                                     for x in (K, K_closed, mask))
             dev = _rel_dev(K_closed, K)
-            out.worst_closed_vs_autodiff = float(
-                np.fmax.reduce(dev, initial=out.worst_closed_vs_autodiff))
-        for (label, p), end, count in zip(batch, itertools.accumulate(counts), counts):
-            run = slice(end - count, end)
-            failure = _failure(label, p, family.verdict(p).expect, u[run], v[run],
-                               K[run], K_closed[run], dev[run], tol_K)
-            if failure is None:
-                out.passes += 1
-            else:
-                out.failures.append(failure)
+            out.worst_closed_vs_autodiff = float(np.fmax.reduce(
+                dev, axis=None, initial=out.worst_closed_vs_autodiff, where=mask))
+            failures = _judge(batch, [family.verdict(p).expect for _, p in batch],
+                              us, vs, mask, K, K_closed, dev, tol_K)
+        out.failures.extend(filter(None, failures))
+        out.passes += failures.count(None)
     return out
 
 
-def _failure(label: str, p, expect: SignClass | None, u: np.ndarray, v: np.ndarray,
-             K: np.ndarray, K_closed: np.ndarray, dev: np.ndarray,
-             tol_K: float) -> str | None:
-    """The failure text of a trial: its first problem and how many more;
-    None where it has none, and the trial passes."""
-    closed = Check(dev > CLOSED_VS_AUTODIFF_RTOL,
-                   lambda i: (f"closed-form K={K_closed.item(i):.6e} vs "
-                              f"autodiff K={K.item(i):.6e} at {_at(u, v, i)}"))
-    first, count = _problems(closed)
-    verdict_first, verdict_count = _problems(_verdict_check(expect, u, v, K, tol_K))
-    count += verdict_count
-    if not count:
-        return None
-    return (f"{label} params={models.params_to_json(p)}: {first or verdict_first}"
-            + (f" (+{count - 1} more)" if count > 1 else ""))
+def _judge(batch: list[tuple[str, object]], expects: list[SignClass | None],
+           us: np.ndarray, vs: np.ndarray, mask: np.ndarray, K: np.ndarray,
+           K_closed: np.ndarray, dev: np.ndarray, tol_K: float) -> list[str | None]:
+    """The failure text of each trial of a batch laid out as (trial, u,
+    v), or None where the trial passes.  At each point in the trial's
+    domain (``mask``) the closed form must match autodiff, and K must
+    hold to the theorem's verdict ``expect``: within the zero band
+    tol_K*(1 + max|K|) at every point (ZERO), beyond 10 times it at some
+    point (None), or of the predicted sign, strictly, at every point.
+    Each check is a reduction over the layout; texts are built for the
+    trials that fail alone."""
+    closed = (dev > CLOSED_VS_AUTODIFF_RTOL) & mask
+    abs_K = np.abs(K)
+    max_k = np.max(abs_K, axis=(1, 2), initial=0.0, where=mask)
+    threshold = tol_K * (1.0 + max_k)
+    verdict = np.zeros(len(batch), dtype=int)       # each trial's verdict problems
+    wrong_sign = np.zeros(mask.shape, dtype=bool)  # the cells of a sign problem
+    for expect in set(expects):
+        of = np.array([e is expect for e in expects])
+        band = threshold[of, None, None]
+        if expect is SignClass.ZERO:  # flat within the scale-aware zero band
+            verdict[of] = np.any(~(abs_K[of] <= band) & mask[of], axis=(1, 2))
+        elif expect is None:  # no sign predicted: curved at sampling resolution
+            verdict[of] = ~np.any((abs_K[of] > 10.0 * band) & mask[of], axis=(1, 2))
+        else:
+            # |K| spans many decades across the grid, so a scale-aware zero
+            # band would hide the sign of small K: check it strictly.
+            k = K[of]
+            wrong_sign[of] = ~(k > 0.0 if expect is SignClass.POSITIVE else k < 0.0) & mask[of]
+            verdict[of] = np.count_nonzero(wrong_sign[of], axis=(1, 2))
+    counts = (np.count_nonzero(closed, axis=(1, 2)) + verdict).tolist()
+    failures = []
+    for t, ((label, p), expect, count) in enumerate(zip(batch, expects, counts)):
+        if not count:
+            failures.append(None)
+            continue
+        if closed[t].any():
+            i, j = divmod(int(closed[t].argmax()), len(vs))
+            first = (f"closed-form K={K_closed.item(t, i, j):.6e} vs "
+                     f"autodiff K={K.item(t, i, j):.6e} at ({us[i]:.4g}, {vs[j]:.4g})")
+        elif expect is SignClass.ZERO:
+            first = (f"expected flat: max|K|={max_k.item(t):.3e} "
+                     f"vs threshold {threshold.item(t):.3e}")
+        elif expect is None:
+            first = (f"expected curvature above {10.0 * threshold.item(t):.3e}, "
+                     f"max|K|={max_k.item(t):.3e}")
+        else:
+            i, j = divmod(int(wrong_sign[t].argmax()), len(vs))
+            k = K.item(t, i, j)
+            got = (SignClass.POSITIVE if k > 0.0 else
+                   SignClass.NEGATIVE if k < 0.0 else SignClass.ZERO)
+            first = (f"sign {got.value} != predicted {expect.value} "
+                     f"at ({us[i]:.4g}, {vs[j]:.4g}) with K={k:.3e}")
+        failures.append(f"{label} params={models.params_to_json(p)}: {first}"
+                        + (f" (+{count - 1} more)" if count > 1 else ""))
+    return failures
 
 
 def run_verify_theorem1(trials: int, seed: int,

@@ -9,23 +9,27 @@ floating-point rounding, with no truncation error.
 The Hessian is stored as three slots (d11, d12, d22); symmetry is
 structural and therefore exact.
 
-A slot is a float, for one point, or a 1-d ndarray of floats, for a
-batch of points (vector forward mode: Griewank & Walther, *Evaluating
+A slot is a float, for one point, or an ndarray of floats, for a batch
+of points (vector forward mode: Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).  The same functions serve both, so model code
-written once evaluates a point or a whole grid.  On a batch, a slot that
-is a float holds for every point, as the seeds' 0.0 and 1.0 do, and the
-ops keep it a float where they can: in the derivative slots, a product
-with a 0.0 slot is 0.0, a product with a 1.0 slot is the other factor,
-and a sum of two float slots is a float.  Otherwise sums, scalings and
-products are correctly rounded in numpy as in Python, so each element
-gets the bits its float form gives, but for the sign of a zero: a
-folded product is 0.0 where the float form's is -0.0 (x * 0.0 for
-x < 0), which a zero K or H can show.  Powers use numpy's own power,
-which may round the last bit differently from the libm ``pow`` behind
-a float's ``**``: a batch agrees with the float form to within
-rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
-also take an array factor or exponent, one per element; ``scale``'s
-factor is never folded, so a zero weight keeps the NaN of 0 * inf.
+written once evaluates a point or a whole grid.  A batch's slots need
+not share a shape, only broadcast to the batch's: a slot that depends on
+u alone may hold one value per u, and numpy's broadcasting then computes
+it once per u, with the bits that one value per point gives.  On a
+batch, a slot that is a float holds for every point, as the seeds' 0.0
+and 1.0 do, and the ops keep it a float where they can: in the
+derivative slots, a product with a 0.0 slot is 0.0, a product with a 1.0
+slot is the other factor, and a sum of two float slots is a float.
+Otherwise sums, scalings and products are correctly rounded in numpy as
+in Python, so each element gets the bits its float form gives, but for
+the sign of a zero: a folded product is 0.0 where the float form's is
+-0.0 (x * 0.0 for x < 0), which a zero K or H can show.  Powers use
+numpy's own power, which may round the last bit differently from the
+libm ``pow`` behind a float's ``**``: a batch agrees with the float form
+to within rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
+also take an array factor or exponent that broadcasts with the slots
+(one per point, or one per trial of a verify batch); ``scale``'s factor
+is never folded, so a zero weight keeps the NaN of 0 * inf.
 
 Every op on one point checks its six slots and raises for one that is
 not finite; seeds and constants check their input on a batch too.  Ops
@@ -108,14 +112,21 @@ def _coerce(x) -> Jet2:
 def _at_first(bad, *slots):
     """None where ``bad`` holds nowhere; else the slots' values at the
     first point where it holds, as floats.  ``bad`` and the slots are
-    one point's bools and floats or a batch's arrays (a slot may also be
-    a float shared by the whole batch)."""
+    one point's bools and floats or a batch's arrays, which broadcast to
+    ``bad``'s shape (a slot may also be a float shared by the whole
+    batch)."""
     if isinstance(bad, POINT):
         return slots if bad else None
     if not bad.any():
         return None
     i = int(bad.argmax())
-    return tuple(s if isinstance(s, POINT) else s.item(i) for s in slots)
+    return tuple(s if isinstance(s, POINT) else np.broadcast_to(s, bad.shape).item(i)
+                 for s in slots)
+
+
+def _shape(*slots) -> tuple[int, ...]:
+    """The shape that a batch's slots (and floats) broadcast to."""
+    return np.broadcast_shapes(*map(np.shape, slots))
 
 
 def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
@@ -128,7 +139,7 @@ def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
         bad = _bad_rows(jet)
         if not len(bad):
             return jet
-        val, d1, d2, d11, d12, d22 = _row(jet, bad[0])
+        val, d1, d2, d11, d12, d22 = _row(jet, bad[0], _shape(*jet))
         finite = False
     if not finite:
         raise NonFiniteError(
@@ -138,9 +149,10 @@ def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
 
 
 def _bad_rows(jet: Jet2):
-    """The indices, in order, of a batch jet's rows with a slot that is
-    not finite.  A sum of finite terms is finite unless it overflows, so
-    one sum per slot clears the batch, or else the rows are searched."""
+    """The flat indices, in order, of a batch jet's rows with a slot that
+    is not finite, in the shape its slots broadcast to.  A sum of finite
+    terms is finite unless it overflows, so one sum per slot clears the
+    batch, or else the rows are searched."""
     if _isfinite(sum(s if isinstance(s, POINT) else s.sum() for s in jet)):
         return ()
     return np.flatnonzero(~(np.isfinite(jet.val) & np.isfinite(jet.d1) & np.isfinite(jet.d2)
@@ -148,9 +160,10 @@ def _bad_rows(jet: Jet2):
                             & np.isfinite(jet.d22)))
 
 
-def _row(jet: Jet2, i: int) -> Jet2:
-    """Row i of a batch jet, as one point's jet."""
-    return _new_tuple(Jet2, tuple(s if isinstance(s, POINT) else s.item(i) for s in jet))
+def _row(jet: Jet2, i: int, shape: tuple[int, ...]) -> Jet2:
+    """Row i, a flat index, of a batch of ``shape``, as one point's jet."""
+    return _new_tuple(Jet2, tuple(s if isinstance(s, POINT) else np.broadcast_to(s, shape).item(i)
+                                  for s in jet))
 
 
 def seed_u(u0) -> Jet2:
@@ -212,7 +225,8 @@ def add(a: Jet2, b: Jet2) -> Jet2:
 
 
 def scale(a: Jet2, c: Slot) -> Jet2:
-    """c * a, for a number c or, on a batch, one factor per element."""
+    """c * a, for a number c or, on a batch, an array of factors that
+    broadcasts with a's slots."""
     val = c * a.val
     if isinstance(val, POINT):
         return _checked(val, c * a.d1, c * a.d2,
@@ -276,8 +290,9 @@ def _power(x: float, p: float) -> tuple[float, float, float]:
 
 def _power_elements(x: np.ndarray, p: Slot) -> tuple:
     """_power on each element of x, by numpy's power, with p a float or
-    one exponent per element, and g NaN wherever _power on floats
-    raises: where the base is not in (0, inf) or a value is not finite."""
+    an array of exponents that broadcasts with x, and g NaN wherever
+    _power on floats raises: where the base is not in (0, inf) or a
+    value is not finite."""
     g = np.power(x, p)
     dg = p * np.power(x, p - 1.0)
     ddg = p * (p - 1.0) * np.power(x, p - 2.0)
@@ -291,7 +306,7 @@ def _power_elements(x: np.ndarray, p: Slot) -> tuple:
 
 def powr(a: Jet2, p: Slot) -> Jet2:
     """Real power a**p for a strictly positive base; on a batch, p may
-    be one exponent per element.
+    be an array of exponents that broadcasts with a's slots.
 
     Implemented with direct p*a**(p-1) chain terms rather than
     exp(p*ln a); the two must agree to rounding (asserted in tests).

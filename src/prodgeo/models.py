@@ -188,10 +188,12 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
 
 # --- Evaluators ------------------------------------------------------------
 
-def _point(p, i: int):
-    """Point i's parameters from a record whose fields are floats or columns."""
-    return SimpleNamespace(**{name: x if isinstance(x, POINT) else x.item(i)
-                              for name, x in vars(p).items()})
+def _point(p, i: int, shape: tuple[int, ...]):
+    """The parameters of point i, a flat index of a batch of ``shape``,
+    from a record whose fields are floats or arrays that broadcast to it."""
+    return SimpleNamespace(**{
+        name: x if isinstance(x, POINT) else np.broadcast_to(x, shape).item(i)
+        for name, x in vars(p).items()})
 
 
 def _checked_on_batches(evaluate):
@@ -199,7 +201,7 @@ def _checked_on_batches(evaluate):
     a batch it runs under np.errstate(all="ignore"), its ops check nothing
     (see ``jets``), and the jet it returns is checked once: each row that
     is not finite, in order, runs again as one point, with its own
-    parameters where they are columns, and the first whose point path
+    parameters where they are arrays, and the first whose point path
     fails raises that point's error.  Where every such row passes as a
     point (a batch's power can round past an overflow its float form
     stays below), the first of them raises the NonFiniteError that names
@@ -211,9 +213,11 @@ def _checked_on_batches(evaluate):
         with np.errstate(all="ignore"):
             jet = evaluate(p, u, v)
         bad = jets._bad_rows(jet)
-        for i in bad:
-            evaluate(_point(p, i), jets._row(u, i), jets._row(v, i))
         if len(bad):
+            # the value depends on u, v and every parameter: its shape is the batch's
+            shape = jets._shape(*jet)
+            for i in bad:
+                evaluate(_point(p, i, shape), jets._row(u, i, shape), jets._row(v, i, shape))
             jets._checked(*jet)
         return jet
     return evaluate_checked

@@ -55,14 +55,13 @@ class FundamentalForms(NamedTuple):
 def fundamental_forms(jet: Jet2) -> FundamentalForms:
     """Fundamental forms from a height-field jet.
 
-    Raises NonFiniteError for a non-finite slot and for slopes so steep
-    that W^2 = 1 + f_u^2 + f_v^2 overflows (K would read 0 and H NaN).
+    Raises NonFiniteError for a point's non-finite slot and, on a point
+    or a batch, for slopes so steep that W^2 = 1 + f_u^2 + f_v^2
+    overflows (K would read 0 and H NaN).  A batch's slots are not
+    checked again: every batch jet comes from an evaluator in
+    ``models``, which has checked it.
     """
-    try:
-        finite = all(map(math.isfinite, jet))
-    except TypeError:  # ndarray slots: _checked searches them
-        finite = False
-    if not finite:
+    if isinstance(jet.val, POINT) and not all(map(math.isfinite, jet)):
         _checked(*jet)
     fu, fv = jet.d1, jet.d2
     w2 = 1.0 + fu * fu + fv * fv

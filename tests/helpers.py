@@ -8,6 +8,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -191,6 +192,15 @@ def sample_grid(spec: GridSpec) -> list[tuple[float, float]]:
     """All n_u*n_v sample points, ordered lexicographically by (u, v)."""
     us, vs = harness._grid_points(spec)
     return list(zip(us.tolist(), vs.tolist()))
+
+
+def param_columns(records: list, counts: list[int]) -> SimpleNamespace:
+    """One parameter record whose fields are 1-d columns: each record's
+    values repeated as often as its count says, so that a batch of
+    several parameter sets, stacked point by point, runs as one."""
+    names = list(vars(records[0]))
+    values = np.array([[getattr(r, name) for name in names] for r in records])
+    return SimpleNamespace(**dict(zip(names, np.repeat(values.T, counts, axis=1))))
 
 
 # --- The rounding bound: batch values against one-point values ---------------

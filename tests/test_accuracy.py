@@ -22,7 +22,7 @@ import pytest
 import sympy
 from mpmath import mp, mpf
 
-from helpers import EPS, LIMIT, surface_scales
+from helpers import EPS, LIMIT, param_columns, surface_scales
 from prodgeo import harness, surface
 from prodgeo.curvature import DevelopabilityReason
 from prodgeo.models import VesParams
@@ -104,7 +104,7 @@ def test_batches_within_rounding_of_50_digit_values(oracle, family_name):
     draws = [p for p in _draws() if _family(p) == family_name]
     points = [_points(p, rng) for p in draws]
     u, v = (np.array([pt[axis] for pts in points for pt in pts]) for axis in (0, 1))
-    stacked = _batch(family, harness._param_columns(draws, [len(pts) for pts in points]), u, v)
+    stacked = _batch(family, param_columns(draws, [len(pts) for pts in points]), u, v)
     each = [_batch(family, p, *map(np.array, zip(*pts))) for p, pts in zip(draws, points)]
     alone = {name: np.concatenate([values[name] for values in each]) for name in stacked}
     worst = {}

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EPS, LIMIT, RunningError, assert_close, sample_grid, within_bound
+from helpers import (EPS, LIMIT, RunningError, assert_close, param_columns, sample_grid,
+                     within_bound)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
 from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError, SingularPointError
@@ -236,7 +237,7 @@ def test_array_closed_forms_match_float_forms_within_rounding(form, seed, condit
     else:
         error = None
     u, v = (np.array(axis) for axis in zip(*points))
-    batch_p = harness._param_columns([p], [len(u)]) if columns else p
+    batch_p = param_columns([p], [len(u)]) if columns else p
     if error:
         with pytest.raises((ProdGeoError, ArithmeticError)) as got:
             fn(batch_p, u, v)
@@ -334,15 +335,22 @@ KADIYALA_BITS = {
 }
 
 
-def _kadiyala_bits(fn) -> str:
-    """sha256 of ``fn`` over a stacked batch, its parameters columns as the
-    verify engine builds them, and at a few float points."""
+def _kadiyala_bits(fn, layout: str) -> str:
+    """sha256 of ``fn`` over a batch of six trials on a 9x9 grid, and at a
+    few float points.  The batch is stacked point by point with 1-d
+    parameter columns, or laid out as (trial, u, v) as the verify engine
+    lays it out; its values in C order are the same points either way."""
     records = [harness.random_kadiyala_params(seed, condition)
                for seed, condition in enumerate([None, *DevelopabilityReason, None])]
-    us, vs = harness._grid_points(harness.parse_grid_spec("0.05,30,9,0.05,30,9,log"))
-    p = harness._param_columns(records, [len(us)] * len(records))
-    digest = hashlib.sha256(fn(p, np.tile(us, len(records)), np.tile(vs, len(records)))
-                            .tobytes())
+    spec = harness.parse_grid_spec("0.05,30,9,0.05,30,9,log")
+    if layout == "stacked":
+        us, vs = harness._grid_points(spec)
+        batch = fn(param_columns(records, [len(us)] * len(records)),
+                   np.tile(us, len(records)), np.tile(vs, len(records)))
+    else:
+        us, vs = harness._grid_axes(spec)
+        batch = fn(harness._trial_columns(records), us[None, :, None], vs[None, None, :])
+    digest = hashlib.sha256(batch.tobytes())
     for record, (u, v) in zip(records, [(0.3, 4.0), (1.0, 1.0), (7.5, 0.2), (2.0, 3.0),
                                         (1e-3, 50.0)]):
         digest.update(repr(fn(record, u, v)).encode())
@@ -351,4 +359,10 @@ def _kadiyala_bits(fn) -> str:
 
 @pytest.mark.parametrize("name", sorted(KADIYALA_BITS))
 def test_kadiyala_closed_forms_keep_their_bits(name):
-    assert _kadiyala_bits(getattr(curvature, name)) == KADIYALA_BITS[name]
+    assert _kadiyala_bits(getattr(curvature, name), "stacked") == KADIYALA_BITS[name]
+
+
+@pytest.mark.parametrize("name", sorted(KADIYALA_BITS))
+def test_verify_layout_keeps_the_closed_forms_bits(name):
+    """Parameters and one-axis powers broadcast: the same bits as stacked."""
+    assert _kadiyala_bits(getattr(curvature, name), "trial-u-v") == KADIYALA_BITS[name]

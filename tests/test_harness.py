@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (EPS, LIMIT, GridRow, StencilOutOfDomainError, assert_close, fd_oracle,
-                     grid_report_from_json, kadiyala_value, ves_value, report_rows, sample_grid,
-                     surface_scales, within_bound)
+                     grid_report_from_json, kadiyala_value, param_columns, report_rows,
+                     sample_grid, surface_scales, ves_value, within_bound)
 from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
 from prodgeo.errors import InvalidSpecError, ProdGeoError
@@ -409,7 +409,7 @@ def _trial_batch(family, p, points):
     """Autodiff and closed-form K over points, in one batch whose
     parameters are columns, as the engine computes them."""
     u, v = (np.array(axis, dtype=float) for axis in zip(*points)) if points else [np.empty(0)] * 2
-    columns = harness._param_columns([p], [len(u)])
+    columns = param_columns([p], [len(u)])
     with np.errstate(all="ignore"):
         K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(columns, u, v)))
         return K.tolist(), family.closed_K(columns, u, v).tolist()
@@ -554,6 +554,18 @@ def _outcome(run, *args):
 # the error is trial 0's
 @example(family="ves", seed=826957, trials=3, spec=GridSpec(4.94e-48, 1.29e-32, 2.66e126, 3.38e166, 2, 5),
          tol=1e-9, corrupt=None)
+# trial 0's first grid cell is outside its domain, so the cells before its
+# first one inside hold that one; a later point of the trial fails
+@example(family="ves", seed=102, trials=2, spec=GridSpec(111, 5.82e287, 6.02, 1.65e126, 4, 4),
+         tol=1e-9, corrupt=None)
+# a batch of trials with every cell in their domain and trials with 10 or
+# 13 of 16: a count of failing points counts the trial's own points
+@example(family="ves", seed=1, trials=17, spec=GridSpec(0.1, 10, 0.1, 10, 4, 4),
+         tol=1e-9, corrupt="verdicts")
+# u > v at every cell, so the closed forms are off by 1 at each point in a
+# trial's domain, which holds 3 or 8 of the 9 cells
+@example(family="ves", seed=1, trials=4, spec=GridSpec(2, 4, 1, 1.9, 3, 3),
+         tol=1e-9, corrupt="checks")
 def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, corrupt):
     """The same trials, passes, failure texts and worst deviation, to the
     bit, as one batch per trial; or the same error."""
@@ -564,3 +576,40 @@ def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, c
         want = _outcome(reference_verify, family, trials, seed, spec, tol)
         got = _outcome(harness._run_verify, family, trials, seed, spec, tol)
     assert got == want
+
+
+def _peak_bytes(run) -> int:
+    """The most memory that tracemalloc saw ``run()`` hold at once."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_batch_layout_needs_under_60_percent_of_stacked_memory():
+    """One default-grid Kadiyala batch of VERIFY_BATCH_TRIALS trials, laid
+    out as (trial, u, v), peaks below 60% of the bytes per point that the
+    same trials need stacked point by point with 1-d parameter columns
+    (measured: 130 against 282 bytes a point); a batch's size is set by
+    this peak."""
+    family = harness.KADIYALA
+    trials = harness.VERIFY_BATCH_TRIALS // 4  # four blocks of draws, one batch
+    records = [p for _, p in family.trials(trials, 0)]
+    assert len(records) == harness.VERIFY_BATCH_TRIALS
+    us, vs = harness._grid_points(harness.DEFAULT_GRID)
+
+    def stacked():
+        u, v = np.tile(us, len(records)), np.tile(vs, len(records))
+        with np.errstate(all="ignore"):
+            K, K_closed = harness._curvatures(
+                family, param_columns(records, [len(us)] * len(records)), u, v)
+            harness._rel_dev(K_closed, K)
+
+    def verify():
+        out = harness._run_verify(family, trials, 0, harness.DEFAULT_GRID,
+                                  surface.DEFAULT_CURVATURE_TOL)
+        assert out.ok and out.trials == len(records)
+    verify()  # numpy's and the engine's one-time allocations
+    assert _peak_bytes(verify) < 0.6 * _peak_bytes(stacked)

@@ -194,3 +194,42 @@ def test_array_op_names_the_first_failing_element():
         assert batch[:, 0].tolist() == list(op(xs[0]))
         with pytest.raises(error, match=message):
             op(xs[1])
+
+
+def test_numpy_power_bits_do_not_depend_on_the_operands_layout():
+    """A verify batch takes a power of u alone once per trial and value of
+    u, its base on one axis and its exponents on another, where a stacked
+    batch took it once per point.  The layout changes only how numpy's
+    power reads its operands, and its bits must not depend on that:
+    contiguous, strided and broadcast operands give the same bits, at
+    bases and results near the ends of the float range too.
+
+    An exponent that is one number for the whole call (a float, or an
+    array of one element, as a batch of one trial has) is another path:
+    there numpy takes x*x, sqrt(x) and 1/x for 2, 0.5 and -1, which can
+    round otherwise.  A Kadiyala run draws four trials for each one asked
+    for, so a verify batch of one trial, outside the sweeps that locate a
+    failing point, is VES's; its one such exponent is u^(2*delta) in Den_F at delta = 1,
+    where the closed form's K is 0 whatever Den_F's last bit."""
+    rng = np.random.default_rng(2024)
+    x = 10.0 ** rng.uniform(-300.0, 300.0, 64)
+    x[:8] = 10.0 ** rng.uniform(290.0, 308.0, 8)
+    x[8:16] = 10.0 ** rng.uniform(-308.0, -290.0, 8)
+    x[16:20] = [5e-324, 1.7976931348623157e308, 1.0, 1.0 + 2.0 ** -52]
+    p = np.concatenate([rng.uniform(-1.05, 1.05, 24), rng.uniform(-4.0, 4.0, 24)])
+    p[:4] = [0.0, 1.0, -1.0, 0.5]
+    with np.errstate(all="ignore"):
+        contiguous = np.power(np.tile(x, len(p)), np.repeat(p, len(x))).reshape(len(p), len(x))
+        x_strided, p_strided = np.zeros((len(x), 3)), np.zeros((3, len(p)))
+        x_strided[:, 1], p_strided[2] = x, p
+        layouts = {
+            "one axis each": np.power(x[None, :, None], p[:, None, None])[:, :, 0],
+            "exponent on the inner axis": np.power(x[:, None], p[None, :]).T,
+            "strided": np.power(x_strided[None, :, 1], p_strided[2, :, None]),
+            "two pairs a call": np.array([[np.power(np.array([a, a]), np.array([q, -q]))[0]
+                                           for a in x] for q in p]),
+        }
+    assert contiguous.size >= 3000
+    assert np.isinf(contiguous).any() and (contiguous == 0.0).any()
+    for name, got in layouts.items():
+        assert got.tobytes() == contiguous.tobytes(), name
