@@ -215,7 +215,7 @@ class ModelFamily:
     theorem: str
     params_from_json: Callable[[str], object]
     #: the jet and the domain tests take one point's floats or a batch's
-    #: 1-d arrays of u and v
+    #: arrays, which broadcast (see ``_sweep``)
     jet: Callable[[object, Slot, Slot], jets.Jet2]
     domain_valid: Callable[[object, Slot, Slot], bool | np.ndarray]
     #: closed-form K over a batch; raises where its denominator fails
@@ -361,29 +361,66 @@ def name_point(exc: Exception, u: float, v: float) -> Exception:
     return exc
 
 
-def _sweep_all(sweep: Callable[[int], object], size: int,
-               point: Callable[[int], tuple[float, float]]):
-    """``sweep(size)``, where ``sweep(n)`` evaluates the first n of size
-    rows, row i at ``point(i)``; where it fails, what the first failing
-    row raises on its own, naming its point.  Rows are evaluated
-    independently, so a prefix fails exactly when it holds a failing row,
-    and the shortest one, which a bisection finds, ends at the first
-    failing row: where a sweep row by row would stop, and the only row
+def _trial_columns(records: list) -> SimpleNamespace:
+    """One parameter record whose fields are (trial, 1, 1) columns, row t
+    holding record t's value.  Against a (1, n_u, 1) u and a (1, 1, n_v)
+    v, numpy's broadcasting computes what depends on the parameters alone
+    once per trial, and a power of u or of v alone once per trial and
+    value, with the bits that one value per point gives."""
+    names = list(vars(records[0]))
+    values = np.array([[getattr(r, name) for name in names] for r in records]).T.copy()
+    return SimpleNamespace(**{name: row.reshape(-1, 1, 1) for name, row in zip(names, values)})
+
+
+def _sweep(in_domain: Callable, evaluate: Callable, records: list,
+           us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Which cells of the grid us × vs lie in the domain (``in_domain``)
+    of each parameter set of ``records``, as a (trial, u, v) mask, and the
+    arrays ``evaluate(p, u, v)`` gives at those cells, 1-d in (trial, u,
+    v) order.
+
+    Where every cell is in its trial's domain, ``evaluate`` sees the grid's
+    axes and ``_trial_columns``.  Otherwise it sees the cells in the
+    domain alone, gathered in (trial, u, v) order into 1-d u, v and
+    parameter columns; numpy's power gives a gathered cell the bits it
+    has on the layout.  One record keeps its floats as parameters.
+
+    Where the cells fail, this raises what the first failing cell raises
+    on its own, naming its point.  Cells are evaluated independently, so
+    the first n of them fail exactly when they hold a failing cell, and
+    the shortest such run, which a bisection finds, ends at the first
+    failing cell: where a sweep cell by cell would stop, and the only cell
     that can fail in it."""
+    u, v = us[None, :, None], vs[None, None, :]
+    p = _trial_columns(records) if len(records) > 1 else records[0]
+    mask = np.broadcast_to(in_domain(p, u, v), (len(records), len(us), len(vs)))
+    if mask.all():
+        try:
+            return mask, tuple(x.reshape(-1) for x in evaluate(p, u, v))
+        except (ProdGeoError, ArithmeticError):
+            pass  # the gathered cells below find the first failing one
+
+    def each(take, p, u, v):
+        """take(x) for the parameter columns, u and v; a record of floats as it is."""
+        if len(records) > 1:
+            p = SimpleNamespace(**{name: take(x) for name, x in vars(p).items()})
+        return p, take(u), take(v)
+
+    cells = each(lambda x: np.broadcast_to(x, mask.shape)[mask], p, u, v)
     try:
-        return sweep(size)
+        return mask, evaluate(*cells)
     except (ProdGeoError, ArithmeticError) as exc:
         error = exc
-    passes, fails = 0, size
+    passes, fails = 0, len(cells[1])
     while fails - passes > 1:
         mid = (passes + fails) // 2
         try:
-            sweep(mid)
+            evaluate(*each(lambda x: x[:mid], *cells))
         except (ProdGeoError, ArithmeticError) as exc:
             fails, error = mid, exc
         else:
             passes = mid
-    raise name_point(error, *point(fails - 1))
+    raise name_point(error, cells[1].item(fails - 1), cells[2].item(fails - 1))
 
 
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
@@ -400,23 +437,21 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
     """
     family = _FAMILY_OF_TYPE[type(params)]
     in_domain = family.domain(strict_domain)
-    us, vs = _grid_points(spec)
 
-    def sweep(n: int):
-        """The domain mask of rows [0, n), and f, K, H at its valid rows."""
-        u, v = us[:n], vs[:n]
-        valid = in_domain(params, u, v)
-        jet = family.jet(params, u[valid], v[valid])
-        return (valid, jet.val, *surface.curvature_from_jet(jet))
+    def evaluate(p, u, v):
+        jet = family.jet(p, u, v)
+        return (jet.val, *surface.curvature_from_jet(jet))
 
-    # Overflow to inf or NaN is what the program's checks report, row by row.
+    # Overflow to inf or NaN is what the program's checks report, cell by cell.
     with np.errstate(all="ignore"):
-        valid, f, K, H = _sweep_all(sweep, len(us), lambda i: (us.item(i), vs.item(i)))
+        mask, (f, K, H) = _sweep(in_domain, evaluate, [params], *_grid_axes(spec))
         max_abs_k = max(np.abs(K).tolist(), default=0.0)
         classes = surface.classify_sign(K, max_abs_k, tol_K)
     signs = np.empty(len(K), dtype=object)
     for cls in SignClass:  # by identity, a whole class at a time
         signs[classes == cls] = cls.value
+    us, vs = _grid_points(spec)
+    valid = mask.reshape(-1)
 
     def column(values, fill) -> tuple:
         out = np.full(len(us), fill, dtype=object)
@@ -526,80 +561,13 @@ class VerifySummary:
         return "\n".join(lines)
 
 
-def _trial_columns(records: list) -> SimpleNamespace:
-    """One parameter record whose fields are (trial, 1, 1) columns, row t
-    holding record t's value.  Against a (1, n_u, 1) u and a (1, 1, n_v)
-    v, numpy's broadcasting computes what depends on the parameters alone
-    once per trial, and a power of u or of v alone once per trial and
-    value, with the bits that one value per point gives."""
-    names = list(vars(records[0]))
-    values = np.array([[getattr(r, name) for name in names] for r in records]).T.copy()
-    return SimpleNamespace(**{name: row.reshape(-1, 1, 1) for name, row in zip(names, values)})
-
-
-def _rows(p: SimpleNamespace, rows) -> SimpleNamespace:
-    """The trials ``rows`` (an index or a slice) of a record of columns."""
-    return SimpleNamespace(**{name: column[rows] for name, column in vars(p).items()})
-
-
 #: Verify trials per batch: 6 400 points on the default grid.  Larger
 #: batches run faster, but a run's peak memory grows with them: by
 #: tracemalloc, a default-grid batch of 16 peaks at about 130 bytes a
-#: point for Kadiyala and 170 for VES (0.8 and 1.1 MB), where the same
-#: trials stacked point by point, as 8 a batch were, took 282 and 210.
+#: point for Kadiyala, which keeps u and v as axes, and 188 for VES,
+#: which gathers the cells in its trials' domains (0.8 and 1.2 MB); the
+#: same trials stacked point by point take 281 and 186.
 VERIFY_BATCH_TRIALS = 16
-
-
-class _Stack(NamedTuple):
-    """A batch of verify trials laid out as (trial, u, v) over a grid."""
-    mask: np.ndarray  # (trial, u, v): the cells in the domain of the trials in rows
-    rows: np.ndarray  # the trials with a cell in their domain, the ones sweep evaluates
-    size: int         # how many cells mask holds
-    sweep: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    point: Callable[[int], tuple[float, float]]
-
-
-def _stack(family: ModelFamily, records: list, us: np.ndarray, vs: np.ndarray) -> _Stack:
-    """The trials of parameters ``records`` on the grid us × vs: which
-    cells lie in each one's domain, and ``sweep(n)``, K both ways at the
-    first n of those cells, stacked trial by trial in grid order, laid out
-    as (trial, u, v) over the trials with such cells (``point(i)`` is the
-    i-th cell's u, v).
-
-    A cell outside its trial's domain holds the trial's first cell inside
-    it.  ``sweep(n)`` fills every cell in the domain after the n-th with
-    that stand-in too, and leaves out the trials after the n-th cell's:
-    it evaluates points among the first n alone, as ``_sweep_all``'s
-    prefix bisection needs.  While every cell is in its trial's domain,
-    u and v stay one axis each."""
-    u, v = us[None, :, None], vs[None, None, :]
-    p = _trial_columns(records)
-    mask = np.broadcast_to(family.domain_valid(p, u, v), (len(records), len(us), len(vs)))
-    counts = np.count_nonzero(mask, axis=(1, 2))
-    rows = np.flatnonzero(counts)
-    if len(rows) < len(records):
-        counts, mask, p = counts[rows], mask[rows], _rows(p, rows)
-    ends = np.cumsum(counts)
-    size = int(ends[-1]) if len(ends) else 0
-    whole = bool(mask.all())
-
-    def sweep(n: int):
-        if n == size and whole:
-            return _curvatures(family, p, u, v)
-        t = int(np.searchsorted(ends, n))  # the trial of the n-th cell
-        keep = mask[:t + 1]
-        if n < size:
-            keep = keep.copy()
-            keep.reshape(-1)[np.flatnonzero(keep)[n:]] = False
-        iu, iv = np.unravel_index(keep.reshape(t + 1, -1).argmax(axis=1), keep.shape[1:])
-        return _curvatures(family, _rows(p, slice(t + 1)),
-                           np.where(keep, u, us[iu, None, None]),
-                           np.where(keep, v, vs[iv, None, None]))
-
-    def point(i: int) -> tuple[float, float]:
-        _, iu, iv = np.unravel_index(np.flatnonzero(mask)[i], mask.shape)
-        return us.item(iu), vs.item(iv)
-    return _Stack(mask, rows, size, sweep, point)
 
 
 def _curvatures(family: ModelFamily, p, u: np.ndarray, v: np.ndarray):
@@ -608,11 +576,11 @@ def _curvatures(family: ModelFamily, p, u: np.ndarray, v: np.ndarray):
     return K, family.closed_K(p, u, v)
 
 
-def _all_trials(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """x, whose rows are the trials ``rows`` of n, with a row of zeros
-    (False) for each other trial."""
-    out = np.zeros((n, *x.shape[1:]), dtype=x.dtype)
-    out[rows] = x
+def _laid_out(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The values ``cells`` at mask's cells, in order, laid out as mask
+    is, with 0.0 at the other cells."""
+    out = np.zeros(mask.shape)
+    out[mask] = cells
     return out
 
 
@@ -623,10 +591,10 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
     holds them to the theorem's verdict for its parameters.
 
     Trials are drawn one at a time and run VERIFY_BATCH_TRIALS at a time
-    as one batch laid out as (trial, u, v) (``_stack``), and ``_judge``
-    judges a batch's trials together.  A batch that fails raises the
-    error its first failing point raises on its own, a closed form's
-    denominator check among them: its cells are swept as if stacked trial
+    as one ``_sweep`` of the grid, and ``_judge`` judges a batch's trials
+    together, with K laid out as (trial, u, v).  A batch that fails
+    raises the error its first failing point raises on its own, a closed
+    form's denominator check among them: ``_sweep`` takes the cells trial
     by trial, so that point is the first failing trial's first."""
     out = VerifySummary(theorem=family.theorem)
     us, vs = _grid_axes(grid)
@@ -635,12 +603,9 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
         out.trials += len(batch)
         # Overflow to inf or NaN is what the program's checks report.
         with np.errstate(all="ignore"):
-            stack = _stack(family, [p for _, p in batch], us, vs)
-            K, K_closed = _sweep_all(stack.sweep, stack.size, stack.point)
-            mask = stack.mask
-            if len(stack.rows) < len(batch):  # a trial with no point is judged on none
-                K, K_closed, mask = (_all_trials(x, stack.rows, len(batch))
-                                     for x in (K, K_closed, mask))
+            mask, cells = _sweep(family.domain_valid, functools.partial(_curvatures, family),
+                                 [p for _, p in batch], us, vs)
+            K, K_closed = (_laid_out(mask, x) for x in cells)
             dev = _rel_dev(K_closed, K)
             out.worst_closed_vs_autodiff = float(np.fmax.reduce(
                 dev, axis=None, initial=out.worst_closed_vs_autodiff, where=mask))
