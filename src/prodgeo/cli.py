@@ -37,7 +37,10 @@ def _load_params(args):
     if not text.lstrip().startswith("{"):
         with open(text) as file:
             text = file.read()
-    return harness.FAMILIES[args.model].params_from_json(text)
+    try:
+        return harness.FAMILIES[args.model].params_from_json(text)
+    except RecursionError:  # json's reader and writer recurse per level of nesting
+        raise ProdGeoError("--params is nested too deeply to read") from None
 
 
 def _parse_point(text: str) -> tuple[float, float]:

@@ -22,23 +22,29 @@ of numpy's power.  On a batch, each parameter may be a float or an
 array that broadcasts to the batch's shape (a record whose fields are
 columns): a verify batch's parameters vary along its first axis, u
 along its second and v along its third, so a power of u alone is taken
-once per trial and value of u.  A failing batch raises the error of its
-first failing point, in the batch's flat order.  A power that overflows
-a float, and a K that comes out inf or NaN, raise NonFiniteError;
-Den_F <= 0, Den_G <= 0 and a negative Den_G summand raise
-SingularPointError; each names the quantity and the point.
+once per trial and value of u.
+
+On a point, a power that overflows a float, and a K that comes out inf
+or NaN, raise NonFiniteError; Den_F <= 0, Den_G <= 0 and a negative
+Den_G summand raise SingularPointError; each names the quantity and the
+point.  A batch raises nothing: Den_F and Den_G are NaN wherever they
+are not in (0, inf) or a Den_G summand is negative, so that K is not
+finite at each point in the domain that would raise, for
+``harness._sweep`` to replay on the point path.  A denominator is also
+NaN where it overflows, since numpy's power gives inf where a float's
+raises and K = num/inf would read 0.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
-from .errors import NonFiniteError, ProdGeoError, SingularPointError
-from .jets import POINT, Slot, _at_first, _shape, np
-from .models import (PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _point,
-                     _ves_aggregate)
+from .errors import NonFiniteError, SingularPointError
+from .jets import POINT, Slot, np
+from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
 from .surface import SignClass
 
 
@@ -64,12 +70,7 @@ def _closed_form(formula):
     name (a tracer, a test's monkeypatch) is entered once per call.
 
     On a point, a float's ``**`` that overflows raises NonFiniteError,
-    naming the form and the point.  numpy's power gives inf there instead,
-    and an inf factor can still leave K finite, so a batch that overflows
-    anywhere, or fails a check, runs the form point by point: the first
-    failing point raises its error.  Where no point fails (an overflow
-    that the float form also carries to a finite K), the batch's values
-    stand."""
+    naming the form and the point."""
     @functools.wraps(formula)
     def form(p, u: Slot, v: Slot) -> Slot:
         if isinstance(u, POINT):
@@ -77,45 +78,30 @@ def _closed_form(formula):
                 return formula(p, u, v)
             except OverflowError:
                 raise _overflow(formula.__name__, u, v) from None
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                return formula(p, u, v)
-        except (ProdGeoError, ArithmeticError):
-            shape = _shape(u, v, *vars(p).values())
-            us, vs = (np.broadcast_to(x, shape).ravel().tolist() for x in (u, v))
-            for i, point in enumerate(zip(us, vs)):
-                form(_point(p, i, shape), *point)
-        with np.errstate(all="ignore"):
-            return formula(p, u, v)
+        return formula(p, u, v)
     return form
 
 
 def _finite_K(name: str, K: Slot, u: Slot, v: Slot) -> Slot:
-    """K, unless it is inf or NaN somewhere, as an overflow in a product or
-    quotient of finite terms leaves it."""
-    bad = K - K != 0.0  # only inf and NaN give NaN
-    if bad is not False and (at := _at_first(bad, u, v)):
-        raise _overflow(name, *at)
+    """K; on a point, raises unless it is finite, as an overflow in a
+    product or quotient of finite terms can leave it."""
+    if isinstance(K, POINT) and K - K != 0.0:  # only inf and NaN give NaN
+        raise _overflow(name, u, v)
     return K
 
 
 def _positive(name: str, den: Slot, u: Slot, v: Slot, summands=()) -> Slot:
-    """``den``, unless it is not positive or one of its ``summands`` is
-    negative somewhere.  The theorems rule both out on the domain, and a
-    summand of same-signed factors keeps its sign in floats; ``den`` can
-    still underflow to 0.0, or round below it."""
+    """``den``; on a point, raises unless it is positive and none of its
+    ``summands`` is negative.  The theorems rule both out on the domain,
+    and a summand of same-signed factors keeps its sign in floats; ``den``
+    can still underflow to 0.0, or round below it.  On a batch, ``den`` is
+    NaN wherever it is not in (0, inf) or a summand is negative."""
     bad = den <= 0.0
-    if isinstance(den, POINT):  # a point's floats: plain comparisons
-        for term in summands:
-            if term < 0.0:
-                bad = True
-        at = (den, u, v) if bad else None
-    else:
-        for term in summands:
-            bad = bad | (term < 0.0)
-        at = _at_first(bad, den, u, v)
-    if at:
-        den, u, v = at
+    for term in summands:
+        bad = bad | (term < 0.0)
+    if not isinstance(bad, POINT):  # a batch's mask
+        return np.where(bad | (den == math.inf), math.nan, den)
+    if bad:
         problem = "is not positive" if den <= 0.0 else "has a negative summand"
         raise SingularPointError(f"{name} = {den} {problem} at ({u}, {v})")
     return den

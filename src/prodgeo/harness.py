@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import curvature, jets, models, surface
 from .curvature import DevelopabilityReason
 from .errors import InvalidSpecError, ProdGeoError
-from .jets import Slot, np
+from .jets import POINT, Slot, np
 from .models import KadiyalaParams, VesParams
 from .surface import SignClass
 
@@ -203,9 +203,20 @@ def random_kadiyala_params(
 
 class Verdict(NamedTuple):
     """What a theorem says about one parameter set."""
-    summary: str              # the grid report's "verdict" field
-    payload: dict             # the `classify` command's JSON object
     expect: SignClass | None  # sign of K at every point; None: curved somewhere
+    #: the summary and payload below, written when one is read: a verify
+    #: run reads ``expect`` alone
+    texts: Callable[[], tuple[str, dict]]
+
+    @property
+    def summary(self) -> str:
+        """The grid report's "verdict" field."""
+        return self.texts()[0]
+
+    @property
+    def payload(self) -> dict:
+        """The `classify` command's JSON object."""
+        return self.texts()[1]
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,8 @@ class ModelFamily:
     #: arrays, which broadcast (see ``_sweep``)
     jet: Callable[[object, Slot, Slot], jets.Jet2]
     domain_valid: Callable[[object, Slot, Slot], bool | np.ndarray]
-    #: closed-form K over a batch; raises where its denominator fails
+    #: closed-form K at a point or over a batch, whose K is not finite
+    #: where the point path raises
     closed_K: Callable[[object, np.ndarray, np.ndarray], np.ndarray]
     verdict: Callable[[object], Verdict]
     #: (label, params) per trial, each drawn as the engine asks for it
@@ -246,11 +258,10 @@ def _subseed(seed: int, index: int) -> int:
 
 def _ves_verdict(p: VesParams) -> Verdict:
     regime, sign = curvature.ves_theorem_verdict(p)
-    return Verdict(f"{regime.value}-returns:{sign.value}-curvature",
-                   {"model": "ves", "returns_to_scale": regime.value,
-                    "predicted_curvature_sign": sign.value,
-                    "developable": sign is SignClass.ZERO},
-                   sign)
+    return Verdict(sign, lambda: (f"{regime.value}-returns:{sign.value}-curvature",
+                                  {"model": "ves", "returns_to_scale": regime.value,
+                                   "predicted_curvature_sign": sign.value,
+                                   "developable": sign is SignClass.ZERO}))
 
 
 def _ves_trials(trials: int, seed: int):
@@ -262,12 +273,12 @@ def _ves_trials(trials: int, seed: int):
 
 def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
     verdict = curvature.kadiyala_is_developable(p)
-    return Verdict(verdict.reason.value,
-                   {"model": "kadiyala",
-                    "returns_to_scale": curvature.returns_to_scale(p.delta).value,
-                    "developable": verdict.developable,
-                    "reason": verdict.reason.value},
-                   SignClass.ZERO if verdict.developable else None)
+    return Verdict(SignClass.ZERO if verdict.developable else None,
+                   lambda: (verdict.reason.value,
+                            {"model": "kadiyala",
+                             "returns_to_scale": curvature.returns_to_scale(p.delta).value,
+                             "developable": verdict.developable,
+                             "reason": verdict.reason.value}))
 
 
 FORWARD_CONDITIONS = (
@@ -376,8 +387,9 @@ def _sweep(in_domain: Callable, evaluate: Callable, records: list,
            us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Which cells of the grid us × vs lie in the domain (``in_domain``)
     of each parameter set of ``records``, as a (trial, u, v) mask, and the
-    arrays ``evaluate(p, u, v)`` gives at those cells, 1-d in (trial, u,
-    v) order.
+    values ``evaluate`` reports at those cells, 1-d in (trial, u, v) order.
+    ``evaluate(p, u, v)`` returns the values that the point path checks
+    and the values to report.
 
     Where every cell is in its trial's domain, ``evaluate`` sees the grid's
     axes and ``_trial_columns``.  Otherwise it sees the cells in the
@@ -385,42 +397,35 @@ def _sweep(in_domain: Callable, evaluate: Callable, records: list,
     parameter columns; numpy's power gives a gathered cell the bits it
     has on the layout.  One record keeps its floats as parameters.
 
-    Where the cells fail, this raises what the first failing cell raises
-    on its own, naming its point.  Cells are evaluated independently, so
-    the first n of them fail exactly when they hold a failing cell, and
-    the shortest such run, which a bisection finds, ends at the first
-    failing cell: where a sweep cell by cell would stop, and the only cell
-    that can fail in it."""
+    A batch raises nothing: it leaves a checked value not finite at each
+    cell where the point path would raise.  One sum per checked value
+    clears a batch with no such cell.  Otherwise each flagged cell, in
+    order, runs again on the point path, with floats and its trial's
+    record: the first that raises raises its error, naming its point, and
+    one that passes reports the point path's values."""
     u, v = us[None, :, None], vs[None, None, :]
     p = _trial_columns(records) if len(records) > 1 else records[0]
     mask = np.broadcast_to(in_domain(p, u, v), (len(records), len(us), len(vs)))
-    if mask.all():
-        try:
-            return mask, tuple(x.reshape(-1) for x in evaluate(p, u, v))
-        except (ProdGeoError, ArithmeticError):
-            pass  # the gathered cells below find the first failing one
-
-    def each(take, p, u, v):
-        """take(x) for the parameter columns, u and v; a record of floats as it is."""
+    if not mask.all():
+        def gather(x):
+            return np.broadcast_to(x, mask.shape)[mask]
         if len(records) > 1:
-            p = SimpleNamespace(**{name: take(x) for name, x in vars(p).items()})
-        return p, take(u), take(v)
-
-    cells = each(lambda x: np.broadcast_to(x, mask.shape)[mask], p, u, v)
-    try:
-        return mask, evaluate(*cells)
-    except (ProdGeoError, ArithmeticError) as exc:
-        error = exc
-    passes, fails = 0, len(cells[1])
-    while fails - passes > 1:
-        mid = (passes + fails) // 2
-        try:
-            evaluate(*each(lambda x: x[:mid], *cells))
-        except (ProdGeoError, ArithmeticError) as exc:
-            fails, error = mid, exc
-        else:
-            passes = mid
-    raise name_point(error, cells[1].item(fails - 1), cells[2].item(fails - 1))
+            p = SimpleNamespace(**{name: gather(x) for name, x in vars(p).items()})
+        u, v = gather(u), gather(v)
+    checked, values = evaluate(p, u, v)
+    if not math.isfinite(sum(x if isinstance(x, POINT) else x.sum() for x in checked)):
+        finite = functools.reduce(np.logical_and, map(np.isfinite, checked))
+        failed = np.flatnonzero(~np.broadcast_to(finite, values[0].shape))
+        for k, cell in zip(failed, np.flatnonzero(mask)[failed]):
+            t, i, j = np.unravel_index(cell, mask.shape)
+            point = us.item(i), vs.item(j)
+            try:
+                _, at = evaluate(records[t], *point)
+            except (ProdGeoError, ArithmeticError) as exc:
+                raise name_point(exc, *point)
+            for x, y in zip(values, at):
+                x.flat[k] = y
+    return mask, tuple(x.reshape(-1) for x in values)
 
 
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
@@ -440,7 +445,9 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
 
     def evaluate(p, u, v):
         jet = family.jet(p, u, v)
-        return (jet.val, *surface.curvature_from_jet(jet))
+        forms = surface.fundamental_forms(jet)
+        return (*jet, forms.det_first), (jet.val, surface.gaussian_curvature(forms),
+                                         surface.mean_curvature(forms))
 
     # Overflow to inf or NaN is what the program's checks report, cell by cell.
     with np.errstate(all="ignore"):
@@ -563,22 +570,30 @@ class VerifySummary:
 
 #: Verify trials per batch: 6 400 points on the default grid.  Larger
 #: batches run faster, but a run's peak memory grows with them: by
-#: tracemalloc, a default-grid batch of 16 peaks at about 130 bytes a
-#: point for Kadiyala, which keeps u and v as axes, and 188 for VES,
-#: which gathers the cells in its trials' domains (0.8 and 1.2 MB); the
-#: same trials stacked point by point take 281 and 186.
+#: tracemalloc, a default-grid batch of 16 peaks at about 168 bytes a
+#: point for Kadiyala, which keeps u and v as axes, and 187 for VES,
+#: which gathers the cells in its trials' domains (1.1 and 1.2 MB); the
+#: same trials stacked point by point take 337 and 186.
 VERIFY_BATCH_TRIALS = 16
 
 
 def _curvatures(family: ModelFamily, p, u: np.ndarray, v: np.ndarray):
-    """K by autodiff and by the closed form over a batch."""
-    K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u, v)))
-    return K, family.closed_K(p, u, v)
+    """The values the point path checks (the jet's slots, W^2 and the
+    closed-form K), and K by autodiff and by the closed form, over a batch
+    or at a point."""
+    jet = family.jet(p, u, v)
+    forms = surface.fundamental_forms(jet)
+    checked, K = (*jet, forms.det_first), surface.gaussian_curvature(forms)
+    del forms  # its other six arrays, before the closed form, where memory peaks
+    K_closed = family.closed_K(p, u, v)
+    return (*checked, K_closed), (K, K_closed)
 
 
 def _laid_out(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The values ``cells`` at mask's cells, in order, laid out as mask
     is, with 0.0 at the other cells."""
+    if mask.all():
+        return cells.reshape(mask.shape)
     out = np.zeros(mask.shape)
     out[mask] = cells
     return out

@@ -32,15 +32,15 @@ also take an array factor or exponent that broadcasts with the slots
 is never folded, so a zero weight keeps the NaN of 0 * inf.
 
 Every op on one point checks its six slots and raises for one that is
-not finite; seeds and constants check their input on a batch too.  Ops
-on a batch check nothing: inf and NaN travel on to the result, and
-``powr`` writes NaN into the value wherever its float form raises (a
-base not in (0, inf), or a power that is not finite), since inf ** -p
-is 0.0 and would hide the inf before it.  A batch is checked once, when
-it is complete: the evaluators in ``models`` find its rows that are not
-finite and replay them on the one-point path, which raises the point's
-own error.  numpy's warnings on overflow are the caller's to silence
-(``np.errstate``), as those evaluators do on a batch.
+not finite.  A batch checks nothing, its seeds and constants included:
+inf and NaN travel on to the result, and ``powr`` writes NaN into the
+value wherever its float form raises (a base not in (0, inf), or a power
+that is not finite), since inf ** -p is 0.0 and would hide the inf before
+it.  So each row of a batch whose float form raises is left with a slot
+that is not finite, and ``harness._sweep`` replays such rows on the
+one-point path, which raises the point's own error.  numpy's warnings
+on overflow are the caller's to silence (``np.errstate``), as
+``harness`` does.
 
 numpy is a batch's dependency only.  ``np`` is numpy loaded lazily: it
 executes on its first attribute access, which a point never makes.
@@ -109,73 +109,32 @@ def _coerce(x) -> Jet2:
     raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
 
 
-def _at_first(bad, *slots):
-    """None where ``bad`` holds nowhere; else the slots' values at the
-    first point where it holds, as floats.  ``bad`` and the slots are
-    one point's bools and floats or a batch's arrays, which broadcast to
-    ``bad``'s shape (a slot may also be a float shared by the whole
-    batch)."""
-    if isinstance(bad, POINT):
-        return slots if bad else None
-    if not bad.any():
-        return None
-    i = int(bad.argmax())
-    return tuple(s if isinstance(s, POINT) else np.broadcast_to(s, bad.shape).item(i)
-                 for s in slots)
-
-
-def _shape(*slots) -> tuple[int, ...]:
-    """The shape that a batch's slots (and floats) broadcast to."""
-    return np.broadcast_shapes(*map(np.shape, slots))
-
-
 def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
-    # No-NaN policy: never let a non-finite jet escape silently.
-    try:
-        finite = (_isfinite(val) and _isfinite(d1) and _isfinite(d2)
-                  and _isfinite(d11) and _isfinite(d12) and _isfinite(d22))
-    except TypeError:  # ndarray slots: name the first point with a bad slot
-        jet = _new_tuple(Jet2, (val, d1, d2, d11, d12, d22))
-        bad = _bad_rows(jet)
-        if not len(bad):
-            return jet
-        val, d1, d2, d11, d12, d22 = _row(jet, bad[0], _shape(*jet))
-        finite = False
-    if not finite:
+    """One point's jet; no-NaN policy: never let a non-finite jet escape
+    silently."""
+    if not (_isfinite(val) and _isfinite(d1) and _isfinite(d2)
+            and _isfinite(d11) and _isfinite(d12) and _isfinite(d22)):
         raise NonFiniteError(
             f"non-finite jet: val={val}, grad=({d1}, {d2}), "
             f"hess=({d11}, {d12}, {d22})")
     return _new_tuple(Jet2, (val, d1, d2, d11, d12, d22))
 
 
-def _bad_rows(jet: Jet2):
-    """The flat indices, in order, of a batch jet's rows with a slot that
-    is not finite, in the shape its slots broadcast to.  A sum of finite
-    terms is finite unless it overflows, so one sum per slot clears the
-    batch, or else the rows are searched."""
-    if _isfinite(sum(s if isinstance(s, POINT) else s.sum() for s in jet)):
-        return ()
-    return np.flatnonzero(~(np.isfinite(jet.val) & np.isfinite(jet.d1) & np.isfinite(jet.d2)
-                            & np.isfinite(jet.d11) & np.isfinite(jet.d12)
-                            & np.isfinite(jet.d22)))
-
-
-def _row(jet: Jet2, i: int, shape: tuple[int, ...]) -> Jet2:
-    """Row i, a flat index, of a batch of ``shape``, as one point's jet."""
-    return _new_tuple(Jet2, tuple(s if isinstance(s, POINT) else np.broadcast_to(s, shape).item(i)
-                                  for s in jet))
+def _leaf(x, d1: float, d2: float) -> Jet2:
+    """The jet of x, a float or an ndarray, with gradient (d1, d2)."""
+    if isinstance(x, POINT):
+        return _checked(float(x), d1, d2, 0.0, 0.0, 0.0)
+    return _new_tuple(Jet2, (x.astype(float), d1, d2, 0.0, 0.0, 0.0))
 
 
 def seed_u(u0) -> Jet2:
     """Jet of the first independent variable at u = u0 (a float or an ndarray)."""
-    u0 = float(u0) if isinstance(u0, POINT) else u0.astype(float)
-    return _checked(u0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    return _leaf(u0, 1.0, 0.0)
 
 
 def seed_v(v0) -> Jet2:
     """Jet of the second independent variable at v = v0 (a float or an ndarray)."""
-    v0 = float(v0) if isinstance(v0, POINT) else v0.astype(float)
-    return _checked(v0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    return _leaf(v0, 0.0, 1.0)
 
 
 def seed(u0, v0) -> tuple[Jet2, Jet2]:
@@ -185,8 +144,7 @@ def seed(u0, v0) -> tuple[Jet2, Jet2]:
 
 def constant(c) -> Jet2:
     """Jet of a constant: all derivative slots zero."""
-    c = float(c) if isinstance(c, POINT) else c.astype(float)
-    return _checked(c, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return _leaf(c, 0.0, 0.0)
 
 
 # --- Products on a batch, where a float slot holds for every point --------

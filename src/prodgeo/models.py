@@ -12,23 +12,22 @@ Parameter records are immutable after validation, so their constraint
 sets can be checked once and relied on everywhere.  Evaluators take
 ``Jet2`` inputs and hence deliver value, gradient and Hessian in one
 pass; plain-float evaluation falls out by seeding constants.  Inputs
-are one point's floats or a batch's ndarrays (see ``jets``); domain
-tests and domain errors then hold element by element, and an error
-names the first bad point.
+are one point's floats or a batch's ndarrays (see ``jets``), and domain
+tests then hold element by element.  A point outside the domain raises
+an error that names it; a batch raises nothing, and its jet is not finite
+at each point that would raise, as the ops leave it (see ``jets``).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import math
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 
 from . import jets
 from .errors import ConstraintViolation, DomainError, NonPositiveInputError
-from .jets import POINT, Jet2, _at_first, np
+from .jets import POINT, Jet2
 
 PARAM_EQ_TOL = 1e-12  # tolerance for equality checks on user-supplied parameters
 
@@ -155,19 +154,18 @@ def kadiyala_params_from_json(text: str) -> KadiyalaParams:
 # --- Domains ---------------------------------------------------------------
 
 def _check_positive(u, v):
-    # `is not False`: a point that passes skips the search; a batch always searches
-    bad = (u <= 0) | (v <= 0)
-    if bad is not False and (at := _at_first(bad, u, v)):
-        raise NonPositiveInputError("inputs must be positive, got ({}, {})".format(*at))
+    """Raises NonPositiveInputError unless u > 0 and v > 0, on a point."""
+    if isinstance(u, POINT) and (u <= 0 or v <= 0):
+        raise NonPositiveInputError(f"inputs must be positive, got ({u}, {v})")
 
 
 def _ves_aggregate(p: VesParams, u, v):
-    """(rho-1)*u + v; raises DomainError unless it, u and v are all positive."""
+    """(rho-1)*u + v; on a point, raises DomainError unless it, u and v
+    are all positive."""
     _check_positive(u, v)
     agg = (p.rho - 1.0) * u + v
-    bad = agg <= 0
-    if bad is not False and (at := _at_first(bad, agg, u, v)):
-        raise DomainError("(rho-1)*u + v = {} <= 0 at ({}, {})".format(*at))
+    if isinstance(u, POINT) and agg <= 0:
+        raise DomainError(f"(rho-1)*u + v = {agg} <= 0 at ({u}, {v})")
     return agg
 
 
@@ -188,42 +186,6 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
 
 # --- Evaluators ------------------------------------------------------------
 
-def _point(p, i: int, shape: tuple[int, ...]):
-    """The parameters of point i, a flat index of a batch of ``shape``,
-    from a record whose fields are floats or arrays that broadcast to it."""
-    return SimpleNamespace(**{
-        name: x if isinstance(x, POINT) else np.broadcast_to(x, shape).item(i)
-        for name, x in vars(p).items()})
-
-
-def _checked_on_batches(evaluate):
-    """``evaluate``, which on one point checks each jet op as it goes.  On
-    a batch it runs under np.errstate(all="ignore"), its ops check nothing
-    (see ``jets``), and the jet it returns is checked once: each row that
-    is not finite, in order, runs again as one point, with its own
-    parameters where they are arrays, and the first whose point path
-    fails raises that point's error.  Where every such row passes as a
-    point (a batch's power can round past an overflow its float form
-    stays below), the first of them raises the NonFiniteError that names
-    its slots, as the check of a point's op does."""
-    @functools.wraps(evaluate)
-    def evaluate_checked(p, u: Jet2, v: Jet2) -> Jet2:
-        if isinstance(u.val, POINT):
-            return evaluate(p, u, v)
-        with np.errstate(all="ignore"):
-            jet = evaluate(p, u, v)
-        bad = jets._bad_rows(jet)
-        if len(bad):
-            # the value depends on u, v and every parameter: its shape is the batch's
-            shape = jets._shape(*jet)
-            for i in bad:
-                evaluate(_point(p, i, shape), jets._row(u, i, shape), jets._row(v, i, shape))
-            jets._checked(*jet)
-        return jet
-    return evaluate_checked
-
-
-@_checked_on_batches
 def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of Q(u, v); raises DomainError outside the well-posed region."""
     _ves_aggregate(p, u.val, v.val)
@@ -234,7 +196,6 @@ def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
         p.k)
 
 
-@_checked_on_batches
 def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of P(u, v); requires u, v > 0."""
     _check_positive(u.val, v.val)

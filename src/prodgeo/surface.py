@@ -15,7 +15,9 @@ curvatures, using the standard graph-surface formulas:
 h_ij are taken against the upward normal N, so H's sign rests on that
 convention; N itself is not computed.  A jet whose slots are ndarrays
 gives forms, K and H element by element, with the bits the one-point
-computation gives on the same slots.
+computation gives on the same slots.  A point raises where its jet is not
+finite or W^2 overflows; a batch checks nothing, and leaves W^2 inf at
+each point that would raise (see ``harness._sweep``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NonFiniteError
-from .jets import POINT, Jet2, Slot, _at_first, _checked, np
+from .jets import POINT, Jet2, Slot, _checked, np
 
 DEFAULT_CURVATURE_TOL = 1e-9
 
@@ -55,20 +57,20 @@ class FundamentalForms(NamedTuple):
 def fundamental_forms(jet: Jet2) -> FundamentalForms:
     """Fundamental forms from a height-field jet.
 
-    Raises NonFiniteError for a point's non-finite slot and, on a point
-    or a batch, for slopes so steep that W^2 = 1 + f_u^2 + f_v^2
-    overflows (K would read 0 and H NaN).  A batch's slots are not
-    checked again: every batch jet comes from an evaluator in
-    ``models``, which has checked it.
+    On a point, raises NonFiniteError for a non-finite slot and for slopes
+    so steep that W^2 = 1 + f_u^2 + f_v^2 overflows (K would read 0 and H
+    NaN).  On a batch, W^2 (``det_first``) is inf at each such point.
     """
-    if isinstance(jet.val, POINT) and not all(map(math.isfinite, jet)):
-        _checked(*jet)
     fu, fv = jet.d1, jet.d2
     w2 = 1.0 + fu * fu + fv * fv
-    bad = w2 == math.inf
-    if bad is not False and (at := _at_first(bad, fu, fv)):
-        raise NonFiniteError("1 + f_u^2 + f_v^2 overflows at slopes f_u={}, f_v={}".format(*at))
-    w = math.sqrt(w2) if isinstance(w2, POINT) else np.sqrt(w2)
+    if isinstance(jet.val, POINT):
+        if not all(map(math.isfinite, jet)):
+            _checked(*jet)
+        if w2 == math.inf:
+            raise NonFiniteError(f"1 + f_u^2 + f_v^2 overflows at slopes f_u={fu}, f_v={fv}")
+        w = math.sqrt(w2)
+    else:
+        w = np.sqrt(w2)
     inv_w = 1.0 / w
     return FundamentalForms(
         g11=1.0 + fu * fu,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -153,6 +154,22 @@ def test_grid_steep_points_finite(capsys):
     assert valid and all(math.isfinite(float(r[3])) for r in valid)
 
 
+def test_grid_error_is_the_eval_error_at_its_point(capsys):
+    """A grid that fails prints what `eval` prints at the point it names:
+    the point path's digits, f_v=1.4430574770464174e-82 here, where the
+    grid's own numpy power gives 1.443057477046417e-82."""
+    params = ('{"beta": 0.33795879859074945, "delta": 1.0, "k": 7.57933849749291, '
+              '"rho": 2.01757080024343}')
+    grid = ("0.03717377213748648,0.0883166070734021,3,"
+            "1.1388678092535562e+258,1.1388678092535562e+258,1,linear")
+    code, out, err = run(capsys, "grid", "--model", "ves", "--params", params, "--grid", grid)
+    assert (code, out) == (2, "")
+    assert "f_v=1.4430574770464174e-82" in err
+    point = re.fullmatch(r"error: .* at \((.+), (.+)\)\n", err).groups()
+    assert run(capsys, "eval", "--model", "ves", "--params", params,
+               "--point", ",".join(point)) == (2, "", err)
+
+
 def test_long_inline_params_are_not_a_path(capsys):
     """Inline JSON longer than a file name may be is read as JSON."""
     compact = json.dumps(json.loads(KAD))
@@ -209,6 +226,10 @@ OBJECT_DELTA = ("classify", "--params", '{"k": 1, "beta": 0.5, "rho": 0.5, "delt
 LIST_K = ("classify", "--params", '{"k": [1], "beta": 0.5, "rho": 0.5, "delta": 1}')
 BOOL_K = ("classify", "--params", '{"k": true, "beta": 0.5, "rho": 0.5, "delta": 1}')
 STRING_K = ("classify", "--params", '{"k": "1", "beta": 0.5, "rho": 0.5, "delta": 1}')
+#: a value nested deeper than json reads without running out of recursion
+DEEP = '{"k": ' + "[" * 5000 + "]" * 5000 + ', "beta": 0.5, "rho": 0.5, "delta": 1}'
+DEEP_CLASSIFY = ("classify", "--params", DEEP)
+DEEP_GRID = ("grid", "--params", DEEP)
 #: --params files, written in the test's working directory
 PARAMS_FILES = {"five.json": "5", "null.json": "null"}
 NUMBER_FILE = ("classify", "--params", "five.json")
@@ -232,6 +253,8 @@ NAMED = {
     LIST_K: "error: parameter k must be a number, got [1]",
     BOOL_K: "error: parameter k must be a number, got true",
     STRING_K: 'error: parameter k must be a number, got "1"',
+    DEEP_CLASSIFY: "error: --params is nested too deeply to read",
+    DEEP_GRID: "error: --params is nested too deeply to read",
     NUMBER_FILE: "error: parameters must be a JSON object, got 5",
     NULL_FILE: "error: parameters must be a JSON object, got null",
 }
@@ -266,6 +289,8 @@ NAMED = {
     STRING_K,
     NUMBER_FILE,
     NULL_FILE,
+    DEEP_CLASSIFY,
+    DEEP_GRID,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     for name, text in PARAMS_FILES.items():

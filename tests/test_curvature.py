@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import math
 import random
 
 import numpy as np
@@ -220,34 +221,38 @@ def test_array_closed_forms_match_float_forms_within_rounding(form, seed, condit
                                                               columns):
     """A closed form on ndarray slots gives, element by element, the form
     on floats within the rounding bound, with the same sign wherever the
-    bound leaves no doubt; where some point fails, it raises the error of
-    the first failing point.  The parameters are floats, or columns of
-    one value per point as the verify engine passes them."""
+    bound leaves no doubt.  At a point in the domain where the float form
+    raises, the batch's value is not finite: a batch raises nothing, and a
+    sweep finds the points that fail by replaying those values on the
+    point path.  A batch's value that is not finite where the float form
+    passes is replayed too, and must be one that the float form leaves
+    not finite, or one over a denominator that overflows.  The parameters
+    are floats, or columns of one value per point as the verify engine
+    passes them."""
     fn = CLOSED_FORMS[form]
+    family = harness.FAMILIES["ves" if form.startswith("ves") else "kadiyala"]
+    denominator = curvature.ves_denf if form.startswith("ves") else curvature.kadiyala_deng
     p = (harness.random_ves_params(seed) if form.startswith("ves")
          else harness.random_kadiyala_params(seed, condition))
-    outs, scales = [], []
-    for u, v in points:
-        try:
-            outs.append(fn(p, u, v))
-        except (ProdGeoError, ArithmeticError) as exc:
-            error = (type(exc), str(exc))
-            break
-        scales.append(fn(p, RunningError(u), RunningError(v)).err)
-    else:
-        error = None
     u, v = (np.array(axis) for axis in zip(*points))
     batch_p = param_columns([p], [len(u)]) if columns else p
-    if error:
-        with pytest.raises((ProdGeoError, ArithmeticError)) as got:
-            fn(batch_p, u, v)
-        assert (type(got.value), str(got.value)) == error
-        return
-    batch = fn(batch_p, u, v)
+    with np.errstate(all="ignore"):
+        batch = fn(batch_p, u, v)
     assert type(batch) is np.ndarray
-    assert within_bound(batch, outs, scales)
-    decided = np.abs(outs) > LIMIT * EPS * np.array(scales)
-    assert (np.sign(batch) == np.sign(outs))[decided].all()
+    for x, (u, v) in zip(batch.tolist(), points):
+        try:
+            out = fn(p, u, v)
+        except (ProdGeoError, ArithmeticError):
+            if u > 0.0 and v > 0.0 and family.domain_valid(p, u, v):
+                assert not math.isfinite(x)
+            continue
+        if not math.isfinite(x):
+            assert not math.isfinite(out) or denominator(p, u, v) == math.inf
+            continue
+        scale = fn(p, RunningError(u), RunningError(v)).err
+        assert within_bound(x, out, scale)
+        if abs(out) > LIMIT * EPS * scale:
+            assert np.sign(x) == np.sign(out)
 
 
 def test_every_public_form_over_points_is_a_closed_form():
@@ -285,20 +290,30 @@ def _zeroed(terms, where):
 ])
 def test_denominators_name_the_first_failing_point(monkeypatch, form, params, corrupt,
                                                     bad, message):
-    """Den_F and Den_G raise where they are computed, on a point and on a
-    batch alike, naming the first point where the denominator is not
-    positive or one of Den_G's summands is negative."""
+    """Den_F and Den_G raise where they are computed, on a point, naming
+    the point where the denominator is not positive or one of Den_G's
+    summands is negative.  On a batch they raise nothing, and the value is
+    NaN at each point that raises on its own."""
     if corrupt is not None:  # where u > 2
         terms = curvature._kad_deng_terms
         monkeypatch.setattr(curvature, "_kad_deng_terms",
                             lambda p, u, v, w: corrupt(terms(p, u, v, w), u > 2.0))
     fn = getattr(curvature, form)
     fn(params, 1.0, 2.0)  # a tame point passes
-    message += rf" at \({bad}, {bad}\)"
-    with pytest.raises(SingularPointError, match=message):
+    with pytest.raises(SingularPointError, match=message + rf" at \({bad}, {bad}\)"):
         fn(params, bad, bad)
-    with pytest.raises(SingularPointError, match=message):
-        fn(params, np.array([1.0, bad, bad * 0.5]), np.array([2.0, bad, bad * 0.5]))
+    points = [(1.0, 2.0), (bad, bad), (bad * 0.5, bad * 0.5)]
+    batch = fn(params, *(np.array(axis) for axis in zip(*points)))
+    assert math.isnan(batch[1])
+    assert np.isfinite(batch).tolist() == [_passes(fn, params, *point) for point in points]
+
+
+def _passes(fn, params, u, v) -> bool:
+    try:
+        fn(params, u, v)
+    except ProdGeoError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("form,params", [
@@ -311,12 +326,16 @@ def test_denominators_name_the_first_failing_point(monkeypatch, form, params, co
 ])
 def test_non_finite_K_names_the_function_and_point(form, params):
     """Every power is finite at (1e30, 1e30), but their product overflows,
-    so K would be inf; a point and a batch raise alike."""
+    so K would be inf: a point raises, naming the form and the point, and a
+    batch's K is not finite there."""
     message = rf"{form.__name__} overflows a float at \(1e\+30, 1e\+30\)"
     with pytest.raises(NonFiniteError, match=message):
         form(params, 1e30, 1e30)
-    with pytest.raises(NonFiniteError, match=message):
-        form(params, np.array([1.0, 1e30, 1e31]), np.array([1.0, 1e30, 1e31]))
+    points = [(1.0, 1.0), (1e30, 1e30), (1e31, 1e31)]
+    with np.errstate(all="ignore"):
+        batch = form(params, *(np.array(axis) for axis in zip(*points)))
+    assert np.isfinite(batch).tolist() == [_passes(form, params, *point) for point in points]
+    assert np.isfinite(batch).tolist() == [True, False, False]
 
 
 # --- The Kadiyala closed forms' bits ------------------------------------------

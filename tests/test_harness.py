@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -358,6 +359,22 @@ def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
             == {k: report.summary[k] for k in ("invalid_points", "verdict")})
 
 
+def test_grid_reports_autodiff_K_and_H_as_computed():
+    """The point path does not check autodiff K and H, so a sweep does not
+    replay a cell for them.  K is -inf at 2 780 cells of this grid, and at
+    526 of them the point path rounds H otherwise than the grid; the CSV's
+    sha256 was recorded where no sweep replayed a cell."""
+    p = models.KadiyalaParams(0.3282210244722565, 0.18588788152140454, 0.30000321248493445,
+                              0.9467966233781535, 0.77085837810584, 1.0)
+    spec = harness.parse_grid_spec("1.5585105825602318e-251,3.4098834242352284e-236,60,"
+                                   "1.433259176060161e-112,6.494706873171809e-82,60")
+    report = harness.build_grid_report(p, spec)
+    assert report.K.count(-math.inf) == 2780
+    csv_text = harness.emit_grid_report(report, "csv")
+    assert (hashlib.sha256(csv_text.encode()).hexdigest()
+            == "d1b2db5dfc110193d1e477147810600ca6ac58dfdcdbef8497204eaca5b495ab")
+
+
 def _cell(x) -> str:
     """One CSV cell, as the row-by-row emitter wrote it."""
     if x is None:
@@ -409,21 +426,34 @@ def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
 # --- The batch verify engine against the one-point engine -------------------
 
 def _trial_batch(family, p, points):
-    """Autodiff and closed-form K over points, in one batch whose
-    parameters are columns, as the engine computes them."""
+    """Over points, in one batch whose parameters are columns, as the
+    engine computes them: whether the values that the point path checks
+    (the jet's slots, W^2 and the closed-form K) are finite at each point,
+    and autodiff and closed-form K."""
     u, v = (np.array(axis, dtype=float) for axis in zip(*points)) if points else [np.empty(0)] * 2
     columns = param_columns([p], [len(u)])
     with np.errstate(all="ignore"):
-        K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(columns, u, v)))
-        return K.tolist(), family.closed_K(columns, u, v).tolist()
+        jet = family.jet(columns, u, v)
+        forms = surface.fundamental_forms(jet)
+        K_closed = family.closed_K(columns, u, v)
+        finite = np.logical_and.reduce([np.broadcast_to(np.isfinite(x), u.shape)
+                                        for x in (*jet, forms.det_first, K_closed)])
+        return finite.tolist(), surface.gaussian_curvature(forms).tolist(), K_closed.tolist()
+
+
+def _point_K(family, p, u, v):
+    """Autodiff and closed-form K on the point path."""
+    K = surface.gaussian_curvature(surface.fundamental_forms(family.jet(p, u, v)))
+    return K, family.closed_K(p, u, v)
 
 
 def reference_verify(family, trials, seed, grid, tol_K):
     """The verify engine as one batch per trial and a loop over its points:
-    each trial's in-domain points in one batch (where it fails, the error
-    of the first point that fails as a batch of its own, its message
-    ending in the point unless it names it), then the checks point by
-    point and the verdict over a list."""
+    each trial's in-domain points in one batch, where each point at which
+    a checked value is not finite runs again on the point path (the first
+    that raises raises its error, its message ending in the point unless
+    it names it; one that passes gives the point path's K), then the
+    checks point by point and the verdict over a list."""
     out = harness.VerifySummary(theorem=family.theorem)
     grid_points = sample_grid(grid)
     for label, p in family.trials(trials, seed):
@@ -431,17 +461,16 @@ def reference_verify(family, trials, seed, grid, tol_K):
         problems = []
         ks = []
         points = [(u, v) for u, v in grid_points if family.domain_valid(p, u, v)]
-        try:
-            ks_ad, ks_closed = _trial_batch(family, p, points)
-        except (ProdGeoError, ArithmeticError):
-            for u, v in points:
-                try:
-                    _trial_batch(family, p, [(u, v)])
-                except (ProdGeoError, ArithmeticError) as exc:
-                    if f"({u}, {v})" not in str(exc):
-                        exc.args = (f"{exc} at ({u}, {v})",)
-                    raise
-            raise
+        finite, ks_ad, ks_closed = _trial_batch(family, p, points)
+        for n, (u, v) in enumerate(points):
+            if finite[n]:
+                continue
+            try:
+                ks_ad[n], ks_closed[n] = _point_K(family, p, u, v)
+            except (ProdGeoError, ArithmeticError) as exc:
+                if f"({u}, {v})" not in str(exc):
+                    exc.args = (f"{exc} at ({u}, {v})",)
+                raise
         for (u, v), k_ad, k_closed in zip(points, ks_ad, ks_closed):
             ks.append((u, v, k_ad))
             dev = harness._rel_dev(k_closed, k_ad)
@@ -603,9 +632,9 @@ def test_verify_batch_peak_memory_within_bound_of_stacked(name, trials, bound):
     ``bound`` times the bytes that the same trials need stacked point by
     point over the cells in their domains, with 1-d parameter columns; a
     batch's size is set by this peak.  A Kadiyala batch keeps u and v as
-    axes (measured: 130 against 281 bytes a point).  A VES batch gathers
+    axes (measured: 168 against 337 bytes a point).  A VES batch gathers
     its cells in the domain into the same arrays as the stacked trials,
-    and holds no index arrays beside them (measured: 188 against 186)."""
+    and holds no index arrays beside them (measured: 187 against 186)."""
     family = harness.FAMILIES[name]
     records = [p for _, p in family.trials(trials, 0)]
     assert len(records) == harness.VERIFY_BATCH_TRIALS
@@ -615,7 +644,7 @@ def test_verify_batch_peak_memory_within_bound_of_stacked(name, trials, bound):
     def stacked():
         u, v = (np.concatenate([x[ok] for ok in masks]) for x in (us, vs))
         with np.errstate(all="ignore"):
-            K, K_closed = harness._curvatures(
+            _, (K, K_closed) = harness._curvatures(
                 family, param_columns(records, [np.count_nonzero(ok) for ok in masks]), u, v)
             harness._rel_dev(K_closed, K)
 

@@ -2,14 +2,13 @@ import json
 import math
 import random
 import re
-import warnings
 
 import numpy as np
 import pytest
 
 from helpers import (assert_close, elasticity_oracle, kadiyala_normalized, kadiyala_value,
                      ves_elasticity, ves_value)
-from prodgeo import jets, models, surface
+from prodgeo import harness, jets, models, surface
 from prodgeo.errors import (ConstraintViolation, DomainError, NonFiniteError,
                             NonPositiveInputError, SingularPointError)
 from prodgeo.models import Family
@@ -260,15 +259,23 @@ BATCH_OVERFLOWS = [
 
 @pytest.mark.parametrize("evaluate,p,u,v", BATCH_OVERFLOWS)
 def test_batch_overflow_raises_only_the_point_error(evaluate, p, u, v):
-    """An evaluator on array slots raises the NonFiniteError its failing point
-    raises on its own, with no numpy warning beside it."""
+    """An evaluator on array slots raises nothing: its jet is not finite
+    at the point that raises NonFiniteError on its own, and only there.  A
+    sweep of the two points replays that one on the point path and raises
+    its error, naming the point."""
     with pytest.raises(NonFiniteError) as alone:
         evaluate(p, *jets.seed(u[1], v[1]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError) as batch:
-            evaluate(p, *jets.seed(np.array(u), np.array(v)))
-    assert str(batch.value) == str(alone.value)
+
+    def jet_values(p, u, v):
+        jet = evaluate(p, *jets.seed(u, v))
+        return jet, (jet.val,)
+    with np.errstate(all="ignore"):
+        jet = evaluate(p, *jets.seed(np.array(u), np.array(v)))
+        assert np.isfinite(np.broadcast_arrays(*jet)).all(axis=0).tolist() == [True, False]
+        with pytest.raises(NonFiniteError) as swept:  # the cells (u[0], v[0]) and (u[1], v[1])
+            harness._sweep(lambda p, u, v: np.eye(2, dtype=bool), jet_values, [p],
+                           np.array(u), np.array(v))
+    assert str(swept.value) == str(harness.name_point(alone.value, u[1], v[1]))
 
 
 @pytest.mark.parametrize("evaluate,p", [
