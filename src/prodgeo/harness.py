@@ -80,13 +80,6 @@ def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
             _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing))
 
 
-def _grid_points(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """u and v of all n_u*n_v sample points, ordered lexicographically by
-    (u, v): both axes increase, so u-major order is that order."""
-    us, vs = _grid_axes(spec)
-    return np.repeat(us, len(vs)), np.tile(vs, len(us))
-
-
 def parse_grid_spec(text: str) -> GridSpec:
     """Parse 'u_min,u_max,n_u,v_min,v_max,n_v[,linear|log]'."""
     parts = [p.strip() for p in text.split(",")]
@@ -330,36 +323,44 @@ _FAMILY_OF_TYPE = {family.params_type: family for family in FAMILIES.values()}
 
 # --- Grid reports ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridReport:
-    """A grid sweep column by column: row i is (u[i], v[i], f[i], K[i],
-    H[i], valid[i], sign[i]), with f, K, H None and sign "" where the
-    point is outside the domain."""
+    """A grid sweep in the grid's shape: the axes ``us`` and ``vs``, the
+    (n_u, n_v) mask ``in_domain`` of the cells in the domain, and f, K, H
+    (``values``) and the sign class (``classes``) at those cells, 1-d in
+    (u, v) order.  Row i, (u, v, f, K, H, valid, sign)[i], is the i-th cell
+    in (u, v) order, with f, K, H None and sign "" off the domain; each
+    column of rows is a tuple built when first read."""
     model: str
-    u: tuple[float, ...]
-    v: tuple[float, ...]
-    f: tuple[float | None, ...]
-    K: tuple[float | None, ...]
-    H: tuple[float | None, ...]
-    valid: tuple[bool, ...]
-    sign: tuple[str, ...]
+    us: np.ndarray
+    vs: np.ndarray
+    in_domain: np.ndarray
+    values: tuple[np.ndarray, np.ndarray, np.ndarray]
+    classes: np.ndarray
     summary: dict
 
+    u = functools.cached_property(lambda self: tuple(np.repeat(self.us, len(self.vs)).tolist()))
+    v = functools.cached_property(lambda self: tuple(self.vs.tolist()) * len(self.us))
+    f = functools.cached_property(lambda self: tuple(_filled(self.in_domain, self.values[0])))
+    K = functools.cached_property(lambda self: tuple(_filled(self.in_domain, self.values[1])))
+    H = functools.cached_property(lambda self: tuple(_filled(self.in_domain, self.values[2])))
+    valid = functools.cached_property(lambda self: tuple(self.in_domain.reshape(-1).tolist()))
+    sign = functools.cached_property(lambda self: tuple(
+        _filled(self.in_domain, [c.value for c in self.classes], "")))
+
     @functools.cached_property
-    def _reprs(self) -> dict[str, list[str]]:
-        """repr of every cell of u, v, f, K, H and valid, formatted once
+    def _reprs(self) -> tuple[list[str], ...]:
+        """repr of f, K and H at each cell in the domain, formatted once
         for both of emit_grid_report's formats."""
-        return {"u": _repr_each_value(self.u), "v": _repr_each_value(self.v),
-                "f": list(map(repr, self.f)), "K": list(map(repr, self.K)),
-                "H": list(map(repr, self.H)), "valid": _repr_each_value(self.valid)}
+        return tuple(list(map(repr, x.tolist())) for x in self.values)
 
 
-def _repr_each_value(column: tuple) -> list[str]:
-    """repr of each cell of a column of one type, called once per distinct
-    value.  0.0 and -0.0 are one dict key but two texts, so falsy cells
-    are formatted directly."""
-    text = {x: repr(x) for x in dict.fromkeys(column)}
-    return [text[x] if x else repr(x) for x in column]
+def _filled(mask: np.ndarray, cells, fill=None) -> list:
+    """A list over the cells of ``mask`` in order: ``cells`` in turn where
+    the mask is set, ``fill`` elsewhere."""
+    out = np.full(mask.size, fill, dtype=object)
+    out[mask.reshape(-1)] = cells
+    return out.tolist()
 
 
 def name_point(exc: Exception, u: float, v: float) -> Exception:
@@ -449,97 +450,89 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
         return (*jet, forms.det_first), (jet.val, surface.gaussian_curvature(forms),
                                          surface.mean_curvature(forms))
 
+    us, vs = _grid_axes(spec)
     # Overflow to inf or NaN is what the program's checks report, cell by cell.
     with np.errstate(all="ignore"):
-        mask, (f, K, H) = _sweep(in_domain, evaluate, [params], *_grid_axes(spec))
-        max_abs_k = max(np.abs(K).tolist(), default=0.0)
-        classes = surface.classify_sign(K, max_abs_k, tol_K)
-    signs = np.empty(len(K), dtype=object)
-    for cls in SignClass:  # by identity, a whole class at a time
-        signs[classes == cls] = cls.value
-    us, vs = _grid_points(spec)
-    valid = mask.reshape(-1)
-
-    def column(values, fill) -> tuple:
-        out = np.full(len(us), fill, dtype=object)
-        out[valid] = values
-        return tuple(out.tolist())
-
-    f_valid = f.tolist()
+        mask, values = _sweep(in_domain, evaluate, [params], us, vs)
+        max_abs_k = max(np.abs(values[1]).tolist(), default=0.0)
+        classes = surface.classify_sign(values[1], max_abs_k, tol_K)
+    f_valid = values[0].tolist()
     summary = {
         "max_abs_k": max_abs_k,
         "f_min": min(f_valid, default=None),
         "f_max": max(f_valid, default=None),
-        "invalid_points": len(us) - len(f_valid),
+        "invalid_points": mask.size - len(f_valid),
         "verdict": family.verdict(params).summary,
     }
     return GridReport(f"{family.name}:{models.params_to_json(params)}",
-                      tuple(us.tolist()), tuple(vs.tolist()),
-                      column(f, None), column(K, None), column(H, None),
-                      tuple(valid.tolist()), column(signs, ""), summary)
+                      us, vs, mask[0], values, classes, summary)
 
 
-#: How json and the CSV spell a cell where that differs from repr, which
-#: both use for a finite float (json via float.__repr__).
-_JSON_SPELLING = {"None": "null", "True": "true", "False": "false",
-                  "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CSV_SPELLING = {"None": "", "True": "true", "False": "false"}
+#: json's spelling of the floats that are not finite; the CSV writes repr.
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _spelled(report: GridReport, spelling: dict, *names: str) -> list[Iterator[str]]:
-    """The report's columns ``names`` in one format's spelling."""
-    return [map(spelling.get, report._reprs[name], report._reprs[name]) for name in names]
-
-
-def _shared(text_of: Callable[..., str], *columns) -> Iterator[str]:
-    """``text_of(*cells)`` for each row's cells of ``columns``: one text
-    per distinct tuple of cells, which every row that has it shares."""
-    text = {key: text_of(*key) for key in set(zip(*columns))}
-    return map(text.__getitem__, zip(*columns))
-
-
-def _items(head: str, row: list, end: str, n: int) -> list[str]:
-    """head, then n rows, each the items of ``row`` in turn, then end: the
-    items of one str.join.  An item of ``row`` is a text that every row
-    shares or an iterable of one text per row."""
-    items = [end] * (len(row) * n + 2)
-    items[0] = head
-    for j, part in enumerate(row):
-        items[1 + j:-1:len(row)] = [part] * n if isinstance(part, str) else part
-    return items
+def _respelled(texts: list[str], x: np.ndarray, fmt: str) -> list[str]:
+    """texts, the reprs of x, as format ``fmt`` spells them: respelled
+    for json, in a copy, where some value of x is not finite."""
+    if fmt == "json" and not np.isfinite(x).all():
+        return [_JSON_SPELLING.get(t, t) for t in texts]
+    return texts
 
 
 def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
     """The report as CSV, or as the JSON that json.dumps(..., indent=2,
     sort_keys=True) gives for {"model", "rows", "summary"}.
 
-    Each format is one str.join over the cells' texts, one repr of each
-    cell kept on the report, and the fixed texts between them, which the
-    rows share: no row becomes a string of its own, and the document is
-    not copied after the join."""
-    n = len(report.u)
+    Each format is one str.join over the rows' items.  Each distinct text
+    is made once: one per axis value, one per kind of row (a sign class,
+    or off the domain), and the reprs of f, K and H, which the report
+    keeps for both formats.  A column of one text per row is a list
+    repeated or a lookup by index in numpy: no row becomes a string of
+    its own, and the document is not copied after the join."""
     if fmt == "csv":
-        # The CSV respells only None and bools, which u and v never hold.
-        u, v = report._reprs["u"], report._reprs["v"]
-        f, K, H = _spelled(report, _CSV_SPELLING, "f", "K", "H")
-        tail = _shared(lambda valid, sign: f",{_CSV_SPELLING.get(valid, valid)},{sign}\n",
-                       report._reprs["valid"], report.sign)
-        return "".join(_items("u,v,f,K,H,valid,sign\n",
-                              [u, ",", v, ",", f, ",", K, ",", H, tail], "", n))
-    if fmt == "json":
-        H, K, f, u, v, valid = _spelled(report, _JSON_SPELLING,
-                                        "H", "K", "f", "u", "v", "valid")
-        sign = _shared(lambda sign: f',\n      "sign": "{sign}",\n      "u": ', report.sign)
-        summary = json.dumps(report.summary, indent=2, sort_keys=True)
-        items = _items('{\n  "model": %s,\n  "rows": [' % json.dumps(report.model),
-                       [',\n    {\n      "H": ', H, ',\n      "K": ', K, ',\n      "f": ', f,
-                        sign, u, ',\n      "v": ', v, ',\n      "valid": ', valid, "\n    }"],
-                       '%s],\n  "summary": %s\n}\n' % ("\n  " if n else "",
-                                                       summary.replace("\n", "\n  ")), n)
-        if n:  # the first row opens the list: no comma before it
-            items[1] = items[1][1:]
-        return "".join(items)
-    raise ValueError(f"unknown format {fmt!r}")
+        u_end, v_end, fill = ",", ",", ""
+    elif fmt == "json":
+        u_end, v_end, fill = ',\n      "v": ', ',\n      "valid": ', "null"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    n_u, n_v = report.in_domain.shape
+    n = n_u * n_v
+    # each row's kind: its sign class's place in SignClass, or last off the domain
+    kinds = [(c.value, "true") for c in SignClass] + [("", "false")]
+    kind = np.full(n, len(SignClass))
+    kind[report.in_domain.reshape(-1)] = sum(i * (report.classes == c)
+                                             for i, c in enumerate(SignClass))
+
+    def by_kind(texts: list[str]) -> list[str]:
+        return np.array(texts, dtype=object)[kind].tolist()
+
+    def axis(x: np.ndarray, end: str) -> list[str]:
+        return [t + end for t in _respelled(list(map(repr, x.tolist())), x, fmt)]
+
+    u = np.repeat(np.array(axis(report.us, u_end), dtype=object), n_v).tolist()
+    v = axis(report.vs, v_end) * n_u
+    f, K, H = (texts if len(texts) == n else _filled(report.in_domain, texts, fill)
+               for texts in map(_respelled, report._reprs, report.values, [fmt] * 3))
+    if fmt == "csv":
+        head, end, opener = "u,v,f,K,H,valid,sign\n", "", ""
+        row = [u, v, f, ",", K, ",", H, by_kind([f",{ok},{sign}\n" for sign, ok in kinds])]
+    else:
+        # A row's last item opens the next row; the last row's opens none.
+        opener = ',\n    {\n      "H": '
+        head = '{\n  "model": %s,\n  "rows": [%s' % (json.dumps(report.model),
+                                                    opener[1:] if n else "")
+        summary = json.dumps(report.summary, indent=2, sort_keys=True).replace("\n", "\n  ")
+        end = '%s],\n  "summary": %s\n}\n' % ("\n  " if n else "", summary)
+        row = [H, ',\n      "K": ', K, ',\n      "f": ', f,
+               by_kind([f',\n      "sign": "{sign}",\n      "u": ' for sign, _ in kinds]), u, v,
+               by_kind([f"{ok}\n    }}{opener}" for _, ok in kinds])]
+    items = [end] * (len(row) * n + 2)
+    items[0] = head
+    for j, part in enumerate(row):
+        items[1 + j:-1:len(row)] = [part] * n if isinstance(part, str) else part
+    items[-2] = items[-2].removesuffix(opener)
+    return "".join(items)
 
 
 # --- Theorem verification runs --------------------------------------------

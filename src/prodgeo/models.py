@@ -187,8 +187,9 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
 # --- Evaluators ------------------------------------------------------------
 
 def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
-    """Jet of Q(u, v); raises DomainError outside the well-posed region."""
-    _ves_aggregate(p, u.val, v.val)
+    """Jet of Q(u, v); on a point, raises DomainError outside the well-posed region."""
+    if isinstance(u.val, POINT):
+        _ves_aggregate(p, u.val, v.val)
     aggregate = jets.scale(u, p.rho - 1.0) + v
     return jets.scale(
         jets.mul(jets.powr(u, p.delta * (1.0 - p.beta * p.rho)),

@@ -180,17 +180,22 @@ def report_rows(report: GridReport) -> tuple[GridRow, ...]:
                      report.valid, report.sign))
 
 
-def grid_report_from_json(text: str) -> GridReport:
-    """The report that emit_grid_report(report, "json") wrote."""
+def grid_rows_from_json(text: str) -> tuple[str, tuple[GridRow, ...], dict]:
+    """The model, rows and summary that emit_grid_report(report, "json") wrote."""
     data = json.loads(text)
-    columns = (tuple(row[key] for row in data["rows"])
-               for key in ("u", "v", "f", "K", "H", "valid", "sign"))
-    return GridReport(data["model"], *columns, summary=data["summary"])
+    return data["model"], tuple(GridRow(**row) for row in data["rows"]), data["summary"]
+
+
+def grid_points(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """u and v of all n_u*n_v sample points, ordered lexicographically by
+    (u, v): both axes increase, so u-major order is that order."""
+    us, vs = harness._grid_axes(spec)
+    return np.repeat(us, len(vs)), np.tile(vs, len(us))
 
 
 def sample_grid(spec: GridSpec) -> list[tuple[float, float]]:
     """All n_u*n_v sample points, ordered lexicographically by (u, v)."""
-    us, vs = harness._grid_points(spec)
+    us, vs = grid_points(spec)
     return list(zip(us.tolist(), vs.tolist()))
 
 

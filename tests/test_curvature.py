@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (EPS, LIMIT, RunningError, assert_close, param_columns, sample_grid,
-                     within_bound)
+from helpers import (EPS, LIMIT, RunningError, assert_close, grid_points, param_columns,
+                     sample_grid, within_bound)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
 from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError, SingularPointError
@@ -363,7 +363,7 @@ def _kadiyala_bits(fn, layout: str) -> str:
                for seed, condition in enumerate([None, *DevelopabilityReason, None])]
     spec = harness.parse_grid_spec("0.05,30,9,0.05,30,9,log")
     if layout == "stacked":
-        us, vs = harness._grid_points(spec)
+        us, vs = grid_points(spec)
         batch = fn(param_columns(records, [len(us)] * len(records)),
                    np.tile(us, len(records)), np.tile(vs, len(records)))
     else:

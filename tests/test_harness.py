@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (EPS, LIMIT, GridRow, StencilOutOfDomainError, assert_close, fd_oracle,
-                     grid_report_from_json, kadiyala_value, param_columns, report_rows,
-                     sample_grid, surface_scales, ves_value, within_bound)
+                     grid_points, grid_rows_from_json, kadiyala_value, param_columns,
+                     report_rows, sample_grid, surface_scales, ves_value, within_bound)
 from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
 from prodgeo.errors import InvalidSpecError, ProdGeoError
@@ -190,7 +190,7 @@ class TestGridReport:
         p = models.ves_validate(1, 0.5, 0.5, 2)
         report = harness.build_grid_report(p, SMALL_GRID)
         text = harness.emit_grid_report(report, "json")
-        assert grid_report_from_json(text) == report
+        assert grid_rows_from_json(text) == (report.model, report_rows(report), report.summary)
 
     def test_invalid_points_flagged(self):
         # rho < 1 makes the lower-right corner invalid
@@ -362,17 +362,19 @@ def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
 def test_grid_reports_autodiff_K_and_H_as_computed():
     """The point path does not check autodiff K and H, so a sweep does not
     replay a cell for them.  K is -inf at 2 780 cells of this grid, and at
-    526 of them the point path rounds H otherwise than the grid; the CSV's
-    sha256 was recorded where no sweep replayed a cell."""
+    526 of them the point path rounds H otherwise than the grid.  The CSV's
+    sha256 was recorded where no sweep replayed a cell; the JSON's, which
+    spells K -Infinity, where the emitter kept one row tuple per cell."""
     p = models.KadiyalaParams(0.3282210244722565, 0.18588788152140454, 0.30000321248493445,
                               0.9467966233781535, 0.77085837810584, 1.0)
     spec = harness.parse_grid_spec("1.5585105825602318e-251,3.4098834242352284e-236,60,"
                                    "1.433259176060161e-112,6.494706873171809e-82,60")
     report = harness.build_grid_report(p, spec)
     assert report.K.count(-math.inf) == 2780
-    csv_text = harness.emit_grid_report(report, "csv")
-    assert (hashlib.sha256(csv_text.encode()).hexdigest()
-            == "d1b2db5dfc110193d1e477147810600ca6ac58dfdcdbef8497204eaca5b495ab")
+    for fmt, digest in (("csv", "d1b2db5dfc110193d1e477147810600ca6ac58dfdcdbef8497204eaca5b495ab"),
+                        ("json", "01011de0a44dc587b0bd3556e09a4a4cc9a436a0bbfdf75f741b5a3c681ebd1f")):
+        text = harness.emit_grid_report(report, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
 
 
 def _cell(x) -> str:
@@ -386,40 +388,79 @@ def _cell(x) -> str:
     return str(x)
 
 
-CELL = st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True))
-#: u and v from a small pool, so that values repeat down a column as on a
-#: grid; 0.0 and -0.0 are equal dict keys with different texts.
+#: Axis values from a small pool, so that values repeat along an axis as
+#: on a grid; 0.0 and -0.0 are equal dict keys with different texts.
 AXIS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1.0, 2.5, 1e300])
+CELL = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+EMPTY_GRID = ([], [1.0], np.zeros((0, 1), dtype=bool), ([], [], []), [])
+
+
+@st.composite
+def grid_pieces(draw):
+    """What a GridReport holds but its model and summary: axes, a random
+    domain mask over them, and f, K, H and a sign class at each cell in
+    the domain."""
+    us, vs = draw(st.lists(AXIS, max_size=4)), draw(st.lists(AXIS, max_size=4))
+    size = len(us) * len(vs)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    m = int(mask.sum())
+    cells = st.lists(CELL, min_size=m, max_size=m)
+    return (us, vs, mask.reshape(len(us), len(vs)), (draw(cells), draw(cells), draw(cells)),
+            draw(st.lists(st.sampled_from(SignClass), min_size=m, max_size=m)))
+
+
+def rows_of(pieces) -> list[tuple]:
+    """The rows (u, v, f, K, H, valid, sign) of a report on ``pieces``,
+    cell by cell in (u, v) order: None for f, K, H and "" for the sign
+    off the domain."""
+    us, vs, mask, values, classes = pieces
+    cells = iter(zip(*values, (c.value for c in classes)))
+    rows = []
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            if mask[i, j]:
+                f, K, H, sign = next(cells)
+                rows.append((u, v, f, K, H, True, sign))
+            else:
+                rows.append((u, v, None, None, None, False, ""))
+    return rows
+
+
+def grid_report(pieces, summary) -> GridReport:
+    """A report holding ``pieces`` as build_grid_report lays them out."""
+    us, vs, mask, values, classes = pieces
+    return GridReport('ves:{"k": 1.0}', np.array(us, dtype=float), np.array(vs, dtype=float),
+                      mask, tuple(np.array(x, dtype=float) for x in values),
+                      np.array(classes, dtype=object), summary)
 
 
 @settings(max_examples=100, deadline=None)
-@given(cells=st.lists(st.tuples(AXIS, AXIS, CELL, CELL, CELL, st.booleans(),
-                                st.sampled_from(["", "zero", "positive", "negative"])
-                                | st.text("abz- ", max_size=4)),
-                      max_size=8),
+@given(pieces=grid_pieces(),
        summary=st.dictionaries(st.sampled_from(["max_abs_k", "f_min", "verdict"]),
-                               st.one_of(CELL, st.text(max_size=3)), max_size=3))
-@example(cells=[(0.0, -0.0, None, None, None, False, ""),
-                (-0.0, 0.0, 1.0, 0.0, -0.0, True, "zero"),
-                (0.0, -0.0, -0.0, 0.0, 0.0, True, "zero")],
+                               st.one_of(st.none(), CELL, st.text(max_size=3)), max_size=3))
+@example(pieces=EMPTY_GRID, summary={})
+@example(pieces=([0.0, -0.0], [-0.0, 0.0], np.array([[False, True], [True, True]]),
+                 ([1.0, -0.0, 0.0], [0.0, 0.0, -0.0], [-0.0, 0.0, 0.0]),
+                 [SignClass.ZERO] * 3),
          summary={})
-def test_templates_write_what_json_and_the_row_emitter_write(cells, summary):
-    def fresh():
-        return GridReport('ves:{"k": 1.0}', *map(tuple, zip(*cells)) if cells else [()] * 7,
-                          summary=summary)
-
-    json_first, csv_first = fresh(), fresh()
+def test_templates_write_what_json_and_the_row_emitter_write(pieces, summary):
+    """Each format of a grid-shaped report writes, row by row, what json
+    and the CSV's row-by-row emitter write for the report's cells in (u,
+    v) order; and the report's row tuples are those rows."""
+    json_first, csv_first = grid_report(pieces, summary), grid_report(pieces, summary)
     json_text = harness.emit_grid_report(json_first, "json")
     csv_text = harness.emit_grid_report(csv_first, "csv")
     # each format writes the same bytes on a report the other has emitted
     assert harness.emit_grid_report(json_first, "csv") == csv_text
     assert harness.emit_grid_report(csv_first, "json") == json_text
+    rows = rows_of(pieces)
+    assert repr(report_rows(json_first)) == repr(tuple(GridRow(*row) for row in rows))
     payload = {"model": json_first.model,
-               "rows": [{"u": r.u, "v": r.v, "f": r.f, "K": r.K, "H": r.H,
-                         "valid": r.valid, "sign": r.sign} for r in report_rows(json_first)],
+               "rows": [dict(zip(("u", "v", "f", "K", "H", "valid", "sign"), row))
+                        for row in rows],
                "summary": summary}
     assert json_text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = ["u,v,f,K,H,valid,sign"] + [",".join(_cell(x) for x in row) for row in cells]
+    lines = ["u,v,f,K,H,valid,sign"] + [",".join(_cell(x) for x in row) for row in rows]
     assert csv_text == "\n".join(lines) + "\n"
 
 
@@ -613,6 +654,38 @@ def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, c
     assert got == want
 
 
+def test_sweep_evaluates_only_cells_in_the_domain(monkeypatch):
+    """The batch closed forms and evaluators check no domain, so ``_sweep``
+    must hand ``evaluate`` only cells in the domain: on a VES grid with
+    rho < 1 and on verify batches that mix trials with every cell in their
+    domain and trials with some cells off it, each cell that ``evaluate``
+    sees, with its parameters, is in the domain by the point path's test,
+    and it sees each cell in the domain once."""
+    sweep, calls, masks = harness._sweep, [], []
+
+    def recording(in_domain, evaluate, records, us, vs):
+        def recorded(p, u, v):
+            calls.append((p, u, v))
+            return evaluate(p, u, v)
+        mask, values = sweep(in_domain, recorded, records, us, vs)
+        masks.append(mask)
+        return mask, values
+
+    monkeypatch.setattr(harness, "_sweep", recording)
+    harness.build_grid_report(models.ves_validate(1, 0.5, 0.1, 2), GridSpec(0.1, 10, 0.1, 10, 6, 6))
+    assert not masks[0].all()
+    harness.run_verify_theorem1(2 * harness.VERIFY_BATCH_TRIALS, 0, harness.DEFAULT_GRID)
+    assert any(m.all(axis=(1, 2)).any() and not m.all() for m in masks[1:])
+    names = list(vars(models.ves_validate(1, 0.5, 0.5, 1)))
+    cells = 0
+    for p, u, v in calls:
+        columns = np.broadcast_arrays(u, v, *(getattr(p, name) for name in names))
+        for u_k, v_k, *values in zip(*(x.reshape(-1).tolist() for x in columns)):
+            assert models.ves_domain_valid(models.VesParams(*values), u_k, v_k, strict=False)
+            cells += 1
+    assert cells == sum(int(m.sum()) for m in masks)
+
+
 def _peak_bytes(run) -> int:
     """The most memory that tracemalloc saw ``run()`` hold at once."""
     tracemalloc.start()
@@ -638,7 +711,7 @@ def test_verify_batch_peak_memory_within_bound_of_stacked(name, trials, bound):
     family = harness.FAMILIES[name]
     records = [p for _, p in family.trials(trials, 0)]
     assert len(records) == harness.VERIFY_BATCH_TRIALS
-    us, vs = harness._grid_points(harness.DEFAULT_GRID)
+    us, vs = grid_points(harness.DEFAULT_GRID)
     masks = [family.domain_valid(p, us, vs) for p in records]
 
     def stacked():
