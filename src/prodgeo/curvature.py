@@ -124,7 +124,7 @@ def ves_denf(p: VesParams, u: Slot, v: Slot) -> Slot:
     """The denominator base Den_F of the VES curvature, a non-negative and
     a positive summand on the domain, in floats too: each is a product of
     non-negative factors.  Their sum can still underflow to 0.0.  A batch
-    checks no domain: its cells must lie in it."""
+    checks no domain: a cell off it gets an unspecified value."""
     a1, a2 = _ves_denf_terms(p, u, v, _ves_aggregate(p, u, v))
     return _positive("Den_F", a1 + a2, u, v)
 
@@ -132,7 +132,7 @@ def ves_denf(p: VesParams, u: Slot, v: Slot) -> Slot:
 @_closed_form
 def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
     """Gaussian curvature of the VES surface, closed form; a batch checks
-    no domain, and its cells must lie in it:
+    no domain, and a cell off it gets an unspecified value:
 
         K = beta*(delta-1)*delta^2*k^2*rho*(beta*rho-1)
             * u^(2*(beta*delta*rho + delta + 1))
@@ -218,7 +218,7 @@ def _kad_t2(p: KadiyalaParams, u_b1: Slot, u_b2: Slot, v_b1: Slot, v_b2: Slot) -
 @_closed_form
 def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """First curvature factor; vanishes identically iff delta = 1.  A
-    batch checks no domain: its cells must lie in it."""
+    batch checks no domain: a cell off it gets an unspecified value."""
     _check_positive(u, v)
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
@@ -230,7 +230,7 @@ def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
 def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Second curvature factor; vanishes identically iff the parameters
     describe a perfect-substitutes function.  A batch checks no domain:
-    its cells must lie in it."""
+    a cell off it gets an unspecified value."""
     _check_positive(u, v)
     return _kad_t2(p, u ** p.beta1, u ** p.beta2, v ** p.beta1, v ** p.beta2)
 
@@ -267,7 +267,7 @@ def kadiyala_deng(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
     product of factors whose signs the parameter constraints fix, so
     each A_i >= 0 and the sum > 0 on the open first quadrant.  A batch
-    checks no domain: its cells must lie in it."""
+    checks no domain: a cell off it gets an unspecified value."""
     _check_positive(u, v)
     return _kad_deng(p, u, v, _kad_powers(p, u, v))
 
@@ -279,7 +279,7 @@ def kadiyala_curvature_closed(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
     Each power of u, v and the inner sum is computed once and shared by
     the three factors, in the order and with the errors of kadiyala_deng,
     kadiyala_T1 and kadiyala_T2 called in turn.  A batch checks no
-    domain: its cells must lie in it."""
+    domain: a cell off it gets an unspecified value."""
     _check_positive(u, v)
     w = _named("kadiyala_deng", u, v, _kad_powers, p, u, v)
     den = _kad_deng(p, u, v, w)

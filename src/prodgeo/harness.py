@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import curvature, jets, models, surface
 from .curvature import DevelopabilityReason
 from .errors import InvalidSpecError, ProdGeoError
-from .jets import POINT, Slot, np
+from .jets import Slot, np
 from .models import KadiyalaParams, VesParams
 from .surface import SignClass
 
@@ -388,45 +388,37 @@ def _sweep(in_domain: Callable, evaluate: Callable, records: list,
            us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Which cells of the grid us × vs lie in the domain (``in_domain``)
     of each parameter set of ``records``, as a (trial, u, v) mask, and the
-    values ``evaluate`` reports at those cells, 1-d in (trial, u, v) order.
-    ``evaluate(p, u, v)`` returns the values that the point path checks
-    and the values to report.
-
-    Where every cell is in its trial's domain, ``evaluate`` sees the grid's
-    axes and ``_trial_columns``.  Otherwise it sees the cells in the
-    domain alone, gathered in (trial, u, v) order into 1-d u, v and
-    parameter columns; numpy's power gives a gathered cell the bits it
-    has on the layout.  One record keeps its floats as parameters.
+    values ``evaluate`` reports, laid out as the mask.  ``evaluate(p, u,
+    v)`` returns the values that the point path checks and the values to
+    report.  It sees the grid's axes, a (1, n_u, 1) u and a (1, 1, n_v) v,
+    and ``_trial_columns``; one record keeps its floats.  It runs at every
+    cell, so a value off the domain is unspecified: each reader takes the
+    values under the mask.
 
     A batch raises nothing: it leaves a checked value not finite at each
-    cell where the point path would raise.  One sum per checked value
-    clears a batch with no such cell.  Otherwise each flagged cell, in
-    order, runs again on the point path, with floats and its trial's
-    record: the first that raises raises its error, naming its point, and
-    one that passes reports the point path's values."""
+    cell where the point path would raise.  One sum per checked value over
+    the cells in the domain clears a batch with no such cell.  Otherwise
+    each flagged cell in the domain, in (trial, u, v) order, runs again on
+    the point path, with floats and its trial's record: the first that
+    raises raises its error, naming its point, and one that passes reports
+    the point path's values."""
     u, v = us[None, :, None], vs[None, None, :]
     p = _trial_columns(records) if len(records) > 1 else records[0]
     mask = np.broadcast_to(in_domain(p, u, v), (len(records), len(us), len(vs)))
-    if not mask.all():
-        def gather(x):
-            return np.broadcast_to(x, mask.shape)[mask]
-        if len(records) > 1:
-            p = SimpleNamespace(**{name: gather(x) for name, x in vars(p).items()})
-        u, v = gather(u), gather(v)
+    where = True if mask.all() else mask
     checked, values = evaluate(p, u, v)
-    if not math.isfinite(sum(x if isinstance(x, POINT) else x.sum() for x in checked)):
+    if not math.isfinite(sum(np.sum(np.broadcast_to(x, mask.shape), where=where)
+                             for x in checked)):
         finite = functools.reduce(np.logical_and, map(np.isfinite, checked))
-        failed = np.flatnonzero(~np.broadcast_to(finite, values[0].shape))
-        for k, cell in zip(failed, np.flatnonzero(mask)[failed]):
-            t, i, j = np.unravel_index(cell, mask.shape)
+        for t, i, j in zip(*np.nonzero(mask & ~finite)):
             point = us.item(i), vs.item(j)
             try:
                 _, at = evaluate(records[t], *point)
             except (ProdGeoError, ArithmeticError) as exc:
                 raise name_point(exc, *point)
             for x, y in zip(values, at):
-                x.flat[k] = y
-    return mask, tuple(x.reshape(-1) for x in values)
+                x[t, i, j] = y
+    return mask, values
 
 
 def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
@@ -454,6 +446,7 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
     # Overflow to inf or NaN is what the program's checks report, cell by cell.
     with np.errstate(all="ignore"):
         mask, values = _sweep(in_domain, evaluate, [params], us, vs)
+        values = tuple(x[mask] for x in values)
         max_abs_k = max(np.abs(values[1]).tolist(), default=0.0)
         classes = surface.classify_sign(values[1], max_abs_k, tol_K)
     f_valid = values[0].tolist()
@@ -544,6 +537,8 @@ class VerifySummary:
     passes: int = 0
     failures: list[str] = field(default_factory=list)
     worst_closed_vs_autodiff: float = 0.0
+    #: trials with no grid point in their domain: neither passed nor failed
+    no_domain: int = 0
 
     @property
     def ok(self) -> bool:
@@ -551,8 +546,9 @@ class VerifySummary:
 
     def describe(self) -> str:
         status = "PASS" if self.ok else "FAIL"
+        no_domain = f", {self.no_domain} with no point in the domain" if self.no_domain else ""
         lines = [f"{self.theorem}: {status} "
-                 f"({self.passes}/{self.trials} trials passed; "
+                 f"({self.passes}/{self.trials} trials passed{no_domain}; "
                  f"worst closed-vs-autodiff relative deviation "
                  f"{self.worst_closed_vs_autodiff:.3e})"]
         lines.extend(f"  {msg}" for msg in self.failures[:20])
@@ -563,10 +559,10 @@ class VerifySummary:
 
 #: Verify trials per batch: 6 400 points on the default grid.  Larger
 #: batches run faster, but a run's peak memory grows with them: by
-#: tracemalloc, a default-grid batch of 16 peaks at about 168 bytes a
-#: point for Kadiyala, which keeps u and v as axes, and 187 for VES,
-#: which gathers the cells in its trials' domains (1.1 and 1.2 MB); the
-#: same trials stacked point by point take 337 and 186.
+#: tracemalloc, a default-grid batch of 16, which keeps u and v as axes
+#: and evaluates every cell, peaks at about 168 bytes a point for
+#: Kadiyala and 131 for VES (1.1 and 0.84 MB); the same trials stacked
+#: point by point over the cells in their domains take 337 and 186.
 VERIFY_BATCH_TRIALS = 16
 
 
@@ -582,28 +578,22 @@ def _curvatures(family: ModelFamily, p, u: np.ndarray, v: np.ndarray):
     return (*checked, K_closed), (K, K_closed)
 
 
-def _laid_out(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """The values ``cells`` at mask's cells, in order, laid out as mask
-    is, with 0.0 at the other cells."""
-    if mask.all():
-        return cells.reshape(mask.shape)
-    out = np.zeros(mask.shape)
-    out[mask] = cells
-    return out
-
-
 def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
                 tol_K: float) -> VerifySummary:
     """Randomized check of a family's theorem.  Each trial compares
     closed-form K with autodiff K at the grid points inside its domain and
-    holds them to the theorem's verdict for its parameters.
+    holds them to the theorem's verdict for its parameters.  A trial with
+    no grid point in its domain is counted apart, and a run where every
+    trial has none raises ProdGeoError naming the grid.
 
     Trials are drawn one at a time and run VERIFY_BATCH_TRIALS at a time
     as one ``_sweep`` of the grid, and ``_judge`` judges a batch's trials
-    together, with K laid out as (trial, u, v).  A batch that fails
+    together, with K laid out as (trial, u, v) and read under the domain
+    mask, since K off the domain is unspecified.  A batch that fails
     raises the error its first failing point raises on its own, a closed
-    form's denominator check among them: ``_sweep`` takes the cells trial
-    by trial, so that point is the first failing trial's first."""
+    form's denominator check among them: ``_sweep`` replays the cells in
+    (trial, u, v) order, so that point is the first failing trial's
+    first."""
     out = VerifySummary(theorem=family.theorem)
     us, vs = _grid_axes(grid)
     draws = family.trials(trials, seed)
@@ -611,16 +601,20 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
         out.trials += len(batch)
         # Overflow to inf or NaN is what the program's checks report.
         with np.errstate(all="ignore"):
-            mask, cells = _sweep(family.domain_valid, functools.partial(_curvatures, family),
-                                 [p for _, p in batch], us, vs)
-            K, K_closed = (_laid_out(mask, x) for x in cells)
+            mask, (K, K_closed) = _sweep(family.domain_valid,
+                                         functools.partial(_curvatures, family),
+                                         [p for _, p in batch], us, vs)
             dev = _rel_dev(K_closed, K)
             out.worst_closed_vs_autodiff = float(np.fmax.reduce(
                 dev, axis=None, initial=out.worst_closed_vs_autodiff, where=mask))
             failures = _judge(batch, [family.verdict(p).expect for _, p in batch],
                               us, vs, mask, K, K_closed, dev, tol_K)
-        out.failures.extend(filter(None, failures))
-        out.passes += failures.count(None)
+        judged = [f for f, some in zip(failures, mask.any(axis=(1, 2)).tolist()) if some]
+        out.no_domain += len(batch) - len(judged)
+        out.failures.extend(filter(None, judged))
+        out.passes += judged.count(None)
+    if out.trials and out.no_domain == out.trials:
+        raise ProdGeoError(f"no trial has a point of the grid {grid} in its domain")
     return out
 
 

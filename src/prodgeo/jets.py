@@ -36,9 +36,10 @@ not finite.  A batch checks nothing, its seeds and constants included:
 inf and NaN travel on to the result, and ``powr`` writes NaN into the
 value wherever its float form raises (a base not in (0, inf), or a power
 that is not finite), since inf ** -p is 0.0 and would hide the inf before
-it.  So each row of a batch whose float form raises is left with a slot
-that is not finite, and ``harness._sweep`` replays such rows on the
-one-point path, which raises the point's own error.  numpy's warnings
+it.  So each cell of a batch whose float form raises is left with a slot
+that is not finite, and ``harness._sweep`` replays such cells on the
+one-point path, which raises the point's own error; it reads the batch
+under its domain mask, so a cell off the domain is never replayed.  numpy's warnings
 on overflow are the caller's to silence (``np.errstate``), as
 ``harness`` does.
 

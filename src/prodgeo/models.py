@@ -15,7 +15,8 @@ pass; plain-float evaluation falls out by seeding constants.  Inputs
 are one point's floats or a batch's ndarrays (see ``jets``), and domain
 tests then hold element by element.  A point outside the domain raises
 an error that names it; a batch raises nothing, and its jet is not finite
-at each point that would raise, as the ops leave it (see ``jets``).
+at each point in the domain that would raise, as the ops leave it (see
+``jets``); its values off the domain are unspecified.
 """
 
 from __future__ import annotations

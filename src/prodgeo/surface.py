@@ -17,7 +17,8 @@ convention; N itself is not computed.  A jet whose slots are ndarrays
 gives forms, K and H element by element, with the bits the one-point
 computation gives on the same slots.  A point raises where its jet is not
 finite or W^2 overflows; a batch checks nothing, and leaves W^2 inf at
-each point that would raise (see ``harness._sweep``).
+each point that would raise, which ``harness._sweep`` replays where it
+lies in the domain.
 """
 
 from __future__ import annotations

@@ -234,6 +234,8 @@ DEEP_GRID = ("grid", "--params", DEEP)
 PARAMS_FILES = {"five.json": "5", "null.json": "null"}
 NUMBER_FILE = ("classify", "--params", "five.json")
 NULL_FILE = ("eval", "--model", "kadiyala", "--params", "null.json", "--point", "1,1")
+#: a verify run whose one trial has no grid point in its domain
+NO_DOMAIN = ("verify-t1", "--trials", "1", "--seed", "4", "--grid", "10,100,3,0.1,1,3")
 #: what the error line must name, where the input is finite but overflows
 NAMED = {
     CLOSED_FORM_OVERFLOW: "ves_curvature_closed overflows a float at (1e+100, 1e+100)",
@@ -257,6 +259,7 @@ NAMED = {
     DEEP_GRID: "error: --params is nested too deeply to read",
     NUMBER_FILE: "error: parameters must be a JSON object, got 5",
     NULL_FILE: "error: parameters must be a JSON object, got null",
+    NO_DOMAIN: "error: no trial has a point of the grid 10.0,100.0,3,0.1,1.0,3,log in its domain",
 }
 
 
@@ -291,6 +294,7 @@ NAMED = {
     NULL_FILE,
     DEEP_CLASSIFY,
     DEEP_GRID,
+    NO_DOMAIN,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     for name, text in PARAMS_FILES.items():

@@ -112,8 +112,8 @@ CASES = {
     "verify-t1-denf-underflow": ("verify-t1", "--trials", "1",
                                  "--grid", "1e-100,1e-99,2,1e-100,1e-99,2"),
     # runs of more trials than one batch of a verify run takes, and not a
-    # multiple of it: trials with no point in the domain between curved
-    # ones, and at the end; failing trials in the middle of a run; an
+    # multiple of it: trials with no point in the domain, counted apart,
+    # between curved ones and at the end; failing trials in the middle of a run; an
     # error that a later trial raises, after earlier trials passed
     "verify-t1-empty-trials": ("verify-t1", "--trials", "11", "--seed", "0",
                                "--grid", "10,100,3,0.1,1,3"),
@@ -168,7 +168,7 @@ GOLDEN = {
     "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",
     "verify-t2-power-overflow": "9813ed2fc2d4b034de2f5733a2db48a8dac361f3f930246ed2f5cba8cbd83d78",
     "verify-t2-product-overflow": "323554477491ebeb42e009c69d6ec1015a63b12848fb986b7c3d7ad4375e3122",
-    "verify-t1-empty-trials": "fd96fe95c21a4ce0c142b869211b045c9b8cec1a325992dfc28d0f2f0357003f",
+    "verify-t1-empty-trials": "230ec1832b516d45a899de6cdbf5d28060832d62f63450bc0f2fa1e3e1b9be50",
     "verify-t1-failing-trial": "aebc546b5eb494fa4d61ffdb81840e299c93e0c8c56b29ff2eeb10c714f864f3",
     "verify-t1-later-trial-raises": "1c1100315184be92e8382832173cb4613dbb676135bab2d6881d8b6c6c5d362b",
     "verify-t2-failing-trials": "9bfcaa43a3b22cbec1ad463fa635be3d787ba8b74bb84b5d1b68ff2959b4e5d4",

@@ -494,7 +494,9 @@ def reference_verify(family, trials, seed, grid, tol_K):
     a checked value is not finite runs again on the point path (the first
     that raises raises its error, its message ending in the point unless
     it names it; one that passes gives the point path's K), then the
-    checks point by point and the verdict over a list."""
+    checks point by point and the verdict over a list.  A trial with no
+    point in its domain is counted apart, and a run of such trials alone
+    raises."""
     out = harness.VerifySummary(theorem=family.theorem)
     grid_points = sample_grid(grid)
     for label, p in family.trials(trials, seed):
@@ -502,6 +504,9 @@ def reference_verify(family, trials, seed, grid, tol_K):
         problems = []
         ks = []
         points = [(u, v) for u, v in grid_points if family.domain_valid(p, u, v)]
+        if not points:
+            out.no_domain += 1
+            continue
         finite, ks_ad, ks_closed = _trial_batch(family, p, points)
         for n, (u, v) in enumerate(points):
             if finite[n]:
@@ -545,6 +550,8 @@ def reference_verify(family, trials, seed, grid, tol_K):
                 + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""))
         else:
             out.passes += 1
+    if out.trials and out.no_domain == out.trials:
+        raise ProdGeoError(f"no trial has a point of the grid {grid} in its domain")
     return out
 
 
@@ -591,7 +598,7 @@ def _outcome(run, *args):
         out = run(*args)
     except (ProdGeoError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    return (out.trials, out.passes, out.failures,
+    return (out.trials, out.passes, out.no_domain, out.failures,
             math.copysign(1.0, out.worst_closed_vs_autodiff),
             out.worst_closed_vs_autodiff.hex())
 
@@ -654,36 +661,77 @@ def test_verify_matches_point_by_point_engine(family, seed, trials, spec, tol, c
     assert got == want
 
 
-def test_sweep_evaluates_only_cells_in_the_domain(monkeypatch):
-    """The batch closed forms and evaluators check no domain, so ``_sweep``
-    must hand ``evaluate`` only cells in the domain: on a VES grid with
-    rho < 1 and on verify batches that mix trials with every cell in their
-    domain and trials with some cells off it, each cell that ``evaluate``
-    sees, with its parameters, is in the domain by the point path's test,
-    and it sees each cell in the domain once."""
-    sweep, calls, masks = harness._sweep, [], []
+#: what a poisoned ``evaluate`` writes into the cells off the domain, in turn
+POISON = np.array([np.nan, np.inf, -np.inf, 1e300, -2.5, 0.0])
 
-    def recording(in_domain, evaluate, records, us, vs):
-        def recorded(p, u, v):
-            calls.append((p, u, v))
-            return evaluate(p, u, v)
-        mask, values = sweep(in_domain, recorded, records, us, vs)
-        masks.append(mask)
-        return mask, values
 
-    monkeypatch.setattr(harness, "_sweep", recording)
-    harness.build_grid_report(models.ves_validate(1, 0.5, 0.1, 2), GridSpec(0.1, 10, 0.1, 10, 6, 6))
-    assert not masks[0].all()
-    harness.run_verify_theorem1(2 * harness.VERIFY_BATCH_TRIALS, 0, harness.DEFAULT_GRID)
-    assert any(m.all(axis=(1, 2)).any() and not m.all() for m in masks[1:])
-    names = list(vars(models.ves_validate(1, 0.5, 0.5, 1)))
-    cells = 0
-    for p, u, v in calls:
-        columns = np.broadcast_arrays(u, v, *(getattr(p, name) for name in names))
-        for u_k, v_k, *values in zip(*(x.reshape(-1).tolist() for x in columns)):
-            assert models.ves_domain_valid(models.VesParams(*values), u_k, v_k, strict=False)
-            cells += 1
-    assert cells == sum(int(m.sum()) for m in masks)
+def _poisoned_sweep(sweep, masks):
+    """``sweep`` whose ``evaluate``, on a batch, returns each value it
+    checks and reports laid out as the (trial, u, v) mask, with NaN, ±inf
+    and finite garbage (``POISON`` in turn, from a different start in
+    each value) in every cell off the mask, and appends the mask to
+    ``masks``."""
+    def poisoned(in_domain, evaluate, records, us, vs):
+        shape = (len(records), len(us), len(vs))
+
+        def evaluate_poisoned(p, u, v):
+            checked, values = evaluate(p, u, v)
+            if isinstance(u, float):  # a replay on the point path
+                return checked, values
+            mask = np.broadcast_to(in_domain(p, u, v), shape)
+            masks.append(mask)
+
+            def poison(x, start):
+                x = np.array(np.broadcast_to(x, shape))
+                x[~mask] = np.resize(np.roll(POISON, start), np.count_nonzero(~mask))
+                return x
+            return (tuple(map(poison, checked, range(len(checked)))),
+                    tuple(map(poison, values, range(1, len(values) + 1))))
+        return sweep(in_domain, evaluate_poisoned, records, us, vs)
+    return poisoned
+
+
+def _grid_outcome(params, spec):
+    """A grid report's CSV and JSON, or the error it raises."""
+    try:
+        report = harness.build_grid_report(params, spec)
+    except (ProdGeoError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return harness.emit_grid_report(report, "csv"), harness.emit_grid_report(report, "json")
+
+
+OFF_DOMAIN_RUNS = {
+    # a VES grid with rho < 1, cells off the domain in most rows
+    "grid": lambda: _grid_outcome(models.ves_validate(1, 0.5, 0.1, 2),
+                                  GridSpec(0.1, 10, 0.1, 10, 6, 6)),
+    # a grid whose first cell is off the domain, failing at a later cell
+    "grid-raises": lambda: _grid_outcome(models.ves_validate(1, 0.4, 0.6, 1.3),
+                                         GridSpec(1e-231, 1e231, 1e-276, 1e-157, 3, 3)),
+    # two batches, each mixing trials with every cell in their domain and
+    # trials with cells off it
+    "verify-t1": lambda: _outcome(harness.run_verify_theorem1,
+                                  2 * harness.VERIFY_BATCH_TRIALS, 0),
+    # trials with no point in the domain between curved trials and at the end
+    "verify-t1-no-domain": lambda: _outcome(harness.run_verify_theorem1, 11, 0,
+                                            GridSpec(10, 100, 0.1, 1, 3, 3)),
+    # trial 0's first cell is off its domain, and a later point fails
+    "verify-t1-raises": lambda: _outcome(harness.run_verify_theorem1, 2, 102,
+                                         GridSpec(111, 5.82e287, 6.02, 1.65e126, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_DOMAIN_RUNS))
+def test_cells_off_the_domain_reach_no_report_verdict_or_replay(monkeypatch, name):
+    """``evaluate`` runs at every cell of the grid, so its values off the
+    domain are unspecified: with NaN, ±inf and finite garbage written
+    there, a grid report's CSV and JSON, a verify run's summary, and the
+    error either raises are the unpoisoned run's."""
+    want, masks = OFF_DOMAIN_RUNS[name](), []
+    monkeypatch.setattr(harness, "_sweep", _poisoned_sweep(harness._sweep, masks))
+    assert OFF_DOMAIN_RUNS[name]() == want
+    assert not all(m.all() for m in masks)  # some cell was poisoned
+    if name == "verify-t1":
+        assert len(masks) == 2 and all(m.all(axis=(1, 2)).any() and not m.all() for m in masks)
 
 
 def _peak_bytes(run) -> int:
@@ -704,10 +752,11 @@ def test_verify_batch_peak_memory_within_bound_of_stacked(name, trials, bound):
     """One default-grid batch of VERIFY_BATCH_TRIALS trials peaks below
     ``bound`` times the bytes that the same trials need stacked point by
     point over the cells in their domains, with 1-d parameter columns; a
-    batch's size is set by this peak.  A Kadiyala batch keeps u and v as
-    axes (measured: 168 against 337 bytes a point).  A VES batch gathers
-    its cells in the domain into the same arrays as the stacked trials,
-    and holds no index arrays beside them (measured: 187 against 186)."""
+    batch's size is set by this peak.  A batch keeps u and v as axes and
+    evaluates every cell, in the domain or not (measured, in bytes per
+    cell of the batch: Kadiyala 168 against 337 stacked; VES, whose
+    stacked trials hold only the 5 690 of 6 400 cells in their domains,
+    131 against 186)."""
     family = harness.FAMILIES[name]
     records = [p for _, p in family.trials(trials, 0)]
     assert len(records) == harness.VERIFY_BATCH_TRIALS
