@@ -5,9 +5,8 @@ Kadiyala families."""
 
 from .curvature import (DevelopabilityReason, DevelopabilityVerdict,
                         ReturnsToScale, kadiyala_curvature_closed,
-                        kadiyala_deng, kadiyala_is_developable, kadiyala_T1,
-                        kadiyala_T2, returns_to_scale, ves_curvature_closed,
-                        ves_denf, ves_theorem_verdict)
+                        kadiyala_is_developable, returns_to_scale,
+                        ves_curvature_closed, ves_theorem_verdict)
 from .errors import (ConstraintViolation, DomainError, InvalidSpecError,
                      NonFiniteError, NonPositiveInputError, ProdGeoError,
                      SingularPointError)

@@ -35,19 +35,24 @@ def _load_params(args):
     if text is None:
         raise ProdGeoError("--params is required for this command")
     if not text.lstrip().startswith("{"):
-        with open(text) as file:
-            text = file.read()
+        try:
+            with open(text) as file:
+                text = file.read()
+        except OSError as exc:
+            raise ProdGeoError(f"--params file cannot be read: {exc}") from None
     try:
         return harness.FAMILIES[args.model].params_from_json(text)
     except RecursionError:  # json's reader and writer recurse per level of nesting
         raise ProdGeoError("--params is nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise ProdGeoError(f"--params is not valid JSON: {exc}") from None
 
 
 def _parse_point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ProdGeoError(f"--point must be 'u,v', got {text!r}")
-    u, v = float(parts[0]), float(parts[1])
+    try:
+        u, v = map(float, text.split(","))
+    except ValueError:  # not two parts, or a part that is not a number
+        raise ProdGeoError(f"--point must be 'u,v', got {text!r}") from None
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ProdGeoError(f"--point must be finite, got {text!r}")
     return u, v

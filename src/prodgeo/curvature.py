@@ -2,10 +2,12 @@
 
 These are the explicit factorizations behind the two developability
 results: for VES the curvature is a single signed product over the
-square of a strictly positive denominator, so its sign is decided by
-the returns-to-scale parameter alone; for Kadiyala the curvature splits
-as T1*T2/Den_G^2, and developability is equivalent to one of the two
-factors vanishing identically.
+square of a strictly positive denominator Den_F, so its sign is decided
+by the returns-to-scale parameter alone; for Kadiyala the curvature
+splits as T1*T2/Den_G^2, and developability is equivalent to one of the
+two factors vanishing identically.  Each family has one public closed
+form, ``ves_curvature_closed`` and ``kadiyala_curvature_closed``; Den_F,
+T1, T2 and Den_G are private parts of it, each computed once.
 
 Long hand-derived expressions are the primary transcription risk, so
 the tests prove each form once against the Monge curvature of the model
@@ -25,14 +27,15 @@ along its second and v along its third, so a power of u alone is taken
 once per trial and value of u.
 
 On a point, a power that overflows a float, and a K that comes out inf
-or NaN, raise NonFiniteError; Den_F <= 0, Den_G <= 0 and a negative
-Den_G summand raise SingularPointError; each names the quantity and the
-point.  A batch raises nothing: Den_F and Den_G are NaN wherever they
-are not in (0, inf) or a Den_G summand is negative, so that K is not
-finite at each point in the domain that would raise, for
-``harness._sweep`` to replay on the point path.  A denominator is also
-NaN where it overflows, since numpy's power gives inf where a float's
-raises and K = num/inf would read 0.
+or NaN, raise one NonFiniteError naming the form and the point; Den_F <=
+0, Den_G <= 0 and a negative Den_G summand raise SingularPointError
+where they are computed, naming the quantity and the point.  A batch
+raises nothing: Den_F and Den_G are NaN wherever they are not in (0,
+inf) or a Den_G summand is negative, so that K is not finite at each
+point in the domain that would raise, for ``harness._sweep`` to replay
+on the point path.  A denominator is also NaN where it overflows, since
+numpy's power gives inf where a float's raises and K = num/inf would
+read 0.
 """
 
 from __future__ import annotations
@@ -60,34 +63,26 @@ def returns_to_scale(delta: float) -> ReturnsToScale:
     return ReturnsToScale.INCREASING if delta > 1.0 else ReturnsToScale.DECREASING
 
 
-def _overflow(name: str, u: float, v: float) -> NonFiniteError:
-    return NonFiniteError(f"{name} overflows a float at ({u}, {v})")
-
-
 def _closed_form(formula):
     """The closed form ``formula``, written for a point, on a point or a
     batch.  It holds the formula itself, so a wrapper bound to the public
     name (a tracer, a test's monkeypatch) is entered once per call.
 
-    On a point, a float's ``**`` that overflows raises NonFiniteError,
-    naming the form and the point."""
+    On a point, a float's ``**`` that overflows, and a K that comes out
+    inf or NaN, as an overflow in a product or quotient of finite terms
+    can leave it, raise NonFiniteError, naming the form and the point."""
     @functools.wraps(formula)
     def form(p, u: Slot, v: Slot) -> Slot:
-        if isinstance(u, POINT):
-            try:
-                return formula(p, u, v)
-            except OverflowError:
-                raise _overflow(formula.__name__, u, v) from None
-        return formula(p, u, v)
+        if not isinstance(u, POINT):
+            return formula(p, u, v)
+        try:
+            K = formula(p, u, v)
+        except OverflowError:
+            K = math.nan
+        if K - K == 0.0:  # only inf and NaN give NaN
+            return K
+        raise NonFiniteError(f"{formula.__name__} overflows a float at ({u}, {v})")
     return form
-
-
-def _finite_K(name: str, K: Slot, u: Slot, v: Slot) -> Slot:
-    """K; on a point, raises unless it is finite, as an overflow in a
-    product or quotient of finite terms can leave it."""
-    if isinstance(K, POINT) and K - K != 0.0:  # only inf and NaN give NaN
-        raise _overflow(name, u, v)
-    return K
 
 
 def _positive(name: str, den: Slot, u: Slot, v: Slot, summands=()) -> Slot:
@@ -119,13 +114,12 @@ def _ves_denf_terms(p: VesParams, u: Slot, v: Slot, agg: Slot) -> list[Slot]:
             agg ** 2 * u ** (2.0 * b * d * r + 2.0)]
 
 
-@_closed_form
-def ves_denf(p: VesParams, u: Slot, v: Slot) -> Slot:
-    """The denominator base Den_F of the VES curvature, a non-negative and
-    a positive summand on the domain, in floats too: each is a product of
-    non-negative factors.  Their sum can still underflow to 0.0.  A batch
-    checks no domain: a cell off it gets an unspecified value."""
-    a1, a2 = _ves_denf_terms(p, u, v, _ves_aggregate(p, u, v))
+def _ves_denf(p: VesParams, u: Slot, v: Slot, agg: Slot) -> Slot:
+    """The denominator base Den_F of the VES curvature at agg = (rho-1)*u
+    + v, a non-negative and a positive summand on the domain, in floats
+    too: each is a product of non-negative factors.  Their sum can still
+    underflow to 0.0."""
+    a1, a2 = _ves_denf_terms(p, u, v, agg)
     return _positive("Den_F", a1 + a2, u, v)
 
 
@@ -143,9 +137,9 @@ def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
     num = (b * (d - 1.0) * d * d * k * k * r * (b * r - 1.0)
            * u ** (2.0 * (b * d * r + d + 1.0))
            * agg ** (2.0 * b * d * r + 2.0))
-    den = ves_denf(p, u, v)
+    den = _ves_denf(p, u, v, agg)
     # Divide twice rather than squaring den, which can overflow first.
-    return _finite_K("ves_curvature_closed", num / den / den, u, v)
+    return num / den / den
 
 
 def ves_theorem_verdict(p: VesParams) -> tuple[ReturnsToScale, SignClass]:
@@ -162,15 +156,6 @@ def ves_theorem_verdict(p: VesParams) -> tuple[ReturnsToScale, SignClass]:
 
 
 # --- Kadiyala --------------------------------------------------------------
-
-def _named(name: str, u: Slot, v: Slot, compute, *args):
-    """compute(*args), with a float power's overflow in it named after the
-    closed form ``name``, as that form's own call names it."""
-    try:
-        return compute(*args)
-    except OverflowError:
-        raise _overflow(name, u, v) from None
-
 
 def _kad_inner(p: KadiyalaParams, u_s: Slot, u_b1: Slot, v_b2: Slot, v_s: Slot) -> Slot:
     """k1*u^s + 2*k2*u^beta1*v^beta2 + k3*v^s, s = beta1+beta2, from its powers."""
@@ -194,47 +179,6 @@ def _kad_powers(p: KadiyalaParams, u: Slot, v: Slot) -> tuple:
             v ** (2.0 * b2))
 
 
-def _kad_t1(p: KadiyalaParams, u_b1p2: Slot, v_b2p2: Slot, inner_t1: Slot) -> Slot:
-    """T1 from u^(beta1+2), v^(beta2+2) and inner^(2*delta/s + 2)."""
-    b1, b2, d = p.beta1, p.beta2, p.delta
-    bsum = b1 + b2
-    return bsum * bsum * (d - 1.0) * d * d * u_b1p2 * v_b2p2 * inner_t1
-
-
-def _kad_t2(p: KadiyalaParams, u_b1: Slot, u_b2: Slot, v_b1: Slot, v_b2: Slot) -> Slot:
-    """T2 from u^beta1, u^beta2, v^beta1 and v^beta2."""
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    b1, b2 = p.beta1, p.beta2
-    bsum = b1 + b2
-    return (bsum * k1 * u_b2
-            * (2.0 * (b2 - 1.0) * b2 * k2 * u_b1
-               + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
-               * k3 * v_b1)
-            - 2.0 * b1 * k2 * v_b2
-            * (2.0 * b2 * k2 * u_b1
-               - (b1 - 1.0) * bsum * k3 * v_b1))
-
-
-@_closed_form
-def kadiyala_T1(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
-    """First curvature factor; vanishes identically iff delta = 1.  A
-    batch checks no domain: a cell off it gets an unspecified value."""
-    _check_positive(u, v)
-    b1, b2, d = p.beta1, p.beta2, p.delta
-    bsum = b1 + b2
-    inner = _kad_inner(p, u ** bsum, u ** b1, v ** b2, v ** bsum)
-    return _kad_t1(p, u ** (b1 + 2.0), v ** (b2 + 2.0), inner ** (2.0 * d / bsum + 2.0))
-
-
-@_closed_form
-def kadiyala_T2(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
-    """Second curvature factor; vanishes identically iff the parameters
-    describe a perfect-substitutes function.  A batch checks no domain:
-    a cell off it gets an unspecified value."""
-    _check_positive(u, v)
-    return _kad_t2(p, u ** p.beta1, u ** p.beta2, v ** p.beta1, v ** p.beta2)
-
-
 def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot, w: tuple) -> list[Slot]:
     """Den_G's five summands, from ``_kad_powers``."""
     k1, k2, k3 = p.k1, p.k2, p.k3
@@ -256,40 +200,43 @@ def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot, w: tuple) -> list[Slot]
     ]
 
 
-def _kad_deng(p: KadiyalaParams, u: Slot, v: Slot, w: tuple) -> Slot:
+def _kad_factors(p: KadiyalaParams, u: Slot, v: Slot) -> tuple[Slot, Slot, Slot]:
+    """T1, T2 and Den_G, the factors of K = T1*T2/Den_G^2, with each power
+    of u, v and the inner sum computed once and shared.
+
+    T1 vanishes identically iff delta = 1, and T2 iff the parameters
+    describe a perfect-substitutes function.  Den_G = A1+A2+A3+A4+A5, each
+    A_i a product of factors whose signs the parameter constraints fix, so
+    each A_i >= 0 and the sum > 0 on the open first quadrant; it is
+    checked before T1's and T2's own powers are taken."""
+    _check_positive(u, v)
+    w = _kad_powers(p, u, v)
     terms = _kad_deng_terms(p, u, v, w)
     # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
-    return _positive("Den_G", sum(terms), u, v, terms)
-
-
-@_closed_form
-def kadiyala_deng(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
-    """Curvature denominator base Den_G = A1+A2+A3+A4+A5, each A_i a
-    product of factors whose signs the parameter constraints fix, so
-    each A_i >= 0 and the sum > 0 on the open first quadrant.  A batch
-    checks no domain: a cell off it gets an unspecified value."""
-    _check_positive(u, v)
-    return _kad_deng(p, u, v, _kad_powers(p, u, v))
+    den = _positive("Den_G", sum(terms), u, v, terms)
+    inner, _, _, u_b1, _, u_b1p2, _, v_b1, v_b2, _, _, v_b2p2, _, _ = w
+    k1, k2, k3 = p.k1, p.k2, p.k3
+    b1, b2, d = p.beta1, p.beta2, p.delta
+    bsum = b1 + b2
+    t1 = bsum * bsum * (d - 1.0) * d * d * u_b1p2 * v_b2p2 * inner ** (2.0 * d / bsum + 2.0)
+    t2 = (bsum * k1 * u ** b2
+          * (2.0 * (b2 - 1.0) * b2 * k2 * u_b1
+             + (b1 * b1 + (2.0 * b2 - 1.0) * b1 + (b2 - 1.0) * b2)
+             * k3 * v_b1)
+          - 2.0 * b1 * k2 * v_b2
+          * (2.0 * b2 * k2 * u_b1
+             - (b1 - 1.0) * bsum * k3 * v_b1))
+    return t1, t2, den
 
 
 @_closed_form
 def kadiyala_curvature_closed(p: KadiyalaParams, u: Slot, v: Slot) -> Slot:
-    """Gaussian curvature of the Kadiyala surface: K = T1*T2/Den_G^2.
-
-    Each power of u, v and the inner sum is computed once and shared by
-    the three factors, in the order and with the errors of kadiyala_deng,
-    kadiyala_T1 and kadiyala_T2 called in turn.  A batch checks no
-    domain: a cell off it gets an unspecified value."""
-    _check_positive(u, v)
-    w = _named("kadiyala_deng", u, v, _kad_powers, p, u, v)
-    den = _kad_deng(p, u, v, w)
-    inner, _, _, u_b1, _, u_b1p2, _, v_b1, v_b2, _, _, v_b2p2, _, _ = w
-    bsum = p.beta1 + p.beta2
-    t1 = _kad_t1(p, u_b1p2, v_b2p2,
-                 _named("kadiyala_T1", u, v, pow, inner, 2.0 * p.delta / bsum + 2.0))
-    t2 = _kad_t2(p, u_b1, _named("kadiyala_T2", u, v, pow, u, p.beta2), v_b1, v_b2)
+    """Gaussian curvature of the Kadiyala surface: K = T1*T2/Den_G^2, its
+    factors from ``_kad_factors``.  A batch checks no domain: a cell off
+    it gets an unspecified value."""
+    t1, t2, den = _kad_factors(p, u, v)
     # T1/den * T2/den keeps intermediates in range; den^2 can overflow.
-    return _finite_K("kadiyala_curvature_closed", (t1 / den) * (t2 / den), u, v)
+    return (t1 / den) * (t2 / den)
 
 
 class DevelopabilityReason(enum.Enum):

@@ -31,17 +31,20 @@ also take an array factor or exponent that broadcasts with the slots
 (one per point, or one per trial of a verify batch); ``scale``'s factor
 is never folded, so a zero weight keeps the NaN of 0 * inf.
 
-Every op on one point checks its six slots and raises for one that is
-not finite.  A batch checks nothing, its seeds and constants included:
-inf and NaN travel on to the result, and ``powr`` writes NaN into the
-value wherever its float form raises (a base not in (0, inf), or a power
-that is not finite), since inf ** -p is 0.0 and would hide the inf before
-it.  So each cell of a batch whose float form raises is left with a slot
-that is not finite, and ``harness._sweep`` replays such cells on the
-one-point path, which raises the point's own error; it reads the batch
-under its domain mask, so a cell off the domain is never replayed.  numpy's warnings
-on overflow are the caller's to silence (``np.errstate``), as
-``harness`` does.
+No op checks its slots, on a point or a batch, its seeds and constants
+included: inf and NaN travel on to the result, and no op turns a slot
+that is not finite into a finite jet, since a product with 0.0 gives
+NaN.  The one exception is ``powr``, which on a point raises for a base
+not in (0, inf) and for a power that overflows, and on a batch writes
+NaN into the value wherever its float form raises, since inf ** -p is
+0.0 and would hide the inf before it.  So a jet whose point would raise
+is left with a slot that is not finite, and is checked once, where it is
+read: ``surface.fundamental_forms`` raises for a point's, and
+``harness._sweep`` replays a batch's such cells on the one-point path,
+which raises the point's own error; it reads the batch under its domain
+mask, so a cell off the domain is never replayed.  numpy's warnings on
+overflow are the caller's to silence (``np.errstate``), as ``harness``
+does.
 
 numpy is a batch's dependency only.  ``np`` is numpy loaded lazily: it
 executes on its first attribute access, which a point never makes.
@@ -82,10 +85,8 @@ np = _lazy_import("numpy")
 POINT = (float, int)
 Slot = Union[float, "np.ndarray"]
 
-# Every op of every point ends in _checked, so it skips two Python-level
-# calls: math.isfinite bound once, and the tuple built without the
-# NamedTuple's generated __new__.
-_isfinite = math.isfinite
+# Every op builds its tuple without the NamedTuple's generated __new__,
+# which would add a Python-level call to each op on a point.
 _new_tuple = tuple.__new__
 
 
@@ -110,22 +111,10 @@ def _coerce(x) -> Jet2:
     raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
 
 
-def _checked(val, d1, d2, d11, d12, d22) -> Jet2:
-    """One point's jet; no-NaN policy: never let a non-finite jet escape
-    silently."""
-    if not (_isfinite(val) and _isfinite(d1) and _isfinite(d2)
-            and _isfinite(d11) and _isfinite(d12) and _isfinite(d22)):
-        raise NonFiniteError(
-            f"non-finite jet: val={val}, grad=({d1}, {d2}), "
-            f"hess=({d11}, {d12}, {d22})")
-    return _new_tuple(Jet2, (val, d1, d2, d11, d12, d22))
-
-
 def _leaf(x, d1: float, d2: float) -> Jet2:
     """The jet of x, a float or an ndarray, with gradient (d1, d2)."""
-    if isinstance(x, POINT):
-        return _checked(float(x), d1, d2, 0.0, 0.0, 0.0)
-    return _new_tuple(Jet2, (x.astype(float), d1, d2, 0.0, 0.0, 0.0))
+    val = float(x) if isinstance(x, POINT) else x.astype(float)
+    return _new_tuple(Jet2, (val, d1, d2, 0.0, 0.0, 0.0))
 
 
 def seed_u(u0) -> Jet2:
@@ -169,17 +158,13 @@ def _prod(x: Slot, y: Slot) -> Slot:
 
 
 # Each op tests its value slot for a point: a point's ops keep their float
-# expressions and check each result; a batch's fold and check nothing.
-# Sums are never folded: a 0.0 added to an array turns its -0.0 into 0.0,
-# as the float form's sum with the 0.0 product it stands for does, and a
-# K that underflows to zero keeps the sign the point path gives it.
+# expressions, and a batch's fold.  Sums are never folded: a 0.0 added to
+# an array turns its -0.0 into 0.0, as the float form's sum with the 0.0
+# product it stands for does, and a K that underflows to zero keeps the
+# sign the point path gives it.
 
 def add(a: Jet2, b: Jet2) -> Jet2:
-    val = a.val + b.val
-    if isinstance(val, POINT):
-        return _checked(val, a.d1 + b.d1, a.d2 + b.d2,
-                        a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22)
-    return _new_tuple(Jet2, (val, a.d1 + b.d1, a.d2 + b.d2,
+    return _new_tuple(Jet2, (a.val + b.val, a.d1 + b.d1, a.d2 + b.d2,
                              a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22))
 
 
@@ -188,22 +173,22 @@ def scale(a: Jet2, c: Slot) -> Jet2:
     broadcasts with a's slots."""
     val = c * a.val
     if isinstance(val, POINT):
-        return _checked(val, c * a.d1, c * a.d2,
-                        c * a.d11, c * a.d12, c * a.d22)
+        return _new_tuple(Jet2, (val, c * a.d1, c * a.d2,
+                                 c * a.d11, c * a.d12, c * a.d22))
     return _new_tuple(Jet2, (val, *(_times(c, s) for s in a[1:])))
 
 
 def mul(a: Jet2, b: Jet2) -> Jet2:
     val = a.val * b.val
     if isinstance(val, POINT):
-        return _checked(
+        return _new_tuple(Jet2, (
             val,
             a.d1 * b.val + a.val * b.d1,
             a.d2 * b.val + a.val * b.d2,
             a.d11 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d11,
             a.d12 * b.val + a.d1 * b.d2 + a.d2 * b.d1 + a.val * b.d12,
             a.d22 * b.val + 2.0 * a.d2 * b.d2 + a.val * b.d22,
-        )
+        ))
     return _new_tuple(Jet2, (
         val,
         _prod(a.d1, b.val) + _prod(a.val, b.d1),
@@ -217,14 +202,14 @@ def mul(a: Jet2, b: Jet2) -> Jet2:
 
 def _compose(a: Jet2, g: float, dg: float, ddg: float) -> Jet2:
     # Chain rule through second order for g(a), on one point.
-    return _checked(
+    return _new_tuple(Jet2, (
         g,
         dg * a.d1,
         dg * a.d2,
         ddg * a.d1 * a.d1 + dg * a.d11,
         ddg * a.d1 * a.d2 + dg * a.d12,
         ddg * a.d2 * a.d2 + dg * a.d22,
-    )
+    ))
 
 
 def _compose_batch(a: Jet2, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Jet2:
@@ -241,6 +226,8 @@ def _compose_batch(a: Jet2, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> J
 def _power(x: float, p: float) -> tuple[float, float, float]:
     if x <= 0.0:
         raise DomainError(f"powr requires a positive base, got {x}")
+    if not x < math.inf:  # inf ** -p is 0.0, and would hide the inf
+        raise NonFiniteError(f"powr requires a finite base, got {x}")
     try:
         return x ** p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0)
     except OverflowError:
@@ -256,7 +243,7 @@ def _power_elements(x: np.ndarray, p: Slot) -> tuple:
     dg = p * np.power(x, p - 1.0)
     ddg = p * (p - 1.0) * np.power(x, p - 2.0)
     if not (x.min(initial=math.inf) > 0.0 and x.max(initial=0.0) < math.inf
-            and _isfinite(g.sum() + dg.sum() + ddg.sum())):
+            and math.isfinite(g.sum() + dg.sum() + ddg.sum())):
         ok = ((x > 0.0) & (x < math.inf)
               & np.isfinite(g) & np.isfinite(dg) & np.isfinite(ddg))
         g = np.where(ok, g, math.nan)

@@ -14,9 +14,12 @@ sets can be checked once and relied on everywhere.  Evaluators take
 pass; plain-float evaluation falls out by seeding constants.  Inputs
 are one point's floats or a batch's ndarrays (see ``jets``), and domain
 tests then hold element by element.  A point outside the domain raises
-an error that names it; a batch raises nothing, and its jet is not finite
-at each point in the domain that would raise, as the ops leave it (see
-``jets``); its values off the domain are unspecified.
+an error that names it, and so does a power that ``jets.powr`` rejects;
+any other overflow leaves the point's jet not finite, for
+``surface.fundamental_forms`` to raise where it reads the jet.  A batch
+raises nothing, and its jet is not finite at each point in the domain
+that would raise, as the ops leave it (see ``jets``); its values off the
+domain are unspecified.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ curvatures, using the standard graph-surface formulas:
 h_ij are taken against the upward normal N, so H's sign rests on that
 convention; N itself is not computed.  A jet whose slots are ndarrays
 gives forms, K and H element by element, with the bits the one-point
-computation gives on the same slots.  A point raises where its jet is not
-finite or W^2 overflows; a batch checks nothing, and leaves W^2 inf at
-each point that would raise, which ``harness._sweep`` replays where it
-lies in the domain.
+computation gives on the same slots.  The jet ops check nothing, so the
+forms are where a point's jet is checked: a point raises where its jet is
+not finite or W^2 overflows.  A batch checks nothing, and leaves W^2 inf
+at each point whose W^2 would raise, which ``harness._sweep`` replays
+where it lies in the domain, as it does a point whose jet is not finite.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NonFiniteError
-from .jets import POINT, Jet2, Slot, _checked, np
+from .jets import POINT, Jet2, Slot, np
 
 DEFAULT_CURVATURE_TOL = 1e-9
 
@@ -60,13 +61,16 @@ def fundamental_forms(jet: Jet2) -> FundamentalForms:
 
     On a point, raises NonFiniteError for a non-finite slot and for slopes
     so steep that W^2 = 1 + f_u^2 + f_v^2 overflows (K would read 0 and H
-    NaN).  On a batch, W^2 (``det_first``) is inf at each such point.
+    NaN).  On a batch, W^2 (``det_first``) is inf where it overflows, and
+    the jet's own slots show where they are not finite.
     """
     fu, fv = jet.d1, jet.d2
     w2 = 1.0 + fu * fu + fv * fv
     if isinstance(jet.val, POINT):
         if not all(map(math.isfinite, jet)):
-            _checked(*jet)
+            val, d1, d2, d11, d12, d22 = jet
+            raise NonFiniteError(f"non-finite jet: val={val}, grad=({d1}, {d2}), "
+                                 f"hess=({d11}, {d12}, {d22})")
         if w2 == math.inf:
             raise NonFiniteError(f"1 + f_u^2 + f_v^2 overflows at slopes f_u={fu}, f_v={fv}")
         w = math.sqrt(w2)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from prodgeo import harness, jets, models
+from prodgeo import curvature, harness, jets, models
 from prodgeo.errors import ConstraintViolation, DomainError, SingularPointError
 from prodgeo.harness import GridReport, GridSpec
 from prodgeo.jets import Jet2
@@ -85,6 +85,11 @@ def ves_value(p: VesParams, u: float, v: float) -> float:
 
 def kadiyala_value(p: KadiyalaParams, u: float, v: float) -> float:
     return models.kadiyala_eval(p, jets.constant(u), jets.constant(v)).val
+
+
+def ves_denf(p: VesParams, u, v):
+    """Den_F, the private denominator base of curvature.ves_curvature_closed."""
+    return curvature._ves_denf(p, u, v, models._ves_aggregate(p, u, v))
 
 
 def ves_elasticity(p: VesParams, u: float, v: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import (as_scalar_field, assert_close, elasticity_oracle, fd_oracle,
                      kadiyala_normalized, kadiyala_value, sample_grid, tame_expression,
-                     ves_elasticity, ves_value)
+                     ves_denf, ves_elasticity, ves_value)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.errors import SingularPointError
 from prodgeo.surface import SignClass
@@ -143,13 +143,13 @@ def test_criterion_5_denominator_positivity():
         p = harness.random_ves_params(rng.randrange(2**31))
         for u, v in grid[:: 7]:
             if models.ves_domain_valid(p, u, v, strict=False):
-                assert curvature.ves_denf(p, u, v) > 0.0
+                assert ves_denf(p, u, v) > 0.0
     for s in range(40):
         p = harness.random_kadiyala_params(rng.randrange(2**31))
         for u, v in grid[:: 7]:
             terms = curvature._kad_deng_terms(p, u, v, curvature._kad_powers(p, u, v))
             assert all(t >= 0.0 for t in terms)
-            assert curvature.kadiyala_deng(p, u, v) > 0.0
+            assert curvature._kad_factors(p, u, v)[2] > 0.0
     report("criterion 5: Den_F > 0, Den_G > 0, all A_i >= 0", True)
 
 

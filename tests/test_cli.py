@@ -234,6 +234,10 @@ DEEP_GRID = ("grid", "--params", DEEP)
 PARAMS_FILES = {"five.json": "5", "null.json": "null"}
 NUMBER_FILE = ("classify", "--params", "five.json")
 NULL_FILE = ("eval", "--model", "kadiyala", "--params", "null.json", "--point", "1,1")
+#: input that cannot be read: the error names the option
+BAD_JSON = ("classify", "--params", "{bad")
+NO_FILE = ("classify", "--params", "nofile.json")
+WORD_POINT = ("eval", "--model", "ves", "--params", VES, "--point", "a,b")
 #: a verify run whose one trial has no grid point in its domain
 NO_DOMAIN = ("verify-t1", "--trials", "1", "--seed", "4", "--grid", "10,100,3,0.1,1,3")
 #: what the error line must name, where the input is finite but overflows
@@ -260,6 +264,9 @@ NAMED = {
     NUMBER_FILE: "error: parameters must be a JSON object, got 5",
     NULL_FILE: "error: parameters must be a JSON object, got null",
     NO_DOMAIN: "error: no trial has a point of the grid 10.0,100.0,3,0.1,1.0,3,log in its domain",
+    BAD_JSON: "error: --params is not valid JSON: Expecting property name",
+    NO_FILE: "error: --params file cannot be read: [Errno 2] No such file or directory",
+    WORD_POINT: "error: --point must be 'u,v', got 'a,b'",
 }
 
 
@@ -295,6 +302,9 @@ NAMED = {
     DEEP_CLASSIFY,
     DEEP_GRID,
     NO_DOMAIN,
+    BAD_JSON,
+    NO_FILE,
+    WORD_POINT,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     for name, text in PARAMS_FILES.items():

@@ -52,6 +52,9 @@ CASES = {
     # a power that overflows in the jet, whose error names the point
     "eval-ves-power-overflow": ("eval", "--model", "ves", "--params", VES_DECREASING_RHO,
                                 "--point", "1e-300,1e-300"),
+    # a product in the jet overflows, and the forms name the final jet's slots
+    "eval-ves-non-finite-jet": ("eval", "--model", "ves", "--params", VES_RHO_BELOW_1,
+                                "--point", "1e-200,1e300"),
     "classify-ves": ("classify", "--model", "ves", "--params", VES_RHO_BELOW_1),
     "classify-kadiyala-generic": ("classify", "--model", "kadiyala", "--params", KAD_GENERIC),
     "classify-kadiyala-developable": ("classify", "--model", "kadiyala",
@@ -134,6 +137,7 @@ GOLDEN = {
     "eval-kadiyala": "cba5089fb1c4186b4bc1518b01477461c83f03676cc636ed3f3c02a8404222c2",
     "eval-kadiyala-nonpositive": "51b6928980dec7874456a27344f1e6b006e1e7e1f08eb30bfef8a95ecbd62ca9",
     "eval-ves": "35f2229f8ca4484c69da7307e63ae27cdfcf66332e06c97d515abd67970dabdc",
+    "eval-ves-non-finite-jet": "32185a4db0ebb52a9556da6fc329ea46fb44dc7026722524e45cd7ec5c7c7f7e",
     "eval-ves-power-overflow": "f633edaea7adfa77260f69048ced02caf7e691c690ae015409fa433d3eea843c",
     "eval-ves-outside-domain": "a811b8900058a52f9adfa27b61822d73ddbb28a284e583d373f3014b9640a153",
     "eval-ves-strict-invalid": "00e641c8575737b54815442e9f98e2d08ced264c80ac151ec914d5b55253a28a",
@@ -166,7 +170,7 @@ GOLDEN = {
     "verify-t1-denf-underflow": "7a10dcc26ff3849a9de493bc0e8eb849c657f18fec798fa3d6b446ae4b11a6a6",
     "verify-t1-power-overflow": "5554f72e6b7c3cea461964470aece575dcafab868d7ec5ff9051ad148e32f4be",
     "verify-t1-product-overflow": "cd9afc6c84aa1c0b2f902d6905df12241fed7645f2500416c0ba771880647f79",
-    "verify-t2-power-overflow": "9813ed2fc2d4b034de2f5733a2db48a8dac361f3f930246ed2f5cba8cbd83d78",
+    "verify-t2-power-overflow": "c5a1f19061bb16b76365993294a326e628ea86c76c4fe103d1f727768a780066",
     "verify-t2-product-overflow": "323554477491ebeb42e009c69d6ec1015a63b12848fb986b7c3d7ad4375e3122",
     "verify-t1-empty-trials": "230ec1832b516d45a899de6cdbf5d28060832d62f63450bc0f2fa1e3e1b9be50",
     "verify-t1-failing-trial": "aebc546b5eb494fa4d61ffdb81840e299c93e0c8c56b29ff2eeb10c714f864f3",

@@ -9,11 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (EPS, LIMIT, RunningError, assert_close, grid_points, param_columns,
-                     sample_grid, within_bound)
+                     sample_grid, ves_denf, within_bound)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
 from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError, SingularPointError
 from prodgeo.surface import SignClass
+
+
+#: The public closed forms and their private parts, as functions of (p, u, v).
+FORMS = {
+    "ves_curvature_closed": curvature.ves_curvature_closed,
+    "ves_denf": ves_denf,
+    "kadiyala_curvature_closed": curvature.kadiyala_curvature_closed,
+    "kadiyala_T1": lambda p, u, v: curvature._kad_factors(p, u, v)[0],
+    "kadiyala_T2": lambda p, u, v: curvature._kad_factors(p, u, v)[1],
+    "kadiyala_deng": lambda p, u, v: curvature._kad_factors(p, u, v)[2],
+}
 
 
 def autodiff_K(params, u, v):
@@ -67,7 +78,7 @@ class TestVesClosedForm:
         cancels, is 4.5e-7 off it."""
         p = models.ves_validate(1, 1e-9, 0.5, 2.0)
         u, v = 0.10985411419875583, 0.05492705712684145
-        assert curvature.ves_denf(p, u, v) > 0.0
+        assert ves_denf(p, u, v) > 0.0
         K = curvature.ves_curvature_closed(p, u, v)
         assert abs(K - -22480491652.035240869) <= 1e-13 * 22480491652.0
 
@@ -78,7 +89,7 @@ class TestVesClosedForm:
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
             if not models.ves_domain_valid(p, u, v, strict=False):
                 continue
-            assert curvature.ves_denf(p, u, v) > 0.0
+            assert ves_denf(p, u, v) > 0.0
 
     def test_denf_value_frozen(self):
         # direct evaluation of the expression at a hand-checkable point:
@@ -92,34 +103,34 @@ class TestVesClosedForm:
         quad = (1 * (r * (b * b * r + r - 2) + 1)
                 - 2 * (r - 1) * (b * r - 1) + (b * r - 1) ** 2)
         expected = quad * agg ** (2 * b * r) + agg ** 2 * 1 ** (2 * b * r + 2)
-        assert_close(curvature.ves_denf(p, 1, 1), expected, 1e-14)
+        assert_close(ves_denf(p, 1, 1), expected, 1e-14)
 
     def test_domain_errors(self):
         p = models.ves_validate(1, 0.5, 0.5, 2)
         with pytest.raises(DomainError):
             curvature.ves_curvature_closed(p, 1, 0.4)
         with pytest.raises(DomainError):
-            curvature.ves_denf(p, -1, 1)
+            ves_denf(p, -1, 1)
 
 
 class TestKadiyalaFactors:
     def test_t1_zero_iff_constant_returns(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 1.0)
         for u, v in ((1, 1), (0.3, 4), (9, 0.2)):
-            assert curvature.kadiyala_T1(p, u, v) == 0.0
+            assert FORMS["kadiyala_T1"](p, u, v) == 0.0
         p2 = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2.0)
-        assert curvature.kadiyala_T1(p2, 1, 1) > 0.0
+        assert FORMS["kadiyala_T1"](p2, 1, 1) > 0.0
 
     def test_t2_zero_on_perfect_substitutes(self):
         p1 = models.kadiyala_validate(0.3, 0.0, 0.7, 0.4, 0.6, 2)
         p2 = models.kadiyala_validate(0.25, 0.25, 0.25, 1.0, 1.0, 2)
         for u, v in ((1, 1), (0.3, 4), (9, 0.2)):
-            assert_close(curvature.kadiyala_T2(p1, u, v), 0.0, 1e-12)
-            assert_close(curvature.kadiyala_T2(p2, u, v), 0.0, 1e-12)
+            assert_close(FORMS["kadiyala_T2"](p1, u, v), 0.0, 1e-12)
+            assert_close(FORMS["kadiyala_T2"](p2, u, v), 0.0, 1e-12)
 
     def test_t2_nonzero_generic(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
-        assert curvature.kadiyala_T2(p, 2.0, 3.0) != 0.0
+        assert FORMS["kadiyala_T2"](p, 2.0, 3.0) != 0.0
 
     def test_deng_positive_with_nonnegative_terms(self):
         rng = random.Random(34)
@@ -128,7 +139,7 @@ class TestKadiyalaFactors:
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
             terms = curvature._kad_deng_terms(p, u, v, curvature._kad_powers(p, u, v))
             assert all(t >= 0.0 for t in terms)
-            total = curvature.kadiyala_deng(p, u, v)
+            total = FORMS["kadiyala_deng"](p, u, v)
             assert total > 0.0
             assert_close(total, sum(terms), 1e-12)
 
@@ -146,14 +157,12 @@ class TestKadiyalaFactors:
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
         u, v = 1.0, 1.0
         k = curvature.kadiyala_curvature_closed(p, u, v)
-        den = curvature.kadiyala_deng(p, u, v)
-        t2 = curvature.kadiyala_T2(p, u, v)
-        assert_close(k * den / t2 * den, curvature.kadiyala_T1(p, u, v), 1e-9)
+        t1, t2, den = curvature._kad_factors(p, u, v)
+        assert_close(k * den / t2 * den, t1, 1e-9)
 
     def test_domain_errors(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
-        for fn in (curvature.kadiyala_T1, curvature.kadiyala_T2,
-                   curvature.kadiyala_deng, curvature.kadiyala_curvature_closed):
+        for fn in (curvature._kad_factors, curvature.kadiyala_curvature_closed):
             with pytest.raises(DomainError):
                 fn(p, 0.0, 1.0)
 
@@ -231,7 +240,7 @@ def test_array_closed_forms_match_float_forms_within_rounding(form, seed, condit
     passes them."""
     fn = CLOSED_FORMS[form]
     family = harness.FAMILIES["ves" if form.startswith("ves") else "kadiyala"]
-    denominator = curvature.ves_denf if form.startswith("ves") else curvature.kadiyala_deng
+    denominator = FORMS["ves_denf" if form.startswith("ves") else "kadiyala_deng"]
     p = (harness.random_ves_params(seed) if form.startswith("ves")
          else harness.random_kadiyala_params(seed, condition))
     u, v = (np.array(axis) for axis in zip(*points))
@@ -261,7 +270,8 @@ def test_every_public_form_over_points_is_a_closed_form():
     over_points = {name for name, fn in vars(curvature).items()
                    if inspect.isfunction(fn) and not name.startswith("_")
                    and list(inspect.signature(fn).parameters) == ["p", "u", "v"]}
-    assert "ves_denf" in over_points and over_points == set(CLOSED_FORMS)
+    assert over_points == set(CLOSED_FORMS) == {"ves_curvature_closed",
+                                                "kadiyala_curvature_closed"}
 
 
 VES_DECREASING = models.ves_validate(1.3, 0.5, 0.3, 0.7)
@@ -298,7 +308,7 @@ def test_denominators_name_the_first_failing_point(monkeypatch, form, params, co
         terms = curvature._kad_deng_terms
         monkeypatch.setattr(curvature, "_kad_deng_terms",
                             lambda p, u, v, w: corrupt(terms(p, u, v, w), u > 2.0))
-    fn = getattr(curvature, form)
+    fn = FORMS[form]
     fn(params, 1.0, 2.0)  # a tame point passes
     with pytest.raises(SingularPointError, match=message + rf" at \({bad}, {bad}\)"):
         fn(params, bad, bad)
@@ -340,8 +350,9 @@ def test_non_finite_K_names_the_function_and_point(form, params):
 
 # --- The Kadiyala closed forms' bits ------------------------------------------
 
-#: sha256 of each Kadiyala form's values, recorded before its powers were
-#: shared between T1, T2 and Den_G: sharing them must change no bit.
+#: sha256 of the values of Kadiyala's closed form and of its factors T1, T2
+#: and Den_G, recorded when each factor was a form of its own that took its
+#: own powers: computing them once, in ``_kad_factors``, must change no bit.
 KADIYALA_BITS = {
     "kadiyala_T1":
         "ea2c3a74a5e6ede69ae22d9e602f5722c9ea15ef4f35c2a9c80a95995b7b73c4",
@@ -378,10 +389,10 @@ def _kadiyala_bits(fn, layout: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(KADIYALA_BITS))
 def test_kadiyala_closed_forms_keep_their_bits(name):
-    assert _kadiyala_bits(getattr(curvature, name), "stacked") == KADIYALA_BITS[name]
+    assert _kadiyala_bits(FORMS[name], "stacked") == KADIYALA_BITS[name]
 
 
 @pytest.mark.parametrize("name", sorted(KADIYALA_BITS))
 def test_verify_layout_keeps_the_closed_forms_bits(name):
     """Parameters and one-axis powers broadcast: the same bits as stacked."""
-    assert _kadiyala_bits(getattr(curvature, name), "trial-u-v") == KADIYALA_BITS[name]
+    assert _kadiyala_bits(FORMS[name], "trial-u-v") == KADIYALA_BITS[name]

@@ -9,7 +9,7 @@ from mpmath import mp
 
 from helpers import (Magnitude, as_scalar_field, assert_close, fd_oracle, tame_expression,
                      within_bound)
-from prodgeo import jets
+from prodgeo import jets, surface
 from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError
 from prodgeo.jets import Jet2
 
@@ -85,9 +85,13 @@ def test_domain_errors():
 
 
 def test_nonfinite_raises():
+    """An op checks nothing: a product that overflows carries its inf on,
+    and the forms, which read the jet, raise for it."""
     big = jets.constant(1e308)
-    with pytest.raises(NonFiniteError):
-        jets.mul(big, big)
+    product = jets.mul(big, big)
+    assert product.val == math.inf
+    with pytest.raises(NonFiniteError, match=r"non-finite jet: val=inf"):
+        surface.fundamental_forms(product)
 
 
 def test_scale_and_neg():
@@ -176,10 +180,49 @@ def test_array_slots_match_float_slots_within_rounding(op, points):
             assert within_bound(batch[k, i], out[k], scale), Jet2._fields[k]
 
 
+#: The ops on a point, with a second jet b and a number c.
+POINT_OPS = {
+    "add": lambda a, b, c: jets.add(a, b),
+    "add-reversed": lambda a, b, c: jets.add(b, a),
+    "scale": lambda a, b, c: jets.scale(a, c),
+    "mul": lambda a, b, c: jets.mul(a, b),
+    "mul-reversed": lambda a, b, c: jets.mul(b, a),
+    "powr": lambda a, b, c: jets.powr(a, c),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(op=st.sampled_from(sorted(POINT_OPS)), a=POINT_JETS, b=POINT_JETS,
+       c=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 1.0, 2.0, -0.5])),
+       bad=st.sampled_from([math.inf, -math.inf, math.nan]), where=st.integers(0, 5))
+def test_point_ops_keep_a_slot_that_is_not_finite(op, a, b, c, bad, where):
+    """No op on a point checks its slots, so the forms that read the final
+    jet are its one check; that holds only if no op turns a jet with an
+    inf or NaN slot into a finite one.  A product with 0.0 gives NaN, so
+    none does; powr may raise instead, and raises for an inf or NaN base."""
+    a = Jet2(*a[:where], bad, *a[where + 1:])
+    try:
+        out = POINT_OPS[op](a, Jet2(*b), c)
+    except ProdGeoError:
+        assert op == "powr"
+        return
+    assert not all(map(math.isfinite, out))
+
+
+@pytest.mark.parametrize("base", [math.inf, math.nan])
+@pytest.mark.parametrize("p", [-0.5, 2.0])
+def test_powr_of_a_base_that_is_not_finite_raises(base, p):
+    """inf ** -0.5 is 0.0, which would hide the inf before it."""
+    with pytest.raises(NonFiniteError, match=f"powr requires a finite base, got {base}"):
+        jets.powr(jets.constant(base), p)
+
+
 @np.errstate(all="ignore")
 def test_array_op_names_the_first_failing_element():
-    """A batch op leaves not finite each row that its float op rejects, and
-    the first of them, taken as a point, raises the error that names it."""
+    """A batch op leaves not finite each row that its float op, or the
+    forms that read its jet, reject, and the first of them, taken as a
+    point, raises the error that names it: ``powr`` raises its own, and
+    the forms raise for a jet that is not finite."""
     cases = [
         (lambda x: jets.powr(jets.seed_u(x), 2), [2.0, 1e200, 3e200],
          NonFiniteError, r"power overflow: 1e\+200 \*\* 2.0"),
@@ -193,7 +236,7 @@ def test_array_op_names_the_first_failing_element():
         assert np.isfinite(batch).all(axis=0).tolist() == [True] + [False] * (len(xs) - 1)
         assert batch[:, 0].tolist() == list(op(xs[0]))
         with pytest.raises(error, match=message):
-            op(xs[1])
+            surface.fundamental_forms(op(xs[1]))
 
 
 def test_numpy_power_bits_do_not_depend_on_the_operands_layout():

@@ -259,15 +259,17 @@ BATCH_OVERFLOWS = [
 
 @pytest.mark.parametrize("evaluate,p,u,v", BATCH_OVERFLOWS)
 def test_batch_overflow_raises_only_the_point_error(evaluate, p, u, v):
-    """An evaluator on array slots raises nothing: its jet is not finite
-    at the point that raises NonFiniteError on its own, and only there.  A
-    sweep of the two points replays that one on the point path and raises
-    its error, naming the point."""
+    """An evaluator carries an overflow in a product of finite slots on, on
+    array slots and on a point: its jet is not finite at the point whose
+    forms raise NonFiniteError on their own, and only there.  A sweep of the two points
+    replays that one on the point path and raises its error, naming the
+    point."""
     with pytest.raises(NonFiniteError) as alone:
-        evaluate(p, *jets.seed(u[1], v[1]))
+        surface.fundamental_forms(evaluate(p, *jets.seed(u[1], v[1])))
 
     def jet_values(p, u, v):
         jet = evaluate(p, *jets.seed(u, v))
+        surface.fundamental_forms(jet)
         return jet, (jet.val,)
     with np.errstate(all="ignore"):
         jet = evaluate(p, *jets.seed(np.array(u), np.array(v)))
