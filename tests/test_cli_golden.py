@@ -16,6 +16,7 @@ KAD_DEVELOPABLE = '{"k1": 0.4, "k2": 0, "k3": 0.6, "beta1": 0.3, "beta2": 0.7, "
 VES_RHO_BELOW_1 = '{"k": 1.3, "beta": 0.5, "rho": 0.3, "delta": 0.7}'
 VES_INCREASING = '{"k": 1, "beta": 0.4, "rho": 1.5, "delta": 1.6}'
 VES_DECREASING_RHO = '{"k": 1, "beta": 0.4, "rho": 0.6, "delta": 1.3}'
+VES_STEEP = '{"k":1,"beta":0.5,"rho":0.5,"delta":3}'
 GRID = "0.1,10,5,0.1,10,5,log"
 #: the size of the benchmark's grids
 GRID_200 = "0.1,10,200,0.1,10,200"
@@ -55,6 +56,11 @@ CASES = {
     # a product in the jet overflows, and the forms name the final jet's slots
     "eval-ves-non-finite-jet": ("eval", "--model", "ves", "--params", VES_RHO_BELOW_1,
                                 "--point", "1e-200,1e300"),
+    # slopes so steep that W^2 = 1 + f_u^2 + f_v^2 overflows, on a point and in a grid
+    "eval-ves-steep-slopes": ("eval", "--model", "ves", "--params", VES_STEEP,
+                              "--point", "1e100,1e100"),
+    "grid-ves-steep-slopes": ("grid", "--model", "ves", "--params", VES_STEEP,
+                              "--grid", "1e100,1e101,2,1e100,1e101,2"),
     "classify-ves": ("classify", "--model", "ves", "--params", VES_RHO_BELOW_1),
     "classify-kadiyala-generic": ("classify", "--model", "kadiyala", "--params", KAD_GENERIC),
     "classify-kadiyala-developable": ("classify", "--model", "kadiyala",
@@ -140,6 +146,7 @@ GOLDEN = {
     "eval-ves-non-finite-jet": "32185a4db0ebb52a9556da6fc329ea46fb44dc7026722524e45cd7ec5c7c7f7e",
     "eval-ves-power-overflow": "f633edaea7adfa77260f69048ced02caf7e691c690ae015409fa433d3eea843c",
     "eval-ves-outside-domain": "a811b8900058a52f9adfa27b61822d73ddbb28a284e583d373f3014b9640a153",
+    "eval-ves-steep-slopes": "a85b3aa1bdb4d6837f10cb56761c7fbc4ccc26bc223bfa4356d82b0575ff04f4",
     "eval-ves-strict-invalid": "00e641c8575737b54815442e9f98e2d08ced264c80ac151ec914d5b55253a28a",
     "grid-csv-1x1": "0b860e634e48ff615e9547a3311608109f47c26a29cf2be200580bd1096fdc4a",
     "grid-csv-kadiyala-developable": "43b594b5e46fbfd7265f5bd77e4bee59bbce99c3ced02e097e227e3e9d329017",
@@ -160,6 +167,7 @@ GOLDEN = {
     "grid-kadiyala-base-underflow": "3d2a0b7ccb1cecb974b63f92de4290ee039ba7739a7b2266425b20a40a491914",
     "grid-kadiyala-first-row-fails-late": "c7a7b818bcffa222595db4307379a92492c300cf06b1bd7f2fad9c5bbb12d5b2",
     "grid-kadiyala-power-overflow": "fbdf76c97e3e4547bdf80ee6bed4e72b7fb477026f418443de5c455866934d89",
+    "grid-ves-steep-slopes": "a85b3aa1bdb4d6837f10cb56761c7fbc4ccc26bc223bfa4356d82b0575ff04f4",
     "grid-ves-extreme-u": "f44d6ff6692cead544b70b1682ef38882aea9c9ed10b9df8fb34bbf4512f5fda",
     "grid-ves-invalid-extreme-u": "e4a01fd060bcb89fba5c5f22f194acefa78b0e7a66f05e7591765f4f263e750a",
     "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
@@ -194,7 +202,8 @@ def test_cli_output_unchanged(capsys, name):
 
 EDGE_GRIDS = ("grid-kadiyala-power-overflow", "grid-kadiyala-first-row-fails-late",
               "grid-kadiyala-base-underflow", "grid-ves-extreme-u",
-              "grid-ves-invalid-extreme-u", "grid-csv-1x1", "grid-json-ves-strict")
+              "grid-ves-invalid-extreme-u", "grid-csv-1x1", "grid-json-ves-strict",
+              "grid-ves-steep-slopes")
 
 
 @pytest.mark.parametrize("name", EDGE_GRIDS)
