@@ -11,14 +11,14 @@ This script evaluates one parameter set per regime over a grid and
 tabulates what the autodiff pipeline and the closed form both see.
 """
 
-from prodgeo import (DEFAULT_GRID, build_grid_report, curvature,
+from prodgeo import (DEFAULT_GRID, SignClass, build_grid_report, curvature,
                      emit_grid_report, ves_validate)
 
 for delta in (0.6, 1.0, 2.5):
     p = ves_validate(k=1.5, beta=0.4, rho=0.7, delta=delta)
     regime, predicted = curvature.ves_theorem_verdict(p)
     report = build_grid_report(p, DEFAULT_GRID)
-    signs = {sign for sign, valid in zip(report.sign, report.valid) if valid}
+    signs = {list(SignClass)[code].value for code in report.signs.tolist()}
     print(f"delta = {delta:<4}  regime = {regime.value:<10}  "
           f"predicted sign = {predicted.value:<8}  "
           f"observed signs on grid = {sorted(signs)}  "

@@ -1,5 +1,5 @@
-"""Production functions as graph surfaces: fundamental forms, Gaussian
-and mean curvature via second-order forward-mode autodiff, and the
+"""Production functions as graph surfaces: Gaussian and mean curvature
+from the fundamental forms via second-order forward-mode autodiff, and the
 returns-to-scale / developability characterizations of the VES and
 Kadiyala families."""
 
@@ -16,12 +16,9 @@ from .harness import (DEFAULT_GRID, GridReport, GridSpec, Spacing, VerifySummary
                       run_verify_theorem1, run_verify_theorem2)
 from .jets import Jet2, constant, seed, seed_u, seed_v
 from .models import (Family, FamilyTag, KadiyalaParams, VesParams,
-                     kadiyala_eval, kadiyala_params_from_json,
-                     kadiyala_specialize, kadiyala_validate, params_to_json,
-                     ves_domain_valid, ves_eval, ves_params_from_json,
-                     ves_validate)
-from .surface import (FundamentalForms, SignClass,
-                      classify_sign, curvature_from_jet, fundamental_forms,
-                      gaussian_curvature, mean_curvature)
+                     kadiyala_eval, kadiyala_specialize, kadiyala_validate,
+                     params_from_json, params_to_json, ves_domain_valid,
+                     ves_eval, ves_validate)
+from .surface import SignClass, classify_sign, curvature_from_jet, curvatures
 
 __version__ = "0.1.0"

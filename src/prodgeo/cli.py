@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from . import harness, surface
+from . import harness, models, surface
 from .errors import ProdGeoError
 
 
@@ -41,7 +41,7 @@ def _load_params(args):
         except OSError as exc:
             raise ProdGeoError(f"--params file cannot be read: {exc}") from None
     try:
-        return harness.FAMILIES[args.model].params_from_json(text)
+        return models.params_from_json(harness.FAMILIES[args.model].params_type, text)
     except RecursionError:  # json's reader and writer recurse per level of nesting
         raise ProdGeoError("--params is nested too deeply to read") from None
     except json.JSONDecodeError as exc:

@@ -217,7 +217,6 @@ class ModelFamily:
     name: str
     params_type: type
     theorem: str
-    params_from_json: Callable[[str], object]
     #: the jet and the domain tests take one point's floats or a batch's
     #: arrays, which broadcast (see ``_sweep``)
     jet: Callable[[object, Slot, Slot], jets.Jet2]
@@ -295,7 +294,6 @@ VES = ModelFamily(
     name="ves",
     params_type=VesParams,
     theorem="theorem-1 (VES returns to scale vs curvature sign)",
-    params_from_json=lambda text: models.ves_params_from_json(text),
     jet=lambda p, u, v: models.ves_eval(p, *jets.seed(u, v)),
     domain_valid=lambda p, u, v: models.ves_domain_valid(p, u, v, strict=False),
     strict_domain_valid=lambda p, u, v: models.ves_domain_valid(p, u, v, strict=True),
@@ -308,7 +306,6 @@ KADIYALA = ModelFamily(
     name="kadiyala",
     params_type=KadiyalaParams,
     theorem="theorem-2 (Kadiyala developability)",
-    params_from_json=lambda text: models.kadiyala_params_from_json(text),
     jet=lambda p, u, v: models.kadiyala_eval(p, *jets.seed(u, v)),
     domain_valid=lambda p, u, v: (u > 0) & (v > 0),
     closed_K=lambda p, u, v: curvature.kadiyala_curvature_closed(p, u, v),
@@ -327,26 +324,15 @@ _FAMILY_OF_TYPE = {family.params_type: family for family in FAMILIES.values()}
 class GridReport:
     """A grid sweep in the grid's shape: the axes ``us`` and ``vs``, the
     (n_u, n_v) mask ``in_domain`` of the cells in the domain, and f, K, H
-    (``values``) and the sign class (``classes``) at those cells, 1-d in
-    (u, v) order.  Row i, (u, v, f, K, H, valid, sign)[i], is the i-th cell
-    in (u, v) order, with f, K, H None and sign "" off the domain; each
-    column of rows is a tuple built when first read."""
+    (``values``) and the sign code (``signs``, see
+    ``surface.classify_sign``) at those cells, 1-d in (u, v) order."""
     model: str
     us: np.ndarray
     vs: np.ndarray
     in_domain: np.ndarray
     values: tuple[np.ndarray, np.ndarray, np.ndarray]
-    classes: np.ndarray
+    signs: np.ndarray
     summary: dict
-
-    u = functools.cached_property(lambda self: tuple(np.repeat(self.us, len(self.vs)).tolist()))
-    v = functools.cached_property(lambda self: tuple(self.vs.tolist()) * len(self.us))
-    f = functools.cached_property(lambda self: tuple(_filled(self.in_domain, self.values[0])))
-    K = functools.cached_property(lambda self: tuple(_filled(self.in_domain, self.values[1])))
-    H = functools.cached_property(lambda self: tuple(_filled(self.in_domain, self.values[2])))
-    valid = functools.cached_property(lambda self: tuple(self.in_domain.reshape(-1).tolist()))
-    sign = functools.cached_property(lambda self: tuple(
-        _filled(self.in_domain, [c.value for c in self.classes], "")))
 
     @functools.cached_property
     def _reprs(self) -> tuple[list[str], ...]:
@@ -355,7 +341,7 @@ class GridReport:
         return tuple(list(map(repr, x.tolist())) for x in self.values)
 
 
-def _filled(mask: np.ndarray, cells, fill=None) -> list:
+def _filled(mask: np.ndarray, cells: list, fill: str) -> list:
     """A list over the cells of ``mask`` in order: ``cells`` in turn where
     the mask is set, ``fill`` elsewhere."""
     out = np.full(mask.size, fill, dtype=object)
@@ -426,21 +412,20 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
                       tol_K: float = surface.DEFAULT_CURVATURE_TOL) -> GridReport:
     """Evaluate height and curvature over a grid, all points in one batch.
 
-    Rows at domain-invalid points carry None for f, K, H and an empty sign;
+    The report holds f, K, H and a sign at the cells in the domain alone;
     ``strict_domain`` raises ProdGeoError for a family without a strict
     domain.  Sign classification uses the grid's max |K| as its local
     scale, so the zero band adapts to how curved the surface is.  A grid
-    that fails raises the error its first failing row raises on its own,
-    naming the row's point.
+    that fails raises the error its first failing cell raises on its own,
+    naming the cell's point.
     """
     family = _FAMILY_OF_TYPE[type(params)]
     in_domain = family.domain(strict_domain)
 
     def evaluate(p, u, v):
         jet = family.jet(p, u, v)
-        forms = surface.fundamental_forms(jet)
-        return (*jet, forms.det_first), (jet.val, surface.gaussian_curvature(forms),
-                                         surface.mean_curvature(forms))
+        K, H, w2 = surface.curvatures(jet)
+        return (*jet, w2), (jet.val, K, H)
 
     us, vs = _grid_axes(spec)
     # Overflow to inf or NaN is what the program's checks report, cell by cell.
@@ -448,7 +433,7 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
         mask, values = _sweep(in_domain, evaluate, [params], us, vs)
         values = tuple(x[mask] for x in values)
         max_abs_k = max(np.abs(values[1]).tolist(), default=0.0)
-        classes = surface.classify_sign(values[1], max_abs_k, tol_K)
+        signs = surface.classify_sign(values[1], max_abs_k, tol_K)
     f_valid = values[0].tolist()
     summary = {
         "max_abs_k": max_abs_k,
@@ -458,7 +443,7 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
         "verdict": family.verdict(params).summary,
     }
     return GridReport(f"{family.name}:{models.params_to_json(params)}",
-                      us, vs, mask[0], values, classes, summary)
+                      us, vs, mask[0], values, signs, summary)
 
 
 #: json's spelling of the floats that are not finite; the CSV writes repr.
@@ -491,11 +476,10 @@ def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     n_u, n_v = report.in_domain.shape
     n = n_u * n_v
-    # each row's kind: its sign class's place in SignClass, or last off the domain
+    # each row's kind: its sign code, or last off the domain
     kinds = [(c.value, "true") for c in SignClass] + [("", "false")]
     kind = np.full(n, len(SignClass))
-    kind[report.in_domain.reshape(-1)] = sum(i * (report.classes == c)
-                                             for i, c in enumerate(SignClass))
+    kind[report.in_domain.reshape(-1)] = report.signs
 
     def by_kind(texts: list[str]) -> list[str]:
         return np.array(texts, dtype=object)[kind].tolist()
@@ -559,10 +543,10 @@ class VerifySummary:
 
 #: Verify trials per batch: 6 400 points on the default grid.  Larger
 #: batches run faster, but a run's peak memory grows with them: by
-#: tracemalloc, a default-grid batch of 16, which keeps u and v as axes
-#: and evaluates every cell, peaks at about 168 bytes a point for
-#: Kadiyala and 131 for VES (1.1 and 0.84 MB); the same trials stacked
-#: point by point over the cells in their domains take 337 and 186.
+#: tracemalloc, a default-grid batch of 16, which keeps u and v as axes,
+#: evaluates every cell and drops H at once, peaks at about 176 bytes a
+#: point for Kadiyala and 130 for VES (1.1 and 0.83 MB); the same trials
+#: stacked point by point over the cells in their domains take 345 and 186.
 VERIFY_BATCH_TRIALS = 16
 
 
@@ -571,11 +555,9 @@ def _curvatures(family: ModelFamily, p, u: np.ndarray, v: np.ndarray):
     closed-form K), and K by autodiff and by the closed form, over a batch
     or at a point."""
     jet = family.jet(p, u, v)
-    forms = surface.fundamental_forms(jet)
-    checked, K = (*jet, forms.det_first), surface.gaussian_curvature(forms)
-    del forms  # its other six arrays, before the closed form, where memory peaks
+    K, w2 = surface.curvatures(jet)[::2]  # H dropped before the closed form, where memory peaks
     K_closed = family.closed_K(p, u, v)
-    return (*checked, K_closed), (K, K_closed)
+    return (*jet, w2, K_closed), (K, K_closed)
 
 
 def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,

@@ -39,12 +39,12 @@ not in (0, inf) and for a power that overflows, and on a batch writes
 NaN into the value wherever its float form raises, since inf ** -p is
 0.0 and would hide the inf before it.  So a jet whose point would raise
 is left with a slot that is not finite, and is checked once, where it is
-read: ``surface.fundamental_forms`` raises for a point's, and
-``harness._sweep`` replays a batch's such cells on the one-point path,
-which raises the point's own error; it reads the batch under its domain
-mask, so a cell off the domain is never replayed.  numpy's warnings on
-overflow are the caller's to silence (``np.errstate``), as ``harness``
-does.
+read: ``surface.curvatures``, the one check of a point's jet, raises for
+a point's, and ``harness._sweep`` replays a batch's such cells on the
+one-point path, which raises the point's own error; it reads the batch
+under its domain mask, so a cell off the domain is never replayed.
+numpy's warnings on overflow are the caller's to silence
+(``np.errstate``), as ``harness`` does.
 
 numpy is a batch's dependency only.  ``np`` is numpy loaded lazily: it
 executes on its first attribute access, which a point never makes.

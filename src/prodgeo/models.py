@@ -16,10 +16,10 @@ are one point's floats or a batch's ndarrays (see ``jets``), and domain
 tests then hold element by element.  A point outside the domain raises
 an error that names it, and so does a power that ``jets.powr`` rejects;
 any other overflow leaves the point's jet not finite, for
-``surface.fundamental_forms`` to raise where it reads the jet.  A batch
-raises nothing, and its jet is not finite at each point in the domain
-that would raise, as the ops leave it (see ``jets``); its values off the
-domain are unspecified.
+``surface.curvatures``, the one check of a point's jet, to raise where it
+reads the jet.  A batch raises nothing, and its jet is not finite at each
+point in the domain that would raise, as the ops leave it (see
+``jets``); its values off the domain are unspecified.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def kadiyala_validate(k1, k2, k3, beta1, beta2, delta) -> KadiyalaParams:
                           float(beta1), float(beta2), float(delta))
 
 
-# --- JSON wire format (snake_case keys, unknown keys rejected) -------------
+# --- JSON wire format (snake_case keys; unknown and repeated keys rejected) --
 
 def params_to_json(p) -> str:
     return json.dumps({f.name: getattr(p, f.name) for f in fields(p)},
@@ -147,12 +147,20 @@ def _params_from_dict(cls, data):
     return cls(**values)
 
 
-def ves_params_from_json(text: str) -> VesParams:
-    return _params_from_dict(VesParams, json.loads(text))
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConstraintViolation(
+                "unique keys", f"parameter key {json.dumps(key)} is given twice")
+        data[key] = value
+    return data
 
 
-def kadiyala_params_from_json(text: str) -> KadiyalaParams:
-    return _params_from_dict(KadiyalaParams, json.loads(text))
+def params_from_json(cls: type, text: str):
+    """A ``cls`` record (VesParams or KadiyalaParams) from a JSON object."""
+    return _params_from_dict(cls, json.loads(text, object_pairs_hook=_unique_keys))
 
 
 # --- Domains ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Monge-patch geometry of a graph surface (u, v, f(u, v)).
 
-Given a second-order jet of the height field at a point, these routines
-produce the first and second fundamental forms and the Gaussian and mean
-curvatures, using the standard graph-surface formulas:
+Given a second-order jet of the height field at a point, ``curvatures``
+reads the Gaussian and mean curvatures off the first and second
+fundamental forms, using the standard graph-surface formulas:
 
     g11 = 1 + f_u^2      g12 = f_u f_v      g22 = 1 + f_v^2
     W   = sqrt(1 + f_u^2 + f_v^2)
@@ -13,20 +13,21 @@ curvatures, using the standard graph-surface formulas:
     H = (g11 h22 - 2 g12 h12 + g22 h11) / (2 det I)
 
 h_ij are taken against the upward normal N, so H's sign rests on that
-convention; N itself is not computed.  A jet whose slots are ndarrays
-gives forms, K and H element by element, with the bits the one-point
-computation gives on the same slots.  The jet ops check nothing, so the
-forms are where a point's jet is checked: a point raises where its jet is
-not finite or W^2 overflows.  A batch checks nothing, and leaves W^2 inf
-at each point whose W^2 would raise, which ``harness._sweep`` replays
-where it lies in the domain, as it does a point whose jet is not finite.
+convention; N itself is not computed.  ``curvatures`` is the one routine
+from a jet to K and H, for ``eval``, grids and verify runs alike.  A jet
+whose slots are ndarrays gives K and H element by element, with the bits
+the one-point computation gives on the same slots.  The jet ops check
+nothing, so ``curvatures`` is the one check of a point's jet: a point
+raises where its jet is not finite or W^2 overflows.  A batch checks
+nothing, and leaves W^2 inf at each point whose W^2 would raise, which
+``harness._sweep`` replays where it lies in the domain, as it does a
+point whose jet is not finite.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
 
 from .errors import NonFiniteError
 from .jets import POINT, Jet2, Slot, np
@@ -40,29 +41,19 @@ class SignClass(enum.Enum):
     NEGATIVE = "negative"
 
 
-class FundamentalForms(NamedTuple):
-    g11: Slot
-    g12: Slot
-    g22: Slot
-    h11: Slot
-    h12: Slot
-    h22: Slot
-    #: det I = g11*g22 - g12^2, held as W^2 = 1 + f_u^2 + f_v^2: the
-    #: difference cancels to 0.0 at steep points, the sum cannot.
-    det_first: Slot
-
-    @property
-    def det_second(self) -> Slot:
-        return self.h11 * self.h22 - self.h12 * self.h12
+#: each sign class's code, classify_sign's result: its place in SignClass
+_CODE = {sign: code for code, sign in enumerate(SignClass)}
 
 
-def fundamental_forms(jet: Jet2) -> FundamentalForms:
-    """Fundamental forms from a height-field jet.
+def curvatures(jet: Jet2) -> tuple[Slot, Slot, Slot]:
+    """(K, H, W^2) of the graph surface at the jet's base point, W^2 being
+    1 + f_u^2 + f_v^2 = det I (the sum cannot cancel to 0.0 at steep
+    points, as g11*g22 - g12^2 does).
 
     On a point, raises NonFiniteError for a non-finite slot and for slopes
-    so steep that W^2 = 1 + f_u^2 + f_v^2 overflows (K would read 0 and H
-    NaN).  On a batch, W^2 (``det_first``) is inf where it overflows, and
-    the jet's own slots show where they are not finite.
+    so steep that W^2 overflows (K would read 0 and H NaN).  On a batch,
+    W^2 is inf where it overflows, and the jet's own slots show where they
+    are not finite.
     """
     fu, fv = jet.d1, jet.d2
     w2 = 1.0 + fu * fu + fv * fv
@@ -77,37 +68,21 @@ def fundamental_forms(jet: Jet2) -> FundamentalForms:
     else:
         w = np.sqrt(w2)
     inv_w = 1.0 / w
-    return FundamentalForms(
-        g11=1.0 + fu * fu,
-        g12=fu * fv,
-        g22=1.0 + fv * fv,
-        h11=jet.d11 * inv_w,
-        h12=jet.d12 * inv_w,
-        h22=jet.d22 * inv_w,
-        det_first=w2,
-    )
-
-
-def gaussian_curvature(forms: FundamentalForms) -> float:
-    return forms.det_second / forms.det_first
-
-
-def mean_curvature(forms: FundamentalForms) -> float:
-    num = (forms.g11 * forms.h22 - 2.0 * forms.g12 * forms.h12
-           + forms.g22 * forms.h11)
-    return num / (2.0 * forms.det_first)
+    h11, h12, h22 = jet.d11 * inv_w, jet.d12 * inv_w, jet.d22 * inv_w
+    K = (h11 * h22 - h12 * h12) / w2
+    H = ((1.0 + fu * fu) * h22 - 2.0 * (fu * fv) * h12 + (1.0 + fv * fv) * h11) / (2.0 * w2)
+    return K, H, w2
 
 
 def curvature_from_jet(jet: Jet2) -> tuple[float, float]:
     """(K, H) of the graph surface at the jet's base point."""
-    forms = fundamental_forms(jet)
-    return gaussian_curvature(forms), mean_curvature(forms)
+    return curvatures(jet)[:2]
 
 
 def classify_sign(K: np.ndarray, local_scale: float = 0.0,
                   tol_K: float = DEFAULT_CURVATURE_TOL) -> np.ndarray:
     """Sign of each curvature value under a scale-aware zero threshold, as
-    an object array of SignClass.
+    an int array of codes: ``list(SignClass)[code]`` is the class.
 
     ``local_scale`` should be the curvature magnitude reference for the
     surface at hand (typically max |K| over the evaluated grid), so that
@@ -116,5 +91,6 @@ def classify_sign(K: np.ndarray, local_scale: float = 0.0,
     if not tol_K > 0.0:  # also rejects NaN
         raise ValueError("tol_K must be positive")
     zero = abs(K) <= tol_K * (1.0 + abs(local_scale))
-    return np.where(zero, SignClass.ZERO,
-                    np.where(K > 0.0, SignClass.POSITIVE, SignClass.NEGATIVE))
+    return np.where(zero, _CODE[SignClass.ZERO],
+                    np.where(K > 0.0, _CODE[SignClass.POSITIVE],
+                             _CODE[SignClass.NEGATIVE]))

@@ -180,9 +180,8 @@ class GridRow:
 
 
 def report_rows(report: GridReport) -> tuple[GridRow, ...]:
-    """The report row by row."""
-    return tuple(map(GridRow, report.u, report.v, report.f, report.K, report.H,
-                     report.valid, report.sign))
+    """The report row by row, as its JSON writes it."""
+    return grid_rows_from_json(harness.emit_grid_report(report, "json"))[1]
 
 
 def grid_rows_from_json(text: str) -> tuple[str, tuple[GridRow, ...], dict]:

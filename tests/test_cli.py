@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from prodgeo import cli, harness
+from prodgeo import cli, harness, surface
 
 VES = '{"k": 1, "beta": 0.5, "rho": 0.5, "delta": 2}'
 KAD = '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "delta": 2}'
@@ -231,13 +231,18 @@ DEEP = '{"k": ' + "[" * 5000 + "]" * 5000 + ', "beta": 0.5, "rho": 0.5, "delta":
 DEEP_CLASSIFY = ("classify", "--params", DEEP)
 DEEP_GRID = ("grid", "--params", DEEP)
 #: --params files, written in the test's working directory
-PARAMS_FILES = {"five.json": "5", "null.json": "null"}
+PARAMS_FILES = {"five.json": "5", "null.json": "null",
+                "repeated.json": '{"k1":0.3,"k2":0.2,"k3":0.3,"beta1":1.5,"beta2":0.8,'
+                                 '"delta":2,"beta1":0.5}'}
 NUMBER_FILE = ("classify", "--params", "five.json")
 NULL_FILE = ("eval", "--model", "kadiyala", "--params", "null.json", "--point", "1,1")
 #: input that cannot be read: the error names the option
 BAD_JSON = ("classify", "--params", "{bad")
 NO_FILE = ("classify", "--params", "nofile.json")
 WORD_POINT = ("eval", "--model", "ves", "--params", VES, "--point", "a,b")
+#: a key given twice, inline and in a file: the error names the key
+REPEATED_KEY = ("classify", "--params", '{"k":1,"beta":0.5,"rho":0.5,"delta":2,"k":3}')
+REPEATED_FILE = ("eval", "--model", "kadiyala", "--params", "repeated.json", "--point", "1,1")
 #: a verify run whose one trial has no grid point in its domain
 NO_DOMAIN = ("verify-t1", "--trials", "1", "--seed", "4", "--grid", "10,100,3,0.1,1,3")
 #: what the error line must name, where the input is finite but overflows
@@ -267,6 +272,8 @@ NAMED = {
     BAD_JSON: "error: --params is not valid JSON: Expecting property name",
     NO_FILE: "error: --params file cannot be read: [Errno 2] No such file or directory",
     WORD_POINT: "error: --point must be 'u,v', got 'a,b'",
+    REPEATED_KEY: 'error: parameter key "k" is given twice',
+    REPEATED_FILE: 'error: parameter key "beta1" is given twice',
 }
 
 
@@ -305,6 +312,8 @@ NAMED = {
     BAD_JSON,
     NO_FILE,
     WORD_POINT,
+    REPEATED_KEY,
+    REPEATED_FILE,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     for name, text in PARAMS_FILES.items():
@@ -342,3 +351,32 @@ def test_default_grid_is_the_library_default():
 def test_missing_params_exit_2(capsys):
     code, _, _ = run(capsys, "classify", "--model", "ves")
     assert code == 2
+
+
+ROUTE_GRID = "0.5,5,3,0.5,5,3"
+
+
+def test_K_has_one_route(capsys, monkeypatch):
+    """eval, grid and verify-t1 take autodiff K from surface.curvatures
+    alone: K scaled there is the K that each of them prints or checks."""
+    eval_argv = ("eval", "--model", "ves", "--params", VES, "--point", "1,2")
+    grid_argv = ("grid", "--model", "kadiyala", "--params", KAD, "--grid", ROUTE_GRID,
+                 "--format", "json")
+    verify_argv = ("verify-t1", "--trials", "3", "--grid", ROUTE_GRID)
+    clean = [run(capsys, *argv) for argv in (eval_argv, grid_argv, verify_argv)]
+    curvatures = surface.curvatures
+
+    def scaled(jet):
+        K, H, w2 = curvatures(jet)
+        return 1.5 * K, H, w2
+    monkeypatch.setattr(surface, "curvatures", scaled)
+
+    code, out, _ = run(capsys, *eval_argv)
+    K = json.loads(clean[0][1])["K"]
+    assert (code, json.loads(out)["K"]) == (0, 1.5 * K) and K != 0.0
+    code, out, _ = run(capsys, *grid_argv)
+    Ks = [row["K"] for row in json.loads(clean[1][1])["rows"]]
+    assert code == 0 and [row["K"] for row in json.loads(out)["rows"]] == [1.5 * K for K in Ks]
+    assert any(Ks)
+    code, _, err = run(capsys, *verify_argv)
+    assert clean[2][0] == 0 and code == 1 and "autodiff K=" in err

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from prodgeo import cli, harness
+from prodgeo import cli, harness, models
 from prodgeo.errors import ProdGeoError
 
 KAD_GENERIC = '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "delta": 2}'
@@ -210,7 +210,7 @@ EDGE_GRIDS = ("grid-kadiyala-power-overflow", "grid-kadiyala-first-row-fails-lat
 def test_edge_grids_raise_no_warning(name):
     """A grid may fail with the program's own error, never with a warning."""
     args = cli.build_parser().parse_args(CASES[name])
-    params = harness.FAMILIES[args.model].params_from_json(args.params)
+    params = models.params_from_json(harness.FAMILIES[args.model].params_type, args.params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

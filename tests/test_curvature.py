@@ -32,7 +32,7 @@ def autodiff_K(params, u, v):
         jet = models.ves_eval(params, *jets.seed(u, v))
     else:
         jet = models.kadiyala_eval(params, *jets.seed(u, v))
-    return surface.gaussian_curvature(surface.fundamental_forms(jet))
+    return surface.curvatures(jet)[0]
 
 
 class TestReturnsToScale:

@@ -86,12 +86,12 @@ def test_domain_errors():
 
 def test_nonfinite_raises():
     """An op checks nothing: a product that overflows carries its inf on,
-    and the forms, which read the jet, raise for it."""
+    and ``surface.curvatures``, which reads the jet, raises for it."""
     big = jets.constant(1e308)
     product = jets.mul(big, big)
     assert product.val == math.inf
     with pytest.raises(NonFiniteError, match=r"non-finite jet: val=inf"):
-        surface.fundamental_forms(product)
+        surface.curvatures(product)
 
 
 def test_scale_and_neg():
@@ -220,9 +220,9 @@ def test_powr_of_a_base_that_is_not_finite_raises(base, p):
 @np.errstate(all="ignore")
 def test_array_op_names_the_first_failing_element():
     """A batch op leaves not finite each row that its float op, or the
-    forms that read its jet, reject, and the first of them, taken as a
-    point, raises the error that names it: ``powr`` raises its own, and
-    the forms raise for a jet that is not finite."""
+    curvatures that read its jet, reject, and the first of them, taken as
+    a point, raises the error that names it: ``powr`` raises its own, and
+    ``surface.curvatures`` raises for a jet that is not finite."""
     cases = [
         (lambda x: jets.powr(jets.seed_u(x), 2), [2.0, 1e200, 3e200],
          NonFiniteError, r"power overflow: 1e\+200 \*\* 2.0"),
@@ -236,7 +236,7 @@ def test_array_op_names_the_first_failing_element():
         assert np.isfinite(batch).all(axis=0).tolist() == [True] + [False] * (len(xs) - 1)
         assert batch[:, 0].tolist() == list(op(xs[0]))
         with pytest.raises(error, match=message):
-            surface.fundamental_forms(op(xs[1]))
+            surface.curvatures(op(xs[1]))
 
 
 def test_numpy_power_bits_do_not_depend_on_the_operands_layout():

@@ -92,22 +92,33 @@ class TestKadiyalaValidation:
 class TestJsonRoundTrip:
     def test_ves_round_trip(self):
         p = models.ves_validate(2, 0.4, 1.3, 0.7)
-        assert models.ves_params_from_json(models.params_to_json(p)) == p
+        assert models.params_from_json(models.VesParams, models.params_to_json(p)) == p
 
     def test_kadiyala_round_trip(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
-        assert models.kadiyala_params_from_json(models.params_to_json(p)) == p
+        assert models.params_from_json(models.KadiyalaParams, models.params_to_json(p)) == p
 
     def test_unknown_keys_rejected(self):
         text = json.dumps({"k": 1, "beta": 0.5, "rho": 0.5, "delta": 1,
                            "gamma": 3})
         with pytest.raises(ConstraintViolation, match="gamma"):
-            models.ves_params_from_json(text)
+            models.params_from_json(models.VesParams, text)
+
+    @pytest.mark.parametrize("cls,text,key", [
+        (models.VesParams, '{"k": 1, "beta": 0.5, "rho": 0.5, "delta": 2, "k": 3}', "k"),
+        (models.VesParams, '{"k": 1, "beta": 0.5, "beta": 0.5, "rho": 0.5, "delta": 2}', "beta"),
+        (models.KadiyalaParams, '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, '
+                                '"beta2": 0.8, "delta": 2, "delta": 2}', "delta"),
+    ])
+    def test_repeated_keys_rejected(self, cls, text, key):
+        """A key given twice is an error that names it, with the same value too."""
+        with pytest.raises(ConstraintViolation, match=f'key "{key}" is given twice'):
+            models.params_from_json(cls, text)
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ConstraintViolation, match="delta"):
-            models.ves_params_from_json(json.dumps({"k": 1, "beta": 0.5,
-                                                    "rho": 0.5}))
+            models.params_from_json(models.VesParams,
+                                    json.dumps({"k": 1, "beta": 0.5, "rho": 0.5}))
 
 
 class TestVesDomain:
@@ -261,15 +272,15 @@ BATCH_OVERFLOWS = [
 def test_batch_overflow_raises_only_the_point_error(evaluate, p, u, v):
     """An evaluator carries an overflow in a product of finite slots on, on
     array slots and on a point: its jet is not finite at the point whose
-    forms raise NonFiniteError on their own, and only there.  A sweep of the two points
+    curvatures raise NonFiniteError on their own, and only there.  A sweep of the two points
     replays that one on the point path and raises its error, naming the
     point."""
     with pytest.raises(NonFiniteError) as alone:
-        surface.fundamental_forms(evaluate(p, *jets.seed(u[1], v[1])))
+        surface.curvatures(evaluate(p, *jets.seed(u[1], v[1])))
 
     def jet_values(p, u, v):
         jet = evaluate(p, *jets.seed(u, v))
-        surface.fundamental_forms(jet)
+        surface.curvatures(jet)
         return jet, (jet.val,)
     with np.errstate(all="ignore"):
         jet = evaluate(p, *jets.seed(np.array(u), np.array(v)))

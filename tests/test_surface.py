@@ -17,34 +17,28 @@ def plane_jet(a, b, u0, v0):
 
 
 def test_plane_forms():
-    # f = 2u + 3v: first form from the slopes, second form identically zero
-    forms = surface.fundamental_forms(plane_jet(2, 3, 1.7, -0.4))
-    assert (forms.g11, forms.g12, forms.g22) == (5.0, 6.0, 10.0)
-    assert (forms.h11, forms.h12, forms.h22) == (0.0, 0.0, 0.0)
-    assert forms.det_first == 14.0
-    assert surface.gaussian_curvature(forms) == 0.0
-    assert surface.mean_curvature(forms) == 0.0
+    # f = 2u + 3v: a plane, flat, with W^2 = 1 + 2^2 + 3^2
+    assert surface.curvatures(plane_jet(2, 3, 1.7, -0.4)) == (0.0, 0.0, 14.0)
 
 
 def test_saddle_at_origin():
+    # f = uv at the origin: f_uv = 1 and level, so K = -1, and H = 0
     jet = jets.mul(*jets.seed(0.0, 0.0))
-    forms = surface.fundamental_forms(jet)
-    assert (forms.g11, forms.g12, forms.g22) == (1.0, 0.0, 1.0)
-    assert (forms.h11, forms.h12, forms.h22) == (0.0, 1.0, 0.0)
-    assert surface.gaussian_curvature(forms) == -1.0
-    assert surface.mean_curvature(forms) == 0.0  # minimal surface point
+    K, H, w2 = surface.curvatures(jet)
+    assert (K, w2) == (-1.0, 1.0)
+    assert H == 0.0  # minimal surface point
 
 
 def test_paraboloid_forms():
-    # f = u^2 + v^2 at (1, 0), Monge formulas by hand
+    # f = u^2 + v^2 at (1, 0), by hand: f_u = 2, f_v = 0, f_uu = f_vv = 2,
+    # f_uv = 0, W^2 = 5; K = f_uu*f_vv / W^4 = 4/25 and
+    # H = ((1 + f_v^2)*f_uu + (1 + f_u^2)*f_vv) / (2 W^3) = 6/5^(3/2)
     u, v = jets.seed(1.0, 0.0)
     jet = jets.add(jets.powr(u, 2), jets.mul(v, v))
-    forms = surface.fundamental_forms(jet)
-    w = math.sqrt(5.0)
-    assert (forms.g11, forms.g12, forms.g22) == (5.0, 0.0, 1.0)
-    assert_close(forms.h11, 2.0 / w, 1e-12)
-    assert_close(forms.h22, 2.0 / w, 1e-12)
-    assert forms.h12 == 0.0
+    K, H, w2 = surface.curvatures(jet)
+    assert w2 == 5.0
+    assert_close(K, 4.0 / 25.0, 1e-14)
+    assert_close(H, 6.0 / 5.0 ** 1.5, 1e-14)
 
 
 def sphere_jet(u0, v0):
@@ -92,13 +86,12 @@ def test_pipeline_matches_direct_monge_formula():
     for _ in range(200):
         u0, v0 = rng.uniform(-2, 2), rng.uniform(-2, 2)
         jet = random_poly_jet(rng, u0, v0)
-        forms = surface.fundamental_forms(jet)
-        K = surface.gaussian_curvature(forms)
+        K, _, w2 = surface.curvatures(jet)
         direct = ((jet.d11 * jet.d22 - jet.d12 ** 2)
                   / (1.0 + jet.d1 ** 2 + jet.d2 ** 2) ** 2)
         assert_close(K, direct, 1e-12, "pipeline vs direct Monge K")
         # structural invariant
-        assert forms.det_first >= 1.0
+        assert w2 >= 1.0
 
 
 def test_constant_shift_invariance():
@@ -114,14 +107,14 @@ def test_det_first_exact_at_steep_point():
     # g11*g22 - g12^2 cancels to 0.0 here; det I must stay 1 + fu^2 + fv^2
     fu, fv = 1e9, -2e9
     jet = Jet2(1.0, fu, fv, 2.0, 0.5, 1.0)
-    assert surface.fundamental_forms(jet).det_first == 1.0 + fu * fu + fv * fv
-    K, H = surface.curvature_from_jet(jet)
+    K, H, w2 = surface.curvatures(jet)
+    assert w2 == 1.0 + fu * fu + fv * fv
     assert math.isfinite(K) and math.isfinite(H)
 
 
 def test_nonfinite_jet_rejected():
     with pytest.raises(NonFiniteError):
-        surface.fundamental_forms(Jet2(1.0, float("nan"), 0, 0, 0, 0))
+        surface.curvatures(Jet2(1.0, float("nan"), 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("K,scale,tol,expected", [
@@ -131,7 +124,8 @@ def test_nonfinite_jet_rejected():
     (3e-9, 1.0, 1e-9, SignClass.POSITIVE),
 ])
 def test_classify_sign(K, scale, tol, expected):
-    assert surface.classify_sign(np.array([K]), scale, tol)[0] is expected
+    code = surface.classify_sign(np.array([K]), scale, tol)[0]
+    assert isinstance(code, np.integer) and list(SignClass)[code] is expected
 
 
 def test_classify_sign_rejects_bad_tolerance():
