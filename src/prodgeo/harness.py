@@ -336,17 +336,34 @@ class GridReport:
 
     @functools.cached_property
     def _reprs(self) -> tuple[list[str], ...]:
-        """repr of f, K and H at each cell in the domain, formatted once
-        for both of emit_grid_report's formats."""
-        return tuple(list(map(repr, x.tolist())) for x in self.values)
+        """The reprs of f, K and H at each cell of the grid, in (u, v)
+        order, and "" off the domain: formatted and laid out over the grid
+        once for both of emit_grid_report's formats."""
+        texts = [_float_texts(x) for x in self.values]
+        if self.in_domain.all():
+            return tuple(texts)
+        laid_out = np.full((len(texts), self.in_domain.size), "", dtype=object)
+        laid_out[:, self.in_domain.reshape(-1)] = texts
+        return tuple(laid_out.tolist())
 
 
-def _filled(mask: np.ndarray, cells: list, fill: str) -> list:
-    """A list over the cells of ``mask`` in order: ``cells`` in turn where
-    the mask is set, ``fill`` elsewhere."""
-    out = np.full(mask.size, fill, dtype=object)
-    out[mask.reshape(-1)] = cells
-    return out.tolist()
+def _float_texts(x: np.ndarray) -> list[str]:
+    """``list(map(repr, x.tolist()))`` for a 1-d C-contiguous float64 x,
+    about six times faster.  orjson's shortest round-trip writer gives
+    repr's digits, and spells them as repr does except where |x| lies in
+    [1e-9, 1e-4) (``0.00001`` for ``1e-05``, ``1e-9`` for ``1e-09``),
+    where |x| >= 1e16 (``1e16`` for ``1e+16``) and where x is not finite
+    (``null``): repr formats those cells."""
+    import orjson   # a grid's dependency, loaded by the first one like numpy
+
+    if not x.size:
+        return []
+    texts = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    a = np.abs(x)
+    by_repr = np.flatnonzero(~((a < 1e16) & ((a >= 1e-4) | (a < 1e-9))))
+    for i, text in zip(by_repr.tolist(), map(repr, x[by_repr].tolist())):
+        texts[i] = text
+    return texts
 
 
 def name_point(exc: Exception, u: float, v: float) -> Exception:
@@ -451,8 +468,9 @@ _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _respelled(texts: list[str], x: np.ndarray, fmt: str) -> list[str]:
-    """texts, the reprs of x, as format ``fmt`` spells them: respelled
-    for json, in a copy, where some value of x is not finite."""
+    """texts, the reprs of x (or of x laid out over a grid, "" off the
+    domain), as format ``fmt`` spells them: respelled for json, in a copy,
+    where some value of x is not finite."""
     if fmt == "json" and not np.isfinite(x).all():
         return [_JSON_SPELLING.get(t, t) for t in texts]
     return texts
@@ -465,19 +483,21 @@ def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
     Each format is one str.join over the rows' items.  Each distinct text
     is made once: one per axis value, one per kind of row (a sign class,
     or off the domain), and the reprs of f, K and H, which the report
-    keeps for both formats.  A column of one text per row is a list
-    repeated or a lookup by index in numpy: no row becomes a string of
-    its own, and the document is not copied after the join."""
+    lays out over the grid once for both formats.  A column of one text
+    per row is a list repeated or a lookup by index in numpy: no row
+    becomes a string of its own, and the document is not copied after
+    the join."""
     if fmt == "csv":
-        u_end, v_end, fill = ",", ",", ""
+        u_end, v_end = ",", ","
     elif fmt == "json":
-        u_end, v_end, fill = ',\n      "v": ', ',\n      "valid": ', "null"
+        u_end, v_end = ',\n      "v": ', ',\n      "valid": '
     else:
         raise ValueError(f"unknown format {fmt!r}")
     n_u, n_v = report.in_domain.shape
     n = n_u * n_v
-    # each row's kind: its sign code, or last off the domain
-    kinds = [(c.value, "true") for c in SignClass] + [("", "false")]
+    # each row's kind: its sign code, or last off the domain, where json
+    # writes null for f, K and H
+    kinds = [(c.value, "true", "") for c in SignClass] + [("", "false", "null")]
     kind = np.full(n, len(SignClass))
     kind[report.in_domain.reshape(-1)] = report.signs
 
@@ -485,25 +505,32 @@ def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
         return np.array(texts, dtype=object)[kind].tolist()
 
     def axis(x: np.ndarray, end: str) -> list[str]:
-        return [t + end for t in _respelled(list(map(repr, x.tolist())), x, fmt)]
+        return [t + end for t in _respelled(_float_texts(x), x, fmt)]
 
     u = np.repeat(np.array(axis(report.us, u_end), dtype=object), n_v).tolist()
     v = axis(report.vs, v_end) * n_u
-    f, K, H = (texts if len(texts) == n else _filled(report.in_domain, texts, fill)
-               for texts in map(_respelled, report._reprs, report.values, [fmt] * 3))
+    f, K, H = map(_respelled, report._reprs, report.values, [fmt] * 3)
     if fmt == "csv":
         head, end, opener = "u,v,f,K,H,valid,sign\n", "", ""
-        row = [u, v, f, ",", K, ",", H, by_kind([f",{ok},{sign}\n" for sign, ok in kinds])]
+        row = [u, v, f, ",", K, ",", H, by_kind([f",{ok},{sign}\n" for sign, ok, _ in kinds])]
     else:
+        def after_value(text: str) -> str | list[str]:
+            """text, which follows f, K or H, after json's null in a row
+            off the domain, where the report's text is ""."""
+            if report.in_domain.all():
+                return text
+            return by_kind([null + text for _, _, null in kinds])
+
         # A row's last item opens the next row; the last row's opens none.
         opener = ',\n    {\n      "H": '
         head = '{\n  "model": %s,\n  "rows": [%s' % (json.dumps(report.model),
                                                     opener[1:] if n else "")
         summary = json.dumps(report.summary, indent=2, sort_keys=True).replace("\n", "\n  ")
         end = '%s],\n  "summary": %s\n}\n' % ("\n  " if n else "", summary)
-        row = [H, ',\n      "K": ', K, ',\n      "f": ', f,
-               by_kind([f',\n      "sign": "{sign}",\n      "u": ' for sign, _ in kinds]), u, v,
-               by_kind([f"{ok}\n    }}{opener}" for _, ok in kinds])]
+        row = [H, after_value(',\n      "K": '), K, after_value(',\n      "f": '), f,
+               by_kind([f'{null},\n      "sign": "{sign}",\n      "u": '
+                        for sign, _, null in kinds]), u, v,
+               by_kind([f"{ok}\n    }}{opener}" for _, ok, _ in kinds])]
     items = [end] * (len(row) * n + 2)
     items[0] = head
     for j, part in enumerate(row):

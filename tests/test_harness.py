@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (EPS, LIMIT, GridRow, StencilOutOfDomainError, assert_close, fd_oracle,
                      grid_points, grid_rows_from_json, kadiyala_value, param_columns,
@@ -252,6 +254,27 @@ class TestGridReport:
             assert float(cells[0]) == row.u and float(cells[1]) == row.v
             if row.valid:
                 assert float(cells[2]) == row.f and float(cells[3]) == row.K
+
+
+# --- Float texts --------------------------------------------------------------
+
+#: The extremes of float64, and the neighbours of the bounds where orjson
+#: spells a float differently from repr.
+EDGE_FLOATS = [0.0, 5e-324, sys.float_info.max, 1e-9, 1e-4, 1e16,
+               *(math.nextafter(b, to) for b in (1e-9, 1e-4, 1e16) for to in (0.0, math.inf))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=arrays(np.float64, st.integers(0, 64), elements=st.floats())
+       | arrays(np.uint64, st.integers(0, 64)).map(lambda bits: bits.view(np.float64)))
+@example(x=np.array(EDGE_FLOATS + [-x for x in EDGE_FLOATS]))
+@example(x=np.array([math.nan, math.inf, -math.inf]))
+@example(x=np.array([]))
+def test_float_texts_are_the_reprs(x):
+    """The texts of a grid's floats are their reprs: NaN, ±inf and
+    subnormals included, and bit patterns across the whole exponent
+    range.  An empty array has no text."""
+    assert harness._float_texts(x) == list(map(repr, x.tolist()))
 
 
 # --- The batch grid path against the one-point path ---------------------------
