@@ -17,6 +17,11 @@ VES_RHO_BELOW_1 = '{"k": 1.3, "beta": 0.5, "rho": 0.3, "delta": 0.7}'
 VES_INCREASING = '{"k": 1, "beta": 0.4, "rho": 1.5, "delta": 1.6}'
 VES_DECREASING_RHO = '{"k": 1, "beta": 0.4, "rho": 0.6, "delta": 1.3}'
 VES_STEEP = '{"k":1,"beta":0.5,"rho":0.5,"delta":3}'
+VES_CONSTANT = '{"k": 1, "beta": 0.4, "rho": 1.5, "delta": 1}'
+KAD_CONSTANT = '{"k1": 0.3, "k2": 0.2, "k3": 0.3, "beta1": 1.5, "beta2": 0.8, "delta": 1}'
+KAD_RANK_ONE = '{"k1": 0.25, "k2": 0.25, "k3": 0.25, "beta1": 1, "beta2": 1, "delta": 1.5}'
+#: delta = 1 and k2 = 0 with beta1 + beta2 = 1: the first condition that holds names it
+KAD_CONSTANT_K2_ZERO = '{"k1": 0.4, "k2": 0, "k3": 0.6, "beta1": 0.3, "beta2": 0.7, "delta": 1}'
 GRID = "0.1,10,5,0.1,10,5,log"
 #: the size of the benchmark's grids
 GRID_200 = "0.1,10,200,0.1,10,200"
@@ -65,7 +70,27 @@ CASES = {
     "classify-kadiyala-generic": ("classify", "--model", "kadiyala", "--params", KAD_GENERIC),
     "classify-kadiyala-developable": ("classify", "--model", "kadiyala",
                                       "--params", KAD_DEVELOPABLE),
+    # every returns-to-scale regime and every developability reason
+    "classify-ves-constant": ("classify", "--model", "ves", "--params", VES_CONSTANT),
+    "classify-ves-increasing": ("classify", "--model", "ves", "--params", VES_INCREASING),
+    "classify-kadiyala-constant": ("classify", "--model", "kadiyala", "--params", KAD_CONSTANT),
+    "classify-kadiyala-rank-one": ("classify", "--model", "kadiyala", "--params", KAD_RANK_ONE),
+    "classify-kadiyala-constant-k2-zero": ("classify", "--model", "kadiyala",
+                                           "--params", KAD_CONSTANT_K2_ZERO),
     "specialize": ("specialize", "--model", "kadiyala", "--params", KAD_DEVELOPABLE),
+    # every family tag, and each detail of a tag that has two
+    "specialize-rank-one": ("specialize", "--model", "kadiyala", "--params", KAD_RANK_ONE),
+    "specialize-general": ("specialize", "--model", "kadiyala", "--params", KAD_GENERIC),
+    "specialize-general-k2-zero": ("specialize", "--model", "kadiyala", "--params",
+                                   '{"k1":0.4,"k2":0,"k3":0.6,"beta1":0.9,"beta2":0.7,"delta":1.7}'),
+    "specialize-ces": ("specialize", "--model", "kadiyala", "--params",
+                       '{"k1":0.4,"k2":0,"k3":0.6,"beta1":0.3,"beta2":0.5,"delta":1.7}'),
+    "specialize-lu-fletcher": ("specialize", "--model", "kadiyala", "--params",
+                               '{"k1":0.4,"k2":0.3,"k3":0,"beta1":0.3,"beta2":0.5,"delta":1.2}'),
+    "specialize-ves-type": ("specialize", "--model", "kadiyala", "--params",
+                            '{"k1":0.4,"k2":0.3,"k3":0,"beta1":0.3,"beta2":1,"delta":1.2}'),
+    "specialize-cobb-douglas": ("specialize", "--model", "kadiyala", "--params",
+                                '{"k1":0,"k2":0.5,"k3":0,"beta1":0.3,"beta2":0.6,"delta":1.2}'),
     "specialize-ves-rejected": ("specialize", "--model", "ves", "--params", VES_INCREASING),
     "verify-t1": ("verify-t1", "--trials", "9", "--seed", "4", "--grid", GRID),
     "verify-t2": ("verify-t2", "--trials", "3", "--seed", "4", "--grid", GRID),
@@ -140,6 +165,11 @@ GOLDEN = {
     "classify-kadiyala-developable": "ff4388165d5c1a3c025d1f5e35cd75f6d5b524bb8d5aa9293a5c0c54c55766ca",
     "classify-kadiyala-generic": "2b5c5ffb86419983df33b573bfd506d5faf6fe1ccfdd0f06602b817719fe372a",
     "classify-ves": "ea372de2b5ec61ab952eff88917a1219d2ec4b12b90555cd33a94d1c7624184a",
+    "classify-kadiyala-constant": "79a76390eca1ca00e4858bb48b87aa3995562dba33c8aaa4c94e1a1b7d18f6ec",
+    "classify-kadiyala-constant-k2-zero": "79a76390eca1ca00e4858bb48b87aa3995562dba33c8aaa4c94e1a1b7d18f6ec",
+    "classify-kadiyala-rank-one": "8aee2d9ec68a580c7a83b6ede8f958030bd0ba57659954800e84859671629d35",
+    "classify-ves-constant": "d00f3b1deffb177b129b2cc423cf75c8848fddf308ffc8feae7f6e2ff8aaf5b4",
+    "classify-ves-increasing": "3acc76cee61fb46306552a6a9bc06d2ceb5dbed2f806a15a5f60919da1322b36",
     "eval-kadiyala": "cba5089fb1c4186b4bc1518b01477461c83f03676cc636ed3f3c02a8404222c2",
     "eval-kadiyala-nonpositive": "51b6928980dec7874456a27344f1e6b006e1e7e1f08eb30bfef8a95ecbd62ca9",
     "eval-ves": "35f2229f8ca4484c69da7307e63ae27cdfcf66332e06c97d515abd67970dabdc",
@@ -171,6 +201,13 @@ GOLDEN = {
     "grid-ves-extreme-u": "f44d6ff6692cead544b70b1682ef38882aea9c9ed10b9df8fb34bbf4512f5fda",
     "grid-ves-invalid-extreme-u": "e4a01fd060bcb89fba5c5f22f194acefa78b0e7a66f05e7591765f4f263e750a",
     "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
+    "specialize-ces": "d05dd37f9eaab6521fcaab54f8c974897aecc6e53c566d5af05e25d65a1319a4",
+    "specialize-cobb-douglas": "375275cbb427ab77fdbffee57df206c090c0b9158990e9e5771bfa856016dedf",
+    "specialize-general": "9b524c963a67161c07f44e4e8bb2d1b1673976923d158367779ec9b0c558561e",
+    "specialize-general-k2-zero": "5d4c98f997e4e0b21fa669675b21ec24cad37e7faafb1502d83284bd1cfd1dac",
+    "specialize-lu-fletcher": "7d3c5be28e5fff400e49f1b614586eb467a2281c76771a65c66806e3d839a59d",
+    "specialize-rank-one": "4c481d8442adcb63a69a223209543d1208752cd7c478d6c5442b4f5be095461c",
+    "specialize-ves-type": "8c28fac18fa8cf8c6c8c6db4cae601ccaf2150a34d20a3c6f24aa5b417f2e0de",
     "specialize-ves-rejected": "3b159878e3eecdd3dbda38d318637d589c8b70e3af66e2fae2793987c2151f00",
     "verify-t1": "9ef3690a57ff52a43b858f606d8eef5ed2726e0aaec92928057c61200e3685ca",
     "verify-t2": "abdb70e4364beab32d7e06c4072640f60074bb005839f00e9615d27ba8b9206b",

@@ -54,6 +54,40 @@ class TestGrid:
             harness.parse_grid_spec("0.5,2,4,1,3,5,cubic")
 
 
+def _draws_digest(draws) -> str:
+    """sha256 of a sequence of parameter records, or of (label, record)
+    pairs, as their JSON lines."""
+    lines = [f"{d[0]} {models.params_to_json(d[1])}" if isinstance(d, tuple)
+             else models.params_to_json(d) for d in draws]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+#: the records that seeds 0-49 draw, to the bit, per stratum or condition
+VES_DRAWS = {
+    None: "625e45f6193d4c5fa13c98d69ae1bacc7b971b7921c74a9aafc8b2b781c4d82d",
+    "decreasing": "bf624ea788e81dd9ccd415011f0dff66f5e1ce8a632949a62b75a5d33ac6d0be",
+    "constant": "1b82fdbd8825539d86ffd3232c017c87694d4adcc3c500504c032abcdebc6ca5",
+    "increasing": "08575245ba7f3b0bea84cb97efc279f32eafb1c0b83a77fa0e64be790f663151",
+}
+KADIYALA_DRAWS = {
+    None: "5094842f44e1704d842b7c1f86f34d659341f392807f78d0c4a2c406da463de4",
+    DevelopabilityReason.CONSTANT_RETURNS:
+        "557e7b9e3d253b8aea700c2a0f12af42b2bfba032b192d840187ea0090fdd873",
+    DevelopabilityReason.K2_ZERO_UNIT_SUM:
+        "b3af00df532d2fc1ce74639a814fca94025e32baa8eab0ae9cdc96c2e6218b4d",
+    DevelopabilityReason.BETA_ONE_RANK_ONE:
+        "edf632ca081a46661ed8ed3efe5daad7dbf8bc34e1f46ceee6cfa3a0fd7bc419",
+    # a generic draw, as None gives
+    DevelopabilityReason.NOT_DEVELOPABLE:
+        "5094842f44e1704d842b7c1f86f34d659341f392807f78d0c4a2c406da463de4",
+}
+#: each verify run's labels and records at the CLI's default trial counts, seeds 0-3
+TRIAL_SCHEDULES = {
+    ("ves", 300): "7833e4cb93782b4b3fb3589baa0895793ceb03fbbdb00cfc64e166f799b51ed0",
+    ("kadiyala", 100): "7b46d75d63bf99a998361fc8e5d1cb729fa0cf7d3958f81b29fcb4ac0aff8d6b",
+}
+
+
 class TestRandomParams:
     def test_ves_deterministic(self):
         assert harness.random_ves_params(42) == harness.random_ves_params(42)
@@ -67,6 +101,22 @@ class TestRandomParams:
         assert harness.random_ves_params(1, "constant").delta == 1.0
         assert harness.random_ves_params(1, "decreasing").delta < 1.0
         assert harness.random_ves_params(1, "increasing").delta > 1.0
+
+    @pytest.mark.parametrize("stratum", sorted(VES_DRAWS, key=str))
+    def test_ves_draws_pinned(self, stratum):
+        draws = (harness.random_ves_params(s, stratum) for s in range(50))
+        assert _draws_digest(draws) == VES_DRAWS[stratum]
+
+    @pytest.mark.parametrize("condition", list(KADIYALA_DRAWS), ids=str)
+    def test_kadiyala_draws_pinned(self, condition):
+        draws = (harness.random_kadiyala_params(s, condition) for s in range(50))
+        assert _draws_digest(draws) == KADIYALA_DRAWS[condition]
+
+    @pytest.mark.parametrize("name, trials", sorted(TRIAL_SCHEDULES))
+    def test_trial_schedules_pinned(self, name, trials):
+        family = harness.FAMILIES[name]
+        draws = [d for seed in range(4) for d in family.trials(trials, seed)]
+        assert _draws_digest(draws) == TRIAL_SCHEDULES[name, trials]
 
     def test_kadiyala_deterministic(self):
         assert harness.random_kadiyala_params(7) == harness.random_kadiyala_params(7)
@@ -187,6 +237,24 @@ class TestGridReport:
         report = harness.build_grid_report(p, SMALL_GRID)
         assert all(r.sign == "zero" for r in report_rows(report))
         assert report.summary["verdict"] == "constant-returns"
+
+    @pytest.mark.parametrize("params, verdict", [
+        ((1, 0.4, 1.5, 0.7), "decreasing-returns:positive-curvature"),
+        ((1, 0.4, 1.5, 1), "constant-returns:zero-curvature"),
+        ((1, 0.4, 1.5, 1.6), "increasing-returns:negative-curvature"),
+        ((0.3, 0.2, 0.3, 1.5, 0.8, 1), "constant-returns"),
+        ((0.4, 0, 0.6, 0.3, 0.7, 1.7), "k2-zero-unit-exponent-sum"),
+        ((0.25, 0.25, 0.25, 1, 1, 1.5), "beta-one-rank-one-weights"),
+        ((0.3, 0.2, 0.3, 1.5, 0.8, 2), "not-developable"),
+        # delta = 1 and k2 = 0 with beta1 + beta2 = 1: the first condition names it
+        ((0.4, 0, 0.6, 0.3, 0.7, 1), "constant-returns"),
+    ])
+    def test_summary_verdict_pinned(self, params, verdict):
+        """The grid summary's verdict for each VES regime and each Kadiyala
+        developability reason."""
+        p = (models.ves_validate if len(params) == 4 else models.kadiyala_validate)(*params)
+        report = harness.build_grid_report(p, GridSpec(1, 2, 1, 2, 2, 2))
+        assert report.summary["verdict"] == verdict
 
     def test_json_round_trip(self):
         p = models.ves_validate(1, 0.5, 0.1, 2)  # rho < 1: some cells off the domain
