@@ -101,10 +101,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
-    specialize = harness.FAMILIES[args.model].specialize
-    if specialize is None:
-        names = [name for name, family in harness.FAMILIES.items() if family.specialize]
-        raise ProdGeoError(f"specialize applies to --model {' or '.join(names)}")
+    specialize = harness.FAMILIES[args.model].offered("specialize", "specialize")
     tag = specialize(_load_params(args))
     payload = {"family": tag.tag.value}
     if tag.detail:

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 from .errors import NonFiniteError, SingularPointError
 from .jets import POINT, Slot, np
-from .models import PARAM_EQ_TOL, KadiyalaParams, VesParams, _check_positive, _ves_aggregate
+from .models import (PARAM_EQ_TOL, KadiyalaParams, VesParams, _beta_one_rank_one,
+                     _check_positive, _k2_zero_unit_sum, _ves_aggregate)
 from .surface import SignClass
 
 
@@ -257,11 +258,10 @@ def kadiyala_is_developable(p: KadiyalaParams) -> DevelopabilityVerdict:
     exactly when delta = 1, or k2 = 0 with beta1+beta2 = 1, or
     beta1 = beta2 = 1 with k2^2 = k1*k3 (the last two being the
     perfect-substitutes reductions)."""
-    if abs(p.delta - 1.0) <= PARAM_EQ_TOL:
+    if returns_to_scale(p.delta) is ReturnsToScale.CONSTANT:
         return DevelopabilityVerdict(True, DevelopabilityReason.CONSTANT_RETURNS)
-    if abs(p.k2) <= PARAM_EQ_TOL and abs(p.beta1 + p.beta2 - 1.0) <= PARAM_EQ_TOL:
+    if _k2_zero_unit_sum(p):
         return DevelopabilityVerdict(True, DevelopabilityReason.K2_ZERO_UNIT_SUM)
-    if (abs(p.beta1 - 1.0) <= PARAM_EQ_TOL and abs(p.beta2 - 1.0) <= PARAM_EQ_TOL
-            and abs(p.k2 * p.k2 - p.k1 * p.k3) <= PARAM_EQ_TOL):
+    if _beta_one_rank_one(p):
         return DevelopabilityVerdict(True, DevelopabilityReason.BETA_ONE_RANK_ONE)
     return DevelopabilityVerdict(False, DevelopabilityReason.NOT_DEVELOPABLE)

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import curvature, jets, models, surface
-from .curvature import DevelopabilityReason
+from .curvature import DevelopabilityReason, ReturnsToScale
 from .errors import InvalidSpecError, ProdGeoError
 from .jets import Slot, np
 from .models import KadiyalaParams, VesParams
@@ -75,9 +75,11 @@ def _axis(lo: float, hi: float, n: int, spacing: Spacing) -> np.ndarray:
 
 
 def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's n_u values of u and n_v values of v, each increasing."""
-    return (_axis(spec.u_min, spec.u_max, spec.n_u, spec.spacing),
-            _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing))
+    """The grid's n_u values of u and n_v values of v, each increasing and
+    finite: near the largest double, numpy overflows only in intermediates."""
+    with np.errstate(all="ignore"):
+        return (_axis(spec.u_min, spec.u_max, spec.n_u, spec.spacing),
+                _axis(spec.v_min, spec.v_max, spec.n_v, spec.spacing))
 
 
 def parse_grid_spec(text: str) -> GridSpec:
@@ -104,19 +106,18 @@ def parse_grid_spec(text: str) -> GridSpec:
 
 # --- Seeded parameter sampling --------------------------------------------
 
-DELTA_STRATA = ("decreasing", "constant", "increasing")
+#: delta's range in each returns-to-scale regime; constant returns draw nothing
+_DELTA_RANGES = {ReturnsToScale.DECREASING: (0.25, 0.9), ReturnsToScale.CONSTANT: (1.0, 1.0),
+                 ReturnsToScale.INCREASING: (1.1, 4.0)}
+DELTA_STRATA = tuple(regime.value for regime in _DELTA_RANGES)
+_CURVED = tuple(regime for regime in _DELTA_RANGES if regime is not ReturnsToScale.CONSTANT)
 
 
-def _draw_delta(rng: random.Random, stratum: str | None) -> float:
+def _draw_delta(rng: random.Random, stratum: str | ReturnsToScale | None) -> float:
     if stratum is None:
         stratum = rng.choice(DELTA_STRATA)
-    if stratum == "constant":
-        return 1.0
-    if stratum == "decreasing":
-        return rng.uniform(0.25, 0.9)
-    if stratum == "increasing":
-        return rng.uniform(1.1, 4.0)
-    raise ValueError(f"unknown delta stratum {stratum!r}")
+    lo, hi = _DELTA_RANGES[ReturnsToScale(stratum)]
+    return lo if lo == hi else rng.uniform(lo, hi)
 
 
 def random_ves_params(seed: int, stratum: str | None = None) -> VesParams:
@@ -162,21 +163,21 @@ def random_kadiyala_params(
     if force_condition is DevelopabilityReason.K2_ZERO_UNIT_SUM:
         k1 = rng.uniform(0.05, 0.95)
         b1 = rng.uniform(0.1, 0.9)
-        delta = _draw_delta(rng, rng.choice(("decreasing", "increasing")))
+        delta = _draw_delta(rng, rng.choice(_CURVED))
         return models.kadiyala_validate(k1, 0.0, 1.0 - k1, b1, 1.0 - b1, delta)
 
     if force_condition is DevelopabilityReason.BETA_ONE_RANK_ONE:
         w1, w3 = rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
         w2 = math.sqrt(w1 * w3)  # k2^2 = k1*k3, preserved by uniform rescale
         s = w1 + 2.0 * w2 + w3
-        delta = _draw_delta(rng, rng.choice(("decreasing", "increasing")))
+        delta = _draw_delta(rng, rng.choice(_CURVED))
         return models.kadiyala_validate(w1 / s, w2 / s, w3 / s, 1.0, 1.0, delta)
 
     # Generic draw, bounded away from every developability condition.
     while True:
         k1, k2, k3 = simplex_weights()
         b1, b2 = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
-        delta = _draw_delta(rng, rng.choice(("decreasing", "increasing")))
+        delta = _draw_delta(rng, rng.choice(_CURVED))
         if abs(delta - 1.0) < 0.1 or k2 < 0.02:
             continue
         near_rank_one = (abs(b1 - 1.0) < 0.1 and abs(b2 - 1.0) < 0.1
@@ -197,19 +198,8 @@ def random_kadiyala_params(
 class Verdict(NamedTuple):
     """What a theorem says about one parameter set."""
     expect: SignClass | None  # sign of K at every point; None: curved somewhere
-    #: the summary and payload below, written when one is read: a verify
-    #: run reads ``expect`` alone
-    texts: Callable[[], tuple[str, dict]]
-
-    @property
-    def summary(self) -> str:
-        """The grid report's "verdict" field."""
-        return self.texts()[0]
-
-    @property
-    def payload(self) -> dict:
-        """The `classify` command's JSON object."""
-        return self.texts()[1]
+    summary: str  # the grid report's "verdict" field
+    payload: dict  # the `classify` command's JSON object
 
 
 @dataclass(frozen=True)
@@ -233,11 +223,16 @@ class ModelFamily:
 
     def domain(self, strict: bool) -> Callable[[object, Slot, Slot], bool | np.ndarray]:
         """The domain test; a strict one the family lacks is an error."""
-        test = self.strict_domain_valid if strict else self.domain_valid
-        if test is None:
-            names = [name for name, f in FAMILIES.items() if f.strict_domain_valid]
-            raise ProdGeoError(f"--strict-domain applies to --model {' or '.join(names)}")
-        return test
+        return (self.offered("strict_domain_valid", "--strict-domain") if strict
+                else self.domain_valid)
+
+    def offered(self, part: str, asked_by: str):
+        """The family's optional ``part``, which ``asked_by`` needs; where the
+        family has none, an error naming the families that have one."""
+        if (value := getattr(self, part)) is None:
+            names = [name for name, f in FAMILIES.items() if getattr(f, part) is not None]
+            raise ProdGeoError(f"{asked_by} applies to --model {' or '.join(names)}")
+        return value
 
 
 def _rel_dev(a: Slot, b: Slot) -> Slot:
@@ -250,10 +245,10 @@ def _subseed(seed: int, index: int) -> int:
 
 def _ves_verdict(p: VesParams) -> Verdict:
     regime, sign = curvature.ves_theorem_verdict(p)
-    return Verdict(sign, lambda: (f"{regime.value}-returns:{sign.value}-curvature",
-                                  {"model": "ves", "returns_to_scale": regime.value,
-                                   "predicted_curvature_sign": sign.value,
-                                   "developable": sign is SignClass.ZERO}))
+    return Verdict(sign, f"{regime.value}-returns:{sign.value}-curvature",
+                   {"model": "ves", "returns_to_scale": regime.value,
+                    "predicted_curvature_sign": sign.value,
+                    "developable": sign is SignClass.ZERO})
 
 
 def _ves_trials(trials: int, seed: int):
@@ -265,19 +260,14 @@ def _ves_trials(trials: int, seed: int):
 
 def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
     verdict = curvature.kadiyala_is_developable(p)
-    return Verdict(SignClass.ZERO if verdict.developable else None,
-                   lambda: (verdict.reason.value,
-                            {"model": "kadiyala",
-                             "returns_to_scale": curvature.returns_to_scale(p.delta).value,
-                             "developable": verdict.developable,
-                             "reason": verdict.reason.value}))
+    return Verdict(SignClass.ZERO if verdict.developable else None, verdict.reason.value,
+                   {"model": "kadiyala",
+                    "returns_to_scale": curvature.returns_to_scale(p.delta).value,
+                    "developable": verdict.developable, "reason": verdict.reason.value})
 
 
-FORWARD_CONDITIONS = (
-    DevelopabilityReason.CONSTANT_RETURNS,
-    DevelopabilityReason.K2_ZERO_UNIT_SUM,
-    DevelopabilityReason.BETA_ONE_RANK_ONE,
-)
+FORWARD_CONDITIONS = tuple(reason for reason in DevelopabilityReason
+                           if reason is not DevelopabilityReason.NOT_DEVELOPABLE)
 
 
 def _kadiyala_trials(trials: int, seed: int):
@@ -505,7 +495,7 @@ def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
         return np.array(texts, dtype=object)[kind].tolist()
 
     def axis(x: np.ndarray, end: str) -> list[str]:
-        return [t + end for t in _respelled(_float_texts(x), x, fmt)]
+        return [t + end for t in _float_texts(x)]
 
     u = np.repeat(np.array(axis(report.us, u_end), dtype=object), n_v).tolist()
     v = axis(report.vs, v_end) * n_u

@@ -221,6 +221,19 @@ def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
 
 
 # --- Kadiyala specializations ---------------------------------------------
+# The two perfect-substitutes reductions are also two of Theorem 2's three
+# developability conditions (``curvature.kadiyala_is_developable``).
+
+def _k2_zero_unit_sum(p: KadiyalaParams) -> bool:
+    """k2 = 0 with beta1 + beta2 = 1: P = (k1*u + k3*v)^delta."""
+    return abs(p.k2) <= PARAM_EQ_TOL and abs(p.beta1 + p.beta2 - 1.0) <= PARAM_EQ_TOL
+
+
+def _beta_one_rank_one(p: KadiyalaParams) -> bool:
+    """beta1 = beta2 = 1 with k2^2 = k1*k3: P = (sqrt(k1)*u + sqrt(k3)*v)^delta."""
+    return (abs(p.beta1 - 1.0) <= PARAM_EQ_TOL and abs(p.beta2 - 1.0) <= PARAM_EQ_TOL
+            and abs(p.k2 * p.k2 - p.k1 * p.k3) <= PARAM_EQ_TOL)
+
 
 class Family(enum.Enum):
     GENERAL_KADIYALA = "general-kadiyala"
@@ -249,14 +262,12 @@ def kadiyala_specialize(p: KadiyalaParams) -> FamilyTag:
     k2_zero = abs(p.k2) <= PARAM_EQ_TOL
     k1_zero = abs(p.k1) <= PARAM_EQ_TOL
     k3_zero = abs(p.k3) <= PARAM_EQ_TOL
-    unit_sum = abs(bsum - 1.0) <= PARAM_EQ_TOL
-    betas_one = abs(p.beta1 - 1.0) <= PARAM_EQ_TOL and abs(p.beta2 - 1.0) <= PARAM_EQ_TOL
 
-    if k2_zero and unit_sum:
+    if _k2_zero_unit_sum(p):
         return FamilyTag(
             Family.PERFECT_SUBSTITUTES,
             f"P(u,v) = ({p.k1}*u + {p.k3}*v)^{p.delta}")
-    if betas_one and abs(p.k2 * p.k2 - p.k1 * p.k3) <= PARAM_EQ_TOL:
+    if _beta_one_rank_one(p):
         return FamilyTag(
             Family.PERFECT_SUBSTITUTES,
             f"P(u,v) = ({math.sqrt(p.k1)}*u + {math.sqrt(p.k3)}*v)^{p.delta}")

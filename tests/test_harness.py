@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,27 @@ TRIAL_SCHEDULES = {
     ("ves", 300): "7833e4cb93782b4b3fb3589baa0895793ceb03fbbdb00cfc64e166f799b51ed0",
     ("kadiyala", 100): "7b46d75d63bf99a998361fc8e5d1cb729fa0cf7d3958f81b29fcb4ac0aff8d6b",
 }
+
+
+@pytest.mark.parametrize("text", ["1,1.7976931348623157e308,7,1,2,2,linear",
+                                  "1e-10,1.7976931348623157e308,5,1,2,2",
+                                  "1e-300,1.7976931348623157e308,7,1,2,2,linear"])
+def test_axes_up_to_the_largest_double_warn_nothing(text):
+    """geomspace and linspace overflow in their intermediates near the
+    largest double: a grid and a verify run there warn nothing, and the
+    axes are finite, from bound to bound."""
+    spec, p = harness.parse_grid_spec(text), models.ves_validate(1, 0.5, 1.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        us, vs = harness._grid_axes(spec)
+        for run in (lambda: harness.build_grid_report(p, spec),
+                    lambda: harness.run_verify_theorem1(1, 0, spec)):
+            try:
+                run()
+            except ProdGeoError:  # the grid at 1e-300 fails on its own terms
+                pass
+    for axis, lo, hi in ((us, spec.u_min, spec.u_max), (vs, spec.v_min, spec.v_max)):
+        assert np.isfinite(axis).all() and axis[0] == lo and axis[-1] == hi
 
 
 class TestRandomParams:
@@ -487,8 +509,9 @@ def _cell(x) -> str:
 
 
 #: Axis values from a small pool, so that values repeat along an axis as
-#: on a grid; 0.0 and -0.0 are equal dict keys with different texts.
-AXIS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1.0, 2.5, 1e300])
+#: on a grid; 0.0 and -0.0 are equal dict keys with different texts.  An
+#: axis is finite, as a GridSpec's bounds are and each value between them.
+AXIS = st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 2.5, 1e300, sys.float_info.max])
 CELL = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 EMPTY_GRID = ([], [1.0], np.zeros((0, 1), dtype=bool), ([], [], []), [])
 
