@@ -182,15 +182,20 @@ def run(argv: list[str]) -> Outcome:
 #: what an error line names: a point, the grid, or an option
 _NAMED = re.compile(r"\([^()]*, [^()]*\)|\bgrid\b|--[a-z]")
 
+
+def _names_what_it_rejects(outcome: Outcome) -> bool:
+    lines = [line for line in outcome.err.splitlines() if "error:" in line]
+    return bool(lines) and all(map(_NAMED.search, lines))
+
+
 #: each property of one command, from two runs of it
 PROPERTIES = {
     "exit code is 0, 1 or 2": lambda first, again: first.code in (0, 1, 2),
     "no traceback": lambda first, again: "Traceback" not in first.err,
     "no warning": lambda first, again: not first.warnings,
     "stdout is the same in two runs": lambda first, again: first.out == again.out,
-    "each exit-2 line names a point, the grid or an option": lambda first, again: (
-        first.code != 2 or all(_NAMED.search(line) for line in first.err.splitlines()
-                               if "error:" in line)),
+    "each exit-2 line names a point, the grid or an option":
+        lambda first, again: first.code != 2 or _names_what_it_rejects(first),
 }
 
 
