@@ -126,6 +126,20 @@ CASES = {
                                      "--grid", GRID_200),
     "grid-json-ves-rho-below-1-200": ("grid", "--model", "ves", "--params", VES_RHO_BELOW_1,
                                       "--grid", GRID_200, "--format", "json"),
+    # a cell in the domain whose K is NaN: the summary's max|K| is NaN, and
+    # with it every cell's zero band
+    "grid-ves-nan-K-developable": ("grid", "--model", "ves", "--params",
+                                   '{"beta": 0.4006489086491837, "delta": 1.0, '
+                                   '"k": 0.9888808411910535, "rho": 0.7418981635788187}',
+                                   "--grid", "1.8741426647773228e-174,9.851930825196585e+46,11,"
+                                   "6.547228157279363e-219,4.846832379594316e+95,6,log",
+                                   "--format", "json", "--tol", "1.375503637375744e-14"),
+    "grid-ves-nan-K-linear": ("grid", "--model", "ves", "--params",
+                              '{"beta": 0.6654802956755935, "delta": 0.5572566599902822, '
+                              '"k": 2.1337852404773026, "rho": 1.0099014114652252}',
+                              "--grid", "8.859082024832372e-170,2.896760238350338e+103,7,"
+                              "2.3843678385478865e-295,5.0113763677286e-261,9,linear",
+                              "--format", "json"),
     # edges of a verify run: closed forms that overflow through a product of
     # finite powers (an error naming the function and the point, exit 2), and
     # power overflows; in verify-t2's, the first failing point fails in the
@@ -200,6 +214,8 @@ GOLDEN = {
     "grid-ves-steep-slopes": "a85b3aa1bdb4d6837f10cb56761c7fbc4ccc26bc223bfa4356d82b0575ff04f4",
     "grid-ves-extreme-u": "f44d6ff6692cead544b70b1682ef38882aea9c9ed10b9df8fb34bbf4512f5fda",
     "grid-ves-invalid-extreme-u": "e4a01fd060bcb89fba5c5f22f194acefa78b0e7a66f05e7591765f4f263e750a",
+    "grid-ves-nan-K-developable": "594e4e2b7f93e008c3c5e37cea1f949dc6200049d3bcd6308158d4d97385f5ba",
+    "grid-ves-nan-K-linear": "9c4e423baeadaf478c24f37a118a2ea2b09cf6816600aa111827804cf109d6d4",
     "specialize": "ca57baf53e3d21a1cb60731f6da0f7f376f283ff6129d27f525f1340397b97d9",
     "specialize-ces": "d05dd37f9eaab6521fcaab54f8c974897aecc6e53c566d5af05e25d65a1319a4",
     "specialize-cobb-douglas": "375275cbb427ab77fdbffee57df206c090c0b9158990e9e5771bfa856016dedf",
