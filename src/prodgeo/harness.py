@@ -438,15 +438,15 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
     # Overflow to inf or NaN is what the program's checks report, cell by cell.
     with np.errstate(all="ignore"):
         mask, values = _sweep(in_domain, evaluate, [params], us, vs)
-        values = tuple(x[mask] for x in values)
-        max_abs_k = max(np.abs(values[1]).tolist(), default=0.0)
-        signs = surface.classify_sign(values[1], max_abs_k, tol_K)
-    f_valid = values[0].tolist()
+        values = f, K, _ = tuple(x[mask] for x in values)
+        max_abs_k = float(np.abs(K).max(initial=0.0))  # NaN where some K is NaN
+        signs = surface.classify_sign(K, max_abs_k, tol_K)
+    # f is finite in the domain: the sweep checks the jet's value
     summary = {
         "max_abs_k": max_abs_k,
-        "f_min": min(f_valid, default=None),
-        "f_max": max(f_valid, default=None),
-        "invalid_points": mask.size - len(f_valid),
+        "f_min": float(f.min()) if f.size else None,
+        "f_max": float(f.max()) if f.size else None,
+        "invalid_points": mask.size - f.size,
         "verdict": family.verdict(params).summary,
     }
     return GridReport(f"{family.name}:{models.params_to_json(params)}",
@@ -470,63 +470,73 @@ def emit_grid_report(report: GridReport, fmt: str = "csv") -> str:
     """The report as CSV, or as the JSON that json.dumps(..., indent=2,
     sort_keys=True) gives for {"model", "rows", "summary"}.
 
-    Each format is one str.join over the rows' items.  Each distinct text
-    is made once: one per axis value, one per kind of row (a sign class,
-    or off the domain), and the reprs of f, K and H, which the report
-    lays out over the grid once for both formats.  A column of one text
-    per row is a list repeated or a lookup by index in numpy: no row
-    becomes a string of its own, and the document is not copied after
-    the join."""
-    if fmt == "csv":
-        u_end, v_end = ",", ","
-    elif fmt == "json":
-        u_end, v_end = ',\n      "v": ', ',\n      "valid": '
-    else:
+    Each format is one str.join over the rows' items: the CSV a ",".join
+    of 5 a row, the JSON a "".join of 7.  Only f, K and H are a cell's
+    own texts, which the report lays out over the grid once for both
+    formats.  Every other piece of a row depends on the row's kind (a
+    sign class, or off the domain) and on one axis value at most, so it
+    comes from a table of kind by axis value, made once per call and
+    indexed with numpy.  No row becomes a string of its own, and the
+    document is not copied after the join."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     n_u, n_v = report.in_domain.shape
     n = n_u * n_v
     # each row's kind: its sign code, or last off the domain, where json
     # writes null for f, K and H
     kinds = [(c.value, "true", "") for c in SignClass] + [("", "false", "null")]
-    kind = np.full(n, len(SignClass))
-    kind[report.in_domain.reshape(-1)] = report.signs
+    kind = np.full((n_u, n_v), len(SignClass))
+    kind[report.in_domain] = report.signs
 
-    def by_kind(texts: list[str]) -> list[str]:
-        return np.array(texts, dtype=object)[kind].tolist()
+    def looked_up(table: list[list[str]], index: np.ndarray | int) -> list[str]:
+        """table[kind][index] at each row, in (u, v) order, with index an
+        axis's index that broadcasts over the (n_u, n_v) grid."""
+        return np.array(table, dtype=object)[kind, index].reshape(-1).tolist()
 
-    def axis(x: np.ndarray, end: str) -> list[str]:
-        return [t + end for t in _float_texts(x)]
-
-    u = np.repeat(np.array(axis(report.us, u_end), dtype=object), n_v).tolist()
-    v = axis(report.vs, v_end) * n_u
+    u, v = _float_texts(report.us), _float_texts(report.vs)
     f, K, H = map(_respelled, report._reprs, report.values, [fmt] * 3)
     if fmt == "csv":
-        head, end, opener = "u,v,f,K,H,valid,sign\n", "", ""
-        row = [u, v, f, ",", K, ",", H, by_kind([f",{ok},{sign}\n" for sign, ok, _ in kinds])]
-    else:
-        def after_value(text: str) -> str | list[str]:
-            """text, which follows f, K or H, after json's null in a row
-            off the domain, where the report's text is ""."""
-            if report.in_domain.all():
-                return text
-            return by_kind([null + text for _, _, null in kinds])
+        if not n:
+            return "u,v,f,K,H,valid,sign\n"
+        # A row's last piece ends it and starts the next row with that
+        # row's u; the last row's starts none.
+        ends = looked_up([[f"{ok},{sign}\n{x}" for x in u + [""]] for sign, ok, _ in kinds],
+                         np.arange(n_u)[:, None] + (np.arange(n_v) == n_v - 1))
+        return ",".join(_interleaved("u,v,f,K,H,valid,sign\n" + u[0],
+                                     [v * n_u, f, K, H, ends], n))
 
-        # A row's last item opens the next row; the last row's opens none.
-        opener = ',\n    {\n      "H": '
-        head = '{\n  "model": %s,\n  "rows": [%s' % (json.dumps(report.model),
-                                                    opener[1:] if n else "")
-        summary = json.dumps(report.summary, indent=2, sort_keys=True).replace("\n", "\n  ")
-        end = '%s],\n  "summary": %s\n}\n' % ("\n  " if n else "", summary)
-        row = [H, after_value(',\n      "K": '), K, after_value(',\n      "f": '), f,
-               by_kind([f'{null},\n      "sign": "{sign}",\n      "u": '
-                        for sign, _, null in kinds]), u, v,
-               by_kind([f"{ok}\n    }}{opener}" for _, ok, _ in kinds])]
-    items = [end] * (len(row) * n + 2)
-    items[0] = head
-    for j, part in enumerate(row):
-        items[1 + j:-1:len(row)] = [part] * n if isinstance(part, str) else part
+    def after_value(text: str) -> str | list[str]:
+        """text, the key after H or K, after json's null in a row off the
+        domain, where the report's text is ""."""
+        if report.in_domain.all():
+            return text
+        return looked_up([[null + text] for _, _, null in kinds], 0)
+
+    # A row's last piece opens the next row; the last row's opens none.
+    opener = ',\n    {\n      "H": '
+    head = '{\n  "model": %s,\n  "rows": [%s' % (json.dumps(report.model),
+                                                opener[1:] if n else "")
+    summary = json.dumps(report.summary, indent=2, sort_keys=True).replace("\n", "\n  ")
+    end = '%s],\n  "summary": %s\n}\n' % ("\n  " if n else "", summary)
+    sign_u = looked_up([[f'{null},\n      "sign": "{sign}",\n      "u": {x},\n      "v": '
+                         for x in u] for sign, _, null in kinds], np.arange(n_u)[:, None])
+    v_close = looked_up([[f'{x},\n      "valid": {ok}\n    }}{opener}' for x in v]
+                         for _, ok, _ in kinds], np.arange(n_v))
+    items = _interleaved(head, [H, after_value(',\n      "K": '), K,
+                                after_value(',\n      "f": '), f, sign_u, v_close], n, end)
     items[-2] = items[-2].removesuffix(opener)
     return "".join(items)
+
+
+def _interleaved(head: str, columns: list, n: int, end: str | None = None) -> list[str]:
+    """head, then for each of n rows one item of each column (a str is
+    the same item in every row), then end where one is given."""
+    k = len(columns)
+    items = [end] * (1 + k * n + (end is not None))
+    items[0] = head
+    for j, column in enumerate(columns):
+        items[1 + j:1 + k * n:k] = [column] * n if isinstance(column, str) else column
+    return items
 
 
 # --- Theorem verification runs --------------------------------------------

@@ -231,7 +231,14 @@ def _power(x: float, p: float) -> tuple[float, float, float]:
     try:
         return x ** p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0)
     except OverflowError:
-        raise NonFiniteError(f"power overflow: {x} ** {p}") from None
+        for q in (p, p - 1.0):  # name the power that overflows
+            try:
+                x ** q
+            except OverflowError:
+                break
+        else:
+            q = p - 2.0
+        raise NonFiniteError(f"power overflow: {x} ** {q}") from None
 
 
 def _power_elements(x: np.ndarray, p: Slot) -> tuple:

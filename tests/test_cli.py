@@ -252,7 +252,7 @@ NAMED = {
     STEEP_SLOPES: "1 + f_u^2 + f_v^2 overflows at slopes",
     NAN_POINT: "error: --point must be finite, got 'nan,1'",
     INF_POINT: "error: --point must be finite, got '1,inf'",
-    POWER_OVERFLOW: "power overflow: 6e-301 ** 0.312 at (1e-300, 1e-300)",
+    POWER_OVERFLOW: "power overflow: 6e-301 ** -1.688 at (1e-300, 1e-300)",
     INF_GRID: "error: grid bounds must be finite, got u_max=inf",
     INF_GRID_VERIFY: "error: grid bounds must be finite, got u_max=inf",
     INF_DELTA: "error: parameter delta must be finite, got inf",

@@ -188,7 +188,7 @@ GOLDEN = {
     "eval-kadiyala-nonpositive": "51b6928980dec7874456a27344f1e6b006e1e7e1f08eb30bfef8a95ecbd62ca9",
     "eval-ves": "35f2229f8ca4484c69da7307e63ae27cdfcf66332e06c97d515abd67970dabdc",
     "eval-ves-non-finite-jet": "32185a4db0ebb52a9556da6fc329ea46fb44dc7026722524e45cd7ec5c7c7f7e",
-    "eval-ves-power-overflow": "f633edaea7adfa77260f69048ced02caf7e691c690ae015409fa433d3eea843c",
+    "eval-ves-power-overflow": "2e3b0df4abe1878b8beff3294990c8e132769d5bd1eb5160e0a68f6ef8d9ba59",
     "eval-ves-outside-domain": "a811b8900058a52f9adfa27b61822d73ddbb28a284e583d373f3014b9640a153",
     "eval-ves-steep-slopes": "a85b3aa1bdb4d6837f10cb56761c7fbc4ccc26bc223bfa4356d82b0575ff04f4",
     "eval-ves-strict-invalid": "00e641c8575737b54815442e9f98e2d08ced264c80ac151ec914d5b55253a28a",
@@ -209,7 +209,7 @@ GOLDEN = {
     "grid-csv-ves-rho-below-1-200": "fe5a2ef4fbc4d063bd7b33f386209430fa4ba2420cddece9a872712c0eb8d05a",
     "grid-json-ves-rho-below-1-200": "5baf8e8b0808b1650f7b2e7aed55db66d96a8289b343c45f08e4e7b21811c394",
     "grid-kadiyala-base-underflow": "3d2a0b7ccb1cecb974b63f92de4290ee039ba7739a7b2266425b20a40a491914",
-    "grid-kadiyala-first-row-fails-late": "c7a7b818bcffa222595db4307379a92492c300cf06b1bd7f2fad9c5bbb12d5b2",
+    "grid-kadiyala-first-row-fails-late": "1f0d6a538904b48c109b5083a5fd08907ede03f1a1c14fbc54168ecea4f23793",
     "grid-kadiyala-power-overflow": "fbdf76c97e3e4547bdf80ee6bed4e72b7fb477026f418443de5c455866934d89",
     "grid-ves-steep-slopes": "a85b3aa1bdb4d6837f10cb56761c7fbc4ccc26bc223bfa4356d82b0575ff04f4",
     "grid-ves-extreme-u": "f44d6ff6692cead544b70b1682ef38882aea9c9ed10b9df8fb34bbf4512f5fda",

@@ -319,13 +319,18 @@ class TestGridReport:
         assert a == b
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_emitting_holds_under_twice_the_text(self, fmt):
+    @pytest.mark.parametrize("params, off_domain", [
+        (models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2), (0.0, 0.0)),
+        (models.ves_validate(1, 0.5, 0.5, 2), (0.25, 0.4)),
+    ])
+    def test_emitting_holds_under_twice_the_text(self, fmt, params, off_domain):
         """The emitter joins the cells' texts once: no string per row and
-        no copy of the document.  On an all-valid 200x200 grid, the most
-        it holds at once, its text included, is under twice the text."""
-        p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
-        report = harness.build_grid_report(p, GridSpec(0.1, 10, 0.1, 10, 200, 200))
-        assert report.in_domain.all()
+        no copy of the document.  On a 200x200 grid, all in the domain or
+        about a third off it (where a row's text is short), the most it
+        holds at once, its text included, is under twice the text."""
+        report = harness.build_grid_report(params, GridSpec(0.1, 10, 0.1, 10, 200, 200))
+        lo, hi = off_domain
+        assert lo <= 1.0 - report.in_domain.mean() <= hi
         report._reprs  # formatted once, before either format is emitted
         tracemalloc.start()
         try:
@@ -477,6 +482,75 @@ def test_grid_report_matches_point_by_point_path(params, spec, strict, tol):
             assert within_bound(report.summary[key], summary[key], max_scale[name]), key
     assert ({k: summary[k] for k in ("invalid_points", "verdict")}
             == {k: report.summary[k] for k in ("invalid_points", "verdict")})
+
+
+def _list_summary(report: GridReport) -> dict:
+    """The summary's figures as Python's min and max reduce the lists of
+    the report's f and |K|: a max is NaN only where the first |K| is."""
+    f, K = (x.tolist() for x in report.values[:2])
+    return {"max_abs_k": max(map(abs, K), default=0.0), "f_min": min(f, default=None),
+            "f_max": max(f, default=None), "invalid_points": report.in_domain.size - len(f)}
+
+
+def _summary_json(summary: dict) -> str:
+    """The summary's figures as the JSON report writes them, NaN included."""
+    return json.dumps({key: summary[key] for key in ("max_abs_k", "f_min", "f_max",
+                                                     "invalid_points")}, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=family_params(), spec=grid_specs())
+def test_summary_is_the_list_reductions(params, spec):
+    """max |K|, min f, max f and the count off the domain are the lists'
+    reductions, but max |K| is NaN wherever some K is NaN."""
+    try:
+        report = harness.build_grid_report(params, spec)
+    except (ProdGeoError, ArithmeticError):
+        return
+    want = _list_summary(report)
+    if np.isnan(report.values[1]).any():
+        want["max_abs_k"] = math.nan
+    assert _summary_json(report.summary) == _summary_json(want)
+
+
+#: the cell given K, K there, and max |K|
+NOT_FINITE_K = {
+    "NaN first": (0, math.nan, math.nan),  # the list's max is NaN too
+    "NaN later": (7, math.nan, math.nan),  # the list's max is not
+    "-inf": (7, -math.inf, math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FINITE_K))
+def test_summary_of_a_K_that_is_not_finite(monkeypatch, name):
+    """A K that is not finite, which no check of the sweep replays, sets
+    max |K|: NaN wherever it lies, and inf for -inf."""
+    cell, k, max_abs_k = NOT_FINITE_K[name]
+    curvatures = surface.curvatures
+
+    def corrupted(jet):
+        K, H, w2 = curvatures(jet)
+        K = K.copy()
+        K.flat[cell] = k
+        return K, H, w2
+
+    monkeypatch.setattr(surface, "curvatures", corrupted)
+    report = harness.build_grid_report(models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2),
+                                       SMALL_GRID)
+    assert report.in_domain.all()
+    want = _list_summary(report)
+    assert math.isnan(want["max_abs_k"]) == (name == "NaN first")
+    want["max_abs_k"] = max_abs_k
+    assert _summary_json(report.summary) == _summary_json(want)
+
+
+def test_summary_of_a_grid_with_no_cell_in_the_domain():
+    report = harness.build_grid_report(models.ves_validate(1, 0.5, 0.1, 2),
+                                       GridSpec(10, 100, 0.1, 1, 3, 3))
+    assert not report.in_domain.any()
+    want = {"max_abs_k": 0.0, "f_min": None, "f_max": None, "invalid_points": 9}
+    assert _summary_json(report.summary) == _summary_json(_list_summary(report)) == \
+        _summary_json(want)
 
 
 def test_grid_reports_autodiff_K_and_H_as_computed():

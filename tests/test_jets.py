@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ def test_powr_of_a_base_that_is_not_finite_raises(base, p):
     """inf ** -0.5 is 0.0, which would hide the inf before it."""
     with pytest.raises(NonFiniteError, match=f"powr requires a finite base, got {base}"):
         jets.powr(jets.constant(base), p)
+
+
+@pytest.mark.parametrize("x, p, q", [(1e200, 2.0, 2.0), (1e-300, -0.1, -1.1),
+                                     (1e-300, 0.5, -1.5)])
+def test_power_overflow_names_the_power_that_overflows(x, p, q):
+    """powr takes x**p, x**(p-1) and x**(p-2); its text names the first
+    that overflows, where x**p itself may be finite."""
+    assert [q0 for q0 in (p, p - 1.0, p - 2.0) if math.isinf(float(mp.mpf(x) ** q0))][0] == q
+    with pytest.raises(NonFiniteError, match=re.escape(f"power overflow: {x} ** {q}") + "$"):
+        jets.powr(jets.constant(x), p)
 
 
 @np.errstate(all="ignore")
