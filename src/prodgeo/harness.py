@@ -438,7 +438,8 @@ def build_grid_report(params, spec: GridSpec = DEFAULT_GRID,
     # Overflow to inf or NaN is what the program's checks report, cell by cell.
     with np.errstate(all="ignore"):
         mask, values = _sweep(in_domain, evaluate, [params], us, vs)
-        values = f, K, _ = tuple(x[mask] for x in values)
+        values = tuple(x[mask] for x in values)
+        f, K = values[:2]
         max_abs_k = float(np.abs(K).max(initial=0.0))  # NaN where some K is NaN
         signs = surface.classify_sign(K, max_abs_k, tol_K)
     # f is finite in the domain: the sweep checks the jet's value

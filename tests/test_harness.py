@@ -318,18 +318,19 @@ class TestGridReport:
         b = harness.emit_grid_report(harness.build_grid_report(p, SMALL_GRID), "csv")
         assert a == b
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("params, off_domain", [
-        (models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2), (0.0, 0.0)),
-        (models.ves_validate(1, 0.5, 0.5, 2), (0.25, 0.4)),
-    ])
-    def test_emitting_holds_under_twice_the_text(self, fmt, params, off_domain):
+    #: the share of each grid's cells off the domain, and its parameters
+    EMITTED = {"": ((0.0, 0.0), models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)),
+               "-third-off-domain": ((0.25, 0.4), models.ves_validate(1, 0.5, 0.5, 2))}
+
+    @pytest.mark.parametrize("fmt, grid", [(f, g) for g in EMITTED for f in ("csv", "json")],
+                             ids=[f + g for g in EMITTED for f in ("csv", "json")])
+    def test_emitting_holds_under_twice_the_text(self, fmt, grid):
         """The emitter joins the cells' texts once: no string per row and
         no copy of the document.  On a 200x200 grid, all in the domain or
         about a third off it (where a row's text is short), the most it
         holds at once, its text included, is under twice the text."""
+        (lo, hi), params = self.EMITTED[grid]
         report = harness.build_grid_report(params, GridSpec(0.1, 10, 0.1, 10, 200, 200))
-        lo, hi = off_domain
         assert lo <= 1.0 - report.in_domain.mean() <= hi
         report._reprs  # formatted once, before either format is emitted
         tracemalloc.start()
