@@ -34,14 +34,15 @@ def _load_params(args):
     text = args.params
     if text is None:
         raise ProdGeoError("--params is required for this command")
-    if not text.lstrip().startswith("{"):
-        try:
-            with open(text) as file:
-                text = file.read()
-        except OSError as exc:
-            raise ProdGeoError(f"--params file cannot be read: {exc}") from None
     try:
+        if not text.lstrip().startswith("{"):
+            with open(text, encoding="utf-8") as file:
+                text = file.read()
         return models.params_from_json(harness.FAMILIES[args.model].params_type, text)
+    except OSError as exc:
+        raise ProdGeoError(f"--params file cannot be read: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ProdGeoError(f"--params file is not UTF-8: {exc}") from None
     except RecursionError:  # json's reader and writer recurse per level of nesting
         raise ProdGeoError("--params is nested too deeply to read") from None
     except json.JSONDecodeError as exc:
@@ -113,6 +114,8 @@ def _cmd_specialize(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ProdGeoError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+        raise ProdGeoError(f"--seed must be >= 0, got {args.seed}")
     tol = _checked_tol(args)
     spec = harness.parse_grid_spec(args.grid)
     summary = args.run(args.trials, args.seed, spec, tol_K=tol)

@@ -367,11 +367,10 @@ def name_point(exc: Exception, u: float, v: float) -> Exception:
 
 
 def _trial_columns(records: list) -> SimpleNamespace:
-    """One parameter record whose fields are (trial, 1, 1) columns, row t
-    holding record t's value.  Against a (1, n_u, 1) u and a (1, 1, n_v)
-    v, numpy's broadcasting computes what depends on the parameters alone
-    once per trial, and a power of u or of v alone once per trial and
-    value, with the bits that one value per point gives."""
+    """A batch's parameters, a grid's one record too, as a record whose
+    fields are (trial, 1, 1) columns, row t holding record t's value: with
+    a (1, n_u, 1) u and a (1, 1, n_v) v, numpy computes what depends on them
+    alone once per trial, and a power of u or of v once per trial and value."""
     names = list(vars(records[0]))
     values = np.array([[getattr(r, name) for name in names] for r in records]).T.copy()
     return SimpleNamespace(**{name: row.reshape(-1, 1, 1) for name, row in zip(names, values)})
@@ -379,29 +378,26 @@ def _trial_columns(records: list) -> SimpleNamespace:
 
 def _sweep(in_domain: Callable, evaluate: Callable, records: list,
            us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Which cells of the grid us × vs lie in the domain (``in_domain``)
-    of each parameter set of ``records``, as a (trial, u, v) mask, and the
-    values ``evaluate`` reports, laid out as the mask.  ``evaluate(p, u,
-    v)`` returns the values that the point path checks and the values to
-    report.  It sees the grid's axes, a (1, n_u, 1) u and a (1, 1, n_v) v,
-    and ``_trial_columns``; one record keeps its floats.  It runs at every
-    cell, so a value off the domain is unspecified: each reader takes the
-    values under the mask.
+    """The (trial, u, v) mask of the cells of the grid us × vs in the
+    domain (``in_domain``) of each parameter set of ``records``, and the
+    values ``evaluate`` reports, laid out as the mask.  Both take
+    ``_trial_columns(records)``, a (1, n_u, 1) u and a (1, 1, n_v) v, and
+    ``evaluate`` returns the values the point path checks and the values
+    to report at every cell: one off the domain is unspecified, and each
+    reader takes the values under the mask.
 
     A batch raises nothing: it leaves a checked value not finite at each
-    cell where the point path would raise.  One sum per checked value over
-    the cells in the domain clears a batch with no such cell.  Otherwise
-    each flagged cell in the domain, in (trial, u, v) order, runs again on
-    the point path, with floats and its trial's record: the first that
-    raises raises its error, naming its point, and one that passes reports
-    the point path's values."""
+    cell where the point path would raise.  One sum over the domain of the
+    checked values' sum clears a batch with no such cell.  Otherwise each
+    cell in the domain with a checked value not finite (none, where finite
+    values overflow the sum) runs again on the point path in (trial, u, v)
+    order, with its trial's record: the first to raise raises its error,
+    naming its point; one that passes reports the point path's values."""
     u, v = us[None, :, None], vs[None, None, :]
-    p = _trial_columns(records) if len(records) > 1 else records[0]
+    p = _trial_columns(records)
     mask = np.broadcast_to(in_domain(p, u, v), (len(records), len(us), len(vs)))
-    where = True if mask.all() else mask
     checked, values = evaluate(p, u, v)
-    if not math.isfinite(sum(np.sum(np.broadcast_to(x, mask.shape), where=where)
-                             for x in checked)):
+    if not math.isfinite(np.sum(np.broadcast_to(sum(checked), mask.shape), where=mask)):
         finite = functools.reduce(np.logical_and, map(np.isfinite, checked))
         for t, i, j in zip(*np.nonzero(mask & ~finite)):
             point = us.item(i), vs.item(j)
@@ -573,7 +569,7 @@ class VerifySummary:
 #: batches run faster, but a run's peak memory grows with them: by
 #: tracemalloc, a default-grid batch of 16, which keeps u and v as axes,
 #: evaluates every cell and drops H at once, peaks at about 176 bytes a
-#: point for Kadiyala and 130 for VES (1.1 and 0.83 MB); the same trials
+#: point for Kadiyala and 130 for VES (1.13 and 0.83 MB); the same trials
 #: stacked point by point over the cells in their domains take 345 and 186.
 VERIFY_BATCH_TRIALS = 16
 

@@ -233,7 +233,9 @@ DEEP_GRID = ("grid", "--params", DEEP)
 #: --params files, written in the test's working directory
 PARAMS_FILES = {"five.json": "5", "null.json": "null",
                 "repeated.json": '{"k1":0.3,"k2":0.2,"k3":0.3,"beta1":1.5,"beta2":0.8,'
-                                 '"delta":2,"beta1":0.5}'}
+                                 '"delta":2,"beta1":0.5}',
+                #: written as Latin-1, where byte 0xff is no UTF-8
+                "latin-1.json": '{"k": 1, "beta": 0.5, "rho": 0.5, "delta": 2, "\xff": 0}'}
 NUMBER_FILE = ("classify", "--params", "five.json")
 NULL_FILE = ("eval", "--model", "kadiyala", "--params", "null.json", "--point", "1,1")
 #: input that cannot be read: the error names the option
@@ -243,6 +245,10 @@ WORD_POINT = ("eval", "--model", "ves", "--params", VES, "--point", "a,b")
 #: a key given twice, inline and in a file: the error names the key
 REPEATED_KEY = ("classify", "--params", '{"k":1,"beta":0.5,"rho":0.5,"delta":2,"k":3}')
 REPEATED_FILE = ("eval", "--model", "kadiyala", "--params", "repeated.json", "--point", "1,1")
+LATIN1_FILE = ("classify", "--params", "latin-1.json")
+#: random.Random(-s) draws what random.Random(s) draws, so -1 would rerun seed 1
+NEGATIVE_SEED_T1 = ("verify-t1", "--trials", "1", "--seed", "-1")
+NEGATIVE_SEED_T2 = ("verify-t2", "--trials", "1", "--seed", "-3")
 #: a verify run whose one trial has no grid point in its domain
 NO_DOMAIN = ("verify-t1", "--trials", "1", "--seed", "4", "--grid", "10,100,3,0.1,1,3")
 #: what the error line must name, where the input is finite but overflows
@@ -274,6 +280,10 @@ NAMED = {
     WORD_POINT: "error: --point must be 'u,v', got 'a,b'",
     REPEATED_KEY: 'error: parameter key "k" is given twice',
     REPEATED_FILE: 'error: parameter key "beta1" is given twice',
+    LATIN1_FILE: ("error: --params file is not UTF-8: 'utf-8' codec can't decode "
+                  "byte 0xff in position 47: invalid start byte\n"),
+    NEGATIVE_SEED_T1: "error: --seed must be >= 0, got -1\n",
+    NEGATIVE_SEED_T2: "error: --seed must be >= 0, got -3\n",
 }
 
 
@@ -314,10 +324,13 @@ NAMED = {
     WORD_POINT,
     REPEATED_KEY,
     REPEATED_FILE,
+    LATIN1_FILE,
+    NEGATIVE_SEED_T1,
+    NEGATIVE_SEED_T2,
 ])
 def test_vacuous_or_nan_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     for name, text in PARAMS_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="latin-1")
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

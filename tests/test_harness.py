@@ -929,6 +929,44 @@ def test_cells_off_the_domain_reach_no_report_verdict_or_replay(monkeypatch, nam
         assert len(masks) == 2 and all(m.all(axis=(1, 2)).any() and not m.all() for m in masks)
 
 
+#: the checked values at the cell (u, v) = (2, 3) of a 2x2 sweep, the
+#: other cells' all 1.0, and whether that cell replays on the point path
+ONE_CELL_CHECKED = {
+    # finite values whose sum overflows: the batch is flagged, no cell is
+    "finite-sum-overflows": ([sys.float_info.max, sys.float_info.max, -1.0], False),
+    # infinities of both signs, whose sum is NaN, not inf
+    "inf-minus-inf": ([math.inf, 1.0, -math.inf], True),
+    "nan": ([1.0, math.nan, 1.0], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CELL_CHECKED))
+def test_sweep_flags_by_one_sum_and_replays_cells_not_finite(name):
+    """``_sweep`` flags a batch by one sum over the domain of the sum of
+    its checked values, and replays just the cells where a checked value
+    is not finite, however the sum came out.  A cell off the domain,
+    NaN in every checked value, is never replayed."""
+    at, replays = ONE_CELL_CHECKED[name]
+    replayed = []
+
+    def evaluate(p, u, v):
+        if isinstance(u, float):  # a replay on the point path
+            replayed.append((u, v))
+            return (), (-1.0,)
+        assert p.k.shape == (1, 1, 1)  # a lone record as a (trial, 1, 1) column
+        cell, off = (u == 2.0) & (v == 3.0), (u == 1.0) & (v == 1.0)
+        checked = tuple(np.where(cell, x, np.where(off, math.nan, 1.0)) for x in at)
+        return checked, (np.where(cell, 5.0, 0.0),)
+
+    us, vs = np.array([1.0, 2.0]), np.array([1.0, 3.0])
+    with np.errstate(all="ignore"):
+        mask, (value,) = harness._sweep(lambda p, u, v: (u > 1.0) | (v > 1.0), evaluate,
+                                        [models.ves_validate(1, 0.5, 0.5, 2)], us, vs)
+    assert mask.tolist() == [[[False, True], [True, True]]]
+    assert replayed == ([(2.0, 3.0)] if replays else [])
+    assert value.tolist() == [[[0.0, 0.0], [0.0, -1.0 if replays else 5.0]]]
+
+
 def _peak_bytes(run) -> int:
     """The most memory that tracemalloc saw ``run()`` hold at once."""
     tracemalloc.start()
