@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from prodgeo import curvature, harness, jets, models
 from prodgeo.errors import ConstraintViolation, DomainError, SingularPointError
@@ -87,9 +88,36 @@ def kadiyala_value(p: KadiyalaParams, u: float, v: float) -> float:
     return models.kadiyala_eval(p, jets.constant(u), jets.constant(v)).val
 
 
+def denominators(monkeypatch, corrupt=None, check=True) -> dict:
+    """Puts a recorder at ``curvature._positive``, which receives each
+    closed form's denominator, and Den_G's summands, and checks them.  The
+    dict returned then maps a denominator's name to the (den, summands) of
+    its last check, den as the check returns it.  ``corrupt(den, summands,
+    u, v)``, where given, returns the (den, summands) to check in place of
+    those received.  With ``check`` false, den is returned unchecked, as
+    symbolic slots need."""
+    seen = {}
+    positive = curvature._positive
+
+    def receive(name, den, u, v, summands=()):
+        if corrupt is not None:
+            den, summands = corrupt(den, list(summands), u, v)
+        if check:
+            den = positive(name, den, u, v, summands)
+        seen[name] = den, list(summands)
+        return den
+
+    monkeypatch.setattr(curvature, "_positive", receive)
+    return seen
+
+
 def ves_denf(p: VesParams, u, v):
-    """Den_F, the private denominator base of curvature.ves_curvature_closed."""
-    return curvature._ves_denf(p, u, v, models._ves_aggregate(p, u, v))
+    """Den_F, the denominator base of curvature.ves_curvature_closed at
+    (u, v), as its check returns it."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = denominators(mp)
+        curvature.ves_curvature_closed(p, u, v)
+    return seen["Den_F"][0]
 
 
 def ves_elasticity(p: VesParams, u: float, v: float) -> float:

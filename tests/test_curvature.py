@@ -348,7 +348,7 @@ def test_non_finite_K_names_the_function_and_point(form, params):
     assert np.isfinite(batch).tolist() == [True, False, False]
 
 
-# --- The Kadiyala closed forms' bits ------------------------------------------
+# --- The closed forms' bits ---------------------------------------------------
 
 #: sha256 of the values of Kadiyala's closed form and of its factors T1, T2
 #: and Den_G, recorded when each factor was a form of its own that took its
@@ -363,36 +363,60 @@ KADIYALA_BITS = {
     "kadiyala_curvature_closed":
         "fc24474aad6a8585376456985f474552ef8c50cd3012b4241602bc8c75214f14",
 }
+#: The same for VES's closed form and Den_F, as ``curvature._positive``
+#: returns it, recorded when Den_F and its summands had functions of their
+#: own: computing them in the closed form's body must change no bit.
+VES_BITS = {
+    "ves_curvature_closed":
+        "6a88d35deefc3435c366b7fc05c4df5dc304032cf68153da1067ff4594a75850",
+    "ves_denf":
+        "7ba58d9ecf9dab5fbb3a87487e2d93ce39e5b3dafcb68abd2bd995ce7666a725",
+}
 
 
-def _kadiyala_bits(fn, layout: str) -> str:
-    """sha256 of ``fn`` over a batch of six trials on a 9x9 grid, and at a
-    few float points.  The batch is stacked point by point with 1-d
-    parameter columns, or laid out as (trial, u, v) as the verify engine
-    lays it out; its values in C order are the same points either way."""
-    records = [harness.random_kadiyala_params(seed, condition)
-               for seed, condition in enumerate([None, *DevelopabilityReason, None])]
-    spec = harness.parse_grid_spec("0.05,30,9,0.05,30,9,log")
-    if layout == "stacked":
-        us, vs = grid_points(spec)
-        batch = fn(param_columns(records, [len(us)] * len(records)),
-                   np.tile(us, len(records)), np.tile(vs, len(records)))
+def _bits(name: str, layout: str) -> str:
+    """sha256 of ``FORMS[name]`` over a batch of six trials on a 9x9 grid,
+    and at a float point in the domain of each of five.  The batch is
+    stacked point by point with 1-d parameter columns, or laid out as
+    (trial, u, v) as the verify engine lays it out; its values in C order
+    are the same points either way.  A VES cell off the domain is NaN, and
+    hashed as one NaN whatever its sign bit."""
+    fn = FORMS[name]
+    if name.startswith("ves"):
+        records = [harness.random_ves_params(seed, stratum)
+                   for seed, stratum in enumerate(harness.DELTA_STRATA * 2)]
+        points = [(0.3, 4.0), (1.0, 1.0), (2.0, 3.0), (1e-3, 50.0), (5.0, 5.0)]
     else:
-        us, vs = harness._grid_axes(spec)
-        batch = fn(harness._trial_columns(records), us[None, :, None], vs[None, None, :])
-    digest = hashlib.sha256(batch.tobytes())
-    for record, (u, v) in zip(records, [(0.3, 4.0), (1.0, 1.0), (7.5, 0.2), (2.0, 3.0),
-                                        (1e-3, 50.0)]):
+        records = [harness.random_kadiyala_params(seed, condition)
+                   for seed, condition in enumerate([None, *DevelopabilityReason, None])]
+        points = [(0.3, 4.0), (1.0, 1.0), (7.5, 0.2), (2.0, 3.0), (1e-3, 50.0)]
+    spec = harness.parse_grid_spec("0.05,30,9,0.05,30,9,log")
+    with np.errstate(all="ignore"):
+        if layout == "stacked":
+            us, vs = grid_points(spec)
+            batch = fn(param_columns(records, [len(us)] * len(records)),
+                       np.tile(us, len(records)), np.tile(vs, len(records)))
+        else:
+            us, vs = harness._grid_axes(spec)
+            batch = fn(harness._trial_columns(records), us[None, :, None], vs[None, None, :])
+    digest = hashlib.sha256(np.where(np.isnan(batch), math.nan, batch).tobytes())
+    for record, (u, v) in zip(records, points):
         digest.update(repr(fn(record, u, v)).encode())
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(KADIYALA_BITS))
 def test_kadiyala_closed_forms_keep_their_bits(name):
-    assert _kadiyala_bits(FORMS[name], "stacked") == KADIYALA_BITS[name]
+    assert _bits(name, "stacked") == KADIYALA_BITS[name]
 
 
 @pytest.mark.parametrize("name", sorted(KADIYALA_BITS))
 def test_verify_layout_keeps_the_closed_forms_bits(name):
     """Parameters and one-axis powers broadcast: the same bits as stacked."""
-    assert _kadiyala_bits(FORMS[name], "trial-u-v") == KADIYALA_BITS[name]
+    assert _bits(name, "trial-u-v") == KADIYALA_BITS[name]
+
+
+@pytest.mark.parametrize("layout", ["stacked", "trial-u-v"])
+@pytest.mark.parametrize("name", sorted(VES_BITS))
+def test_ves_closed_form_keeps_its_bits(name, layout):
+    assert _bits(name, layout) == VES_BITS[name]
