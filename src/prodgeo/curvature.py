@@ -6,8 +6,9 @@ square of a strictly positive denominator Den_F, so its sign is decided
 by the returns-to-scale parameter alone; for Kadiyala the curvature
 splits as T1*T2/Den_G^2, and developability is equivalent to one of the
 two factors vanishing identically.  Each family has one public closed
-form, ``ves_curvature_closed`` and ``kadiyala_curvature_closed``; Den_F,
-T1, T2 and Den_G are private parts of it, each computed once.
+form, ``ves_curvature_closed`` and ``kadiyala_curvature_closed``, one
+body each: Den_F is computed in the first, and T1, T2 and Den_G in
+``_kad_factors``, each power they share taken once.
 
 Long hand-derived expressions are the primary transcription risk, so
 the tests prove each form once against the Monge curvature of the model
@@ -27,13 +28,14 @@ along its second and v along its third, so a power of u alone is taken
 once per trial and value of u.
 
 On a point, a power that overflows a float, and a K that comes out inf
-or NaN, raise one NonFiniteError naming the form and the point; Den_F <=
-0, Den_G <= 0 and a negative Den_G summand raise SingularPointError
-where they are computed, naming the quantity and the point.  A batch
-raises nothing: Den_F and Den_G are NaN wherever they are not in (0,
-inf) or a Den_G summand is negative, so that K is not finite at each
-point in the domain that would raise, for ``harness._sweep`` to replay
-on the point path.  A denominator is also NaN where it overflows, since
+or NaN, raise one NonFiniteError naming the form and the point.  Each
+denominator, with Den_G's summands, is checked in one place,
+``_positive``, as it is computed: on a point, Den_F <= 0, Den_G <= 0 and
+a negative Den_G summand raise SingularPointError naming the quantity
+and the point.  A batch raises nothing: Den_F and Den_G are NaN wherever
+they are not in (0, inf) or a Den_G summand is negative, so that K is
+not finite at each point in the domain that would raise, for
+``harness._sweep`` to replay on the point path.  A denominator is also NaN where it overflows, since
 numpy's power gives inf where a float's raises and K = num/inf would
 read 0.
 """
@@ -105,25 +107,6 @@ def _positive(name: str, den: Slot, u: Slot, v: Slot, summands=()) -> Slot:
 
 # --- VES -------------------------------------------------------------------
 
-def _ves_denf_terms(p: VesParams, u: Slot, v: Slot, agg: Slot) -> list[Slot]:
-    """Den_F's two summands at agg = (rho-1)*u + v.  The first one's
-    quadratic in u and v is written as the sum of squares it is, which
-    cannot cancel below 0 as its expanded form can."""
-    k, b, r, d = p.k, p.beta, p.rho, p.delta
-    quad = ((b * r - 1.0) * v - (r - 1.0) * u) ** 2 + (b * r * u) ** 2
-    return [d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r),
-            agg ** 2 * u ** (2.0 * b * d * r + 2.0)]
-
-
-def _ves_denf(p: VesParams, u: Slot, v: Slot, agg: Slot) -> Slot:
-    """The denominator base Den_F of the VES curvature at agg = (rho-1)*u
-    + v, a non-negative and a positive summand on the domain, in floats
-    too: each is a product of non-negative factors.  Their sum can still
-    underflow to 0.0."""
-    a1, a2 = _ves_denf_terms(p, u, v, agg)
-    return _positive("Den_F", a1 + a2, u, v)
-
-
 @_closed_form
 def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
     """Gaussian curvature of the VES surface, closed form; a batch checks
@@ -131,14 +114,23 @@ def ves_curvature_closed(p: VesParams, u: Slot, v: Slot) -> Slot:
 
         K = beta*(delta-1)*delta^2*k^2*rho*(beta*rho-1)
             * u^(2*(beta*delta*rho + delta + 1))
-            * ((rho-1)*u + v)^(2*beta*delta*rho + 2)  /  Den_F^2
-    """
+            * agg^(2*beta*delta*rho + 2)  /  Den_F^2,
+        Den_F = delta^2*k^2*u^(2*delta)*Q*agg^(2*beta*delta*rho)
+                + agg^2*u^(2*beta*delta*rho + 2),
+
+    with agg = (rho-1)*u + v and Q the paper's quadratic in u and v,
+    written as the sum of squares it is, which cannot cancel below 0 as
+    its expanded form can.  On the domain, Den_F's first summand is then
+    non-negative and its second positive, in floats too: each is a product
+    of non-negative factors.  Their sum can still underflow to 0.0."""
     agg = _ves_aggregate(p, u, v)
     k, b, r, d = p.k, p.beta, p.rho, p.delta
     num = (b * (d - 1.0) * d * d * k * k * r * (b * r - 1.0)
            * u ** (2.0 * (b * d * r + d + 1.0))
            * agg ** (2.0 * b * d * r + 2.0))
-    den = _ves_denf(p, u, v, agg)
+    quad = ((b * r - 1.0) * v - (r - 1.0) * u) ** 2 + (b * r * u) ** 2
+    den = _positive("Den_F", d * d * k * k * u ** (2.0 * d) * quad * agg ** (2.0 * b * d * r)
+                    + agg ** 2 * u ** (2.0 * b * d * r + 2.0), u, v)
     # Divide twice rather than squaring den, which can overflow first.
     return num / den / den
 
@@ -158,52 +150,10 @@ def ves_theorem_verdict(p: VesParams) -> tuple[ReturnsToScale, SignClass]:
 
 # --- Kadiyala --------------------------------------------------------------
 
-def _kad_inner(p: KadiyalaParams, u_s: Slot, u_b1: Slot, v_b2: Slot, v_s: Slot) -> Slot:
-    """k1*u^s + 2*k2*u^beta1*v^beta2 + k3*v^s, s = beta1+beta2, from its powers."""
-    return p.k1 * u_s + 2.0 * p.k2 * u_b1 * v_b2 + p.k3 * v_s
-
-
-def _kad_powers(p: KadiyalaParams, u: Slot, v: Slot) -> tuple:
-    """The inner sum and each power of u, v and the inner sum that Den_G
-    takes, computed once (T1 and T2 take most of them too), in this
-    order: inner, inner^(2*delta/s), u^s, u^beta1, u^(2s), u^(beta1+2),
-    u^(2*beta1), v^beta1, v^beta2, v^s, v^(2s), v^(beta2+2),
-    v^(beta1+2*beta2), v^(2*beta2).  A plain tuple: on one point, a
-    record of them would cost more than the powers it saves."""
-    b1, b2, d = p.beta1, p.beta2, p.delta
-    bsum = b1 + b2
-    u_s, u_b1, v_b2, v_s = u ** bsum, u ** b1, v ** b2, v ** bsum
-    inner = _kad_inner(p, u_s, u_b1, v_b2, v_s)
-    return (inner, inner ** (2.0 * d / bsum),
-            u_s, u_b1, u ** (2.0 * bsum), u ** (b1 + 2.0), u ** (2.0 * b1),
-            v ** b1, v_b2, v_s, v ** (2.0 * bsum), v ** (b2 + 2.0), v ** (b1 + 2.0 * b2),
-            v ** (2.0 * b2))
-
-
-def _kad_deng_terms(p: KadiyalaParams, u: Slot, v: Slot, w: tuple) -> list[Slot]:
-    """Den_G's five summands, from ``_kad_powers``."""
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    b1, b2, d = p.beta1, p.beta2, p.delta
-    bsum = b1 + b2
-    _, inner_e, u_s, u_b1, u_2s, u_b1p2, u_2b1, v_b1, _, _, v_2s, v_b2p2, v_b1p2b2, v_2b2 = w
-    e = d * d * inner_e
-    return [
-        bsum * bsum * k1 * k1 * v * v * u_2s * (e + u * u),
-        bsum * bsum * k3 * k3 * u * u * v_2s * (e + v * v),
-        4.0 * bsum * k2 * k3 * u_b1p2 * v_b1p2b2
-        * (b2 * (e + v * v) + b1 * v * v),
-        4.0 * k2 * k2 * u_2b1 * v_2b2
-        * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
-           + 2.0 * b1 * b2 * u * u * v * v),
-        2.0 * bsum * k1 * u_s * v_b2p2
-        * (bsum * k3 * u * u * v_b1
-           + 2.0 * k2 * u_b1 * (b1 * (e + u * u) + b2 * u * u)),
-    ]
-
-
 def _kad_factors(p: KadiyalaParams, u: Slot, v: Slot) -> tuple[Slot, Slot, Slot]:
     """T1, T2 and Den_G, the factors of K = T1*T2/Den_G^2, with each power
-    of u, v and the inner sum computed once and shared.
+    of u, v and the inner sum k1*u^s + 2*k2*u^beta1*v^beta2 + k3*v^s,
+    s = beta1+beta2, taken once and shared.
 
     T1 vanishes identically iff delta = 1, and T2 iff the parameters
     describe a perfect-substitutes function.  Den_G = A1+A2+A3+A4+A5, each
@@ -211,14 +161,27 @@ def _kad_factors(p: KadiyalaParams, u: Slot, v: Slot) -> tuple[Slot, Slot, Slot]
     each A_i >= 0 and the sum > 0 on the open first quadrant; it is
     checked before T1's and T2's own powers are taken."""
     _check_positive(u, v)
-    w = _kad_powers(p, u, v)
-    terms = _kad_deng_terms(p, u, v, w)
-    # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
-    den = _positive("Den_G", sum(terms), u, v, terms)
-    inner, _, _, u_b1, _, u_b1p2, _, v_b1, v_b2, _, _, v_b2p2, _, _ = w
     k1, k2, k3 = p.k1, p.k2, p.k3
     b1, b2, d = p.beta1, p.beta2, p.delta
     bsum = b1 + b2
+    u_s, u_b1, u_b1p2 = u ** bsum, u ** b1, u ** (b1 + 2.0)
+    v_s, v_b1, v_b2, v_b2p2 = v ** bsum, v ** b1, v ** b2, v ** (b2 + 2.0)
+    inner = k1 * u_s + 2.0 * k2 * u_b1 * v_b2 + k3 * v_s
+    e = d * d * inner ** (2.0 * d / bsum)
+    terms = [
+        bsum * bsum * k1 * k1 * v * v * u ** (2.0 * bsum) * (e + u * u),
+        bsum * bsum * k3 * k3 * u * u * v ** (2.0 * bsum) * (e + v * v),
+        4.0 * bsum * k2 * k3 * u_b1p2 * v ** (b1 + 2.0 * b2)
+        * (b2 * (e + v * v) + b1 * v * v),
+        4.0 * k2 * k2 * u ** (2.0 * b1) * v ** (2.0 * b2)
+        * (b1 * b1 * v * v * (e + u * u) + b2 * b2 * u * u * (e + v * v)
+           + 2.0 * b1 * b2 * u * u * v * v),
+        2.0 * bsum * k1 * u_s * v_b2p2
+        * (bsum * k3 * u * u * v_b1
+           + 2.0 * k2 * u_b1 * (b1 * (e + u * u) + b2 * u * u)),
+    ]
+    # sum() adds left to right, as a1 + a2 + ... + a5 would; fsum would not
+    den = _positive("Den_G", sum(terms), u, v, terms)
     t1 = bsum * bsum * (d - 1.0) * d * d * u_b1p2 * v_b2p2 * inner ** (2.0 * d / bsum + 2.0)
     t2 = (bsum * k1 * u ** b2
           * (2.0 * (b2 - 1.0) * b2 * k2 * u_b1

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (EPS, LIMIT, RunningError, assert_close, grid_points, param_columns,
-                     sample_grid, ves_denf, within_bound)
+from helpers import (EPS, LIMIT, RunningError, assert_close, denominators, grid_points,
+                     param_columns, sample_grid, ves_denf, within_bound)
 from prodgeo import curvature, harness, jets, models, surface
 from prodgeo.curvature import DevelopabilityReason, ReturnsToScale
 from prodgeo.errors import DomainError, NonFiniteError, ProdGeoError, SingularPointError
@@ -132,14 +132,15 @@ class TestKadiyalaFactors:
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
         assert FORMS["kadiyala_T2"](p, 2.0, 3.0) != 0.0
 
-    def test_deng_positive_with_nonnegative_terms(self):
+    def test_deng_positive_with_nonnegative_terms(self, monkeypatch):
         rng = random.Random(34)
+        seen = denominators(monkeypatch)
         for _ in range(200):
             p = harness.random_kadiyala_params(rng.randrange(2**31))
             u, v = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
-            terms = curvature._kad_deng_terms(p, u, v, curvature._kad_powers(p, u, v))
-            assert all(t >= 0.0 for t in terms)
             total = FORMS["kadiyala_deng"](p, u, v)
+            terms = seen["Den_G"][1]
+            assert len(terms) == 5 and all(t >= 0.0 for t in terms)
             assert total > 0.0
             assert_close(total, sum(terms), 1e-12)
 
@@ -278,15 +279,20 @@ VES_DECREASING = models.ves_validate(1.3, 0.5, 0.3, 0.7)
 KAD_GENERIC = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2.0)
 
 
+def _resummed(terms):
+    """Den_G's summands and their sum, as _kad_factors adds them."""
+    return sum(terms), terms
+
+
 def _negated(index):
-    """Den_G's summand ``index`` negated where ``where`` holds."""
-    return lambda terms, where: [t * (1.0 - 2.0 * where) if i == index else t
-                                 for i, t in enumerate(terms)]
+    """Den_G's summand ``index`` negated where u > 2."""
+    return lambda den, terms, u, v: _resummed([t * (1.0 - 2.0 * (u > 2.0)) if i == index
+                                               else t for i, t in enumerate(terms)])
 
 
-def _zeroed(terms, where):
-    """Every Den_G summand 0.0 where ``where`` holds."""
-    return [t * (1.0 - where) for t in terms]
+def _zeroed(den, terms, u, v):
+    """Every Den_G summand 0.0 where u > 2."""
+    return _resummed([t * (1.0 - (u > 2.0)) for t in terms])
 
 
 @pytest.mark.parametrize("form,params,corrupt,bad,message", [
@@ -304,10 +310,8 @@ def test_denominators_name_the_first_failing_point(monkeypatch, form, params, co
     the point where the denominator is not positive or one of Den_G's
     summands is negative.  On a batch they raise nothing, and the value is
     NaN at each point that raises on its own."""
-    if corrupt is not None:  # where u > 2
-        terms = curvature._kad_deng_terms
-        monkeypatch.setattr(curvature, "_kad_deng_terms",
-                            lambda p, u, v, w: corrupt(terms(p, u, v, w), u > 2.0))
+    if corrupt is not None:
+        denominators(monkeypatch, corrupt)
     fn = FORMS[form]
     fn(params, 1.0, 2.0)  # a tame point passes
     with pytest.raises(SingularPointError, match=message + rf" at \({bad}, {bad}\)"):

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (EPS, LIMIT, GridRow, StencilOutOfDomainError, assert_close, fd_oracle,
-                     grid_points, grid_rows_from_json, kadiyala_value, param_columns,
-                     report_rows, sample_grid, surface_scales, ves_value, within_bound)
+from helpers import (EPS, LIMIT, GridRow, StencilOutOfDomainError, assert_close,
+                     denominators, fd_oracle, grid_points, grid_rows_from_json, kadiyala_value,
+                     param_columns, report_rows, sample_grid, surface_scales, ves_value,
+                     within_bound)
 from prodgeo import curvature, harness, models, surface
 from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
 from prodgeo.errors import InvalidSpecError, ProdGeoError
@@ -765,22 +766,21 @@ def _corrupt_verdicts(monkeypatch):
 
 def _corrupt_checks(monkeypatch):
     """Move the closed-form K off by 1 where u > v, and where u <= v negate
-    both Den_F summands, so that Den_F < 0, and the first Den_G summand,
-    so that the denominators' own checks raise there."""
+    Den_F, as negating both its summands would, and the first Den_G
+    summand, so that the denominators' own checks raise there."""
     ves_K, kadiyala_K = curvature.ves_curvature_closed, curvature.kadiyala_curvature_closed
-    denf_terms, deng_terms = curvature._ves_denf_terms, curvature._kad_deng_terms
     monkeypatch.setattr(curvature, "ves_curvature_closed",
                         lambda p, u, v: ves_K(p, u, v) + 1.0 * (u > v))
     monkeypatch.setattr(curvature, "kadiyala_curvature_closed",
                         lambda p, u, v: kadiyala_K(p, u, v) + 1.0 * (u > v))
-    monkeypatch.setattr(curvature, "_ves_denf_terms",
-                        lambda p, u, v, agg: [a * (1.0 - 2.0 * (u <= v))
-                                              for a in denf_terms(p, u, v, agg)])
 
-    def negated_first_summand(p, u, v, w):
-        a1, *rest = deng_terms(p, u, v, w)
-        return [a1 * (1.0 - 2.0 * (u <= v)), *rest]
-    monkeypatch.setattr(curvature, "_kad_deng_terms", negated_first_summand)
+    def negated(den, terms, u, v):
+        sign = 1.0 - 2.0 * (u <= v)
+        if not terms:  # Den_F, whose summands _positive does not receive
+            return den * sign, terms
+        terms = [terms[0] * sign, *terms[1:]]
+        return sum(terms), terms
+    denominators(monkeypatch, negated)
 
 
 CORRUPT = {"verdicts": _corrupt_verdicts, "checks": _corrupt_checks}

@@ -17,6 +17,7 @@ import pytest
 import sympy
 from mpmath import mp, mpf
 
+from helpers import denominators
 from prodgeo import curvature, harness
 from prodgeo.curvature import DevelopabilityReason
 from prodgeo.models import KadiyalaParams, VesParams
@@ -100,19 +101,23 @@ def test_closed_form_K_is_the_monge_K(name):
 # the signs that let the closed forms divide by them.  nsimplify turns the
 # formulas' float constants (2.0, 1.0) into the integers they are.
 
-def test_denf_is_a_positive_plus_a_nonnegative_summand():
+def test_denf_is_a_positive_plus_a_nonnegative_summand(monkeypatch):
     """On the domain, agg = (rho-1)*u + v > 0 and u > 0.  Den_F's first
     summand is positive powers times a quadratic that is a sum of two
     squares, the paper's expanded quadratic, and its second summand is
     positive, so Den_F > 0."""
     k, b, r, d, agg = sympy.symbols("k beta rho delta agg", positive=True)
     p = SimpleNamespace(k=k, beta=b, rho=r, delta=d)
-    a1, a2 = map(sympy.nsimplify, curvature._ves_denf_terms(p, u_, v_, agg))
+    monkeypatch.setattr(curvature, "_ves_aggregate", lambda p, u, v: agg)
+    seen = denominators(monkeypatch, check=False)
+    curvature.ves_curvature_closed(p, u_, v_)
     squares = ((b * r - 1) * v_ - (r - 1) * u_) ** 2 + (b * r * u_) ** 2
     expanded = (u_ ** 2 * (r * (b ** 2 * r + r - 2) + 1) - 2 * (r - 1) * u_ * v_ * (b * r - 1)
                 + v_ ** 2 * (b * r - 1) ** 2)
     assert sympy.expand(squares - expanded) == 0   # the paper's quadratic
     powers = d ** 2 * k ** 2 * u_ ** (2 * d) * agg ** (2 * b * d * r)
+    a1, a2 = sorted(map(sympy.nsimplify, sympy.Add.make_args(seen["Den_F"][0])),
+                    key=lambda a: a.has(v_), reverse=True)
     assert sympy.expand(a1 - powers * squares) == 0
     assert (powers * squares).is_nonnegative
     assert a2.is_positive
@@ -125,15 +130,16 @@ def test_deng_summands_are_nonnegative_and_sum_positive(monkeypatch, bsum_sign,
     """beta1*(beta1+beta2) > 0 and beta2*(beta1+beta2) > 0 give beta1 and
     beta2 the sign of their sum; with k_i >= 0 each of Den_G's summands is
     then a product of factors of known sign, and >= 0.  (k1, k2) != (0, 0)
-    makes one of them positive, so Den_G > 0.  The aggregate inner to the
+    makes one of them positive, so Den_G > 0.  The inner sum raised to a
     power, k1*u^s + 2*k2*u^b1*v^b2 + k3*v^s, is positive for the same
-    reason; it stands here as a positive symbol."""
-    c1, c2, d, inner = sympy.symbols("c1 c2 delta inner", positive=True)
+    reason, and the proof runs on it as the library writes it."""
+    c1, c2, d = sympy.symbols("c1 c2 delta", positive=True)
     weights = {name: sympy.Symbol(name, nonnegative=True) for name in ("k1", "k2", "k3")}
     weights[positive_weight] = sympy.Symbol(positive_weight, positive=True)
     p = SimpleNamespace(**weights, beta1=bsum_sign * c1, beta2=bsum_sign * c2, delta=d)
-    monkeypatch.setattr(curvature, "_kad_inner", lambda p, *powers: inner)
-    terms = curvature._kad_deng_terms(p, u_, v_, curvature._kad_powers(p, u_, v_))
+    seen = denominators(monkeypatch, check=False)
+    curvature._kad_factors(p, u_, v_)
+    terms = seen["Den_G"][1]
     assert len(terms) == 5
     assert all(term.is_nonnegative for term in terms)
     assert sympy.Add(*terms).is_positive
