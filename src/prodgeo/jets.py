@@ -17,19 +17,21 @@ not share a shape, only broadcast to the batch's: a slot that depends on
 u alone may hold one value per u, and numpy's broadcasting then computes
 it once per u, with the bits that one value per point gives.  On a
 batch, a slot that is a float holds for every point, as the seeds' 0.0
-and 1.0 do, and the ops keep it a float where they can: in the
-derivative slots, a product with a 0.0 slot is 0.0, a product with a 1.0
-slot is the other factor, and a sum of two float slots is a float.
-Otherwise sums, scalings and products are correctly rounded in numpy as
-in Python, so each element gets the bits its float form gives, but for
-the sign of a zero: a folded product is 0.0 where the float form's is
--0.0 (x * 0.0 for x < 0), which a zero K or H can show.  Powers use
-numpy's own power, which may round the last bit differently from the
-libm ``pow`` behind a float's ``**``: a batch agrees with the float form
-to within rounding, not bit for bit.  ``scale`` and ``powr`` on arrays
-also take an array factor or exponent that broadcasts with the slots
-(one per point, or one per trial of a verify batch); ``scale``'s factor
-is never folded, so a zero weight keeps the NaN of 0 * inf.
+and 1.0 do.  Folding happens only in ``mul`` and in ``powr``'s chain
+rule: in their derivative slots, a product with a 0.0 slot is 0.0 and a
+product with a 1.0 slot is the other factor.  Every other sum, scaling
+and product runs its float expression on the batch, so a sum of two
+float slots, or a float slot scaled by a float, stays a float.  Sums,
+scalings and products are correctly rounded in numpy as in Python, so
+each element gets the bits its float form gives, but for the sign of a
+zero: a folded product is 0.0 where the float form's is -0.0 (x * 0.0
+for x < 0), which a zero K or H can show.  Powers use numpy's own power,
+which may round the last bit differently from the libm ``pow`` behind a
+float's ``**``: a batch agrees with the float form to within rounding,
+not bit for bit.  ``scale`` and ``powr`` on arrays also take an array
+factor or exponent that broadcasts with the slots (one per point, or one
+per trial of a verify batch); ``scale`` folds nothing, so a zero weight
+keeps the NaN of 0 * inf.
 
 No op checks its slots, on a point or a batch, its seeds and constants
 included: inf and NaN travel on to the result, and no op turns a slot
@@ -139,9 +141,10 @@ def constant(c) -> Jet2:
 
 # --- Products on a batch, where a float slot holds for every point --------
 
-def _times(x: Slot, y: Slot) -> Slot:
-    """x * y, folding y only: a factor x that is 0.0 still turns an inf
-    in y into NaN."""
+def _prod(x: Slot, y: Slot) -> Slot:
+    """x * y, folding whichever factor is a float 0.0 or 1.0."""
+    if isinstance(x, POINT) and (not x or x == 1.0):
+        x, y = y, x
     if isinstance(y, POINT):
         if not y:
             return 0.0
@@ -150,18 +153,11 @@ def _times(x: Slot, y: Slot) -> Slot:
     return x * y
 
 
-def _prod(x: Slot, y: Slot) -> Slot:
-    """x * y, folding whichever factor is a float 0.0 or 1.0."""
-    if isinstance(x, POINT) and (not x or x == 1.0):
-        return _times(y, x)
-    return _times(x, y)
-
-
-# Each op tests its value slot for a point: a point's ops keep their float
-# expressions, and a batch's fold.  Sums are never folded: a 0.0 added to
-# an array turns its -0.0 into 0.0, as the float form's sum with the 0.0
-# product it stands for does, and a K that underflows to zero keeps the
-# sign the point path gives it.
+# ``mul`` and ``powr`` test their value slot for a point: a point's keep
+# their float expressions, and a batch's fold.  Sums are never folded: a
+# 0.0 added to an array turns its -0.0 into 0.0, as the float form's sum
+# with the 0.0 product it stands for does, and a K that underflows to
+# zero keeps the sign the point path gives it.
 
 def add(a: Jet2, b: Jet2) -> Jet2:
     return _new_tuple(Jet2, (a.val + b.val, a.d1 + b.d1, a.d2 + b.d2,
@@ -171,11 +167,8 @@ def add(a: Jet2, b: Jet2) -> Jet2:
 def scale(a: Jet2, c: Slot) -> Jet2:
     """c * a, for a number c or, on a batch, an array of factors that
     broadcasts with a's slots."""
-    val = c * a.val
-    if isinstance(val, POINT):
-        return _new_tuple(Jet2, (val, c * a.d1, c * a.d2,
-                                 c * a.d11, c * a.d12, c * a.d22))
-    return _new_tuple(Jet2, (val, *(_times(c, s) for s in a[1:])))
+    return _new_tuple(Jet2, (c * a.val, c * a.d1, c * a.d2,
+                             c * a.d11, c * a.d12, c * a.d22))
 
 
 def mul(a: Jet2, b: Jet2) -> Jet2:
