@@ -67,8 +67,6 @@ DEFAULT_GRID = GridSpec(0.1, 10.0, 0.1, 10.0, 20, 20)
 
 
 def _axis(lo: float, hi: float, n: int, spacing: Spacing) -> np.ndarray:
-    if n == 1:
-        return np.array([lo], dtype=float)
     if spacing is Spacing.LOGARITHMIC:
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
@@ -599,7 +597,14 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
     raises the error its first failing point raises on its own, a closed
     form's denominator check among them: ``_sweep`` replays the cells in
     (trial, u, v) order, so that point is the first failing trial's
-    first."""
+    first.  Raises ValueError for fewer than one trial, a negative seed
+    (``random.Random`` seeds with its absolute value, so it would rerun
+    another seed's draws) or a tol_K that is not finite and positive."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    surface.check_tol(tol_K)
     out = VerifySummary(theorem=family.theorem)
     us, vs = _grid_axes(grid)
     draws = family.trials(trials, seed)
@@ -619,7 +624,7 @@ def _run_verify(family: ModelFamily, trials: int, seed: int, grid: GridSpec,
         out.no_domain += len(batch) - len(judged)
         out.failures.extend(filter(None, judged))
         out.passes += judged.count(None)
-    if out.trials and out.no_domain == out.trials:
+    if out.no_domain == out.trials:
         raise ProdGeoError(f"no trial has a point of the grid {grid} in its domain")
     return out
 

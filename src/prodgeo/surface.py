@@ -79,6 +79,14 @@ def curvature_from_jet(jet: Jet2) -> tuple[float, float]:
     return curvatures(jet)[:2]
 
 
+def check_tol(tol_K: float) -> float:
+    """``tol_K``; raises ValueError unless it is finite and positive: an
+    infinite band would class every K zero, and a NaN one none."""
+    if not 0.0 < tol_K < math.inf:
+        raise ValueError(f"tol_K must be finite and > 0, got {tol_K}")
+    return tol_K
+
+
 def classify_sign(K: np.ndarray, local_scale: float = 0.0,
                   tol_K: float = DEFAULT_CURVATURE_TOL) -> np.ndarray:
     """Sign of each curvature value under a scale-aware zero threshold, as
@@ -88,9 +96,7 @@ def classify_sign(K: np.ndarray, local_scale: float = 0.0,
     surface at hand (typically max |K| over the evaluated grid), so that
     "zero" is judged relative to how curved the surface actually is.
     """
-    if not tol_K > 0.0:  # also rejects NaN
-        raise ValueError("tol_K must be positive")
-    zero = abs(K) <= tol_K * (1.0 + abs(local_scale))
+    zero = abs(K) <= check_tol(tol_K) * (1.0 + abs(local_scale))
     return np.where(zero, _CODE[SignClass.ZERO],
                     np.where(K > 0.0, _CODE[SignClass.POSITIVE],
                              _CODE[SignClass.NEGATIVE]))

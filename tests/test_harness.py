@@ -92,11 +92,17 @@ TRIAL_SCHEDULES = {
 
 @pytest.mark.parametrize("text", ["1,1.7976931348623157e308,7,1,2,2,linear",
                                   "1e-10,1.7976931348623157e308,5,1,2,2",
-                                  "1e-300,1.7976931348623157e308,7,1,2,2,linear"])
+                                  "1e-300,1.7976931348623157e308,7,1,2,2,linear",
+                                  "0.1,10,1,1e-300,1e300,1,log",
+                                  "0.1,10,1,1e-300,1e300,1,linear",
+                                  "5e-324,1.797e308,1,2,2,1,log",
+                                  "5e-324,1.797e308,1,2,2,1,linear"])
 def test_axes_up_to_the_largest_double_warn_nothing(text):
     """geomspace and linspace overflow in their intermediates near the
     largest double: a grid and a verify run there warn nothing, and the
-    axes are finite, from bound to bound."""
+    axes are finite, from bound to bound.  An axis of one sample is its
+    lower bound, bit for bit, from tame bounds to the extremes of the
+    doubles."""
     spec, p = harness.parse_grid_spec(text), models.ves_validate(1, 0.5, 1.5, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -107,8 +113,30 @@ def test_axes_up_to_the_largest_double_warn_nothing(text):
                 run()
             except ProdGeoError:  # the grid at 1e-300 fails on its own terms
                 pass
-    for axis, lo, hi in ((us, spec.u_min, spec.u_max), (vs, spec.v_min, spec.v_max)):
-        assert np.isfinite(axis).all() and axis[0] == lo and axis[-1] == hi
+    for axis, lo, hi, n in ((us, spec.u_min, spec.u_max, spec.n_u),
+                            (vs, spec.v_min, spec.v_max, spec.n_v)):
+        if n == 1:
+            assert axis.tolist() == [lo]
+        else:
+            assert np.isfinite(axis).all() and axis[0] == lo and axis[-1] == hi
+
+
+VES_FLAT = models.ves_validate(1, 0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("run, message", [
+    # random.Random(-1) draws what random.Random(1) draws
+    (lambda: harness.run_verify_theorem1(1, -1), r"seed must be >= 0, got -1"),
+    # an infinite band would pass the flat trial vacuously
+    (lambda: harness.run_verify_theorem1(3, 0, tol_K=math.inf), r"tol_K .* got inf"),
+    (lambda: harness.run_verify_theorem1(3, 0, tol_K=math.nan), r"tol_K .* got nan"),
+    (lambda: harness.run_verify_theorem2(3, 0, tol_K=-1.0), r"tol_K .* got -1\.0"),
+    # an infinite band would class every cell zero
+    (lambda: harness.build_grid_report(VES_FLAT, tol_K=math.inf), r"tol_K .* got inf"),
+], ids=["negative-seed", "inf-tol", "nan-tol", "negative-tol", "grid-inf-tol"])
+def test_library_refuses_what_the_cli_refuses(run, message):
+    with pytest.raises(ValueError, match=message):
+        run()
 
 
 class TestRandomParams:
@@ -198,8 +226,9 @@ class TestVerificationRuns:
         assert out.worst_closed_vs_autodiff <= 1e-7
 
     def test_theorem1_empty(self):
-        out = harness.run_verify_theorem1(0, 1)
-        assert out.trials == 0 and out.passes == 0 and out.ok
+        """A run of no trials would PASS vacuously: it is refused."""
+        with pytest.raises(ValueError, match=r"trials must be >= 1, got 0"):
+            harness.run_verify_theorem1(0, 1)
 
     def test_theorem1_detects_corruption(self, monkeypatch):
         true_verdict = curvature.ves_theorem_verdict
@@ -222,8 +251,8 @@ class TestVerificationRuns:
         assert out.ok and out.trials == 8  # 3 forward conditions + converse
 
     def test_theorem2_empty(self):
-        out = harness.run_verify_theorem2(0, 1)
-        assert out.trials == 0 and out.ok
+        with pytest.raises(ValueError, match=r"trials must be >= 1, got 0"):
+            harness.run_verify_theorem2(0, 1)
 
     def test_theorem2_detects_corruption(self, monkeypatch):
         true_verdict = curvature.kadiyala_is_developable

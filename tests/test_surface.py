@@ -133,3 +133,5 @@ def test_classify_sign_rejects_bad_tolerance():
         surface.classify_sign(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         surface.classify_sign(0.0, 1.0, float("nan"))
+    with pytest.raises(ValueError):
+        surface.classify_sign(0.0, 1.0, float("inf"))
