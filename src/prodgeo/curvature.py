@@ -35,9 +35,9 @@ a negative Den_G summand raise SingularPointError naming the quantity
 and the point.  A batch raises nothing: Den_F and Den_G are NaN wherever
 they are not in (0, inf) or a Den_G summand is negative, so that K is
 not finite at each point in the domain that would raise, for
-``harness._sweep`` to replay on the point path.  A denominator is also NaN where it overflows, since
-numpy's power gives inf where a float's raises and K = num/inf would
-read 0.
+``harness._sweep`` to replay on the point path.  A denominator is also
+NaN where it overflows, since numpy's power gives inf where a float's
+raises and K = num/inf would read 0.
 """
 
 from __future__ import annotations
