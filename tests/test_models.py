@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ import pytest
 from helpers import (assert_close, elasticity_oracle, kadiyala_normalized, kadiyala_value,
                      ves_elasticity, ves_value)
 from prodgeo import harness, jets, models, surface
+from prodgeo.curvature import DevelopabilityReason
 from prodgeo.errors import (ConstraintViolation, DomainError, NonFiniteError,
-                            NonPositiveInputError, SingularPointError)
+                            NonPositiveInputError, ProdGeoError, SingularPointError)
 from prodgeo.models import Family
 
 
@@ -326,6 +329,57 @@ def test_batch_K_that_underflows_keeps_the_point_paths_sign():
         point = surface.curvature_from_jet(models.ves_eval(p, *jets.seed(u[i], v[i])))[0]
         assert (point, math.copysign(1.0, point)) == (0.0, -1.0)
         assert math.copysign(1.0, batch[i]) == -1.0 and batch[i] == 0.0
+
+#: sha256 of what ``point_jet_outcomes`` gives for each family: every bit of
+#: a point's six slots, or the type and text of the error it raises.
+POINT_JET_BITS = {
+    "ves": "a6cf1c5c4d5334542668070497d622c7cd5ee2050c8905626a80cbc60b816911",
+    "kadiyala": "b0ede2f732b562c546fc439ad21fe2d4f3965a8b106095536aec2767629fae7b",
+}
+SPECIAL_POINTS = [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan), (5e-324, 1.0),
+                  (1e300, 1e-300), (1e-300, 1e300), (1.0, 1.0)]
+
+
+def point_jet_inputs(family: str, seed: int = 0, count: int = 300):
+    """(params, u, v) over seeded parameter draws, u and v a point's seeded
+    jets, its constant jets, or jets of six arbitrary slots: at points with
+    u and v log-uniform in [1e-300, 1e300] or in [1e-3, 1e3], and at
+    SPECIAL_POINTS."""
+    rng = random.Random(seed)
+    if family == "ves":
+        draws = [harness.random_ves_params(s, stratum)
+                 for s, stratum in enumerate(harness.DELTA_STRATA * 2)]
+    else:
+        draws = [harness.random_kadiyala_params(s, condition)
+                 for s, condition in enumerate([None, *DevelopabilityReason, None])]
+    points = [(10.0 ** rng.uniform(-e, e), 10.0 ** rng.uniform(-e, e))
+              for e in (300.0, 3.0) for _ in range(count // 2)]
+    for i, (u, v) in enumerate(points + SPECIAL_POINTS):
+        p = draws[i % len(draws)]
+        yield p, *jets.seed(u, v)
+        yield p, jets.constant(u), jets.constant(v)
+        yield p, *(jets.Jet2(x, *(rng.uniform(-2.0, 2.0) for _ in range(5))) for x in (u, v))
+
+
+def point_jet_outcome(evaluate, p, u, v) -> str:
+    """The bits of the six slots of ``evaluate(p, u, v)``, or the type and
+    text of the error it raises."""
+    try:
+        return struct.pack("6d", *evaluate(p, u, v)).hex()
+    except (ProdGeoError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("family", sorted(POINT_JET_BITS))
+def test_point_jets_keep_their_bits(family):
+    evaluate = {"ves": models.ves_eval, "kadiyala": models.kadiyala_eval}[family]
+    outcomes = [point_jet_outcome(evaluate, *args) for args in point_jet_inputs(family)]
+    errors = {text.split(":")[0] for text in outcomes if ":" in text}
+    assert {"NonPositiveInputError", "DomainError", "NonFiniteError"} <= errors
+    assert sum(":" not in text for text in outcomes) > len(outcomes) / 3
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == POINT_JET_BITS[family]
+
 
 class TestElasticity:
     def test_rho_one_gives_unit_sigma(self):
