@@ -20,10 +20,10 @@ cases = {
 
 print(f"{'case':<22} {'developable?':<13} {'reason':<28} {'max|K| on grid':<15} family")
 for name, p in cases.items():
-    verdict = kadiyala_is_developable(p)
+    reason = kadiyala_is_developable(p)
     report = build_grid_report(p, DEFAULT_GRID)
     family = kadiyala_specialize(p)
-    print(f"{name:<22} {str(verdict.developable):<13} {verdict.reason.value:<28} "
+    print(f"{name:<22} {str(reason.developable):<13} {reason.value:<28} "
           f"{report.summary['max_abs_k']:<15.3e} {family.tag.value}")
 
 p = kadiyala_validate(0.4, 0.0, 0.6, 0.3, 0.7, 2.0)

@@ -3,8 +3,7 @@ from the fundamental forms via second-order forward-mode autodiff, and the
 returns-to-scale / developability characterizations of the VES and
 Kadiyala families."""
 
-from .curvature import (DevelopabilityReason, DevelopabilityVerdict,
-                        ReturnsToScale, kadiyala_curvature_closed,
+from .curvature import (DevelopabilityReason, ReturnsToScale, kadiyala_curvature_closed,
                         kadiyala_is_developable, returns_to_scale,
                         ves_curvature_closed, ves_theorem_verdict)
 from .errors import (ConstraintViolation, DomainError, InvalidSpecError,

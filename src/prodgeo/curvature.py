@@ -45,7 +45,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import NonFiniteError, SingularPointError
 from .jets import POINT, Slot, np
@@ -209,22 +208,20 @@ class DevelopabilityReason(enum.Enum):
     BETA_ONE_RANK_ONE = "beta-one-rank-one-weights"
     NOT_DEVELOPABLE = "not-developable"
 
-
-@dataclass(frozen=True)
-class DevelopabilityVerdict:
-    developable: bool
-    reason: DevelopabilityReason
+    @property
+    def developable(self) -> bool:
+        return self is not DevelopabilityReason.NOT_DEVELOPABLE
 
 
-def kadiyala_is_developable(p: KadiyalaParams) -> DevelopabilityVerdict:
-    """The Kadiyala surface has identically zero Gaussian curvature
-    exactly when delta = 1, or k2 = 0 with beta1+beta2 = 1, or
-    beta1 = beta2 = 1 with k2^2 = k1*k3 (the last two being the
-    perfect-substitutes reductions)."""
+def kadiyala_is_developable(p: KadiyalaParams) -> DevelopabilityReason:
+    """Why the Kadiyala surface has identically zero Gaussian curvature,
+    which it has exactly when delta = 1, or k2 = 0 with beta1+beta2 = 1,
+    or beta1 = beta2 = 1 with k2^2 = k1*k3 (the last two being the
+    perfect-substitutes reductions); or NOT_DEVELOPABLE."""
     if returns_to_scale(p.delta) is ReturnsToScale.CONSTANT:
-        return DevelopabilityVerdict(True, DevelopabilityReason.CONSTANT_RETURNS)
+        return DevelopabilityReason.CONSTANT_RETURNS
     if _k2_zero_unit_sum(p):
-        return DevelopabilityVerdict(True, DevelopabilityReason.K2_ZERO_UNIT_SUM)
+        return DevelopabilityReason.K2_ZERO_UNIT_SUM
     if _beta_one_rank_one(p):
-        return DevelopabilityVerdict(True, DevelopabilityReason.BETA_ONE_RANK_ONE)
-    return DevelopabilityVerdict(False, DevelopabilityReason.NOT_DEVELOPABLE)
+        return DevelopabilityReason.BETA_ONE_RANK_ONE
+    return DevelopabilityReason.NOT_DEVELOPABLE

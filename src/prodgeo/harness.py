@@ -257,11 +257,11 @@ def _ves_trials(trials: int, seed: int):
 
 
 def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
-    verdict = curvature.kadiyala_is_developable(p)
-    return Verdict(SignClass.ZERO if verdict.developable else None, verdict.reason.value,
+    reason = curvature.kadiyala_is_developable(p)
+    return Verdict(SignClass.ZERO if reason.developable else None, reason.value,
                    {"model": "kadiyala",
                     "returns_to_scale": curvature.returns_to_scale(p.delta).value,
-                    "developable": verdict.developable, "reason": verdict.reason.value})
+                    "developable": reason.developable, "reason": reason.value})
 
 
 FORWARD_CONDITIONS = tuple(reason for reason in DevelopabilityReason

@@ -171,25 +171,23 @@ class TestKadiyalaFactors:
 class TestDevelopability:
     def test_constant_returns(self):
         p = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 1.0)
-        v = curvature.kadiyala_is_developable(p)
-        assert v.developable and v.reason is DevelopabilityReason.CONSTANT_RETURNS
+        assert curvature.kadiyala_is_developable(p) is DevelopabilityReason.CONSTANT_RETURNS
 
     def test_k2_zero_unit_sum(self):
         p = models.kadiyala_validate(0.4, 0.0, 0.6, 0.3, 0.7, 2.0)
-        v = curvature.kadiyala_is_developable(p)
-        assert v.developable and v.reason is DevelopabilityReason.K2_ZERO_UNIT_SUM
+        assert curvature.kadiyala_is_developable(p) is DevelopabilityReason.K2_ZERO_UNIT_SUM
 
     def test_beta_one_rank_one(self):
         p = models.kadiyala_validate(0.25, 0.25, 0.25, 1.0, 1.0, 2.0)
-        v = curvature.kadiyala_is_developable(p)
-        assert v.developable and v.reason is DevelopabilityReason.BETA_ONE_RANK_ONE
+        assert curvature.kadiyala_is_developable(p) is DevelopabilityReason.BETA_ONE_RANK_ONE
+
+    def test_every_reason_but_one_is_developable(self):
+        assert [r.developable for r in DevelopabilityReason] == [True, True, True, False]
 
     def test_near_miss_is_not_developable(self):
         # k2^2 = 0.04 != k1*k3 = 0.08, so condition 3 fails
         p = models.kadiyala_validate(0.2, 0.2, 0.4, 1.0, 1.0, 2.0)
-        v = curvature.kadiyala_is_developable(p)
-        assert not v.developable
-        assert v.reason is DevelopabilityReason.NOT_DEVELOPABLE
+        assert curvature.kadiyala_is_developable(p) is DevelopabilityReason.NOT_DEVELOPABLE
         # confirmed by actual curvature on the default grid
         max_k = max(abs(autodiff_K(p, u, v_))
                     for u, v_ in sample_grid(harness.DEFAULT_GRID))

@@ -17,10 +17,17 @@ from helpers import (EPS, LIMIT, GridRow, StencilOutOfDomainError, assert_close,
                      param_columns, report_rows, sample_grid, surface_scales, ves_value,
                      within_bound)
 from prodgeo import curvature, harness, models, surface
-from prodgeo.curvature import DevelopabilityReason, DevelopabilityVerdict
+from prodgeo.curvature import DevelopabilityReason
 from prodgeo.errors import InvalidSpecError, ProdGeoError
 from prodgeo.harness import GridReport, GridSpec, Spacing
 from prodgeo.surface import SignClass
+
+
+def _other_side(reason: DevelopabilityReason) -> DevelopabilityReason:
+    """A corrupted verdict: a developable draw's reason becomes
+    NOT_DEVELOPABLE, and any other draw's CONSTANT_RETURNS."""
+    return (DevelopabilityReason.NOT_DEVELOPABLE if reason.developable
+            else DevelopabilityReason.CONSTANT_RETURNS)
 
 
 class TestGrid:
@@ -180,8 +187,7 @@ class TestRandomParams:
     def test_forced_conditions_hold(self, condition):
         for s in range(200):
             p = harness.random_kadiyala_params(s, condition)
-            verdict = curvature.kadiyala_is_developable(p)
-            assert verdict.developable and verdict.reason is condition
+            assert curvature.kadiyala_is_developable(p) is condition
 
     def test_generic_draws_violate_all_conditions(self):
         for s in range(200):
@@ -256,12 +262,8 @@ class TestVerificationRuns:
 
     def test_theorem2_detects_corruption(self, monkeypatch):
         true_verdict = curvature.kadiyala_is_developable
-
-        def negated_verdict(p):
-            verdict = true_verdict(p)
-            return DevelopabilityVerdict(not verdict.developable, verdict.reason)
-
-        monkeypatch.setattr(curvature, "kadiyala_is_developable", negated_verdict)
+        monkeypatch.setattr(curvature, "kadiyala_is_developable",
+                            lambda p: _other_side(true_verdict(p)))
         out = harness.run_verify_theorem2(2, 123, SMALL_GRID)
         assert not out.ok
         assert out.trials == 8 and out.passes == 0
@@ -789,8 +791,7 @@ def _corrupt_verdicts(monkeypatch):
     monkeypatch.setattr(curvature, "ves_theorem_verdict",
                         lambda p: (ves_verdict(p)[0], flipped[ves_verdict(p)[1]]))
     monkeypatch.setattr(curvature, "kadiyala_is_developable",
-                        lambda p: DevelopabilityVerdict(not kadiyala_verdict(p).developable,
-                                                        kadiyala_verdict(p).reason))
+                        lambda p: _other_side(kadiyala_verdict(p)))
 
 
 def _corrupt_checks(monkeypatch):

@@ -143,3 +143,105 @@ def test_deng_summands_are_nonnegative_and_sum_positive(monkeypatch, bsum_sign,
     assert len(terms) == 5
     assert all(term.is_nonnegative for term in terms)
     assert sympy.Add(*terms).is_positive
+
+
+# --- Theorem 2: T2 vanishes identically iff perfect substitutes ---------------
+#
+# The library's own T2, run on sympy symbols, expands into monomials
+# u^a * v^b with coefficients in the parameters.  Monomials with distinct
+# exponent pairs are independent functions on the open quadrant, so T2 is
+# identically 0 iff the coefficient of each distinct monomial is.  Its four
+# exponent pairs are distinct unless beta1 = beta2 (beta1, beta2 and their
+# sum are nonzero under the constraints), so the two cases are solved apart.
+
+K1, K2, K3 = sympy.symbols("k1 k2 k3", nonnegative=True)
+B1, B2 = sympy.symbols("beta1 beta2", real=True, nonzero=True)
+S = B1 + B2
+#: T2's coefficients, as the paper's factorization gives them, by the
+#: exponents of (u, v).
+T2_COEFFICIENTS = {(B2, B1): K1 * K3 * S ** 2 * (S - 1), (B1, B2): -4 * B1 * B2 * K2 ** 2,
+                   (S, 0): 2 * B2 * K1 * K2 * S * (B2 - 1), (0, S): 2 * B1 * K2 * K3 * S * (B1 - 1)}
+#: The two perfect-substitutes conditions, by the reason that names each,
+#: as substitutions that cover them within the constraints: k3 > 0 on the
+#: second, as k3 = 0 would give k2 = 0.
+PERFECT_SUBSTITUTES = {DevelopabilityReason.K2_ZERO_UNIT_SUM: {K2: 0, B1: 1 - B2},
+                       DevelopabilityReason.BETA_ONE_RANK_ONE: {B1: 1, B2: 1,
+                                                                K1: K2 ** 2 / K3}}
+
+
+def t2_coefficients(monkeypatch) -> dict:
+    """The library's T2 as {(exponent of u, exponent of v): coefficient},
+    its float constants read as the rationals they are."""
+    denominators(monkeypatch, check=False)
+    p = SimpleNamespace(k1=K1, k2=K2, k3=K3, beta1=B1, beta2=B2,
+                        delta=sympy.Symbol("delta", positive=True))
+    coefficients = {}
+    for term in sympy.Add.make_args(sympy.expand(sympy.nsimplify(
+            curvature._kad_factors(p, u_, v_)[1]))):
+        c, monomial = term.as_independent(u_, v_, as_Add=False)
+        powers = sympy.powsimp(monomial).as_powers_dict()
+        key = (sympy.expand(powers.get(u_, 0)), sympy.expand(powers.get(v_, 0)))
+        coefficients[key] = coefficients.get(key, 0) + c
+    return coefficients
+
+
+def _vanish(exprs, substitution) -> bool:
+    return all(sympy.simplify(sympy.sympify(e).subs(substitution, simultaneous=True)) == 0
+               for e in exprs)
+
+
+def zero_sets(coefficients: dict) -> list[dict]:
+    """The parameter sets, as substitutions, on which every coefficient
+    vanishes and the constraints hold: beta1 + beta2 != 0, (k1, k2) !=
+    (0, 0) and (k2, k3) != (0, 0)."""
+    merged = {}  # beta1 = beta2
+    for (a, b), c in coefficients.items():
+        key = (a.subs(B2, B1), b.subs(B2, B1))
+        merged[key] = merged.get(key, 0) + c.subs(B2, B1)
+    sets = sympy.solve(list(coefficients.values()), [K1, K2, K3, B1, B2], dict=True)
+    sets += [{B2: s.get(B1, B1), **s}
+             for s in sympy.solve(list(merged.values()), [K1, K2, K3, B1], dict=True)]
+    return [s for s in sets if not any(_vanish([e], s) for e in (S, K1 + K2, K2 + K3))]
+
+
+def is_perfect_substitutes_iff(coefficients: dict) -> bool:
+    """Whether T2 vanishes on each perfect-substitutes condition and every
+    set on which its coefficients vanish lies in one of them."""
+    t2 = sum(c * u_ ** a * v_ ** b for (a, b), c in coefficients.items())
+    conditions = [[lhs - rhs for lhs, rhs in c.items()] for c in PERFECT_SUBSTITUTES.values()]
+    return (all(_vanish([t2], c) for c in PERFECT_SUBSTITUTES.values())
+            and all(any(_vanish(c, s) for c in conditions) for s in zero_sets(coefficients)))
+
+
+def test_t2_vanishes_identically_iff_perfect_substitutes(monkeypatch):
+    coefficients = t2_coefficients(monkeypatch)
+    assert set(coefficients) == set(T2_COEFFICIENTS)
+    assert _vanish([c - T2_COEFFICIENTS[key] for key, c in coefficients.items()], {})
+    assert is_perfect_substitutes_iff(coefficients)
+
+
+@pytest.mark.parametrize("reason,free", [
+    (DevelopabilityReason.K2_ZERO_UNIT_SUM, {K1: 0.25, K3: 0.75, B2: 0.375}),
+    (DevelopabilityReason.BETA_ONE_RANK_ONE, {K2: 0.25, K3: 0.25}),
+])
+def test_each_proved_condition_is_the_library_s(reason, free):
+    """A draw on each proved condition, its weights summing to 1, is
+    developable for the reason that names the condition."""
+    values = {x: sympy.sympify(e).subs(free) for x, e in PERFECT_SUBSTITUTES[reason].items()}
+    k1, k2, k3, b1, b2 = (float({**free, **values}[x]) for x in (K1, K2, K3, B1, B2))
+    p = KadiyalaParams(k1, k2, k3, b1, b2, 2.0)
+    assert curvature.kadiyala_is_developable(p) is reason
+
+
+@pytest.mark.parametrize("slip", [
+    lambda p, u, v: p.k1 * p.k2 * u ** (p.beta1 + p.beta2),
+    lambda p, u, v: p.k1 * p.k3 * (p.beta1 + p.beta2) * u ** p.beta2 * v ** p.beta1,
+], ids=["u^s", "u^beta2*v^beta1"])
+def test_a_slip_in_one_t2_coefficient_fails_the_proof(monkeypatch, slip):
+    factors = curvature._kad_factors
+
+    def slipped(p, u, v):
+        t1, t2, den = factors(p, u, v)
+        return t1, t2 + slip(p, u, v), den
+    monkeypatch.setattr(curvature, "_kad_factors", slipped)
+    assert not is_perfect_substitutes_iff(t2_coefficients(monkeypatch))
