@@ -188,10 +188,11 @@ def random_kadiyala_params(
 # --- Model families ----------------------------------------------------------
 #
 # Everything that differs between VES and Kadiyala is one record below;
-# grid reports, the CLI and the verify engine dispatch through FAMILIES
-# and nowhere else.  Entries call models, curvature, jets and the
-# samplers by module attribute at call time, so rebinding one of those
-# (to trace it, or to corrupt a verdict in a test) reaches every caller.
+# grid reports, the CLI and the verify engine dispatch through FAMILIES and
+# nowhere else.  Entries call models, curvature, jets and the samplers by
+# module attribute at call time, so rebinding one of those (to trace it, or
+# to corrupt a verdict in a test) reaches every caller, but a jets op rebound
+# after a family's first point reaches batches only (``jets._point_code``).
 
 class Verdict(NamedTuple):
     """What a theorem says about one parameter set."""

@@ -54,10 +54,17 @@ executes on its first attribute access, which a point never makes.
 ndarray without touching numpy; every module tests a slot this one way.
 A point's values and errors are thus computed without loading numpy,
 and a batch loads it on its first operation.
+
+A family's jet runs on a point as straight-line code (source transformation,
+ibid. ch. 6): on the family's first point, ``_point_code`` runs it once on the
+ops' point bodies with recording slots (``_Name``), and compiles the float
+expressions they perform, in order, with a ``_power`` call for each power.  A
+point keeps the ops' bits and errors; an op rebound later reaches batches only.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import sys
@@ -82,9 +89,36 @@ def _lazy_import(name: str):
     return module
 
 
+class _Name:
+    """A slot of a point's jet while ``_point_code`` records it: the name
+    of a local of the code it emits.  An arithmetic operation on it adds
+    the line that computes its result and returns that result's name, as
+    ``p.field`` does for a field of the parameter record p."""
+    __slots__ = ("name", "lines")
+
+    def __init__(self, name: str, lines: dict[str, list]):
+        self.name, self.lines = name, lines
+
+    def __repr__(self):
+        return self.name
+
+    def __getattr__(self, field):
+        return self.emit(f"{self.name}.{field}")
+
+    def emit(self, expr: str, n: int = 1):
+        """The names of expr's n results, computed by one line for each expr."""
+        names = self.lines.setdefault(
+            expr, [_Name(f"t{len(self.lines)}_{i}", self.lines) for i in range(n)])
+        return names if n > 1 else names[0]
+
+
+for _op, _sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
+    setattr(_Name, f"__{_op}__", lambda a, b, s=_sym: a.emit(f"{a!r} {s} {b!r}"))
+    setattr(_Name, f"__r{_op}__", lambda a, b, s=_sym: a.emit(f"{b!r} {s} {a!r}"))
+
 np = _lazy_import("numpy")
-#: The types of a point's slot or coordinate; a batch's is an ndarray.
-POINT = (float, int)
+#: The types of a point's slot or coordinate, a recorded one's too; a batch's is an ndarray.
+POINT = (float, int, _Name)
 Slot = Union[float, "np.ndarray"]
 
 # Every op builds its tuple without the NamedTuple's generated __new__,
@@ -217,6 +251,9 @@ def _compose_batch(a: Jet2, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> J
 
 
 def _power(x: float, p: float) -> tuple[float, float, float]:
+    if type(x) is _Name:  # recorded as the call itself
+        return x.emit(f"_power({x!r}, {p!r})", 3)
+    p = float(p)
     if x <= 0.0:
         raise DomainError(f"powr requires a positive base, got {x}")
     if not x < math.inf:  # inf ** -p is 0.0, and would hide the inf
@@ -258,7 +295,23 @@ def powr(a: Jet2, p: Slot) -> Jet2:
     exp(p*ln a); the two must agree to rounding (asserted in tests).
     """
     if isinstance(a.val, POINT):
-        g, dg, ddg = _power(a.val, float(p))
-        return _compose(a, g, dg, ddg)
+        return _compose(a, *_power(a.val, p))
     g, dg, ddg = _power_elements(a.val, float(p) if isinstance(p, POINT) else p)
     return _compose_batch(a, g, dg, ddg)
+
+
+@functools.cache
+def _point_code(body):
+    """``body(p, u, v)``, a family's jet, compiled for one point as a
+    function of p's fields and u's and v's twelve slots; ``.source`` is its code."""
+    lines = {}
+    u, v = (Jet2._make(lines.setdefault(x, [_Name(f"{x}{i}", lines) for i in range(6)]))
+            for x in "uv")
+    jet = body(_Name("p", lines), u, v)
+    source = "\n    ".join([f"def {body.__name__}(p, u, v):",
+                            *(f"{', '.join(map(repr, names))} = {expr}"
+                              for expr, names in lines.items()),
+                            f"return _new_tuple(Jet2, ({', '.join(map(repr, jet))}))"])
+    exec(compile(source, f"<point code of {body.__qualname__}>", "exec"), globals(), code := {})
+    code[body.__name__].source = source
+    return code[body.__name__]

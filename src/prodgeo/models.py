@@ -11,7 +11,8 @@ Kadiyala:
 Parameter records are immutable after validation, so their constraint
 sets can be checked once and relied on everywhere.  Evaluators take
 ``Jet2`` inputs and hence deliver value, gradient and Hessian in one
-pass; plain-float evaluation falls out by seeding constants.  Inputs
+pass; plain-float evaluation falls out by seeding constants.  A family's jet
+is written once, in ``jets`` ops; a point runs it as ``jets._point_code``.  Inputs
 are one point's floats or a batch's ndarrays (see ``jets``), and domain
 tests then hold element by element.  A point outside the domain raises
 an error that names it, and so does a power that ``jets.powr`` rejects;
@@ -198,10 +199,7 @@ def ves_domain_valid(p: VesParams, u: float, v: float,
 
 # --- Evaluators ------------------------------------------------------------
 
-def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
-    """Jet of Q(u, v); on a point, raises DomainError outside the well-posed region."""
-    if isinstance(u.val, POINT):
-        _ves_aggregate(p, u.val, v.val)
+def _ves_jet(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
     aggregate = jets.scale(u, p.rho - 1.0) + v
     return jets.scale(
         jets.mul(jets.powr(u, p.delta * (1.0 - p.beta * p.rho)),
@@ -209,15 +207,27 @@ def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
         p.k)
 
 
-def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
-    """Jet of P(u, v); requires u, v > 0."""
-    _check_positive(u.val, v.val)
+def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
+    """Jet of Q(u, v); on a point, raises DomainError outside the well-posed region."""
+    if not isinstance(u.val, POINT):
+        return _ves_jet(p, u, v)
+    _ves_aggregate(p, u.val, v.val)
+    return jets._point_code(_ves_jet)(p, u, v)
+
+
+def _kad_jet(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
     bsum = p.beta1 + p.beta2
     inner = (jets.scale(jets.powr(u, bsum), p.k1)
              + jets.scale(jets.mul(jets.powr(u, p.beta1),
                                    jets.powr(v, p.beta2)), 2.0 * p.k2)
              + jets.scale(jets.powr(v, bsum), p.k3))
     return jets.powr(inner, p.delta / bsum)
+
+
+def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
+    """Jet of P(u, v); requires u, v > 0."""
+    _check_positive(u.val, v.val)
+    return (jets._point_code(_kad_jet) if isinstance(u.val, POINT) else _kad_jet)(p, u, v)
 
 
 # --- Kadiyala specializations ---------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -7,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (assert_close, elasticity_oracle, kadiyala_normalized, kadiyala_value,
                      ves_elasticity, ves_value)
@@ -379,6 +382,43 @@ def test_point_jets_keep_their_bits(family):
     assert sum(":" not in text for text in outcomes) > len(outcomes) / 3
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == POINT_JET_BITS[family]
+
+
+BODIES = {"ves": (models._ves_jet, harness.random_ves_params),
+          "kadiyala": (models._kad_jet, harness.random_kadiyala_params)}
+slot_values = st.floats(allow_subnormal=True) | st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(BODIES)), seed=st.integers(0, 10**6),
+       kind=st.sampled_from(["seed", "constant", "slots"]), u=slot_values, v=slot_values,
+       slots=st.lists(slot_values, min_size=10, max_size=10))
+def test_point_code_is_the_body_on_points(family, seed, kind, u, v, slots):
+    """A family's compiled point code gives the bits, or the error type
+    and text, of its body run on point jets, with no domain check before
+    either: at any point, with seeded, constant or arbitrary input jets."""
+    body, draw = BODIES[family]
+    if kind == "seed":
+        u, v = jets.seed(u, v)
+    elif kind == "constant":
+        u, v = jets.constant(u), jets.constant(v)
+    else:
+        u, v = jets.Jet2(u, *slots[:5]), jets.Jet2(v, *slots[5:])
+    p = draw(seed)
+    assert (point_jet_outcome(jets._point_code(body), p, u, v)
+            == point_jet_outcome(body, p, u, v))
+
+
+@pytest.mark.parametrize("family", sorted(BODIES))
+def test_point_code_reads_as_the_body_s_float_expressions(family):
+    """The emitted source, printed under ``pytest -s``: straight-line float
+    code that names no numpy and calls ``_power`` once for each power the
+    body takes."""
+    body = BODIES[family][0]
+    source = jets._point_code(body).source
+    print(source)
+    assert "np." not in source and "numpy" not in source
+    assert source.count("_power(") == inspect.getsource(body).count("jets.powr(")
 
 
 class TestElasticity:

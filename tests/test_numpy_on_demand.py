@@ -2,7 +2,8 @@
 load none of it, and the first batch of the same process loads it and
 computes what it computes in a process that has numpy from the start.
 orjson is a grid's dependency: neither points nor a verify run load it,
-and the first grid does."""
+and the first grid does.  A family's point code is compiled on its first
+point, not on import."""
 
 import json
 import os
@@ -31,6 +32,7 @@ def orjson_loaded():
     return any(name.split(".")[0] == "orjson" for name in sys.modules)
 
 after_import = orjson_loaded()
+compiled = [jets._point_code.cache_info().currsize]  # point codes compiled so far
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -45,13 +47,15 @@ for evaluate, closed, p in ((models.ves_eval, curvature.ves_curvature_closed, ve
     for u, v in ((1.5, 0.7), (2, 3)):
         surface.curvature_from_jet(evaluate(p, *jets.seed(u, v)))
         closed(p, u, v)
+    compiled.append(jets._point_code.cache_info().currsize)
 cases = json.loads(sys.argv[1])
 points = {name: run(argv) for name, argv in cases["points"].items()}
 after_points = numpy_modules(), orjson_loaded()
 verify = {name: run(argv) for name, argv in cases["verify"].items()}
 after_verify = len(numpy_modules()), orjson_loaded()
 grids = {name: run(argv) for name, argv in cases["grids"].items()}
-print(json.dumps({"after_import": after_import, "after_points": after_points,
+print(json.dumps({"after_import": after_import, "compiled": compiled,
+                  "after_points": after_points,
                   "after_verify": after_verify, "after_grids": orjson_loaded(),
                   "runs": {**points, **verify, **grids}}))
 """
@@ -67,6 +71,7 @@ def test_points_load_no_numpy_and_a_later_batch_matches_golden():
                           env=dict(os.environ, PYTHONPATH=src))
     got = json.loads(proc.stdout)
     assert not got["after_import"]
+    assert got["compiled"] == [0, 1, 2]  # none on import, then one per family's first point
     assert got["after_points"] == [[], False]
     numpy_loaded, orjson_loaded = got["after_verify"]
     assert numpy_loaded > 0 and not orjson_loaded
