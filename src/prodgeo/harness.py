@@ -265,8 +265,7 @@ def _kadiyala_verdict(p: KadiyalaParams) -> Verdict:
                     "developable": reason.developable, "reason": reason.value})
 
 
-FORWARD_CONDITIONS = tuple(reason for reason in DevelopabilityReason
-                           if reason is not DevelopabilityReason.NOT_DEVELOPABLE)
+FORWARD_CONDITIONS = tuple(reason for reason in DevelopabilityReason if reason.developable)
 
 
 def _kadiyala_trials(trials: int, seed: int):
