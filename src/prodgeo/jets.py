@@ -302,8 +302,8 @@ def powr(a: Jet2, p: Slot) -> Jet2:
 
 @functools.cache
 def _point_code(body):
-    """``body(p, u, v)``, a family's jet, compiled for one point as a
-    function of p's fields and u's and v's twelve slots; ``.source`` is its code."""
+    """``body(p, u, v)``, a family's jet, as straight-line code for one point that
+    unpacks u's and v's twelve slots and reads p's fields; ``.source`` is the code."""
     lines = {}
     u, v = (Jet2._make(lines.setdefault(x, [_Name(f"{x}{i}", lines) for i in range(6)]))
             for x in "uv")

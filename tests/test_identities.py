@@ -205,12 +205,15 @@ def zero_sets(coefficients: dict) -> list[dict]:
 
 
 def is_perfect_substitutes_iff(coefficients: dict) -> bool:
-    """Whether T2 vanishes on each perfect-substitutes condition and every
-    set on which its coefficients vanish lies in one of them."""
+    """Whether T2 vanishes on each perfect-substitutes condition, and the
+    sets on which its coefficients vanish each lie in one of them and,
+    together, meet both (so a solver that finds no set proves nothing)."""
     t2 = sum(c * u_ ** a * v_ ** b for (a, b), c in coefficients.items())
     conditions = [[lhs - rhs for lhs, rhs in c.items()] for c in PERFECT_SUBSTITUTES.values()]
+    sets = zero_sets(coefficients)
     return (all(_vanish([t2], c) for c in PERFECT_SUBSTITUTES.values())
-            and all(any(_vanish(c, s) for c in conditions) for s in zero_sets(coefficients)))
+            and all(any(_vanish(c, s) for c in conditions) for s in sets)
+            and all(any(_vanish(c, s) for s in sets) for c in conditions))
 
 
 def test_t2_vanishes_identically_iff_perfect_substitutes(monkeypatch):

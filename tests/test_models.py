@@ -333,8 +333,9 @@ def test_batch_K_that_underflows_keeps_the_point_paths_sign():
         assert (point, math.copysign(1.0, point)) == (0.0, -1.0)
         assert math.copysign(1.0, batch[i]) == -1.0 and batch[i] == 0.0
 
-#: sha256 of what ``point_jet_outcomes`` gives for each family: every bit of
-#: a point's six slots, or the type and text of the error it raises.
+
+#: sha256 of ``point_jet_outcome`` over ``point_jet_inputs``, for each family:
+#: every bit of a point's six slots, or the type and text of the error it raises.
 POINT_JET_BITS = {
     "ves": "a6cf1c5c4d5334542668070497d622c7cd5ee2050c8905626a80cbc60b816911",
     "kadiyala": "b0ede2f732b562c546fc439ad21fe2d4f3965a8b106095536aec2767629fae7b",
