@@ -344,18 +344,23 @@ SPECIAL_POINTS = [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan), (5e
                   (1e300, 1e-300), (1e-300, 1e300), (1.0, 1.0)]
 
 
+def param_draws(family: str) -> list:
+    """Seeded parameter draws of a family: each returns-to-scale stratum or
+    developability reason, and generic ones."""
+    if family == "ves":
+        return [harness.random_ves_params(s, stratum)
+                for s, stratum in enumerate(harness.DELTA_STRATA * 2)]
+    return [harness.random_kadiyala_params(s, condition)
+            for s, condition in enumerate([None, *DevelopabilityReason, None])]
+
+
 def point_jet_inputs(family: str, seed: int = 0, count: int = 300):
     """(params, u, v) over seeded parameter draws, u and v a point's seeded
     jets, its constant jets, or jets of six arbitrary slots: at points with
     u and v log-uniform in [1e-300, 1e300] or in [1e-3, 1e3], and at
     SPECIAL_POINTS."""
     rng = random.Random(seed)
-    if family == "ves":
-        draws = [harness.random_ves_params(s, stratum)
-                 for s, stratum in enumerate(harness.DELTA_STRATA * 2)]
-    else:
-        draws = [harness.random_kadiyala_params(s, condition)
-                 for s, condition in enumerate([None, *DevelopabilityReason, None])]
+    draws = param_draws(family)
     points = [(10.0 ** rng.uniform(-e, e), 10.0 ** rng.uniform(-e, e))
               for e in (300.0, 3.0) for _ in range(count // 2)]
     for i, (u, v) in enumerate(points + SPECIAL_POINTS):
@@ -383,6 +388,59 @@ def test_point_jets_keep_their_bits(family):
     assert sum(":" not in text for text in outcomes) > len(outcomes) / 3
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == POINT_JET_BITS[family]
+
+
+#: sha256 of ``batch_jet_outcome`` over ``batch_jet_inputs``, for each family:
+#: every bit of a batch's six slots at each cell where they are finite, and
+#: which cells they are not.
+BATCH_JET_BITS = {
+    "ves": "006556b36023329f2c2007db1c72334e92b29606f7e6cad368891ffed1a58331",
+    "kadiyala": "e6c814761556ec78a0e1b6b3a3e91202d4348780873b043e615d1ceed0c7bf5b",
+}
+
+
+def batch_jet_inputs(family: str, seed: int = 0):
+    """(params, u, v) over the batch layouts: a grid's (1, n_u, 1) and
+    (1, 1, n_v) axes under one record's ``_trial_columns``, a verify
+    batch's under every draw's (trial, 1, 1) columns, and 1-d arrays
+    under a record of float fields; u and v seeded or constant jets, at
+    inputs log-uniform in [1e-300, 1e300] or in [1e-3, 1e3] and at
+    SPECIAL_POINTS, so that some cells come out inf or NaN."""
+    rng = np.random.default_rng(seed)
+    draws = param_draws(family)
+    special_u, special_v = np.array(SPECIAL_POINTS).T
+    for e in (300.0, 3.0):
+        us, vs = (np.concatenate([10.0 ** rng.uniform(-e, e, 12), special])
+                  for special in (special_u, special_v))
+        axes = us[None, :, None], vs[None, None, :]
+        for p, u, v in [*((harness._trial_columns([d]), *axes) for d in draws[:2]),
+                        (harness._trial_columns(draws), *axes),
+                        *((d, us, vs) for d in draws)]:
+            yield p, *jets.seed(u, v)
+            yield p, jets.constant(u), jets.constant(v)
+
+
+def batch_jet_outcome(evaluate, p, u, v) -> bytes:
+    """The bits of the six slots of ``evaluate(p, u, v)`` on a batch, each
+    spread over the batch's shape, at each cell where all six are finite,
+    and NaN in all six at each other: a batch's jet is specified there
+    only as not finite, and ``harness._sweep`` replays such a cell on the
+    point path."""
+    with np.errstate(all="ignore"):
+        jet = evaluate(p, u, v)
+    slots = np.array(np.broadcast_arrays(*jet, u.val, v.val)[:6], float)
+    return np.where(np.isfinite(slots).all(axis=0), slots, math.nan).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(BATCH_JET_BITS))
+def test_batch_jets_keep_their_bits(family):
+    evaluate = {"ves": models.ves_eval, "kadiyala": models.kadiyala_eval}[family]
+    outcomes = [batch_jet_outcome(evaluate, *args) for args in batch_jet_inputs(family)]
+    finite = np.concatenate([np.isfinite(np.frombuffer(bits).reshape(6, -1)).all(axis=0)
+                             for bits in outcomes])
+    assert not finite.all() and finite.sum() > len(finite) / 3
+    digest = hashlib.sha256(b"".join(outcomes)).hexdigest()
+    assert digest == BATCH_JET_BITS[family]
 
 
 BODIES = {"ves": (models._ves_jet, harness.random_ves_params),
