@@ -192,7 +192,7 @@ def random_kadiyala_params(
 # nowhere else.  Entries call models, curvature, jets and the samplers by
 # module attribute at call time, so rebinding one of those (to trace it, or
 # to corrupt a verdict in a test) reaches every caller, but a jets op rebound
-# after a family's first point reaches batches only (``jets._point_code``).
+# after a family's first point or batch reaches neither (``jets._point_code``).
 
 class Verdict(NamedTuple):
     """What a theorem says about one parameter set."""
@@ -566,9 +566,10 @@ class VerifySummary:
 #: Verify trials per batch: 6 400 points on the default grid.  Larger
 #: batches run faster, but a run's peak memory grows with them: by
 #: tracemalloc, a default-grid batch of 16, which keeps u and v as axes,
-#: evaluates every cell and drops H at once, peaks at about 176 bytes a
-#: point for Kadiyala and 130 for VES (1.13 and 0.83 MB); the same trials
-#: stacked point by point over the cells in their domains take 345 and 186.
+#: evaluates every cell and drops H at once, peaks at about 173 bytes a
+#: point for Kadiyala and 130 for VES (1.11 and 0.83 MB), as the jets' batch
+#: code frees each array after its last read; the same trials stacked point
+#: by point over the cells in their domains took 345 and 186.
 VERIFY_BATCH_TRIALS = 16
 
 

@@ -17,21 +17,14 @@ not share a shape, only broadcast to the batch's: a slot that depends on
 u alone may hold one value per u, and numpy's broadcasting then computes
 it once per u, with the bits that one value per point gives.  On a
 batch, a slot that is a float holds for every point, as the seeds' 0.0
-and 1.0 do.  Folding happens only in ``mul`` and in ``powr``'s chain
-rule: in their derivative slots, a product with a 0.0 slot is 0.0 and a
-product with a 1.0 slot is the other factor.  Every other sum, scaling
-and product runs its float expression on the batch, so a sum of two
-float slots, or a float slot scaled by a float, stays a float.  Sums,
-scalings and products are correctly rounded in numpy as in Python, so
-each element gets the bits its float form gives, but for the sign of a
-zero: a folded product is 0.0 where the float form's is -0.0 (x * 0.0
-for x < 0), which a zero K or H can show.  Powers use numpy's own power,
-which may round the last bit differently from the libm ``pow`` behind a
-float's ``**``: a batch agrees with the float form to within rounding,
-not bit for bit.  ``scale`` and ``powr`` on arrays also take an array
-factor or exponent that broadcasts with the slots (one per point, or one
-per trial of a verify batch); ``scale`` folds nothing, so a zero weight
-keeps the NaN of 0 * inf.
+and 1.0 do.  Each op has one body, its float expressions, which are
+correctly rounded in numpy as in Python: on arrays, each element gets the
+bits its float form gives.  Powers use numpy's own power, which may round the last bit
+differently from the libm ``pow`` behind a float's ``**``: a batch
+agrees with the float form to within rounding, not bit for bit.
+``scale`` and ``powr`` on arrays also take an array factor or exponent
+that broadcasts with the slots (one per point, or one per trial of a
+verify batch).
 
 No op checks its slots, on a point or a batch, its seeds and constants
 included: inf and NaN travel on to the result, and no op turns a slot
@@ -55,11 +48,19 @@ ndarray without touching numpy; every module tests a slot this one way.
 A point's values and errors are thus computed without loading numpy,
 and a batch loads it on its first operation.
 
-A family's jet runs on a point as straight-line code (source transformation,
-ibid. ch. 6): on the family's first point, ``_point_code`` runs it once on the
-ops' point bodies with recording slots (``_Name``), and compiles the float
-expressions they perform, in order, with a ``_power`` call for each power.  A
-point keeps the ops' bits and errors; an op rebound later reaches batches only.
+A family's jet runs as straight-line code (source transformation, ibid.
+ch. 6): on its first point, and its first batch of each pattern of 0.0 and
+1.0 slots, ``_point_code`` runs the body once on recording slots (``_Name``)
+and compiles the float expressions the ops perform, in order, with one
+``_power`` call for each power.  A point's code keeps the ops' bits and
+errors.  A batch's (``_batch_code``) records each derivative slot that is a
+float 0.0 or 1.0, a seed's or a constant's, as a constant, and folds it: a
+product with 0.0 is 0.0 (where the float form may give -0.0 or NaN) and one
+with 1.0 is the other factor; float-on-float work is done while recording.
+A parameter never folds, so a zero weight keeps the NaN of 0 * inf, nor
+does a sum, so -0.0 plus a constant 0.0 is 0.0 as on a point.  The code
+drops lines nothing reads and frees each array after its last read.  An op
+rebound after a family's first point or batch reaches neither.
 """
 
 from __future__ import annotations
@@ -90,13 +91,13 @@ def _lazy_import(name: str):
 
 
 class _Name:
-    """A slot of a point's jet while ``_point_code`` records it: the name
-    of a local of the code it emits.  An arithmetic operation on it adds
-    the line that computes its result and returns that result's name, as
-    ``p.field`` does for a field of the parameter record p."""
+    """A slot of a jet while ``_point_code`` records it: the name of a local
+    of the code it emits.  An arithmetic operation on it adds the line that
+    computes its result and returns that result's name, as ``p.field`` does
+    for a field of the parameter record p."""
     __slots__ = ("name", "lines")
 
-    def __init__(self, name: str, lines: dict[str, list]):
+    def __init__(self, name: str, lines: dict[str, tuple]):
         self.name, self.lines = name, lines
 
     def __repr__(self):
@@ -105,20 +106,27 @@ class _Name:
     def __getattr__(self, field):
         return self.emit(f"{self.name}.{field}")
 
-    def emit(self, expr: str, n: int = 1):
-        """The names of expr's n results, computed by one line for each expr."""
-        names = self.lines.setdefault(
-            expr, [_Name(f"t{len(self.lines)}_{i}", self.lines) for i in range(n)])
+    def emit(self, expr: str, *operands, n: int = 1):
+        """The names of expr's n results, computed by one line for each expr,
+        which reads self and the operands."""
+        names, _ = self.lines.setdefault(expr, (
+            [_Name(f"t{len(self.lines)}_{i}", self.lines) for i in range(n)],
+            [x for x in (self, *operands) if type(x) is _Name]))
         return names if n > 1 else names[0]
 
 
 for _op, _sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
-    setattr(_Name, f"__{_op}__", lambda a, b, s=_sym: a.emit(f"{a!r} {s} {b!r}"))
-    setattr(_Name, f"__r{_op}__", lambda a, b, s=_sym: a.emit(f"{b!r} {s} {a!r}"))
+    setattr(_Name, f"__{_op}__", lambda a, b, s=_sym: a.emit(f"{a!r} {s} {b!r}", b))
+    setattr(_Name, f"__r{_op}__", lambda a, b, s=_sym: a.emit(f"{b!r} {s} {a!r}", b))
+# A float factor 0.0 or 1.0, which only a batch's constant slots and the
+# floats computed from them give, folds: x * 0.0 is 0.0 and x * 1.0 is x.
+for _mul in "__mul__", "__rmul__":
+    setattr(_Name, _mul, lambda a, b, product=getattr(_Name, _mul): (
+        (a if b else 0.0) if type(b) is float and b in (0.0, 1.0) else product(a, b)))
 
 np = _lazy_import("numpy")
-#: The types of a point's slot or coordinate, a recorded one's too; a batch's is an ndarray.
-POINT = (float, int, _Name)
+#: The types of a point's slot or coordinate; a batch's is an ndarray.
+POINT = (float, int)
 Slot = Union[float, "np.ndarray"]
 
 # Every op builds its tuple without the NamedTuple's generated __new__,
@@ -173,26 +181,6 @@ def constant(c) -> Jet2:
     return _leaf(c, 0.0, 0.0)
 
 
-# --- Products on a batch, where a float slot holds for every point --------
-
-def _prod(x: Slot, y: Slot) -> Slot:
-    """x * y, folding whichever factor is a float 0.0 or 1.0."""
-    if isinstance(x, POINT) and (not x or x == 1.0):
-        x, y = y, x
-    if isinstance(y, POINT):
-        if not y:
-            return 0.0
-        if y == 1.0:
-            return x
-    return x * y
-
-
-# ``mul`` and ``powr`` test their value slot for a point: a point's keep
-# their float expressions, and a batch's fold.  Sums are never folded: a
-# 0.0 added to an array turns its -0.0 into 0.0, as the float form's sum
-# with the 0.0 product it stands for does, and a K that underflows to
-# zero keeps the sign the point path gives it.
-
 def add(a: Jet2, b: Jet2) -> Jet2:
     return _new_tuple(Jet2, (a.val + b.val, a.d1 + b.d1, a.d2 + b.d2,
                              a.d11 + b.d11, a.d12 + b.d12, a.d22 + b.d22))
@@ -206,29 +194,18 @@ def scale(a: Jet2, c: Slot) -> Jet2:
 
 
 def mul(a: Jet2, b: Jet2) -> Jet2:
-    val = a.val * b.val
-    if isinstance(val, POINT):
-        return _new_tuple(Jet2, (
-            val,
-            a.d1 * b.val + a.val * b.d1,
-            a.d2 * b.val + a.val * b.d2,
-            a.d11 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d11,
-            a.d12 * b.val + a.d1 * b.d2 + a.d2 * b.d1 + a.val * b.d12,
-            a.d22 * b.val + 2.0 * a.d2 * b.d2 + a.val * b.d22,
-        ))
     return _new_tuple(Jet2, (
-        val,
-        _prod(a.d1, b.val) + _prod(a.val, b.d1),
-        _prod(a.d2, b.val) + _prod(a.val, b.d2),
-        _prod(a.d11, b.val) + _prod(_prod(2.0, a.d1), b.d1) + _prod(a.val, b.d11),
-        (_prod(a.d12, b.val) + _prod(a.d1, b.d2) + _prod(a.d2, b.d1)
-         + _prod(a.val, b.d12)),
-        _prod(a.d22, b.val) + _prod(_prod(2.0, a.d2), b.d2) + _prod(a.val, b.d22),
+        a.val * b.val,
+        a.d1 * b.val + a.val * b.d1,
+        a.d2 * b.val + a.val * b.d2,
+        a.d11 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d11,
+        a.d12 * b.val + a.d1 * b.d2 + a.d2 * b.d1 + a.val * b.d12,
+        a.d22 * b.val + 2.0 * a.d2 * b.d2 + a.val * b.d22,
     ))
 
 
 def _compose(a: Jet2, g: float, dg: float, ddg: float) -> Jet2:
-    # Chain rule through second order for g(a), on one point.
+    # Chain rule through second order for g(a).
     return _new_tuple(Jet2, (
         g,
         dg * a.d1,
@@ -239,20 +216,14 @@ def _compose(a: Jet2, g: float, dg: float, ddg: float) -> Jet2:
     ))
 
 
-def _compose_batch(a: Jet2, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Jet2:
-    return _new_tuple(Jet2, (
-        g,
-        _prod(dg, a.d1),
-        _prod(dg, a.d2),
-        _prod(_prod(ddg, a.d1), a.d1) + _prod(dg, a.d11),
-        _prod(_prod(ddg, a.d1), a.d2) + _prod(dg, a.d12),
-        _prod(_prod(ddg, a.d2), a.d2) + _prod(dg, a.d22),
-    ))
-
-
-def _power(x: float, p: float) -> tuple[float, float, float]:
+def _power(x: Slot, p: Slot) -> tuple:
+    """x ** p and its first two derivatives in x: on a point, raising for a
+    base not in (0, inf) and for a power that overflows; on a batch, by
+    ``_power_elements``; while recording, as the line that calls this."""
     if type(x) is _Name:  # recorded as the call itself
-        return x.emit(f"_power({x!r}, {p!r})", 3)
+        return x.emit(f"_power({x!r}, {p!r})", p, n=3)
+    if not isinstance(x, POINT):
+        return _power_elements(x, float(p) if isinstance(p, POINT) else p)
     p = float(p)
     if x <= 0.0:
         raise DomainError(f"powr requires a positive base, got {x}")
@@ -294,24 +265,46 @@ def powr(a: Jet2, p: Slot) -> Jet2:
     Implemented with direct p*a**(p-1) chain terms rather than
     exp(p*ln a); the two must agree to rounding (asserted in tests).
     """
-    if isinstance(a.val, POINT):
-        return _compose(a, *_power(a.val, p))
-    g, dg, ddg = _power_elements(a.val, float(p) if isinstance(p, POINT) else p)
-    return _compose_batch(a, g, dg, ddg)
+    return _compose(a, *_power(a.val, p))
 
 
 @functools.cache
-def _point_code(body):
-    """``body(p, u, v)``, a family's jet, as straight-line code for one point that
-    unpacks u's and v's twelve slots and reads p's fields; ``.source`` is the code."""
+def _point_code(body, constants: tuple | None = None):
+    """``body(p, u, v)``, a family's jet, as straight-line code that unpacks
+    u's and v's twelve slots and reads p's fields; ``.source`` is the code.
+    Without ``constants`` it is a point's.  A batch's (``_batch_code``) has,
+    for each of u's and v's ten derivative slots, None or the repr of the
+    float the slot holds, a constant of the recording that products fold;
+    its code drops each line that nothing reads and frees each local after
+    the line that last reads it."""
     lines = {}
-    u, v = (Jet2._make(lines.setdefault(x, [_Name(f"{x}{i}", lines) for i in range(6)]))
-            for x in "uv")
-    jet = body(_Name("p", lines), u, v)
-    source = "\n    ".join([f"def {body.__name__}(p, u, v):",
-                            *(f"{', '.join(map(repr, names))} = {expr}"
-                              for expr, names in lines.items()),
-                            f"return _new_tuple(Jet2, ({', '.join(map(repr, jet))}))"])
-    exec(compile(source, f"<point code of {body.__qualname__}>", "exec"), globals(), code := {})
+    pattern = constants or (None,) * 10
+    for x, k in ("u", 0), ("v", 5):
+        slots = [_Name(f"{x}{i}", lines) if c is None else float(c)
+                 for i, c in enumerate(pattern[k:k + 5], 1)]
+        lines[x] = ([_Name(f"{x}0", lines), *slots], [])
+    jet = body(p := _Name("p", lines), *(Jet2._make(lines[x][0]) for x in "uv"))
+    batch, live = constants is not None, {p, *jet}
+    source = [f"return _new_tuple(Jet2, ({', '.join(map(repr, jet))}))"]
+    for expr, (names, reads) in reversed(lines.items()):
+        if batch:  # drop a line that nothing reads, and free each local after its last reader
+            if live.isdisjoint(names):
+                continue
+            if freed := [x for x in dict.fromkeys([*names, *reads])
+                         if type(x) is _Name and x not in live]:
+                source.append(f"del {', '.join(map(repr, freed))}")
+            live.update(reads)
+        source.append(f"{', '.join(repr(x) if type(x) is _Name else '_' for x in names)} = {expr}")
+    source = "\n    ".join([f"def {body.__name__}(p, u, v):", *reversed(source)])
+    kind = "point" if constants is None else "batch"
+    exec(compile(source, f"<{kind} code of {body.__qualname__}>", "exec"), globals(), code := {})
     code[body.__name__].source = source
     return code[body.__name__]
+
+
+def _batch_code(body, u: Jet2, v: Jet2):
+    """``_point_code`` of body for a batch's u and v: each derivative slot
+    that is a float 0.0 or 1.0, as a seed's and a constant's are, is a
+    constant of the recording."""
+    return _point_code(body, tuple(repr(x) if type(x) is float and x in (0.0, 1.0) else None
+                                   for x in (*u[1:], *v[1:])))

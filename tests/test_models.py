@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import json
@@ -301,22 +302,39 @@ def test_batch_overflow_raises_only_the_point_error(evaluate, p, u, v):
     (models.ves_eval, models.ves_validate(1.3, 0.5, 0.3, 0.7)),
     (models.kadiyala_eval, models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2.0)),
 ])
-def test_batch_keeps_the_seeds_structural_slots_floats(monkeypatch, evaluate, p):
-    """On a batch, the first power of u keeps the 0.0 slots it gets from
-    the seed as floats, one value for every point, which no op spends an
-    array pass on."""
-    powers = []
-    powr = jets.powr
+def test_batch_keeps_the_seeds_structural_slots_floats(evaluate, p):
+    """On a batch, the seeds' 0.0 and 1.0 slots are constants of the code
+    recorded for it, which spends no array pass on them: it reads u's and
+    v's value slots alone, no product in it takes a 0.0 or 1.0 factor, it
+    calls ``_power`` once for each power the body takes, and it frees each
+    local after the line that last reads it, but the six it returns."""
+    body = {models.ves_eval: models._ves_jet, models.kadiyala_eval: models._kad_jet}[evaluate]
+    u, v = jets.seed(np.array([0.5, 2.0]), np.array([1.5, 3.0]))
+    code = jets._batch_code(body, u, v)
+    assert np.array_equal(np.broadcast_arrays(*code(p, u, v)),
+                          np.broadcast_arrays(*evaluate(p, u, v)))
+    source = code.source
+    tree = ast.parse(source)
+    statements = tree.body[0].body
+    assert [ast.unparse(s) for s in statements[:2]] == ["u0, _, _, _, _, _ = u",
+                                                        "v0, _, _, _, _, _ = v"]
+    products = [node for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)]
+    assert products
+    assert not [ast.unparse(node) for node in products
+                if any(isinstance(x, ast.Constant) and x.value in (0.0, 1.0)
+                       for x in (node.left, node.right))]
+    assert source.count("_power(") == inspect.getsource(body).count("jets.powr(")
 
-    def recording_powr(a, q):
-        powers.append(powr(a, q))
-        return powers[-1]
-    monkeypatch.setattr(jets, "powr", recording_powr)
-    evaluate(p, *jets.seed(np.array([0.5, 2.0]), np.array([1.5, 3.0])))
-    first = powers[0]
-    assert [type(slot) is float for slot in first] == [False, False, True, False, True, True]
-    assert first.d2 == first.d12 == first.d22 == 0.0
-
+    def names(statement, ctx) -> set[str]:
+        return {n.id for n in ast.walk(statement) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ctx)}
+    returned = names(statements[-1], ast.Load)
+    for i, statement in enumerate(statements):
+        for name in names(statement, ast.Store) - returned - {"_"}:
+            last = max(j for j, s in enumerate(statements)
+                       if j == i or name in names(s, ast.Load))
+            assert name in names(statements[last + 1], ast.Del), (name, last)
 
 
 def test_batch_K_that_underflows_keeps_the_point_paths_sign():
@@ -474,10 +492,10 @@ def test_point_code_reads_as_the_body_s_float_expressions(family):
     code that names no numpy and calls ``_power`` once for each power the
     body takes."""
     body = BODIES[family][0]
-    source = jets._point_code(body).source
-    print(source)
-    assert "np." not in source and "numpy" not in source
-    assert source.count("_power(") == inspect.getsource(body).count("jets.powr(")
+    for code in jets._point_code(body), jets._batch_code(body, *jets.seed(np.ones(2), np.ones(2))):
+        print(code.source)
+        assert "np." not in code.source and "numpy" not in code.source
+        assert code.source.count("_power(") == inspect.getsource(body).count("jets.powr(")
 
 
 class TestElasticity:
