@@ -567,9 +567,8 @@ class VerifySummary:
 #: batches run faster, but a run's peak memory grows with them: by
 #: tracemalloc, a default-grid batch of 16, which keeps u and v as axes,
 #: evaluates every cell and drops H at once, peaks at about 173 bytes a
-#: point for Kadiyala and 130 for VES (1.11 and 0.83 MB), as the jets' batch
-#: code frees each array after its last read; the same trials stacked point
-#: by point over the cells in their domains took 345 and 186.
+#: point for Kadiyala and 130 for VES (1.11 and 0.83 MB); the same trials
+#: stacked point by point over the cells in their domains took 345 and 186.
 VERIFY_BATCH_TRIALS = 16
 
 

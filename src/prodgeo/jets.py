@@ -19,9 +19,9 @@ it once per u, with the bits that one value per point gives.  On a
 batch, a slot that is a float holds for every point, as the seeds' 0.0
 and 1.0 do.  Each op has one body, its float expressions, which are
 correctly rounded in numpy as in Python: on arrays, each element gets the
-bits its float form gives.  Powers use numpy's own power, which may round the last bit
-differently from the libm ``pow`` behind a float's ``**``: a batch
-agrees with the float form to within rounding, not bit for bit.
+bits its float form gives.  Powers use numpy's own power, which may round
+the last bit differently from the libm ``pow`` behind a float's ``**``: a
+batch agrees with the float form to within rounding, not bit for bit.
 ``scale`` and ``powr`` on arrays also take an array factor or exponent
 that broadcasts with the slots (one per point, or one per trial of a
 verify batch).
@@ -296,8 +296,8 @@ def _point_code(body, constants: tuple | None = None):
             live.update(reads)
         source.append(f"{', '.join(repr(x) if type(x) is _Name else '_' for x in names)} = {expr}")
     source = "\n    ".join([f"def {body.__name__}(p, u, v):", *reversed(source)])
-    kind = "point" if constants is None else "batch"
-    exec(compile(source, f"<{kind} code of {body.__qualname__}>", "exec"), globals(), code := {})
+    name = f"<{'batch' if batch else 'point'} code of {body.__qualname__}>"
+    exec(compile(source, name, "exec"), globals(), code := {})
     code[body.__name__].source = source
     return code[body.__name__]
 
