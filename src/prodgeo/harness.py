@@ -192,7 +192,8 @@ def random_kadiyala_params(
 # nowhere else.  Entries call models, curvature, jets and the samplers by
 # module attribute at call time, so rebinding one of those (to trace it, or
 # to corrupt a verdict in a test) reaches every caller, but a jets op rebound
-# after a family's first point or batch reaches neither (``jets._point_code``).
+# after a family's first seeded point or batch reaches only the points that
+# ``jets._point_jet`` runs on the ops.
 
 class Verdict(NamedTuple):
     """What a theorem says about one parameter set."""
@@ -328,11 +329,18 @@ class GridReport:
         order, and "" off the domain: formatted and laid out over the grid
         once for both of emit_grid_report's formats."""
         texts = [_float_texts(x) for x in self.values]
-        if self.in_domain.all():
+        in_domain = self.in_domain.reshape(-1)
+        if in_domain.all():
             return tuple(texts)
-        laid_out = np.full((len(texts), self.in_domain.size), "", dtype=object)
-        laid_out[:, self.in_domain.reshape(-1)] = texts
-        return tuple(laid_out.tolist())
+        # the runs [start, end) of cells in the domain, about one a row of the grid
+        edges = np.flatnonzero(np.diff(in_domain, prepend=False, append=False)).tolist()
+        laid_out = tuple([""] * in_domain.size for _ in texts)
+        for row, text in zip(laid_out, texts):
+            at = 0
+            for start, end in zip(edges[::2], edges[1::2]):
+                row[start:end] = text[at:at + end - start]
+                at += end - start
+        return laid_out
 
 
 def _float_texts(x: np.ndarray) -> list[str]:

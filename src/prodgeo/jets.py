@@ -49,18 +49,23 @@ A point's values and errors are thus computed without loading numpy,
 and a batch loads it on its first operation.
 
 A family's jet runs as straight-line code (source transformation, ibid.
-ch. 6): on its first point, and its first batch of each pattern of 0.0 and
-1.0 slots, ``_point_code`` runs the body once on recording slots (``_Name``)
-and compiles the float expressions the ops perform, in order, with one
-``_power`` call for each power.  A point's code keeps the ops' bits and
-errors.  A batch's (``_batch_code``) records each derivative slot that is a
-float 0.0 or 1.0, a seed's or a constant's, as a constant, and folds it: a
-product with 0.0 is 0.0 (where the float form may give -0.0 or NaN) and one
-with 1.0 is the other factor; float-on-float work is done while recording.
-A parameter never folds, so a zero weight keeps the NaN of 0 * inf, nor
-does a sum, so -0.0 plus a constant 0.0 is 0.0 as on a point.  The code
-drops lines nothing reads and frees each array after its last read.  An op
-rebound after a family's first point or batch reaches neither.
+ch. 6): on its first seeded point, and its first batch of each pattern of
+0.0 and 1.0 slots, ``_point_code`` runs the body once on recording slots
+(``_Name``) and compiles the float expressions the ops perform, in order.
+Each derivative slot that is a float 0.0 or 1.0, a seed's or a batch's
+constant's, is a constant of the recording, and folds: a product with 0.0
+is 0.0 (where the float form may give -0.0 or NaN) and one with 1.0 is the
+other factor; float-on-float work is done while recording.  A parameter
+never folds, so a zero weight keeps the NaN of 0 * inf, nor does a sum,
+so -0.0 plus a constant 0.0 is 0.0.  The code drops lines nothing reads.
+A batch's (``_batch_code``) calls ``_power`` for each power and frees each
+array after its last read.  A point's (``_point_jet``) runs each power's
+float expressions inline where the base is in (0, inf), and checks its six
+slots once, at the end: where one is zero or not finite, where a power
+overflows, and for any input but the seeds, the point runs the body on the
+ops, whose bits and errors the folded code keeps everywhere else.  An op
+rebound after a family's first seeded point or batch reaches only points
+that run the ops.
 """
 
 from __future__ import annotations
@@ -118,8 +123,8 @@ class _Name:
 for _op, _sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
     setattr(_Name, f"__{_op}__", lambda a, b, s=_sym: a.emit(f"{a!r} {s} {b!r}", b))
     setattr(_Name, f"__r{_op}__", lambda a, b, s=_sym: a.emit(f"{b!r} {s} {a!r}", b))
-# A float factor 0.0 or 1.0, which only a batch's constant slots and the
-# floats computed from them give, folds: x * 0.0 is 0.0 and x * 1.0 is x.
+# A float factor 0.0 or 1.0, which only a recording's constant slots and
+# the floats computed from them give, folds: x * 0.0 is 0.0 and x * 1.0 is x.
 for _mul in "__mul__", "__rmul__":
     setattr(_Name, _mul, lambda a, b, product=getattr(_Name, _mul): (
         (a if b else 0.0) if type(b) is float and b in (0.0, 1.0) else product(a, b)))
@@ -173,6 +178,9 @@ def seed_v(v0) -> Jet2:
 
 def seed(u0, v0) -> tuple[Jet2, Jet2]:
     """Both variable jets at (u0, v0), in order."""
+    if type(u0) is float and type(v0) is float:  # a point's, in one call
+        return (_new_tuple(Jet2, (u0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+                _new_tuple(Jet2, (v0, 0.0, 1.0, 0.0, 0.0, 0.0)))
     return seed_u(u0), seed_v(v0)
 
 
@@ -268,38 +276,60 @@ def powr(a: Jet2, p: Slot) -> Jet2:
     return _compose(a, *_power(a.val, p))
 
 
+#: u's and v's derivative slots as ``seed`` gives them
+_SEEDS = (1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0)
+
+
 @functools.cache
 def _point_code(body, constants: tuple | None = None):
-    """``body(p, u, v)``, a family's jet, as straight-line code that unpacks
-    u's and v's twelve slots and reads p's fields; ``.source`` is the code.
-    Without ``constants`` it is a point's.  A batch's (``_batch_code``) has,
-    for each of u's and v's ten derivative slots, None or the repr of the
-    float the slot holds, a constant of the recording that products fold;
-    its code drops each line that nothing reads and frees each local after
-    the line that last reads it."""
-    lines = {}
-    pattern = constants or (None,) * 10
+    """``body(p, u, v)``, a family's jet, as straight-line code that reads
+    u's and v's value slots and p's fields; ``.source`` is the code.  For
+    each of u's and v's ten derivative slots, ``constants`` has None or the
+    repr of the float 0.0 or 1.0 the slot holds (``_batch_code``).  Without
+    it, the code is a seeded point's, which returns None unless the six
+    slots it computes are finite and nonzero (``_point_jet``)."""
+    lines, point = {}, constants is None
+    pattern = constants or tuple(map(repr, _SEEDS[0] + _SEEDS[1]))
     for x, k in ("u", 0), ("v", 5):
         slots = [_Name(f"{x}{i}", lines) if c is None else float(c)
                  for i, c in enumerate(pattern[k:k + 5], 1)]
         lines[x] = ([_Name(f"{x}0", lines), *slots], [])
     jet = body(p := _Name("p", lines), *(Jet2._make(lines[x][0]) for x in "uv"))
-    batch, live = constants is not None, {p, *jet}
-    source = [f"return _new_tuple(Jet2, ({', '.join(map(repr, jet))}))"]
+    live, slots = {p, *jet}, ", ".join(map(repr, jet))
+    source = [f"return _new_tuple(Jet2, ({slots}))"]
+    if point:  # x - x is 0.0 for a finite x, and NaN for inf or NaN
+        source = [f"    {source[0]}", f"if {' and '.join(map(repr, jet))} and "
+                  f"{' + '.join(f'{x!r} - {x!r}' for x in jet)} == 0.0:"]
     for expr, (names, reads) in reversed(lines.items()):
-        if batch:  # drop a line that nothing reads, and free each local after its last reader
-            if live.isdisjoint(names):
-                continue
-            if freed := [x for x in dict.fromkeys([*names, *reads])
-                         if type(x) is _Name and x not in live]:
-                source.append(f"del {', '.join(map(repr, freed))}")
-            live.update(reads)
-        source.append(f"{', '.join(repr(x) if type(x) is _Name else '_' for x in names)} = {expr}")
+        if live.isdisjoint(names):
+            continue
+        if not point and (freed := [x for x in dict.fromkeys([*names, *reads])
+                                    if type(x) is _Name and x not in live]):
+            source.append(f"del {', '.join(map(repr, freed))}")
+        live.update(reads)
+        targets = ", ".join(repr(x) if type(x) is _Name else "_" for x in names)
+        source.append(f"{targets} = {expr}")
+        if point and expr.startswith("_power("):  # _power's float branch, inline
+            x, q = expr[7:-1].split(", ")
+            source[-1:] = [f"else: {source[-1]}", f"if 0.0 < {x} < math.inf: {targets} = "
+                           f"{x} ** {q}, {q} * {x} ** ({q} - 1.0), {q} * ({q} - 1.0) * {x} ** ({q} - 2.0)"]
     source = "\n    ".join([f"def {body.__name__}(p, u, v):", *reversed(source)])
-    name = f"<{'batch' if batch else 'point'} code of {body.__qualname__}>"
+    name = f"<{'point' if point else 'batch'} code of {body.__qualname__}>"
     exec(compile(source, name, "exec"), globals(), code := {})
     code[body.__name__].source = source
     return code[body.__name__]
+
+
+def _point_jet(body, p, u: Jet2, v: Jet2) -> Jet2:
+    """``body(p, u, v)`` on a point: by its recorded code where u and v are
+    the seeds, with the bits and errors of the ops, which run where they
+    are not, and where that code returns None or a power overflows."""
+    if u[1:] == _SEEDS[0] and v[1:] == _SEEDS[1]:
+        try:
+            return _point_code(body)(p, u, v) or body(p, u, v)
+        except OverflowError:
+            pass
+    return body(p, u, v)
 
 
 def _batch_code(body, u: Jet2, v: Jet2):

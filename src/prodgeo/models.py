@@ -13,7 +13,7 @@ sets can be checked once and relied on everywhere.  Evaluators take
 ``Jet2`` inputs and hence deliver value, gradient and Hessian in one
 pass; plain-float evaluation falls out by seeding constants.  A family's jet
 is written once, in ``jets`` ops, and runs as code recorded from it:
-``jets._point_code`` on a point, ``jets._batch_code`` on a batch.  Inputs
+``jets._point_jet`` on a seeded point, ``jets._batch_code`` on a batch.  Inputs
 are one point's floats or a batch's ndarrays (see ``jets``), and domain
 tests then hold element by element.  A point outside the domain raises
 an error that names it, and so does a power that ``jets.powr`` rejects;
@@ -213,7 +213,7 @@ def ves_eval(p: VesParams, u: Jet2, v: Jet2) -> Jet2:
     if not isinstance(u.val, POINT):
         return jets._batch_code(_ves_jet, u, v)(p, u, v)
     _ves_aggregate(p, u.val, v.val)
-    return jets._point_code(_ves_jet)(p, u, v)
+    return jets._point_jet(_ves_jet, p, u, v)
 
 
 def _kad_jet(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
@@ -228,8 +228,9 @@ def _kad_jet(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
 def kadiyala_eval(p: KadiyalaParams, u: Jet2, v: Jet2) -> Jet2:
     """Jet of P(u, v); requires u, v > 0."""
     _check_positive(u.val, v.val)
-    return (jets._point_code(_kad_jet) if isinstance(u.val, POINT)
-            else jets._batch_code(_kad_jet, u, v))(p, u, v)
+    if isinstance(u.val, POINT):
+        return jets._point_jet(_kad_jet, p, u, v)
+    return jets._batch_code(_kad_jet, u, v)(p, u, v)
 
 
 # --- Kadiyala specializations ---------------------------------------------

@@ -57,20 +57,19 @@ def curvatures(jet: Jet2) -> tuple[Slot, Slot, Slot]:
     """
     fu, fv = jet.d1, jet.d2
     w2 = 1.0 + fu * fu + fv * fv
-    if isinstance(jet.val, POINT):
+    point = isinstance(jet.val, POINT)
+    inv_w = 1.0 / (math.sqrt(w2) if point else np.sqrt(w2))
+    h11, h12, h22 = jet.d11 * inv_w, jet.d12 * inv_w, jet.d22 * inv_w
+    K = (h11 * h22 - h12 * h12) / w2
+    H = ((1.0 + fu * fu) * h22 - 2.0 * (fu * fv) * h12 + (1.0 + fv * fv) * h11) / (2.0 * w2)
+    # K and H finite and W^2 < inf leave no slot of the jet inf or NaN
+    if point and not (w2 < math.inf and jet.val - jet.val + K - K + H - H == 0.0):
         if not all(map(math.isfinite, jet)):
             val, d1, d2, d11, d12, d22 = jet
             raise NonFiniteError(f"non-finite jet: val={val}, grad=({d1}, {d2}), "
                                  f"hess=({d11}, {d12}, {d22})")
         if w2 == math.inf:
             raise NonFiniteError(f"1 + f_u^2 + f_v^2 overflows at slopes f_u={fu}, f_v={fv}")
-        w = math.sqrt(w2)
-    else:
-        w = np.sqrt(w2)
-    inv_w = 1.0 / w
-    h11, h12, h22 = jet.d11 * inv_w, jet.d12 * inv_w, jet.d22 * inv_w
-    K = (h11 * h22 - h12 * h12) / w2
-    H = ((1.0 + fu * fu) * h22 - 2.0 * (fu * fv) * h12 + (1.0 + fv * fv) * h11) / (2.0 * w2)
     return K, H, w2
 
 

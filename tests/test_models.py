@@ -6,10 +6,11 @@ import math
 import random
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_close, elasticity_oracle, kadiyala_normalized, kadiyala_value,
@@ -463,38 +464,56 @@ def test_batch_jets_keep_their_bits(family):
 
 BODIES = {"ves": (models._ves_jet, harness.random_ves_params),
           "kadiyala": (models._kad_jet, harness.random_kadiyala_params)}
+EVALUATORS = {"ves": models.ves_eval, "kadiyala": models.kadiyala_eval}
 slot_values = st.floats() | st.floats(1e-300, 1e300)
 
 
 @settings(max_examples=300, deadline=None)
-@given(family=st.sampled_from(sorted(BODIES)), seed=st.integers(0, 10**6),
+@given(family=st.sampled_from(sorted(BODIES)), params=st.integers(0, 10**6),
        kind=st.sampled_from(["seed", "constant", "slots"]), u=slot_values, v=slot_values,
        slots=st.lists(slot_values, min_size=10, max_size=10))
-def test_point_code_is_the_body_on_points(family, seed, kind, u, v, slots):
-    """A family's compiled point code gives the bits, or the error type
-    and text, of its body run on point jets, with no domain check before
-    either: at any point, with seeded, constant or arbitrary input jets."""
+# folded, d2 and d12 come out -0.0, where the ops give 0.0
+@example(family="kadiyala", params=models.kadiyala_validate(0.3, 0.0, 0.7, -0.4, -0.8, 2.0),
+         kind="seed", u=1.0, v=1.7e308, slots=[0.0] * 10)
+# u ** 2.3 overflows in the recorded code, and the ops name that power
+@example(family="kadiyala", params=models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2.0),
+         kind="seed", u=1e200, v=1.0, slots=[0.0] * 10)
+def test_point_code_is_the_body_on_points(family, params, kind, u, v, slots):
+    """A family's evaluator on a point gives the bits, or the error type
+    and text, of its body run on the jets ops, with no domain check before
+    either: at any point, with seeded, constant or arbitrary input jets.
+    Seeded jets whose six slots come out finite and nonzero run the
+    recorded code alone; constant and arbitrary ones run the ops."""
     body, draw = BODIES[family]
+    p = draw(params) if isinstance(params, int) else params
     if kind == "seed":
         u, v = jets.seed(u, v)
     elif kind == "constant":
         u, v = jets.constant(u), jets.constant(v)
     else:
         u, v = jets.Jet2(u, *slots[:5]), jets.Jet2(v, *slots[5:])
-    p = draw(seed)
-    assert (point_jet_outcome(jets._point_code(body), p, u, v)
-            == point_jet_outcome(body, p, u, v))
+    with (mock.patch.object(models, "_ves_aggregate"), mock.patch.object(models, "_check_positive"),
+          mock.patch.object(jets, "powr", wraps=jets.powr) as powr):
+        got = point_jet_outcome(EVALUATORS[family], p, u, v)
+    assert got == point_jet_outcome(body, p, u, v)
+    if kind != "seed":
+        assert powr.called
+    elif ":" not in got and all(x and math.isfinite(x)
+                                for x in struct.unpack("6d", bytes.fromhex(got))):
+        assert not powr.called
 
 
 @pytest.mark.parametrize("family", sorted(BODIES))
 def test_point_code_reads_as_the_body_s_float_expressions(family):
-    """The emitted source, printed under ``pytest -s``: straight-line float
-    code that names no numpy and calls ``_power`` once for each power the
-    body takes."""
+    """The emitted sources, printed under ``pytest -s``: straight-line float
+    code that names no numpy, reads none of the seeds' derivative slots,
+    and calls ``_power`` once for each power the body takes (on a point,
+    where the base is not in (0, inf))."""
     body = BODIES[family][0]
     for code in jets._point_code(body), jets._batch_code(body, *jets.seed(np.ones(2), np.ones(2))):
         print(code.source)
         assert "np." not in code.source and "numpy" not in code.source
+        assert not re.findall(r"\b[uv][1-5]\b", code.source)
         assert code.source.count("_power(") == inspect.getsource(body).count("jets.powr(")
 
 

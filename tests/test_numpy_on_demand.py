@@ -3,8 +3,8 @@ load none of it, and the first batch of the same process loads it and
 computes what it computes in a process that has numpy from the start.
 orjson is a grid's dependency: neither points nor a verify run load it,
 and the first grid does.  A family's point code is compiled on its first
-point, and its batch code on its first batch, not on import; later points
-and batches compile none."""
+seeded point, and its batch code on its first batch, not on import; a
+constant point, and later points and batches, compile none."""
 
 import json
 import os
@@ -34,6 +34,10 @@ def orjson_loaded():
     return any(name.split(".")[0] == "orjson" for name in sys.modules)
 
 after_import = orjson_loaded()
+ves = models.ves_validate(1, 0.4, 1.5, 1.6)
+kad = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
+for evaluate, p in ((models.ves_eval, ves), (models.kadiyala_eval, kad)):
+    surface.curvature_from_jet(evaluate(p, jets.constant(1.5), jets.constant(0.7)))
 compiled = [jets._point_code.cache_info().currsize]  # codes compiled so far
 compiled_after = {}
 
@@ -44,8 +48,6 @@ def run(name, argv):
     compiled_after[name] = jets._point_code.cache_info().currsize
     return code, out.getvalue(), err.getvalue()
 
-ves = models.ves_validate(1, 0.4, 1.5, 1.6)
-kad = models.kadiyala_validate(0.3, 0.2, 0.3, 1.5, 0.8, 2)
 for evaluate, closed, p in ((models.ves_eval, curvature.ves_curvature_closed, ves),
                             (models.kadiyala_eval, curvature.kadiyala_curvature_closed, kad)):
     for u, v in ((1.5, 0.7), (2, 3)):
@@ -78,7 +80,8 @@ def test_points_load_no_numpy_and_a_later_batch_matches_golden():
                           env=dict(os.environ, PYTHONPATH=src))
     got = json.loads(proc.stdout)
     assert not got["after_import"]
-    assert got["compiled"] == [0, 1, 2]  # none on import, then one per family's first point
+    # none on import or for constant points, then one per family's first seeded point
+    assert got["compiled"] == [0, 1, 2]
     after = got["compiled_after"]
     assert {after[name] for name in POINT_CASES} == {2}
     assert after["verify-t1"] == 3  # VES's first batch compiles one code
