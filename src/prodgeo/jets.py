@@ -295,8 +295,8 @@ def _point_code(body, constants: tuple | None = None):
                  for i, c in enumerate(pattern[k:k + 5], 1)]
         lines[x] = ([_Name(f"{x}0", lines), *slots], [])
     jet = body(p := _Name("p", lines), *(Jet2._make(lines[x][0]) for x in "uv"))
-    live, slots = {p, *jet}, ", ".join(map(repr, jet))
-    source = [f"return _new_tuple(Jet2, ({slots}))"]
+    live = {p, *jet}
+    source = [f"return _new_tuple(Jet2, ({', '.join(map(repr, jet))}))"]
     if point:  # x - x is 0.0 for a finite x, and NaN for inf or NaN
         source = [f"    {source[0]}", f"if {' and '.join(map(repr, jet))} and "
                   f"{' + '.join(f'{x!r} - {x!r}' for x in jet)} == 0.0:"]
@@ -321,9 +321,9 @@ def _point_code(body, constants: tuple | None = None):
 
 
 def _point_jet(body, p, u: Jet2, v: Jet2) -> Jet2:
-    """``body(p, u, v)`` on a point: by its recorded code where u and v are
-    the seeds, with the bits and errors of the ops, which run where they
-    are not, and where that code returns None or a power overflows."""
+    """``body(p, u, v)`` on a point, with the bits and errors of the ops: by
+    the recorded code where u and v are the seeds, and on the ops where
+    they are not, where the code returns None or where a power overflows."""
     if u[1:] == _SEEDS[0] and v[1:] == _SEEDS[1]:
         try:
             return _point_code(body)(p, u, v) or body(p, u, v)
